@@ -25,7 +25,7 @@ from functools import cache
 from .howe import TableauVector, act_divided, highest_vector
 from .ring import LaurentPoly, bar, symmetrize_correction
 from .tableaux import Shape, Tableau, enumerate_tableaux, peel_word, tableau_type
-from .webs import Web, ladder_from_word, web_form
+from .webs import Web, ladder_from_word
 
 
 class InvariantViolationError(RuntimeError):
@@ -166,35 +166,20 @@ class GradedMatrix:
 
 
 def gram_matrix(N: int, l: int, ktype: tuple[int, ...], basis: str = "lt") -> GradedMatrix:
-    """Gram matrix of a basis of one type block.
+    """Gram matrix of a basis of one type block, from the tensor expansions.
 
-    For the LT basis every entry is computed twice: from the tensor
-    expansions and by closed evaluation of the composed ladder webs; a
-    disagreement raises InvariantViolationError.  The dual canonical Gram
-    uses the tensor route.
+    Each entry is `pairing` of two basis vectors.  For the LT basis the same
+    entries are the web forms of the ladder webs (`lt_web`); `qwebs verify
+    --form` checks that second route against this one.
     """
     if basis == "lt":
         block = lt_block(N, l, ktype)
-        expansions = {t: e.expansion for t, e in block.items()}
     elif basis == "dual":
         block = dual_block(N, l, ktype)
-        expansions = {t: e.expansion for t, e in block.items()}
     else:
         raise ValueError(f"unknown basis {basis!r}")
     labels = tuple(block)
-    rows = []
-    webs = {t: lt_web(t) for t in labels} if basis == "lt" else None
-    for s in labels:
-        row = []
-        for t in labels:
-            value = pairing(expansions[s], expansions[t])
-            if webs is not None:
-                by_web = web_form(webs[s], webs[t])
-                if by_web != value:
-                    raise InvariantViolationError(
-                        f"web and tensor Gram entries disagree at ({s}, {t}): "
-                        f"{by_web} vs {value}"
-                    )
-            row.append(value)
-        rows.append(tuple(row))
-    return GradedMatrix(labels, tuple(rows))
+    rows = tuple(
+        tuple(pairing(block[s].expansion, block[t].expansion) for t in labels) for s in labels
+    )
+    return GradedMatrix(labels, rows)

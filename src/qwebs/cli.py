@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .bases import (
     InvariantViolationError,
@@ -210,7 +208,7 @@ def cmd_gram(args) -> int:
 def cmd_cartan(args) -> int:
     k = _parse_vec(args.k)
     matrix = cartan_matrix(args.N, k)
-    frob = frobenius_check(args.N, k)
+    frob = frobenius_check(args.N, k, matrix)
     payload = {
         "cartan": matrix.to_json(),
         "gorenstein_parameter": gorenstein_parameter(args.N, k),
@@ -226,33 +224,27 @@ def cmd_cartan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    jobs = []
+    reports = []
     if args.relations or args.all:
-        jobs.append(lambda: check_relations(args.max_N))
+        reports.append(check_relations(args.max_N))
     if args.evaluators or args.all:
-        jobs.append(lambda: check_evaluators(args.cases, args.seed, min(args.max_N, 3), args.max_m))
+        reports.append(check_evaluators(args.cases, args.seed, min(args.max_N, 3), args.max_m))
     if args.howe or args.all:
-        jobs.append(lambda: check_howe())
+        reports.append(check_howe())
     if args.dual or args.all:
-        jobs.append(lambda: check_dual_blocks())
+        reports.append(check_dual_blocks())
     if args.form or args.all:
-        jobs.append(lambda: check_form_consistency())
+        reports.append(check_form_consistency())
     if args.shapovalov or args.all:
-        jobs.append(lambda: check_shapovalov(args.cases, args.seed))
+        reports.append(check_shapovalov(args.cases, args.seed))
     if args.commutator or args.all:
-        jobs.append(lambda: check_commutator(args.cases, args.seed))
+        reports.append(check_commutator(args.cases, args.seed))
     if args.serre or args.all:
-        jobs.append(lambda: check_serre())
+        reports.append(check_serre())
     if args.cartan or args.all:
-        jobs.append(lambda: check_cartan(min(args.max_N, 3), args.max_m))
-    if not jobs:
+        reports.append(check_cartan(min(args.max_N, 3), args.max_m))
+    if not reports:
         raise ValueError("nothing to verify; pass --all or a specific sweep")
-    workers = max(1, int(os.environ.get("QWEBS_WORKERS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda j: j(), jobs))
-    else:
-        reports = [j() for j in jobs]
     if args.format == "json":
         print(json.dumps(
             [{"name": r.name, "passed": r.passed, "cases": r.cases, "failures": r.failures}

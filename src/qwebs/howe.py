@@ -27,62 +27,17 @@ from __future__ import annotations
 
 from .ring import LaurentPoly, ONE, exact_divide, qfactorial
 from .tableaux import Shape, Tableau, highest_tableau, tableau_from_nu, tableau_to_nu, tableau_type
-from .tensor import Boundary, Factor, TensorVector
+from .tensor import Boundary, Factor, SparseVector, TensorVector
 
 
-class TableauVector:
-    """A sparse vector indexed by column-strict tableaux of one shape."""
+class TableauVector(SparseVector):
+    """A sparse vector keyed by column-strict tableaux of one shape (its space)."""
 
-    __slots__ = ("shape", "coords")
-
-    def __init__(self, shape: Shape, coords: dict[Tableau, LaurentPoly] | None = None):
-        self.shape = shape
-        self.coords: dict[Tableau, LaurentPoly] = {}
-        if coords:
-            for t, c in coords.items():
-                if not c.is_zero():
-                    self.coords[t] = c
+    __slots__ = ()
 
     @classmethod
     def basis_vector(cls, t: Tableau, coeff: LaurentPoly = ONE) -> "TableauVector":
         return cls(t.shape, {t: coeff})
-
-    def add_term(self, t: Tableau, c: LaurentPoly) -> None:
-        s = self.coords.get(t)
-        s = c if s is None else s + c
-        if s.is_zero():
-            self.coords.pop(t, None)
-        else:
-            self.coords[t] = s
-
-    def __add__(self, other: "TableauVector") -> "TableauVector":
-        if self.shape != other.shape:
-            raise ValueError("cannot add vectors of different shapes")
-        out = TableauVector(self.shape, dict(self.coords))
-        for t, c in other.coords.items():
-            out.add_term(t, c)
-        return out
-
-    def __sub__(self, other: "TableauVector") -> "TableauVector":
-        return self + other.scale(LaurentPoly({0: -1}))
-
-    def scale(self, c: LaurentPoly) -> "TableauVector":
-        if c.is_zero():
-            return TableauVector(self.shape)
-        return TableauVector(self.shape, {t: a * c for t, a in self.coords.items()})
-
-    def coeff(self, t: Tableau) -> LaurentPoly:
-        return self.coords.get(t, LaurentPoly.zero())
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TableauVector)
-            and self.shape == other.shape
-            and self.coords == other.coords
-        )
 
     def __repr__(self) -> str:
         terms = " + ".join(
@@ -95,7 +50,7 @@ class TableauVector:
             {"rows": [list(r) for r in t.rows], "coeff": self.coords[t].to_json()}
             for t in sorted(self.coords, key=Tableau.sort_key)
         ]
-        return {"N": self.shape.N, "l": self.shape.l, "terms": terms}
+        return {"N": self.space.N, "l": self.space.l, "terms": terms}
 
     @classmethod
     def from_json(cls, data: dict) -> "TableauVector":
@@ -109,7 +64,7 @@ class TableauVector:
 
 def act_E(sign: int, i: int, x: TableauVector) -> TableauVector:
     """Apply the generator of index i (sign -1 lowers, +1 raises)."""
-    shape = x.shape
+    shape = x.space
     if not 1 <= i <= shape.m - 1:
         raise ValueError(f"generator index {i} outside 1..{shape.m - 1}")
     out = TableauVector(shape)
@@ -145,7 +100,7 @@ def act_divided(sign: int, i: int, r: int, x: TableauVector) -> TableauVector:
         y = act_E(sign, i, y)
     if r >= 2:
         fact = qfactorial(r)
-        y = TableauVector(y.shape, {t: exact_divide(c, fact) for t, c in y.coords.items()})
+        y = TableauVector(y.space, {t: exact_divide(c, fact) for t, c in y.coords.items()})
     return y
 
 
@@ -206,7 +161,7 @@ def to_tensor(x: TableauVector) -> TensorVector:
     types = {tableau_type(t) for t in x.coords}
     if len(types) != 1:
         raise ValueError("tensor coordinates need a vector of a single type")
-    space = tensor_space_of_type(x.shape.N, next(iter(types)))
+    space = tensor_space_of_type(x.space.N, next(iter(types)))
     out = TensorVector(space)
     for t, c in x.coords.items():
         out.add_term(tableau_to_index(t), c)

@@ -147,14 +147,6 @@ class LaurentPoly:
         out._c = {e + exp: a for e, a in self._c.items()}
         return out
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not Laurent polynomials in general")
-        r = LaurentPoly.one()
-        for _ in range(n):
-            r = r * self
-        return r
-
     # -- comparison / hashing ----------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -191,7 +183,12 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "LaurentPoly":
-        return cls((int(e), int(a)) for e, a in data)
+        """Inverse of to_json; exponents and coefficients must be integers."""
+        terms = [(e, a) for e, a in data]
+        for e, a in terms:
+            if type(e) is not int or type(a) is not int:
+                raise ValueError(f"polynomial term [{e!r}, {a!r}] is not a pair of integers")
+        return cls(terms)
 
 
 ZERO = LaurentPoly.zero()

@@ -108,62 +108,81 @@ def _index_key(idx: Index) -> tuple:
     return tuple(tuple(sorted(s, reverse=True)) for s in idx)
 
 
-class TensorVector:
-    """A sparse vector: finite map from basis indices to Laurent polynomials."""
+class SparseVector:
+    """A finite map from basis keys to nonzero Laurent polynomials.
+
+    `space` names what the keys index; vectors add only within one space.
+    Subclasses fix the keys and how they are built, printed and serialized.
+    """
 
     __slots__ = ("space", "coords")
 
-    def __init__(self, space: Boundary, coords: dict[Index, LaurentPoly] | None = None):
+    def __init__(self, space, coords: dict | None = None):
         self.space = space
-        self.coords: dict[Index, LaurentPoly] = {}
+        self.coords: dict = {}
         if coords:
-            for idx, c in coords.items():
+            for key, c in coords.items():
                 if not c.is_zero():
-                    self.coords[idx] = c
+                    self.coords[key] = c
 
-    @classmethod
-    def basis_vector(cls, space: Boundary, idx: Index, coeff: LaurentPoly = ONE) -> "TensorVector":
-        for s, f in zip(idx, space.factors):
-            if len(s) != f.color:
-                raise ShapeMismatchError(f"index {sorted(s)} does not match color {f.color}")
-        return cls(space, {idx: coeff})
-
-    def add_term(self, idx: Index, c: LaurentPoly) -> None:
-        s = self.coords.get(idx)
+    def add_term(self, key, c: LaurentPoly) -> None:
+        s = self.coords.get(key)
         s = c if s is None else s + c
         if s.is_zero():
-            self.coords.pop(idx, None)
+            self.coords.pop(key, None)
         else:
-            self.coords[idx] = s
+            self.coords[key] = s
 
-    def __add__(self, other: "TensorVector") -> "TensorVector":
+    def __add__(self, other):
         if self.space != other.space:
             raise ShapeMismatchError("cannot add vectors in different spaces")
-        out = TensorVector(self.space, dict(self.coords))
-        for idx, c in other.coords.items():
-            out.add_term(idx, c)
+        out = type(self)(self.space, dict(self.coords))
+        for key, c in other.coords.items():
+            out.add_term(key, c)
         return out
 
-    def __sub__(self, other: "TensorVector") -> "TensorVector":
+    def __sub__(self, other):
         return self + other.scale(LaurentPoly({0: -1}))
 
-    def scale(self, c: LaurentPoly) -> "TensorVector":
+    def scale(self, c: LaurentPoly):
         if c.is_zero():
-            return TensorVector(self.space)
-        return TensorVector(self.space, {i: a * c for i, a in self.coords.items()})
+            return type(self)(self.space)
+        return type(self)(self.space, {key: a * c for key, a in self.coords.items()})
 
     def is_zero(self) -> bool:
         return not self.coords
 
-    def coeff(self, idx: Index) -> LaurentPoly:
-        return self.coords.get(idx, LaurentPoly.zero())
+    def coeff(self, key) -> LaurentPoly:
+        return self.coords.get(key, LaurentPoly.zero())
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, TensorVector)
+            type(other) is type(self)
             and self.space == other.space
             and self.coords == other.coords
         )
+
+
+def _check_index(space: Boundary, idx) -> None:
+    """Each entry of idx (a set or a list) must be a color-sized subset of 1..N."""
+    if len(idx) != len(space.factors):
+        raise ShapeMismatchError(f"index has {len(idx)} subsets for {len(space.factors)} factors")
+    for s, f in zip(idx, space.factors):
+        if len(set(s)) != len(s) or len(s) != f.color or not all(1 <= x <= space.N for x in s):
+            raise ShapeMismatchError(
+                f"index {sorted(s)} is not a color-{f.color} subset of 1..{space.N}"
+            )
+
+
+class TensorVector(SparseVector):
+    """A sparse vector on a tensor boundary, keyed by index tuples."""
+
+    __slots__ = ()
+
+    @classmethod
+    def basis_vector(cls, space: Boundary, idx: Index, coeff: LaurentPoly = ONE) -> "TensorVector":
+        _check_index(space, idx)
+        return cls(space, {idx: coeff})
 
     def __repr__(self) -> str:
         terms = ", ".join(
@@ -187,8 +206,9 @@ class TensorVector:
         space = Boundary.from_json(int(data["N"]), data["space"])
         out = cls(space)
         for term in data["terms"]:
-            idx = tuple(frozenset(int(x) for x in s) for s in term["subsets"])
-            out.add_term(idx, LaurentPoly.from_json(term["coeff"]))
+            subsets = [[int(x) for x in s] for s in term["subsets"]]
+            _check_index(space, subsets)
+            out.add_term(tuple(frozenset(s) for s in subsets), LaurentPoly.from_json(term["coeff"]))
         return out
 
 

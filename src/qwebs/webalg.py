@@ -50,9 +50,12 @@ class FrobeniusReport:
     gorenstein: int
 
 
-def frobenius_check(N: int, k: tuple[int, ...]) -> FrobeniusReport:
-    """Check D(v^-1) = v^(-2d) D(v) for the total graded dimension D."""
-    cartan = cartan_matrix(N, k)
+def frobenius_check(N: int, k: tuple[int, ...], cartan: GradedMatrix) -> FrobeniusReport:
+    """Check D(v^-1) = v^(-2d) D(v) for the total graded dimension D.
+
+    `cartan` is the block's Cartan matrix, `cartan_matrix(N, k)`, which the
+    caller already holds.
+    """
     total = LaurentPoly.zero()
     for row in cartan.entries:
         for p in row:

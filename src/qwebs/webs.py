@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .ring import LaurentPoly
 from .tensor import (
@@ -65,26 +66,12 @@ class Slice:
     side: str = ""
 
     def mirror(self) -> "Slice":
-        if self.kind == "merge":
-            return Slice("split", self.pos, self.a, self.b)
-        if self.kind == "split":
-            return Slice("merge", self.pos, self.a, self.b)
-        if self.kind == "cup":
-            return Slice("cap", self.pos, self.a)
-        if self.kind == "cap":
-            return Slice("cup", self.pos, self.a)
-        if self.kind == "tag":
-            return Slice("tag", self.pos, self.a, side="right" if self.side == "left" else "left")
-        return self
+        return _kind(self).mirror(self)
 
     def to_json(self) -> dict:
         d = {"kind": self.kind, "pos": self.pos}
-        if self.kind in ("merge", "split"):
-            d["a"], d["b"] = self.a, self.b
-        elif self.kind in ("cup", "cap"):
-            d["a"] = self.a
-        elif self.kind == "tag":
-            d["a"], d["side"] = self.a, self.side
+        for name in _kind(self).fields:
+            d[name] = getattr(self, name)
         return d
 
     @classmethod
@@ -131,25 +118,57 @@ class Web:
         return cls(dom, tuple(Slice.from_json(s) for s in data["slices"]))
 
 
-def _step_space(space: Boundary, s: Slice) -> Boundary:
-    if s.kind == "merge":
-        return merged_space(space, s.a, s.b, s.pos)
-    if s.kind == "split":
-        return split_space(space, s.a, s.b, s.pos)
-    if s.kind == "cup":
-        return cup_space(space, s.a, s.pos)
-    if s.kind == "cap":
-        return cap_space(space, s.a, s.pos)
-    if s.kind == "tag":
-        f = space.factor(s.pos)
-        want = f.color if not f.dual else space.N - f.color
-        if want != s.a:
-            raise ShapeMismatchError(f"tag color {s.a} does not match slot {s.pos}")
-        return tag_space(space, s.pos)
-    if s.kind == "id":
-        space.factor(s.pos)
-        return space
-    raise ShapeMismatchError(f"unknown slice kind {s.kind!r}")
+def _tag_space(space: Boundary, s: Slice) -> Boundary:
+    if s.side not in ("", "left", "right"):
+        raise ShapeMismatchError(f"unknown tag side {s.side!r}")
+    f = space.factor(s.pos)
+    want = f.color if not f.dual else space.N - f.color
+    if want != s.a:
+        raise ShapeMismatchError(f"tag color {s.a} does not match slot {s.pos}")
+    return tag_space(space, s.pos)
+
+
+def _id_space(space: Boundary, s: Slice) -> Boundary:
+    space.factor(s.pos)
+    return space
+
+
+class _SliceKind(NamedTuple):
+    """How one slice kind serializes, reflects, changes the boundary and acts."""
+
+    fields: tuple[str, ...]  # serialized after kind and pos
+    mirror: Callable[[Slice], Slice]
+    step: Callable[[Boundary, Slice], Boundary]  # codomain, or ShapeMismatchError
+    act: Callable[[TensorVector, Slice], TensorVector]
+
+
+# The kernels are looked up by module-global name on every call, so a
+# wrapper installed over e.g. `apply_split` in this module sees each call.
+_SLICE_KINDS = {
+    "merge": _SliceKind(("a", "b"), lambda s: Slice("split", s.pos, s.a, s.b),
+                        lambda space, s: merged_space(space, s.a, s.b, s.pos),
+                        lambda x, s: apply_merge(x, s.a, s.b, s.pos)),
+    "split": _SliceKind(("a", "b"), lambda s: Slice("merge", s.pos, s.a, s.b),
+                        lambda space, s: split_space(space, s.a, s.b, s.pos),
+                        lambda x, s: apply_split(x, s.a, s.b, s.pos)),
+    "cup": _SliceKind(("a",), lambda s: Slice("cap", s.pos, s.a),
+                      lambda space, s: cup_space(space, s.a, s.pos),
+                      lambda x, s: apply_cup(x, s.a, s.pos)),
+    "cap": _SliceKind(("a",), lambda s: Slice("cup", s.pos, s.a),
+                      lambda space, s: cap_space(space, s.a, s.pos),
+                      lambda x, s: apply_cap(x, s.a, s.pos)),
+    "tag": _SliceKind(("a", "side"),
+                      lambda s: Slice("tag", s.pos, s.a, side="right" if s.side == "left" else "left"),
+                      _tag_space, lambda x, s: apply_tag(x, s.pos, s.side or "left")),
+    "id": _SliceKind((), lambda s: s, _id_space, lambda x, s: x),
+}
+
+
+def _kind(s: Slice) -> _SliceKind:
+    try:
+        return _SLICE_KINDS[s.kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind from JSON
+        raise ShapeMismatchError(f"unknown slice kind {s.kind!r}") from None
 
 
 def validate(web: Web) -> Boundary:
@@ -157,14 +176,10 @@ def validate(web: Web) -> Boundary:
     space = web.domain
     for i, s in enumerate(web.slices):
         try:
-            space = _step_space(space, s)
+            space = _kind(s).step(space, s)
         except ShapeMismatchError as exc:
             raise IllFormedWebError(i, str(exc)) from exc
     return space
-
-
-def codomain(web: Web) -> Boundary:
-    return validate(web)
 
 
 def compose(first: Web, then: Web) -> Web:
@@ -244,20 +259,7 @@ def evaluate_dense(web: Web, x: TensorVector) -> TensorVector:
     if x.space != web.domain:
         raise ShapeMismatchError("vector does not live in the web's domain")
     for s in web.slices:
-        if s.kind == "merge":
-            x = apply_merge(x, s.a, s.b, s.pos)
-        elif s.kind == "split":
-            x = apply_split(x, s.a, s.b, s.pos)
-        elif s.kind == "cup":
-            x = apply_cup(x, s.a, s.pos)
-        elif s.kind == "cap":
-            x = apply_cap(x, s.a, s.pos)
-        elif s.kind == "tag":
-            x = apply_tag(x, s.pos, s.side or "left")
-        elif s.kind == "id":
-            pass
-        else:
-            raise ShapeMismatchError(f"unknown slice kind {s.kind!r}")
+        x = _kind(s).act(x, s)
     return x
 
 
@@ -281,16 +283,6 @@ class StateGraph:
     events: list[tuple] = field(default_factory=list)
     domain_edges: list[int] = field(default_factory=list)
     codomain_edges: list[int] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class State:
-    """An edge labeling: edge id -> subset of {1..N}, one color-sized set each."""
-
-    assignment: tuple[frozenset, ...]
-
-    def subset(self, edge: int) -> frozenset:
-        return self.assignment[edge]
 
 
 def compile_graph(web: Web) -> StateGraph:
@@ -326,7 +318,7 @@ def compile_graph(web: Web) -> StateGraph:
         elif s.kind == "cap":
             g.events.append(("cap", current[s.pos], current[s.pos - 1]))
             del current[s.pos - 1 : s.pos + 1]
-        space = _step_space(space, s)
+        space = _kind(s).step(space, s)
     g.codomain_edges = current[:]
     return g
 
@@ -376,8 +368,12 @@ def _state_dfs(g: StateGraph, N: int, start: dict[int, frozenset]):
     yield from walk(0, dict(start))
 
 
-def enumerate_states(web: Web, domain_index, codomain_index) -> list[State]:
-    """All states compatible with the fixed boundary indices."""
+def enumerate_states(web: Web, domain_index, codomain_index) -> list[tuple[frozenset, ...]]:
+    """All states compatible with the fixed boundary indices.
+
+    A state labels every edge, by edge id, with a subset of {1..N} of the
+    edge's color.
+    """
     g = compile_graph(web)
     N = web.domain.N
     start = {}
@@ -391,7 +387,7 @@ def enumerate_states(web: Web, domain_index, codomain_index) -> list[State]:
             frozenset(s) for s in codomain_index
         ):
             full = tuple(assign.get(e, frozenset()) for e in range(g.n_edges))
-            out.append(State(full))
+            out.append(full)
     return out
 
 
@@ -421,10 +417,10 @@ def _assignment_weight(g: StateGraph, N: int, subset_of) -> LaurentPoly:
     return LaurentPoly.monomial(exp, sign)
 
 
-def state_weight(web: Web, state: State) -> LaurentPoly:
+def state_weight(web: Web, state: tuple[frozenset, ...]) -> LaurentPoly:
     """The signed monomial a single state contributes."""
     g = compile_graph(web)
-    return _assignment_weight(g, web.domain.N, state.subset)
+    return _assignment_weight(g, web.domain.N, state.__getitem__)
 
 
 def evaluate_statesum(web: Web, x: TensorVector) -> TensorVector:

@@ -125,3 +125,36 @@ def test_output_is_byte_stable(capsys):
     _, third = run(capsys, "verify", "--evaluators", "--cases", "5", "--seed", "3", "--format", "json")
     _, fourth = run(capsys, "verify", "--evaluators", "--cases", "5", "--seed", "3", "--format", "json")
     assert third == fourth
+
+
+def test_verify_with_zero_checks_does_not_pass(capsys):
+    code, out = run(capsys, "verify", "--shapovalov", "--cases", "-3")
+    assert code == 3
+    assert out.startswith("FAIL")
+    code, out = run(capsys, "verify", "--shapovalov", "--cases", "-3", "--format", "json")
+    assert code == 3
+    assert json.loads(out)[0]["passed"] is False
+
+
+def test_malformed_json_inputs_exit_2(capsys, tmp_path):
+    code, out = run(capsys, "ladder", "--N", "2", "--k", "1,0", "--word=")
+    web = tmp_path / "web.json"
+    web.write_text(out)
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({
+        "N": 2,
+        "space": [{"color": 1, "dual": False}, {"color": 0, "dual": False}],
+        "terms": [{"subsets": [[7, 2, 1], []], "coeff": [[0, 1]]}],
+    }))
+    assert run(capsys, "eval", "--web", str(web), "--vector", str(vec))[0] == 2
+    tv = tmp_path / "tv.json"
+    tv.write_text(json.dumps({"N": 2, "l": 1, "terms": [{"rows": [[1, 1]], "coeff": [[0, 1.5]]}]}))
+    assert run(capsys, "act", "--sign", "-", "--i", "1", "--vector", str(tv))[0] == 2
+    tagged = tmp_path / "tagged.json"
+    tagged.write_text(json.dumps({
+        "N": 2,
+        "domain": [{"color": 1, "dual": False}],
+        "slices": [{"kind": "tag", "pos": 1, "a": 1, "side": "middle"}],
+    }))
+    assert run(capsys, "ev", "--web", str(tagged))[0] == 2
+    assert run(capsys, "form", "--u", str(tagged), "--w", str(tagged))[0] == 2

@@ -131,3 +131,9 @@ def test_json_roundtrip():
     assert LaurentPoly.from_json(p.to_json()) == p
     assert LaurentPoly.zero().to_json() == []
     assert p.to_json() == [[-1, -5], [3, 2]]
+
+
+@pytest.mark.parametrize("data", [[[0, 1.5]], [[0.5, 1]], [["1", 1]], [[0, True]]])
+def test_from_json_rejects_non_integer_terms(data):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json(data)

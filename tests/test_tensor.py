@@ -168,3 +168,24 @@ def test_json_roundtrip():
     assert TensorVector.from_json(x.to_json()) == x
     data = x.to_json()
     assert data["terms"][0]["subsets"][0] == [3, 1]  # descending inside subsets
+
+
+@pytest.mark.parametrize(
+    "subsets",
+    [
+        [[7, 2, 1], []],  # three entries in a color-1 slot, 7 outside 1..N
+        [[3], []],  # outside 1..N
+        [[0], []],
+        [[1, 1], []],  # repeated entry
+        [[2], [1]],  # color-0 slot holds a nonempty subset
+        [[2]],  # one subset for two factors
+    ],
+)
+def test_from_json_rejects_malformed_subsets(subsets):
+    data = {
+        "N": 2,
+        "space": [{"color": 1, "dual": False}, {"color": 0, "dual": False}],
+        "terms": [{"subsets": subsets, "coeff": [[0, 1]]}],
+    }
+    with pytest.raises(ShapeMismatchError):
+        TensorVector.from_json(data)

@@ -7,6 +7,7 @@ from qwebs.webalg import (
     frobenius_check,
     gorenstein_parameter,
 )
+from qwebs.verify import web_gram_mismatch
 from qwebs.webs import d_norm
 
 one = LaurentPoly.one()
@@ -46,9 +47,9 @@ def test_gorenstein_parameter():
 
 
 def test_frobenius_examples():
-    rep = frobenius_check(2, (2, 0))
+    rep = frobenius_check(2, (2, 0), cartan_matrix(2, (2, 0)))
     assert rep.passed and rep.total_dimension.is_one() and rep.gorenstein == 0
-    rep = frobenius_check(2, (1, 1))
+    rep = frobenius_check(2, (1, 1), cartan_matrix(2, (1, 1)))
     assert rep.passed
     assert rep.total_dimension == LaurentPoly({2: 1, 0: 1})
     # direct substitution: 1 + v^-2 = v^-2 (v^2 + 1)
@@ -82,3 +83,14 @@ def test_cartan_symmetry_and_graded_duality(N, k):
 def test_cartan_literal_bar_symmetry():
     c = cartan_matrix(2, (1, 1))
     assert bar(c.entry(0, 0)) == c.entry(0, 0)
+
+
+@pytest.mark.parametrize(
+    "N,k",
+    [(4, (3, 1, 1, 1, 1, 1, 0, 0)), (3, (3, 2, 2, 1, 1, 0, 0, 0, 0)), (2, (2, 2, 2, 1, 1, 1, 1, 0, 0, 0))],
+)
+def test_web_and_tensor_gram_routes_agree(N, k):
+    # blocks beyond the shapes that `verify --form` sweeps
+    c = cartan_matrix(N, k)
+    assert len(c.labels) >= 2
+    assert web_gram_mismatch(c) is None

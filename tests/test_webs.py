@@ -206,3 +206,24 @@ def test_web_matrix_identity():
 def test_web_json_roundtrip():
     lad = ladder_from_word(3, (3, 0, 0), [(-1, 1, 2), (+1, 1, 1)])
     assert Web.from_json(lad.to_json()) == lad
+
+
+def test_tag_side_must_be_left_or_right():
+    dom = Boundary(3, (Factor(2),))
+    x = TensorVector.basis_vector(dom, (fs({1, 2}),))
+    bad = Web(dom, (Slice("tag", 1, 2, side="middle"),))
+    with pytest.raises(IllFormedWebError):
+        validate(bad)
+    with pytest.raises(IllFormedWebError):
+        evaluate_statesum(bad, x)
+    # a missing side means left
+    assert evaluate_dense(Web(dom, (Slice("tag", 1, 2),)), x) == evaluate_dense(
+        Web(dom, (tag(2, 1, "left"),)), x
+    )
+
+
+def test_unknown_slice_kind_is_ill_formed():
+    dom = Boundary(2, (Factor(1),))
+    for kind in ("twist", ["merge"]):
+        with pytest.raises(IllFormedWebError):
+            validate(Web(dom, (Slice(kind, 1),)))
