@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .howe import TableauVector, act_divided, highest_vector
+from .howe import TableauVector, act_word, highest_vector
 from .ring import LaurentPoly, bar, symmetrize_correction
 from .tableaux import Shape, Tableau, enumerate_tableaux, peel_word, tableau_type
 from .webs import Web, ladder_from_word
@@ -68,9 +68,7 @@ def check_negative_exponent(x: TableauVector, leading: Tableau) -> NegativeExpon
 def lt_vector(t: Tableau) -> LTBasisElement:
     """The intermediate basis vector attached to a semistandard tableau."""
     word = peel_word(t)
-    x = highest_vector(t.shape)
-    for i, r in reversed(word):
-        x = act_divided(-1, i, r, x)
+    x = act_word(-1, reversed(word), highest_vector(t.shape))
     if not x.coeff(t).is_one():
         raise InvariantViolationError(f"leading coefficient at {t} is {x.coeff(t)}")
     key = t.sort_key()
@@ -96,7 +94,8 @@ def dual_canonical(t: Tableau) -> DualCanonicalElement:
         raise ValueError(f"{t} is not semistandard")
     cur = TableauVector(t.shape, dict(block[t].expansion.coords))
     beta: list[tuple[Tableau, LaurentPoly]] = []
-    below = [s for s in block if s.sort_key() > t.sort_key()]  # s < t, descending
+    labels = list(block)  # descending
+    below = labels[labels.index(t) + 1 :]  # s < t, descending
     for s in below:
         gamma = symmetrize_correction(cur.coeff(s))
         if not gamma.is_zero():
@@ -115,11 +114,8 @@ def dual_canonical(t: Tableau) -> DualCanonicalElement:
 
 @cache
 def dual_block(N: int, l: int, ktype: tuple[int, ...]) -> dict[Tableau, DualCanonicalElement]:
-    shape = Shape(N, l)
-    return {
-        t: dual_canonical(t)
-        for t in enumerate_tableaux(shape, ktype, semistandard_only=True)
-    }
+    """All dual canonical elements of one type, labelled as `lt_block` labels them."""
+    return {t: dual_canonical(t) for t in lt_block(N, l, ktype)}
 
 
 # -- the form and Gram/Cartan data -------------------------------------

@@ -13,6 +13,12 @@ values i and i+1 of a column-strict tableau.
 Divided powers act as the r-fold action divided exactly by [r]!; divisibility
 always holds on these lattices, so a division failure is a bug upstream.
 
+One kernel, `_act`, acts on maps {column tuple (a sort_key): {exponent: int}}:
+a move replaces one column tuple, and its power of v sums the per-column
+differences (i in d) - (i+1 in d).  `act_word` runs a whole divided-power word
+(`act_E` and `act_divided` are one-pair words) on one map and only then builds,
+and so validates, the `Tableau` and `LaurentPoly` objects of its result.
+
 The same vectors can be read in tensor coordinates through the column
 indicator bijection (tableau_to_nu); `to_tensor` / `from_tensor` implement
 the dictionary and the ladder evaluator in `webs` provides the independent
@@ -25,7 +31,7 @@ sign (checked in the tests).
 
 from __future__ import annotations
 
-from .ring import LaurentPoly, ONE, exact_divide, qfactorial
+from .ring import LaurentPoly, ONE, exact_divide, exact_int, qfactorial
 from .tableaux import Shape, Tableau, highest_tableau, tableau_from_nu, tableau_to_nu, tableau_type
 from .tensor import Boundary, Factor, SparseVector, TensorVector
 
@@ -54,54 +60,93 @@ class TableauVector(SparseVector):
 
     @classmethod
     def from_json(cls, data: dict) -> "TableauVector":
-        shape = Shape(int(data["N"]), int(data["l"]))
+        shape = Shape(exact_int(data["N"], "N"), exact_int(data["l"], "l"))
         out = cls(shape)
         for term in data["terms"]:
-            t = Tableau(shape, tuple(tuple(int(x) for x in row) for row in term["rows"]))
+            t = Tableau.from_json({"N": shape.N, "l": shape.l, "rows": term["rows"]})
             out.add_term(t, LaurentPoly.from_json(term["coeff"]))
         return out
 
 
+# -- the action kernel --------------------------------------------------
+
+# A vector inside the kernel: {column tuple: {exponent: int}}, with no zero
+# coefficient and no empty inner map.
+Terms = dict[tuple[tuple[int, ...], ...], dict[int, int]]
+
+
+def _act(sign: int, i: int, terms: Terms) -> Terms:
+    """One application of the generator of index i to a column map.
+
+    A column d moves when it holds the source value and not the target, i.e.
+    when (i in d) - (i+1 in d) is -sign; the moved entry keeps the column
+    increasing, since source and target are adjacent.
+    """
+    src, dst = (i, i + 1) if sign < 0 else (i + 1, i)
+    out: Terms = {}
+    moves: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for cols, c in terms.items():
+        diffs = [(i in d) - (i + 1 in d) for d in cols]
+        total = sum(diffs)
+        left = 0
+        for j, d in enumerate(cols):
+            dj = diffs[j]
+            if dj == -sign:
+                # lowering counts the columns right of j, raising those left of it
+                shift = left + dj - total if sign < 0 else left
+                moved = moves.get(d)
+                if moved is None:
+                    moved = moves[d] = tuple(dst if e == src else e for e in d)
+                key = cols[:j] + (moved,) + cols[j + 1 :]
+                acc = out.get(key)
+                if acc is None:
+                    out[key] = {e + shift: a for e, a in c.items()}
+                else:
+                    for e, a in c.items():
+                        e += shift
+                        s = acc.get(e, 0) + a
+                        if s:
+                            acc[e] = s
+                        else:
+                            del acc[e]
+                    if not acc:
+                        del out[key]
+            left += dj
+    return out
+
+
+def act_word(sign: int, word, x: TableauVector) -> TableauVector:
+    """Apply the divided powers (i, r) of a word, first pair first (sign -1 lowers)."""
+    if sign not in (-1, 1):
+        raise ValueError(f"sign must be -1 or +1, got {sign!r}")
+    shape = x.space
+    word = list(word)
+    for i, r in word:
+        if r < 0:
+            raise ValueError("multiplicity must be nonnegative")
+        if not 1 <= i <= shape.m - 1:
+            raise ValueError(f"generator index {i} outside 1..{shape.m - 1}")
+    terms = {t.sort_key(): dict(c.items()) for t, c in x.coords.items()}
+    for i, r in word:
+        for _ in range(r):
+            terms = _act(sign, i, terms)
+        if r >= 2:
+            fact = qfactorial(r)
+            terms = {k: dict(exact_divide(LaurentPoly(c), fact).items()) for k, c in terms.items()}
+    # tableaux (each validated) and polynomials are built once, for the result
+    return TableauVector(
+        shape, {Tableau.from_columns(shape, k): LaurentPoly(c) for k, c in terms.items()}
+    )
+
+
 def act_E(sign: int, i: int, x: TableauVector) -> TableauVector:
     """Apply the generator of index i (sign -1 lowers, +1 raises)."""
-    shape = x.space
-    if not 1 <= i <= shape.m - 1:
-        raise ValueError(f"generator index {i} outside 1..{shape.m - 1}")
-    out = TableauVector(shape)
-    src, dst = (i, i + 1) if sign < 0 else (i + 1, i)
-    for t, c in x.coords.items():
-        for ci in range(shape.N):
-            col = set(t.column(ci + 1))
-            if src not in col or dst in col:
-                continue
-            # src occurs once and dst not at all, so the swap keeps the
-            # column strictly increasing in place
-            grid = [list(r) for r in t.rows]
-            for ri in range(shape.l):
-                if grid[ri][ci] == src:
-                    grid[ri][ci] = dst
-            t2 = Tableau(shape, tuple(tuple(r) for r in grid))
-            if sign < 0:
-                cols = range(ci + 1, shape.N)
-            else:
-                cols = range(ci)
-            ni = sum(1 for cj in cols if i in set(t.column(cj + 1)))
-            nip = sum(1 for cj in cols if i + 1 in set(t.column(cj + 1)))
-            out.add_term(t2, c.shift(sign * (ni - nip)))
-    return out
+    return act_word(sign, [(i, 1)], x)
 
 
 def act_divided(sign: int, i: int, r: int, x: TableauVector) -> TableauVector:
     """The divided power: r-fold action divided exactly by [r]!."""
-    if r < 0:
-        raise ValueError("multiplicity must be nonnegative")
-    y = x
-    for _ in range(r):
-        y = act_E(sign, i, y)
-    if r >= 2:
-        fact = qfactorial(r)
-        y = TableauVector(y.space, {t: exact_divide(c, fact) for t, c in y.coords.items()})
-    return y
+    return act_word(sign, [(i, r)], x)
 
 
 def weight_of(t: Tableau) -> tuple[int, ...]:

@@ -184,11 +184,14 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "LaurentPoly":
         """Inverse of to_json; exponents and coefficients must be integers."""
-        terms = [(e, a) for e, a in data]
-        for e, a in terms:
-            if type(e) is not int or type(a) is not int:
-                raise ValueError(f"polynomial term [{e!r}, {a!r}] is not a pair of integers")
-        return cls(terms)
+        return cls((exact_int(e, "exponent"), exact_int(a, "coefficient")) for e, a in data)
+
+
+def exact_int(value, what: str) -> int:
+    """A JSON field that must hold an integer: 1.9 or true is refused, not truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 ZERO = LaurentPoly.zero()

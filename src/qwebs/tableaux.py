@@ -20,8 +20,10 @@ with rows (1,1),(2,4) needs i = 3).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import cache
+
+from .ring import exact_int
 
 
 class NotSemistandardError(ValueError):
@@ -56,20 +58,24 @@ class Tableau:
         if len(self.rows) != l or any(len(r) != N for r in self.rows):
             raise ValueError("grid does not match shape")
         for r in self.rows:
-            for x in r:
-                if not 1 <= x <= m:
-                    raise ValueError(f"entry {x} out of range 1..{m}")
-        for j in range(N):
-            for i in range(l - 1):
-                if self.rows[i][j] >= self.rows[i + 1][j]:
-                    raise ValueError("columns must strictly increase")
+            if min(r) < 1 or max(r) > m:
+                x = next(x for x in r if not 1 <= x <= m)
+                raise ValueError(f"entry {x} out of range 1..{m}")
+        for upper, lower in zip(self.rows, self.rows[1:]):
+            if not all(map(operator.lt, upper, lower)):
+                raise ValueError("columns must strictly increase")
+
+    @classmethod
+    def from_columns(cls, shape: Shape, columns) -> "Tableau":
+        """The tableau with these columns, left to right, each read top to bottom."""
+        return cls(shape, tuple(zip(*columns)))
 
     def column(self, j: int) -> tuple[int, ...]:
         """Column j (1-based), read top to bottom."""
-        return tuple(self.rows[i][j - 1] for i in range(self.shape.l))
+        return tuple(r[j - 1] for r in self.rows)
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.column(j) for j in range(1, self.shape.N + 1))
+        return tuple(zip(*self.rows))
 
     def is_semistandard(self) -> bool:
         return all(
@@ -85,8 +91,8 @@ class Tableau:
 
     @classmethod
     def from_json(cls, data: dict) -> "Tableau":
-        return cls(Shape(int(data["N"]), int(data["l"])),
-                   tuple(tuple(int(x) for x in row) for row in data["rows"]))
+        return cls(Shape(exact_int(data["N"], "N"), exact_int(data["l"], "l")),
+                   tuple(tuple(exact_int(x, "tableau entry") for x in row) for row in data["rows"]))
 
     def __str__(self) -> str:
         return "/".join("".join(f"{x}" if x < 10 else f"({x})" for x in r) for r in self.rows)
@@ -154,11 +160,6 @@ def tableau_from_mu(shape: Shape, mu: tuple[tuple[int, ...], ...]) -> Tableau:
     return Tableau(shape, tuple(tuple(col[i] for col in cols) for i in range(shape.l)))
 
 
-@cache
-def _columns_of_shape(l: int, m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.combinations(range(1, m + 1), l))
-
-
 def enumerate_tableaux(
     shape: Shape,
     type: tuple[int, ...] | None = None,
@@ -166,34 +167,37 @@ def enumerate_tableaux(
 ) -> list[Tableau]:
     """All tableaux of the shape (and type, if given), strictly descending.
 
-    Columns are built left to right from the l-subsets of 1..m, pruning on
-    entry counts when a type is given and on entrywise weak increase when
-    only semistandard fillings are wanted.
+    Columns are built left to right from the l-subsets of the entries the
+    type allows (all of 1..m without a type), pruning on the entries the
+    type has left and, when only semistandard fillings are wanted, on
+    entrywise weak increase.
     """
-    if type is not None:
-        if len(type) != shape.m or sum(type) != shape.m:
-            raise ValueError("type must be an m-vector summing to m")
+    if type is None:
+        type = (shape.N,) * shape.m  # no entry fits in more than N columns
+    elif len(type) != shape.m or sum(type) != shape.m:
+        raise ValueError("type must be an m-vector summing to m")
+    left = [0, *type]  # left[x]: how many more x the type allows
+    support = [x for x in range(1, shape.m + 1) if left[x] > 0]
+    candidates = list(itertools.combinations(support, shape.l))
     out: list[Tableau] = []
-    counts = [0] * (shape.m + 1)
     cols: list[tuple[int, ...]] = []
 
     def build(j: int) -> None:
         if j == shape.N:
-            out.append(Tableau(shape, tuple(tuple(c[i] for c in cols) for i in range(shape.l))))
+            out.append(Tableau.from_columns(shape, cols))
             return
-        for col in _columns_of_shape(shape.l, shape.m):
-            if semistandard_only and cols and any(a > b for a, b in zip(cols[-1], col)):
+        for col in candidates:
+            if semistandard_only and cols and not all(map(operator.le, cols[-1], col)):
                 continue
-            if type is not None:
-                if any(counts[x] + 1 > type[x - 1] for x in col):
-                    continue
+            if not all(map(left.__getitem__, col)):
+                continue
             for x in col:
-                counts[x] += 1
+                left[x] -= 1
             cols.append(col)
             build(j + 1)
             cols.pop()
             for x in col:
-                counts[x] -= 1
+                left[x] += 1
 
     build(0)
     out.sort(key=Tableau.sort_key)

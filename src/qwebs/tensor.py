@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 
-from .ring import ONE, LaurentPoly
+from .ring import ONE, LaurentPoly, exact_int
 
 
 class ShapeMismatchError(ValueError):
@@ -49,7 +49,7 @@ class Factor:
 
     @classmethod
     def from_json(cls, data: dict) -> "Factor":
-        return cls(int(data["color"]), bool(data.get("dual", False)))
+        return cls(exact_int(data["color"], "factor color"), bool(data.get("dual", False)))
 
 
 @dataclass(frozen=True)
@@ -203,10 +203,10 @@ class TensorVector(SparseVector):
 
     @classmethod
     def from_json(cls, data: dict) -> "TensorVector":
-        space = Boundary.from_json(int(data["N"]), data["space"])
+        space = Boundary.from_json(exact_int(data["N"], "N"), data["space"])
         out = cls(space)
         for term in data["terms"]:
-            subsets = [[int(x) for x in s] for s in term["subsets"]]
+            subsets = [[exact_int(x, "subset entry") for x in s] for s in term["subsets"]]
             _check_index(space, subsets)
             out.add_term(tuple(frozenset(s) for s in subsets), LaurentPoly.from_json(term["coeff"]))
         return out

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .ring import LaurentPoly
+from .ring import LaurentPoly, exact_int
 from .tensor import (
     Boundary,
     Factor,
@@ -76,7 +76,8 @@ class Slice:
 
     @classmethod
     def from_json(cls, d: dict) -> "Slice":
-        return cls(d["kind"], int(d["pos"]), int(d.get("a", 0)), int(d.get("b", 0)),
+        return cls(d["kind"], exact_int(d["pos"], "slice pos"),
+                   exact_int(d.get("a", 0), "slice a"), exact_int(d.get("b", 0), "slice b"),
                    d.get("side", ""))
 
 
@@ -114,7 +115,7 @@ class Web:
 
     @classmethod
     def from_json(cls, data: dict) -> "Web":
-        dom = Boundary.from_json(int(data["N"]), data["domain"])
+        dom = Boundary.from_json(exact_int(data["N"], "N"), data["domain"])
         return cls(dom, tuple(Slice.from_json(s) for s in data["slices"]))
 
 

@@ -18,6 +18,7 @@ from qwebs.tableaux import (
     Tableau,
     enumerate_tableaux,
     highest_tableau,
+    tableau_type,
 )
 from qwebs.tensor import Boundary, Factor, TensorVector, apply_merge, apply_split, apply_tag, ell, tensor_product
 from qwebs.webs import d_norm, validate
@@ -129,6 +130,16 @@ def test_dual_canonical_deterministic():
     a = dual_canonical(t)
     b = dual_canonical(t)
     assert a.expansion == b.expansion and a.beta == b.beta
+
+
+@pytest.mark.parametrize("N,l", [(2, 3), (3, 2)])
+def test_dual_block_labels_follow_lt_block(N, l):
+    shape = Shape(N, l)
+    types = {tableau_type(t) for t in enumerate_tableaux(shape, semistandard_only=True)}
+    for k in sorted(types):
+        labels = list(lt_block(N, l, k))
+        assert list(dual_block(N, l, k)) == labels
+        assert labels == enumerate_tableaux(shape, k, semistandard_only=True)
 
 
 def test_almost_orthogonality_block():

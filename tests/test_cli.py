@@ -158,3 +158,61 @@ def test_malformed_json_inputs_exit_2(capsys, tmp_path):
     }))
     assert run(capsys, "ev", "--web", str(tagged))[0] == 2
     assert run(capsys, "form", "--u", str(tagged), "--w", str(tagged))[0] == 2
+
+
+def _write(tmp_path, name, payload) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_non_integer_json_fields_exit_2(capsys, tmp_path):
+    # floats and bools are refused, never truncated to the integer they round to
+    good_tv = {"N": 2, "l": 1, "terms": [{"rows": [[1, 2]], "coeff": [[0, 1]]}]}
+    for bad in (
+        {**good_tv, "terms": [{"rows": [[1.9, 2.2]], "coeff": [[0, 1]]}]},
+        {**good_tv, "terms": [{"rows": [[True, 2]], "coeff": [[0, 1]]}]},
+        {**good_tv, "N": 2.0},
+        {**good_tv, "l": True},
+    ):
+        tv = _write(tmp_path, "tv.json", bad)
+        assert run(capsys, "act", "--sign", "-", "--i", "1", "--vector", tv)[0] == 2
+    tv = _write(tmp_path, "tv.json", good_tv)
+    assert run(capsys, "act", "--sign", "-", "--i", "1", "--vector", tv)[0] == 0
+
+    code, out = run(capsys, "ladder", "--N", "2", "--k", "2,0", "--word=-1^1")
+    web = json.loads(out)
+    vec = {
+        "N": 2,
+        "space": [{"color": 2, "dual": False}, {"color": 0, "dual": False}],
+        "terms": [{"subsets": [[2, 1], []], "coeff": [[0, 1]]}],
+    }
+    assert run(capsys, "eval", "--web", _write(tmp_path, "w.json", web),
+               "--vector", _write(tmp_path, "v.json", vec))[0] == 0
+    bad_vecs = (
+        {**vec, "N": 2.0},
+        {**vec, "terms": [{"subsets": [[2.0, 1], []], "coeff": [[0, 1]]}]},
+        {**vec, "space": [{"color": 2.5, "dual": False}, {"color": 0, "dual": False}]},
+    )
+    for bad in bad_vecs:
+        assert run(capsys, "eval", "--web", _write(tmp_path, "w.json", web),
+                   "--vector", _write(tmp_path, "v.json", bad))[0] == 2
+    bad_webs = (
+        {**web, "N": 2.0},
+        {**web, "slices": [{**web["slices"][0], "pos": 1.0}] + web["slices"][1:]},
+        {**web, "slices": [{**web["slices"][0], "a": True}] + web["slices"][1:]},
+        {**web, "slices": [{**web["slices"][0], "b": 1.5}] + web["slices"][1:]},
+    )
+    for bad in bad_webs:
+        assert run(capsys, "eval", "--web", _write(tmp_path, "w.json", bad),
+                   "--vector", _write(tmp_path, "v.json", vec))[0] == 2
+
+
+def test_act_checks_the_generator_index_for_every_r(capsys, tmp_path):
+    tv = _write(tmp_path, "tv.json", {"N": 2, "l": 1, "terms": [{"rows": [[1, 2]], "coeff": [[0, 1]]}]})
+    for r in ("0", "1", "2"):
+        assert run(capsys, "act", "--sign", "-", "--i", "99", "--r", r, "--vector", tv)[0] == 2
+        assert run(capsys, "act", "--sign", "+", "--i", "0", "--r", r, "--vector", tv)[0] == 2
+    code, out = run(capsys, "act", "--sign", "-", "--i", "1", "--r", "0", "--vector", tv)
+    assert code == 0
+    assert json.loads(out) == {"N": 2, "l": 1, "terms": [{"rows": [[1, 2]], "coeff": [[0, 1]]}]}

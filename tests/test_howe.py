@@ -1,9 +1,14 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwebs.howe import (
     TableauVector,
     act_E,
     act_divided,
+    act_word,
     from_tensor,
     highest_vector,
     phi,
@@ -12,7 +17,7 @@ from qwebs.howe import (
     weight_of,
     weight_of_type,
 )
-from qwebs.ring import LaurentPoly, qint, qnum
+from qwebs.ring import LaurentPoly, exact_divide, qfactorial, qint, qnum
 from qwebs.tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, tableau_type
 from qwebs.webs import evaluate_dense, ladder_from_word
 
@@ -146,3 +151,88 @@ def test_json_roundtrip():
     x.add_term(Tableau(s21, ((1, 2),)), one)
     x.add_term(Tableau(s21, ((2, 1),)), LaurentPoly({-1: 1}))
     assert TableauVector.from_json(x.to_json()) == x
+
+
+# -- the column-map kernel against the per-term grid swap ----------------
+
+
+def reference_act_E(sign, i, x):
+    """Independent oracle: move one entry in a copy of the row grid per term."""
+    shape = x.space
+    out = TableauVector(shape)
+    src, dst = (i, i + 1) if sign < 0 else (i + 1, i)
+    for t, c in x.coords.items():
+        for ci in range(shape.N):
+            col = set(t.column(ci + 1))
+            if src not in col or dst in col:
+                continue
+            grid = [list(r) for r in t.rows]
+            for ri in range(shape.l):
+                if grid[ri][ci] == src:
+                    grid[ri][ci] = dst
+            t2 = Tableau(shape, tuple(tuple(r) for r in grid))
+            cols = range(ci + 1, shape.N) if sign < 0 else range(ci)
+            ni = sum(1 for cj in cols if i in set(t.column(cj + 1)))
+            nip = sum(1 for cj in cols if i + 1 in set(t.column(cj + 1)))
+            out.add_term(t2, c.shift(sign * (ni - nip)))
+    return out
+
+
+def reference_act_divided(sign, i, r, x):
+    for _ in range(r):
+        x = reference_act_E(sign, i, x)
+    if r >= 2:
+        x = TableauVector(x.space, {t: exact_divide(c, qfactorial(r)) for t, c in x.coords.items()})
+    return x
+
+
+KERNEL_SHAPES = [(N, l) for N in (2, 3, 4) for l in (1, 2, 3, 4) if N * l <= 8]
+
+
+@st.composite
+def tableau_vectors(draw):
+    """Vectors on any column-strict tableaux, semistandard or not, with signed coefficients."""
+    N, l = draw(st.sampled_from(KERNEL_SHAPES))
+    shape = Shape(N, l)
+    columns = list(itertools.combinations(range(1, shape.m + 1), l))
+    x = TableauVector(shape)
+    for _ in range(draw(st.integers(1, 6))):
+        cols = draw(st.lists(st.sampled_from(columns), min_size=N, max_size=N))
+        coeff = draw(st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), min_size=1, max_size=3))
+        x.add_term(Tableau.from_columns(shape, cols), LaurentPoly(coeff))
+    return x
+
+
+@settings(deadline=None)
+@given(tableau_vectors())
+def test_kernel_matches_grid_swap_oracle(x):
+    for sign in (-1, +1):
+        for i in range(1, x.space.m):
+            assert act_E(sign, i, x) == reference_act_E(sign, i, x), (sign, i)
+            for r in range(4):
+                assert act_divided(sign, i, r, x) == reference_act_divided(sign, i, r, x), (sign, i, r)
+
+
+@settings(max_examples=50, deadline=None)
+@given(tableau_vectors(), st.data())
+def test_word_matches_step_by_step(x, data):
+    m = x.space.m
+    sign = data.draw(st.sampled_from((-1, +1)))
+    word = data.draw(st.lists(st.tuples(st.integers(1, m - 1), st.integers(0, 3)), max_size=4))
+    y = x
+    for i, r in word:
+        y = reference_act_divided(sign, i, r, y)
+    assert act_word(sign, word, x) == y
+
+
+@pytest.mark.parametrize("r", [0, 1, 3])
+def test_generator_index_is_checked_for_every_r(r):
+    top = highest_vector(Shape(2, 2))
+    for i in (0, 4, 99):
+        with pytest.raises(ValueError):
+            act_divided(-1, i, r, top)
+    with pytest.raises(ValueError):
+        act_divided(-1, 1, -1, top)
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError):
+            act_divided(sign, 1, r, top)

@@ -59,6 +59,29 @@ def test_enumeration_with_type():
     assert enumerate_tableaux(s21, (2, 0)) == [Tableau(s21, ((1, 1),))]
 
 
+def bounded_types(shape):
+    """Every m-vector with entries in 0..N summing to m."""
+    return [
+        k for k in itertools.product(range(shape.N + 1), repeat=shape.m) if sum(k) == shape.m
+    ]
+
+
+@pytest.mark.parametrize(
+    "N,l,semistandard",
+    [(2, 3, False), (2, 3, True), (3, 2, False), (3, 2, True), (4, 2, True)],
+)
+def test_typed_enumeration_is_the_filtered_untyped_one(N, l, semistandard):
+    # (4,2) without the semistandard filter is left out: its untyped
+    # enumeration alone holds 28^4 = 614,656 tableaux
+    shape = Shape(N, l)
+    everything = enumerate_tableaux(shape, semistandard_only=semistandard)
+    by_type = {}
+    for t in everything:
+        by_type.setdefault(tableau_type(t), []).append(t)
+    for k in bounded_types(shape):
+        assert enumerate_tableaux(shape, k, semistandard_only=semistandard) == by_type.get(k, []), k
+
+
 def test_enumeration_strictly_descending():
     for N, l in ((2, 2), (3, 1)):
         ts = enumerate_tableaux(Shape(N, l))
