@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .howe import TableauVector, act_word, highest_vector
-from .ring import LaurentPoly, bar, symmetrize_correction
+from .ring import ZERO, LaurentPoly, bar, symmetrize_correction
 from .tableaux import Shape, Tableau, enumerate_tableaux, peel_word, tableau_type
 from .webs import Web, ladder_from_word
 
@@ -92,15 +92,21 @@ def dual_canonical(t: Tableau) -> DualCanonicalElement:
     block = lt_block(t.shape.N, t.shape.l, tableau_type(t))
     if t not in block:
         raise ValueError(f"{t} is not semistandard")
-    cur = TableauVector(t.shape, dict(block[t].expansion.coords))
+    coords = dict(block[t].expansion.coords)  # corrected in place
     beta: list[tuple[Tableau, LaurentPoly]] = []
     labels = list(block)  # descending
     below = labels[labels.index(t) + 1 :]  # s < t, descending
     for s in below:
-        gamma = symmetrize_correction(cur.coeff(s))
+        gamma = symmetrize_correction(coords.get(s, ZERO))
         if not gamma.is_zero():
-            cur = cur - block[s].expansion.scale(gamma)
+            for tau, c in block[s].expansion.coords.items():
+                new = coords.get(tau, ZERO) - c * gamma
+                if new.is_zero():
+                    del coords[tau]
+                else:
+                    coords[tau] = new
             beta.append((s, -gamma))
+    cur = TableauVector(t.shape, coords)
     report = check_negative_exponent(cur, t)
     if not report.passed:
         raise InvariantViolationError(

@@ -130,7 +130,7 @@ def act_word(sign: int, word, x: TableauVector) -> TableauVector:
     for i, r in word:
         for _ in range(r):
             terms = _act(sign, i, terms)
-        if r >= 2:
+        if r >= 2 and terms:
             fact = qfactorial(r)
             terms = {k: dict(exact_divide(LaurentPoly(c), fact).items()) for k, c in terms.items()}
     # tableaux (each validated) and polynomials are built once, for the result

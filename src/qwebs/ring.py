@@ -13,6 +13,7 @@ division.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Iterator, Mapping
 
 
@@ -217,8 +218,9 @@ def qnum(z: int) -> LaurentPoly:
     return qint(z) if z >= 0 else -qint(-z)
 
 
+@cache
 def qfactorial(n: int) -> LaurentPoly:
-    """[n]! = [1][2]...[n]."""
+    """[n]! = [1][2]...[n]; cached, since polynomials are immutable."""
     r = LaurentPoly.one()
     for j in range(1, n + 1):
         r = r * qint(j)

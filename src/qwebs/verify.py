@@ -3,7 +3,17 @@
 Each checker returns a Report with a pass flag, a case count and the list of
 failures (empty when green).  The CLI `verify` subcommand and the acceptance
 test suite both drive these functions; everything is deterministic given the
-seed.
+seed.  A check passes its failure text as a template and arguments, so the
+text is formatted only when the check fails.
+
+The two cross-checks between routes compute each shared object once:
+
+- `check_howe` reads each tableau in tensor coordinates once, and reads the
+  ladder images back to tableaux through a map from tensor index to tableau
+  built once per shape; each (tableau, i, sign, a) still runs both routes.
+- `web_gram_mismatch` gets the web route's Gram matrix from `web_gram`: each
+  LT ladder web is validated, mirrored and pushed forward once per block,
+  and each entry applies one mirrored web to one stored image.
 """
 
 from __future__ import annotations
@@ -16,8 +26,9 @@ from .howe import (
     TableauVector,
     act_E,
     act_divided,
-    from_tensor,
     highest_vector,
+    index_to_tableau,
+    tableau_to_index,
     to_tensor,
     weight_of_type,
 )
@@ -38,7 +49,7 @@ from .webs import (
     split,
     tag,
     weight_boundary,
-    web_form,
+    web_gram,
     web_matrix,
 )
 
@@ -54,10 +65,11 @@ class Report:
         """A sweep passes when it made at least one check and none failed."""
         return self.cases > 0 and not self.failures
 
-    def check(self, ok: bool, message: str) -> None:
+    def check(self, ok: bool, message: str, *args) -> None:
+        """Count one check; a failure records `message.format(*args)`."""
         self.cases += 1
         if not ok:
-            self.failures.append(message)
+            self.failures.append(message.format(*args) if args else message)
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -136,14 +148,14 @@ def _check_tag_relations(rep: Report, N: int) -> None:
         sign = LaurentPoly({0: -1 if (a * (N - a)) % 2 else 1})
         rep.check(
             _matrices_equal(left, _scale_matrix(right, sign)),
-            f"tag flavors differ beyond the sign at N={N}, a={a}",
+            "tag flavors differ beyond the sign at N={}, a={}", N, a,
         )
         # a tag followed by a tag of the same flavor undoes itself
         for side in ("left", "right"):
             again = web_matrix(Web(space, (tag(a, 1, side), tag(N - a, 1, side))))
             rep.check(
                 _matrices_equal(again, _identity_matrix(space)),
-                f"double {side} tag is not the identity at N={N}, a={a}",
+                "double {} tag is not the identity at N={}, a={}", side, N, a,
             )
 
 
@@ -155,7 +167,7 @@ def _check_digons(rep: Report, N: int) -> None:
             expected = _scale_matrix(_identity_matrix(space), qbinom(a + b, a))
             rep.check(
                 _matrices_equal(digon, expected),
-                f"parallel digon fails at N={N}, a={a}, b={b}",
+                "parallel digon fails at N={}, a={}, b={}", N, a, b,
             )
             # opposite orientation: a bubble of color b on an a-strand
             strand = Boundary(N, (Factor(a),))
@@ -173,7 +185,7 @@ def _check_digons(rep: Report, N: int) -> None:
             expected = _scale_matrix(_identity_matrix(strand), qbinom(N - a, b))
             rep.check(
                 _matrices_equal(web_matrix(bubble), expected),
-                f"opposite digon fails at N={N}, a={a}, b={b}",
+                "opposite digon fails at N={}, a={}, b={}", N, a, b,
             )
 
 
@@ -187,14 +199,14 @@ def _check_associativity(rep: Report, N: int) -> None:
                 rhs = web_matrix(Web(space, (merge(b, c, 1), merge(a, b + c, 1))))
                 rep.check(
                     _matrices_equal(lhs, rhs),
-                    f"merge associativity fails at N={N}, ({a},{b},{c})",
+                    "merge associativity fails at N={}, ({},{},{})", N, a, b, c,
                 )
                 whole = Boundary(N, (Factor(a + b + c),))
                 lhs = web_matrix(Web(whole, (split(a + b, c, 1), split(a, b, 2))))
                 rhs = web_matrix(Web(whole, (split(a, b + c, 1), split(b, c, 1))))
                 rep.check(
                     _matrices_equal(lhs, rhs),
-                    f"split coassociativity fails at N={N}, ({a},{b},{c})",
+                    "split coassociativity fails at N={}, ({},{},{})", N, a, b, c,
                 )
 
 
@@ -213,7 +225,8 @@ def _check_squares(rep: Report, N: int, s_plus_t: int = 3, st_max: int = 2) -> N
                         expected = _scale_matrix(one[1], qbinom(s + t, t))
                         rep.check(
                             _matrices_equal(two[1], expected),
-                            f"parallel square fails at N={N}, a={a}, b={b}, s={s}, t={t}, sign={sign}",
+                            "parallel square fails at N={}, a={}, b={}, s={}, t={}, sign={}",
+                            N, a, b, s, t, sign,
                         )
             for s in range(0, st_max + 1):
                 for t in range(0, st_max + 1):
@@ -233,7 +246,7 @@ def _check_squares(rep: Report, N: int, s_plus_t: int = 3, st_max: int = 2) -> N
                         )
                     rep.check(
                         _matrices_equal(lhs[1], total),
-                        f"opposite square fails at N={N}, a={a}, b={b}, s={s}, t={t}",
+                        "opposite square fails at N={}, a={}, b={}, s={}, t={}", N, a, b, s, t,
                     )
 
 
@@ -279,7 +292,7 @@ def check_evaluators(cases: int = 100, seed: int = 2024, N_max: int = 3, m_max: 
             x = TensorVector.basis_vector(web.domain, idx)
             rep.check(
                 evaluate_dense(web, x) == evaluate_statesum(web, x),
-                f"evaluators disagree on case {case} index {idx}",
+                "evaluators disagree on case {} index {}", case, idx,
             )
     return rep
 
@@ -292,9 +305,15 @@ def check_howe(pairs=((2, 1), (2, 2), (3, 1), (3, 2)), a_max: int = 2) -> Report
     for N, l in pairs:
         shape = Shape(N, l)
         m = shape.m
-        for t in enumerate_tableaux(shape):
+        tableaux = enumerate_tableaux(shape)
+        subsets: dict = {}  # one object per subset keeps the map's keys small
+        by_index = {
+            tuple(subsets.setdefault(s, s) for s in tableau_to_index(t)): t for t in tableaux
+        }
+        for t in tableaux:
             k = tableau_type(t)
             x = TableauVector.basis_vector(t)
+            x_tensor = to_tensor(x)
             for i in range(1, m):
                 for sign in (+1, -1):
                     for a in range(1, a_max + 1):
@@ -304,15 +323,18 @@ def check_howe(pairs=((2, 1), (2, 2), (3, 1), (3, 2)), a_max: int = 2) -> Report
                         except AnnihilatedError:
                             rep.check(
                                 by_tabs.is_zero(),
-                                f"annihilated ladder but nonzero action at {t}, "
-                                f"sign={sign}, i={i}, a={a}",
+                                "annihilated ladder but nonzero action at {}, sign={}, i={}, a={}",
+                                t, sign, i, a,
                             )
                             continue
-                        image = evaluate_dense(web, to_tensor(x))
-                        by_web = from_tensor(shape, image)
+                        image = evaluate_dense(web, x_tensor)
+                        by_web = TableauVector(shape, {
+                            by_index.get(idx) or index_to_tableau(shape, idx): c
+                            for idx, c in image.coords.items()
+                        })
                         rep.check(
                             by_web == by_tabs,
-                            f"routes disagree at {t}, sign={sign}, i={i}, a={a}",
+                            "routes disagree at {}, sign={}, i={}, a={}", t, sign, i, a,
                         )
     return rep
 
@@ -335,13 +357,14 @@ def check_dual_blocks(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Report:
                     target = value - LaurentPoly.one() if s == t else value
                     rep.check(
                         target.is_zero() or target.valuation() >= 1,
-                        f"almost orthogonality fails at N={N}, l={l}, k={k}, ({s},{t}): {value}",
+                        "almost orthogonality fails at N={}, l={}, k={}, ({},{}): {}",
+                        N, l, k, s, t, value,
                     )
             for t, elem in duals.items():
                 for s, g in elem.beta:
                     rep.check(
                         bar(g) == g,
-                        f"correction not bar-invariant at N={N}, l={l}, {t}->{s}: {g}",
+                        "correction not bar-invariant at N={}, l={}, {}->{}: {}", N, l, t, s, g,
                     )
     return rep
 
@@ -352,14 +375,13 @@ def web_gram_mismatch(gram: GradedMatrix) -> str | None:
     Returns the first entry where the web route disagrees with `gram`, or
     None when every entry agrees.
     """
-    webs = [lt_web(t) for t in gram.labels]
+    by_web = web_gram([lt_web(t) for t in gram.labels])
     for i, s in enumerate(gram.labels):
         for j, t in enumerate(gram.labels):
-            by_web = web_form(webs[i], webs[j])
-            if by_web != gram.entry(i, j):
+            if by_web[i][j] != gram.entry(i, j):
                 return (
                     f"web and tensor Gram entries disagree at ({s}, {t}): "
-                    f"{by_web} vs {gram.entry(i, j)}"
+                    f"{by_web[i][j]} vs {gram.entry(i, j)}"
                 )
     return None
 
@@ -384,12 +406,12 @@ def check_form_consistency(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Re
                     diag = diag + c * c
                 rep.check(
                     gram.entry(idx_s, idx_s) == bar(diag),
-                    f"diagonal bilinear identity fails at N={N}, l={l}, k={k}, {s}",
+                    "diagonal bilinear identity fails at N={}, l={}, k={}, {}", N, l, k, s,
                 )
                 for idx_t, t in enumerate(labels):
                     rep.check(
                         gram.entry(idx_s, idx_t) == gram.entry(idx_t, idx_s),
-                        f"Gram symmetry fails at N={N}, l={l}, k={k}, ({s},{t})",
+                        "Gram symmetry fails at N={}, l={}, k={}, ({},{})", N, l, k, s, t,
                     )
     return rep
 
@@ -426,7 +448,7 @@ def check_shapovalov(cases: int = 50, seed: int = 7, pairs=((2, 1), (2, 2), (3, 
         rhs = pairing(u, act_E(+1, i, w)).shift(1 + lam[i - 1])
         rep.check(
             lhs == rhs,
-            f"adjointness fails at N={N}, l={l}, k={k}, i={i}: {lhs} vs {rhs}",
+            "adjointness fails at N={}, l={}, k={}, i={}: {} vs {}", N, l, k, i, lhs, rhs,
         )
         done += 1
     return rep
@@ -443,7 +465,7 @@ def check_commutator(cases: int = 50, seed: int = 11, pairs=((2, 1), (2, 2), (3,
         for i in range(1, shape.m):
             rep.check(
                 act_E(+1, i, top).is_zero(),
-                f"raising does not kill the highest vector at N={N}, l={l}, i={i}",
+                "raising does not kill the highest vector at N={}, l={}, i={}", N, l, i,
             )
     rng = random.Random(seed)
     done = 0
@@ -464,7 +486,7 @@ def check_commutator(cases: int = 50, seed: int = 11, pairs=((2, 1), (2, 2), (3,
         commutator = act_E(+1, i, act_E(-1, i, x)) - act_E(-1, i, act_E(+1, i, x))
         rep.check(
             commutator == x.scale(qnum(lam[i - 1])),
-            f"commutator is not [{lam[i-1]}] at N={N}, l={l}, k={k}, i={i}",
+            "commutator is not [{}] at N={}, l={}, k={}, i={}", lam[i - 1], N, l, k, i,
         )
         done += 1
     return rep
@@ -490,7 +512,8 @@ def check_serre(pairs=((2, 2), (3, 1))) -> Report:
                     mid = e(i, e(j, e(i, x))).scale(two)
                     rep.check(
                         lhs == mid,
-                        f"degree-2 relation fails at N={N}, l={l}, sign={sign}, i={i}, j={j}, {t}",
+                        "degree-2 relation fails at N={}, l={}, sign={}, i={}, j={}, {}",
+                        N, l, sign, i, j, t,
                     )
     return rep
 
@@ -516,7 +539,7 @@ def check_cartan(N_max: int = 3, m_max: int = 6) -> Report:
             g = gorenstein_parameter(N, k)
             rep.check(
                 g == 2 * d_norm(N, l, k),
-                f"Gorenstein parameter mismatch at N={N}, k={k}",
+                "Gorenstein parameter mismatch at N={}, k={}", N, k,
             )
             n = len(cartan.labels)
             for i in range(n):
@@ -524,18 +547,18 @@ def check_cartan(N_max: int = 3, m_max: int = 6) -> Report:
                     c = cartan.entry(i, j)
                     rep.check(
                         c.nonnegative_coeffs() or c.is_zero(),
-                        f"negative Cartan coefficient at N={N}, k={k}, ({i},{j}): {c}",
+                        "negative Cartan coefficient at N={}, k={}, ({},{}): {}", N, k, i, j, c,
                     )
                     rep.check(
                         c == cartan.entry(j, i),
-                        f"Cartan symmetry fails at N={N}, k={k}, ({i},{j})",
+                        "Cartan symmetry fails at N={}, k={}, ({},{})", N, k, i, j,
                     )
                     rep.check(
                         bar(c) == cartan.entry(j, i).shift(-g),
-                        f"graded duality fails at N={N}, k={k}, ({i},{j}): {c}",
+                        "graded duality fails at N={}, k={}, ({},{}): {}", N, k, i, j, c,
                     )
             frob = frobenius_check(N, k, cartan)
-            rep.check(frob.passed, f"Frobenius check fails at N={N}, k={k}")
+            rep.check(frob.passed, "Frobenius check fails at N={}, k={}", N, k)
     return rep
 
 

@@ -14,7 +14,8 @@ per state.  They must agree on everything; the test suite enforces this.
 Closed webs on the highest-weight boundary (color-N strands plus color-0
 padding) span a one-dimensional space; `ev_closed` reads off the unique
 coefficient and `web_form` builds the sesquilinear form
-v^d(k) * ev(reflect(u) o w) from it.
+v^d(k) * ev(reflect(u) o w) from it; `web_gram` gives the forms of all pairs
+of a list of webs from one forward pass per web.
 """
 
 from __future__ import annotations
@@ -192,7 +193,12 @@ def compose(first: Web, then: Web) -> Web:
 
 def reflect(web: Web) -> Web:
     """Reflection across the horizontal axis: slices reversed and mirrored."""
-    return Web(validate(web), tuple(s.mirror() for s in reversed(web.slices)))
+    return _reflected(web, validate(web))
+
+
+def _reflected(web: Web, cod: Boundary) -> Web:
+    """`reflect(web)` for a web already validated to the codomain `cod`."""
+    return Web(cod, tuple(s.mirror() for s in reversed(web.slices)))
 
 
 def identity_web(space: Boundary) -> Web:
@@ -473,6 +479,16 @@ def ev_closed(web: Web) -> LaurentPoly:
     return image.coeff(idx)
 
 
+def _form_shift(domain: Boundary, cod: Boundary) -> int:
+    """The exponent d(k) of the web form between webs from `domain` to `cod`."""
+    _closed_index(domain)  # domain must be the highest-weight boundary
+    if any(f.dual for f in cod.factors):
+        raise ShapeMismatchError("the web form is defined on plain boundaries")
+    k = tuple(f.color for f in cod.factors)
+    l = sum(1 for f in domain.factors if f.color == domain.N)
+    return d_norm(domain.N, l, k)
+
+
 def web_form(u: Web, w: Web) -> LaurentPoly:
     """The sesquilinear web form v^d(k) * ev(reflect(u) o w)."""
     if u.domain != w.domain:
@@ -480,10 +496,31 @@ def web_form(u: Web, w: Web) -> LaurentPoly:
     cod_u, cod_w = validate(u), validate(w)
     if cod_u != cod_w:
         raise ShapeMismatchError("webs must share their codomain")
-    _closed_index(u.domain)  # domain must be the highest-weight boundary
-    if any(f.dual for f in cod_w.factors):
-        raise ShapeMismatchError("the web form is defined on plain boundaries")
-    k = tuple(f.color for f in cod_w.factors)
-    l = sum(1 for f in u.domain.factors if f.color == u.domain.N)
-    d = d_norm(u.domain.N, l, k)
+    d = _form_shift(u.domain, cod_w)
     return ev_closed(compose(w, reflect(u))).shift(d)
+
+
+def web_gram(webs: list[Web]) -> list[list[LaurentPoly]]:
+    """The matrix of `web_form(u, w)` over u (rows) and w (columns) in `webs`.
+
+    Dense evaluation composes slice by slice, so ev(reflect(u) o w) is
+    reflect(u) applied to the image of the closed basis vector under w.
+    Each web is validated, mirrored and pushed forward once; only the n^2
+    mirror passes remain.  The webs must share domain and codomain, as every
+    pair in `web_form` must.
+    """
+    if not webs:
+        return []
+    domain = webs[0].domain
+    if any(w.domain != domain for w in webs):
+        raise ShapeMismatchError("webs must share their domain")
+    cods = [validate(w) for w in webs]
+    cod = cods[0]
+    if any(c != cod for c in cods):
+        raise ShapeMismatchError("webs must share their codomain")
+    d = _form_shift(domain, cod)
+    idx = _closed_index(domain)
+    top = TensorVector.basis_vector(domain, idx)
+    images = [evaluate_dense(w, top) for w in webs]
+    mirrors = [_reflected(u, cod) for u in webs]
+    return [[evaluate_dense(r, x).coeff(idx).shift(d) for x in images] for r in mirrors]

@@ -1,0 +1,69 @@
+"""Failures in the verify sweeps are still found and reported with their text."""
+
+from qwebs import verify
+from qwebs.bases import GradedMatrix, gram_matrix
+from qwebs.howe import TableauVector
+from qwebs.ring import LaurentPoly
+from qwebs.tableaux import Shape, highest_tableau
+from qwebs.verify import Report, check_howe, web_gram_mismatch
+
+
+class Unprintable:
+    def __str__(self):
+        raise AssertionError("failure text formatted for a passing check")
+
+
+def test_report_formats_the_failure_text_only_on_failure():
+    rep = Report("demo")
+    rep.check(True, "never shown: {}", Unprintable())
+    rep.check(False, "fails at N={}, k={}: {}", 2, (1, 1), LaurentPoly({1: 1}))
+    rep.check(False, "literal {braces} are kept without arguments")
+    assert rep.cases == 3
+    assert rep.failures == [
+        "fails at N=2, k=(1, 1): v",
+        "literal {braces} are kept without arguments",
+    ]
+
+
+def _wrong_once(monkeypatch, case, wrong):
+    """Make the tableau route return `wrong(out)` for one (tableau, sign, i, a)."""
+    real = verify.act_divided
+
+    def act_divided(sign, i, a, x):
+        out = real(sign, i, a, x)
+        return wrong(out) if (x, sign, i, a) == case else out
+
+    monkeypatch.setattr(verify, "act_divided", act_divided)
+
+
+def test_howe_reports_the_one_wrong_route(monkeypatch):
+    pairs = ((2, 2),)
+    clean = check_howe(pairs)
+    assert clean.passed
+    x = TableauVector.basis_vector(highest_tableau(Shape(2, 2)))
+    _wrong_once(monkeypatch, (x, -1, 2, 1), lambda out: out.scale(LaurentPoly({0: 2})))
+    rep = check_howe(pairs)
+    assert rep.cases == clean.cases
+    assert rep.failures == ["routes disagree at 11/22, sign=-1, i=2, a=1"]
+
+
+def test_howe_reports_a_nonzero_action_on_an_annihilated_ladder(monkeypatch):
+    pairs = ((2, 2),)
+    clean = check_howe(pairs)
+    x = TableauVector.basis_vector(highest_tableau(Shape(2, 2)))
+    _wrong_once(monkeypatch, (x, 1, 1, 1), lambda out: x)
+    rep = check_howe(pairs)
+    assert rep.cases == clean.cases
+    assert rep.failures == ["annihilated ladder but nonzero action at 11/22, sign=1, i=1, a=1"]
+
+
+def test_web_gram_mismatch_names_the_corrupted_entry():
+    gram = gram_matrix(3, 2, (0, 1, 1, 1, 1, 2))
+    assert web_gram_mismatch(gram) is None
+    rows = [list(r) for r in gram.entries]
+    rows[1][2] = rows[1][2] + LaurentPoly.one()
+    corrupted = GradedMatrix(gram.labels, tuple(tuple(r) for r in rows))
+    assert web_gram_mismatch(corrupted) == (
+        "web and tensor Gram entries disagree at (235/466, 234/566): "
+        "v^9 + 3v^7 + 4v^5 + 3v^3 + v vs v^9 + 3v^7 + 4v^5 + 3v^3 + v + 1"
+    )

@@ -1,5 +1,6 @@
 import pytest
 
+from qwebs.bases import lt_block, lt_web
 from qwebs.ring import LaurentPoly, bar
 from qwebs.webalg import (
     bounded_weights,
@@ -8,7 +9,7 @@ from qwebs.webalg import (
     gorenstein_parameter,
 )
 from qwebs.verify import web_gram_mismatch
-from qwebs.webs import d_norm
+from qwebs.webs import d_norm, web_form, web_gram
 
 one = LaurentPoly.one()
 
@@ -94,3 +95,19 @@ def test_web_and_tensor_gram_routes_agree(N, k):
     c = cartan_matrix(N, k)
     assert len(c.labels) >= 2
     assert web_gram_mismatch(c) is None
+
+
+@pytest.mark.parametrize(
+    "N,l,k,n",
+    [(2, 2, (1, 1, 1, 1), 2), (3, 2, (0, 1, 1, 1, 1, 2), 3), (3, 2, (1, 1, 1, 1, 1, 1), 5)],
+)
+def test_web_gram_is_web_form_entry_by_entry(N, l, k, n):
+    # the shared-pass matrix that `verify --form` uses against the pairwise
+    # web form that `qwebs form` prints
+    webs = [lt_web(t) for t in lt_block(N, l, k)]
+    assert len(webs) == n
+    gram = web_gram(webs)
+    assert [len(row) for row in gram] == [n] * n
+    for i, u in enumerate(webs):
+        for j, w in enumerate(webs):
+            assert gram[i][j] == web_form(u, w)

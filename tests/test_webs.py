@@ -25,6 +25,7 @@ from qwebs.webs import (
     tag,
     validate,
     web_form,
+    web_gram,
     web_matrix,
     weight_boundary,
 )
@@ -181,6 +182,21 @@ def test_web_form_examples():
     assert web_form(lad, lad) == LaurentPoly({2: 1, 0: 1})
     with pytest.raises(ShapeMismatchError):
         web_form(w_top, lad)
+
+
+def test_web_gram_checks_what_web_form_checks():
+    assert web_gram([]) == []
+    w_top = identity_web(weight_boundary(2, (2, 0)))
+    lad = ladder_from_word(2, (2, 0), [(-1, 1, 1)])
+    assert web_gram([w_top]) == [[web_form(w_top, w_top)]]
+    with pytest.raises(ShapeMismatchError, match="codomain"):
+        web_gram([w_top, lad])
+    with pytest.raises(ShapeMismatchError, match="domain"):
+        web_gram([w_top, identity_web(weight_boundary(2, (0, 2)))])
+    with pytest.raises(ShapeMismatchError, match="closed evaluation"):
+        web_gram([identity_web(weight_boundary(2, (1, 1)))])
+    with pytest.raises(IllFormedWebError):
+        web_gram([Web(w_top.domain, (merge(1, 1, 1),))])
 
 
 def test_web_form_symmetry_and_duality():
