@@ -4,6 +4,10 @@ One executable, subcommand style; all output is deterministic for a fixed
 command line and seed (keys sorted, rows in the descending tableau order),
 so runs can be diffed against golden files.
 
+Every JSON input is read through `_read`, so a malformed file of any kind is
+an input error.  The `verify` sweeps are declared once, in `VERIFY_SWEEPS`:
+it names the flags, their order and the call each flag makes.
+
 Exit codes: 0 success, 2 invalid input, 3 violated internal invariant.
 """
 
@@ -14,6 +18,7 @@ import json
 import re
 import sys
 
+from . import verify
 from .bases import (
     InvariantViolationError,
     dual_block,
@@ -22,23 +27,10 @@ from .bases import (
 )
 from .howe import TableauVector, act_divided
 from .ring import NonDivisibleError
-from .tableaux import NotSemistandardError, Shape, enumerate_tableaux, tableau_type
-from .tensor import ShapeMismatchError, TensorVector
-from .verify import (
-    check_cartan,
-    check_commutator,
-    check_dual_blocks,
-    check_evaluators,
-    check_form_consistency,
-    check_howe,
-    check_relations,
-    check_serre,
-    check_shapovalov,
-)
+from .tableaux import Shape, enumerate_tableaux, tableau_type
+from .tensor import TensorVector
 from .webalg import cartan_matrix, frobenius_check, gorenstein_parameter
 from .webs import (
-    AnnihilatedError,
-    IllFormedWebError,
     Web,
     evaluate_dense,
     ladder_from_word,
@@ -47,15 +39,9 @@ from .webs import (
     ev_closed,
 )
 
-INPUT_ERRORS = (
-    ValueError,
-    ShapeMismatchError,
-    IllFormedWebError,
-    NotSemistandardError,
-    AnnihilatedError,
-    json.JSONDecodeError,
-    OSError,
-)
+# Every input error is a ValueError (the JSON decoder's, the qwebs checks')
+# or an OSError from opening a file.
+INPUT_ERRORS = (ValueError, OSError)
 
 
 def _load_json(path: str):
@@ -63,6 +49,15 @@ def _load_json(path: str):
         return json.load(sys.stdin)
     with open(path) as fh:
         return json.load(fh)
+
+
+def _read(cls, path: str):
+    """`cls.from_json` of the JSON at `path`; a missing or mistyped field is an input error."""
+    data = _load_json(path)
+    try:
+        return cls.from_json(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {cls.__name__} JSON: {type(exc).__name__}: {exc}") from exc
 
 
 def _emit(payload, fmt: str, as_table) -> None:
@@ -136,46 +131,35 @@ def cmd_ladder(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    web = Web.from_json(_load_json(args.web))
-    vec = TensorVector.from_json(_load_json(args.vector))
+    web = _read(Web, args.web)
+    vec = _read(TensorVector, args.vector)
     _emit(evaluate_dense(web, vec).to_json(), args.format, None)
     return 0
 
 
 def cmd_ev(args) -> int:
-    web = Web.from_json(_load_json(args.web))
+    web = _read(Web, args.web)
     _emit(ev_closed(web).to_json(), args.format, _poly_str)
     return 0
 
 
 def cmd_form(args) -> int:
-    u = Web.from_json(_load_json(args.u))
-    w = Web.from_json(_load_json(args.w))
+    u = _read(Web, args.u)
+    w = _read(Web, args.w)
     _emit(web_form(u, w).to_json(), args.format, _poly_str)
     return 0
 
 
 def cmd_act(args) -> int:
-    vec = TableauVector.from_json(_load_json(args.vector))
+    vec = _read(TableauVector, args.vector)
     sign = 1 if args.sign == "+" else -1
     out = act_divided(sign, args.i, args.r, vec)
     _emit(out.to_json(), args.format, None)
     return 0
 
 
-def cmd_lt_basis(args) -> int:
-    payload = _basis_payload(args, dual=False)
-    _emit(payload, args.format, None)
-    return 0
-
-
-def cmd_dual_canonical(args) -> int:
-    payload = _basis_payload(args, dual=True)
-    _emit(payload, args.format, None)
-    return 0
-
-
-def _basis_payload(args, dual: bool):
+def cmd_basis(args) -> int:
+    """`lt-basis` (args.dual false) or `dual-canonical` (args.dual true)."""
     shape = Shape(args.N, args.l)
     if args.type:
         ktypes = [_parse_vec(args.type)]
@@ -185,17 +169,18 @@ def _basis_payload(args, dual: bool):
         )
     payload = []
     for k in ktypes:
-        block = dual_block(args.N, args.l, k) if dual else lt_block(args.N, args.l, k)
+        block = dual_block(args.N, args.l, k) if args.dual else lt_block(args.N, args.l, k)
         for t, elem in block.items():
             entry = {"tableau": t.to_json(), "expansion": elem.expansion.to_json()}
-            if dual:
+            if args.dual:
                 entry["beta"] = [
                     {"tableau": s.to_json(), "coeff": g.to_json()} for s, g in elem.beta
                 ]
             else:
                 entry["word"] = [list(p) for p in elem.word]
             payload.append(entry)
-    return payload
+    _emit(payload, args.format, None)
+    return 0
 
 
 def cmd_gram(args) -> int:
@@ -223,26 +208,24 @@ def cmd_cartan(args) -> int:
     return 0
 
 
+# The `verify` sweeps in flag and run order: flag -> the call it makes on the
+# parsed arguments.  Each call looks its checker up in `verify` when it runs,
+# so a wrapper installed over e.g. `verify.check_howe` sees each call.
+VERIFY_SWEEPS = {
+    "relations": lambda a: verify.check_relations(a.max_N),
+    "evaluators": lambda a: verify.check_evaluators(a.cases, a.seed, min(a.max_N, 3), a.max_m),
+    "howe": lambda a: verify.check_howe(),
+    "dual": lambda a: verify.check_dual_blocks(),
+    "form": lambda a: verify.check_form_consistency(),
+    "shapovalov": lambda a: verify.check_shapovalov(a.cases, a.seed),
+    "commutator": lambda a: verify.check_commutator(a.cases, a.seed),
+    "serre": lambda a: verify.check_serre(),
+    "cartan": lambda a: verify.check_cartan(min(a.max_N, 3), a.max_m),
+}
+
+
 def cmd_verify(args) -> int:
-    reports = []
-    if args.relations or args.all:
-        reports.append(check_relations(args.max_N))
-    if args.evaluators or args.all:
-        reports.append(check_evaluators(args.cases, args.seed, min(args.max_N, 3), args.max_m))
-    if args.howe or args.all:
-        reports.append(check_howe())
-    if args.dual or args.all:
-        reports.append(check_dual_blocks())
-    if args.form or args.all:
-        reports.append(check_form_consistency())
-    if args.shapovalov or args.all:
-        reports.append(check_shapovalov(args.cases, args.seed))
-    if args.commutator or args.all:
-        reports.append(check_commutator(args.cases, args.seed))
-    if args.serre or args.all:
-        reports.append(check_serre())
-    if args.cartan or args.all:
-        reports.append(check_cartan(min(args.max_N, 3), args.max_m))
+    reports = [run(args) for flag, run in VERIFY_SWEEPS.items() if args.all or getattr(args, flag)]
     if not reports:
         raise ValueError("nothing to verify; pass --all or a specific sweep")
     if args.format == "json":
@@ -308,15 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vector", required=True, help="tableau vector JSON path")
     p.set_defaults(func=cmd_act)
 
-    p = sub.add_parser("lt-basis", help="intermediate basis vectors with peel words")
-    common(p)
-    p.add_argument("--type", help="restrict to one type block")
-    p.set_defaults(func=cmd_lt_basis)
-
-    p = sub.add_parser("dual-canonical", help="dual canonical basis vectors with corrections")
-    common(p)
-    p.add_argument("--type", help="restrict to one type block")
-    p.set_defaults(func=cmd_dual_canonical)
+    for name, dual, text in (
+        ("lt-basis", False, "intermediate basis vectors with peel words"),
+        ("dual-canonical", True, "dual canonical basis vectors with corrections"),
+    ):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--type", help="restrict to one type block")
+        p.set_defaults(func=cmd_basis, dual=dual)
 
     p = sub.add_parser("gram", help="Gram matrix of a basis on one type block")
     common(p)
@@ -333,15 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="relation and property sweeps")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--relations", action="store_true")
-    p.add_argument("--evaluators", action="store_true")
-    p.add_argument("--howe", action="store_true")
-    p.add_argument("--dual", action="store_true")
-    p.add_argument("--form", action="store_true")
-    p.add_argument("--shapovalov", action="store_true")
-    p.add_argument("--commutator", action="store_true")
-    p.add_argument("--serre", action="store_true")
-    p.add_argument("--cartan", action="store_true")
+    for flag in VERIFY_SWEEPS:
+        p.add_argument(f"--{flag}", action="store_true")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--max-N", type=int, default=4)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from .ring import LaurentPoly, ONE, exact_divide, exact_int, qfactorial
 from .tableaux import Shape, Tableau, highest_tableau, tableau_from_nu, tableau_to_nu, tableau_type
-from .tensor import Boundary, Factor, SparseVector, TensorVector
+from .tensor import SparseVector, TensorVector, weight_boundary
 
 
 class TableauVector(SparseVector):
@@ -183,10 +183,6 @@ def phi(lam: tuple[int, ...], d: int, N: int) -> tuple[int, ...] | None:
 # -- dictionary with tensor coordinates --------------------------------
 
 
-def tensor_space_of_type(N: int, k: tuple[int, ...]) -> Boundary:
-    return Boundary(N, tuple(Factor(c) for c in k))
-
-
 def tableau_to_index(t: Tableau):
     """The basis index of the tensor vector attached to a tableau."""
     return tuple(
@@ -206,7 +202,7 @@ def to_tensor(x: TableauVector) -> TensorVector:
     types = {tableau_type(t) for t in x.coords}
     if len(types) != 1:
         raise ValueError("tensor coordinates need a vector of a single type")
-    space = tensor_space_of_type(x.space.N, next(iter(types)))
+    space = weight_boundary(x.space.N, next(iter(types)))
     out = TensorVector(space)
     for t, c in x.coords.items():
         out.add_term(tableau_to_index(t), c)

@@ -85,6 +85,11 @@ class Boundary:
         return cls(N, tuple(Factor.from_json(d) for d in data))
 
 
+def weight_boundary(N: int, k: tuple[int, ...]) -> Boundary:
+    """The plain boundary whose factor colors are the weight k, slot 1 first."""
+    return Boundary(N, tuple(Factor(c) for c in k))
+
+
 Index = tuple[frozenset, ...]
 
 

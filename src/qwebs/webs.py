@@ -27,7 +27,6 @@ from typing import Callable, NamedTuple
 from .ring import LaurentPoly, exact_int
 from .tensor import (
     Boundary,
-    Factor,
     ShapeMismatchError,
     TensorVector,
     _subsets,
@@ -43,6 +42,7 @@ from .tensor import (
     merged_space,
     split_space,
     tag_space,
+    weight_boundary,
 )
 
 
@@ -65,6 +65,10 @@ class Slice:
     a: int = 0
     b: int = 0
     side: str = ""
+
+    def __post_init__(self):
+        if self.kind == "tag" and self.side == "":  # a tag with no side is a left tag
+            object.__setattr__(self, "side", "left")
 
     def mirror(self) -> "Slice":
         return _kind(self).mirror(self)
@@ -121,7 +125,7 @@ class Web:
 
 
 def _tag_space(space: Boundary, s: Slice) -> Boundary:
-    if s.side not in ("", "left", "right"):
+    if s.side not in ("left", "right"):
         raise ShapeMismatchError(f"unknown tag side {s.side!r}")
     f = space.factor(s.pos)
     want = f.color if not f.dual else space.N - f.color
@@ -161,7 +165,7 @@ _SLICE_KINDS = {
                       lambda x, s: apply_cap(x, s.a, s.pos)),
     "tag": _SliceKind(("a", "side"),
                       lambda s: Slice("tag", s.pos, s.a, side="right" if s.side == "left" else "left"),
-                      _tag_space, lambda x, s: apply_tag(x, s.pos, s.side or "left")),
+                      _tag_space, lambda x, s: apply_tag(x, s.pos, s.side)),
     "id": _SliceKind((), lambda s: s, _id_space, lambda x, s: x),
 }
 
@@ -208,10 +212,6 @@ def identity_web(space: Boundary) -> Web:
 # -- ladders ----------------------------------------------------------
 
 
-def weight_boundary(N: int, k: tuple[int, ...]) -> Boundary:
-    return Boundary(N, tuple(Factor(c) for c in k))
-
-
 def highest_weight_vector(N: int, l: int) -> TensorVector:
     """The canonical basis vector of the boundary (N,...,N,0,...,0)."""
     m = N * l
@@ -219,6 +219,23 @@ def highest_weight_vector(N: int, l: int) -> TensorVector:
     full = frozenset(range(1, N + 1))
     idx = tuple(full if c == N else frozenset() for c in k)
     return TensorVector.basis_vector(weight_boundary(N, k), idx)
+
+
+def rung(N: int, left: int, right: int, sign: int, a: int) -> tuple[int, int]:
+    """The entries (k_i, k_{i+1}) after the rung (sign, i, a) on (left, right).
+
+    A +1 rung moves a units of color from upright i+1 onto upright i, a -1
+    rung the other way.  Raises AnnihilatedError when the entry it lowers
+    drops below 0 or the entry it raises exceeds N.
+    """
+    if sign < 0:
+        lo, hi = left - a, right + a
+    else:
+        lo, hi = right - a, left + a
+    if lo < 0 or hi > N:
+        verb = "lower" if sign < 0 else "raise"
+        raise AnnihilatedError(f"weight ({left},{right}) cannot {verb} by {a}")
+    return (lo, hi) if sign < 0 else (hi, lo)
 
 
 def ladder_from_word(
@@ -229,7 +246,7 @@ def ladder_from_word(
     Each word entry is (sign, i, a) with sign +1 or -1: a rung of width a
     between uprights i and i+1, moving toward upright i for +1 and toward
     upright i+1 for -1.  Raises AnnihilatedError when an intermediate weight
-    entry leaves 0..N; width-0 rungs are dropped.
+    entry leaves 0..N (see `rung`); width-0 rungs are dropped.
     """
     k = list(k_start)
     m = len(k)
@@ -241,20 +258,14 @@ def ladder_from_word(
             raise ValueError("rung width must be nonnegative")
         if a == 0:
             continue
+        left, right = k[i - 1], k[i]
+        k[i - 1], k[i] = rung(N, left, right, sign, a)
         if sign < 0:
-            lo, hi = k[i - 1] - a, k[i] + a
-            if lo < 0 or hi > N:
-                raise AnnihilatedError(f"weight ({k[i-1]},{k[i]}) cannot lower by {a}")
-            slices.append(split(a, lo, i))
-            slices.append(merge(k[i], a, i + 1))
-            k[i - 1], k[i] = lo, hi
+            slices.append(split(a, k[i - 1], i))
+            slices.append(merge(right, a, i + 1))
         else:
-            lo, hi = k[i] - a, k[i - 1] + a
-            if lo < 0 or hi > N:
-                raise AnnihilatedError(f"weight ({k[i-1]},{k[i]}) cannot raise by {a}")
-            slices.append(split(lo, a, i + 1))
-            slices.append(merge(a, k[i - 1], i))
-            k[i], k[i - 1] = lo, hi
+            slices.append(split(k[i], a, i + 1))
+            slices.append(merge(a, left, i))
     return Web(weight_boundary(N, tuple(k_start)), tuple(slices))
 
 
@@ -316,7 +327,7 @@ def compile_graph(web: Web) -> StateGraph:
         elif s.kind == "tag":
             f = space.factor(s.pos)
             out = new_edge(space.N - f.color)
-            g.events.append(("tag", current[s.pos - 1], out, s.side or "left", f.dual))
+            g.events.append(("tag", current[s.pos - 1], out, s.side, f.dual))
             current[s.pos - 1] = out
         elif s.kind == "cup":
             e = new_edge(s.a)
@@ -479,48 +490,42 @@ def ev_closed(web: Web) -> LaurentPoly:
     return image.coeff(idx)
 
 
-def _form_shift(domain: Boundary, cod: Boundary) -> int:
-    """The exponent d(k) of the web form between webs from `domain` to `cod`."""
-    _closed_index(domain)  # domain must be the highest-weight boundary
-    if any(f.dual for f in cod.factors):
-        raise ShapeMismatchError("the web form is defined on plain boundaries")
-    k = tuple(f.color for f in cod.factors)
-    l = sum(1 for f in domain.factors if f.color == domain.N)
-    return d_norm(domain.N, l, k)
-
-
 def web_form(u: Web, w: Web) -> LaurentPoly:
     """The sesquilinear web form v^d(k) * ev(reflect(u) o w)."""
-    if u.domain != w.domain:
-        raise ShapeMismatchError("webs must share their domain")
-    cod_u, cod_w = validate(u), validate(w)
-    if cod_u != cod_w:
-        raise ShapeMismatchError("webs must share their codomain")
-    d = _form_shift(u.domain, cod_w)
-    return ev_closed(compose(w, reflect(u))).shift(d)
+    return _forms([u], [w])[0][0]
 
 
 def web_gram(webs: list[Web]) -> list[list[LaurentPoly]]:
-    """The matrix of `web_form(u, w)` over u (rows) and w (columns) in `webs`.
+    """The matrix of `web_form(u, w)` over u (rows) and w (columns) in `webs`."""
+    return _forms(webs, webs)
+
+
+def _forms(us: list[Web], ws: list[Web]) -> list[list[LaurentPoly]]:
+    """The web forms of each u in `us` (rows) with each w in `ws` (columns).
 
     Dense evaluation composes slice by slice, so ev(reflect(u) o w) is
     reflect(u) applied to the image of the closed basis vector under w.
-    Each web is validated, mirrored and pushed forward once; only the n^2
-    mirror passes remain.  The webs must share domain and codomain, as every
-    pair in `web_form` must.
+    Each distinct web is validated once, each u mirrored once and each w
+    pushed forward once; only the row-by-column mirror passes remain.  All
+    webs must share one domain, the highest-weight boundary, and one plain
+    codomain.
     """
-    if not webs:
+    distinct = list({id(x): x for x in us + ws}.values())
+    if not distinct:
         return []
-    domain = webs[0].domain
-    if any(w.domain != domain for w in webs):
+    domain = distinct[0].domain
+    if any(x.domain != domain for x in distinct):
         raise ShapeMismatchError("webs must share their domain")
-    cods = [validate(w) for w in webs]
+    cods = [validate(x) for x in distinct]
     cod = cods[0]
     if any(c != cod for c in cods):
         raise ShapeMismatchError("webs must share their codomain")
-    d = _form_shift(domain, cod)
     idx = _closed_index(domain)
+    if any(f.dual for f in cod.factors):
+        raise ShapeMismatchError("the web form is defined on plain boundaries")
+    l = sum(1 for f in domain.factors if f.color == domain.N)
+    d = d_norm(domain.N, l, tuple(f.color for f in cod.factors))
     top = TensorVector.basis_vector(domain, idx)
-    images = [evaluate_dense(w, top) for w in webs]
-    mirrors = [_reflected(u, cod) for u in webs]
+    images = [evaluate_dense(w, top) for w in ws]
+    mirrors = [_reflected(u, cod) for u in us]
     return [[evaluate_dense(r, x).coeff(idx).shift(d) for x in images] for r in mirrors]

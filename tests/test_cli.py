@@ -1,6 +1,11 @@
+import argparse
 import json
 
-from qwebs.cli import main
+import pytest
+
+from qwebs import verify
+from qwebs.cli import VERIFY_SWEEPS, build_parser, main
+from qwebs.verify import Report
 
 
 def run(capsys, *argv):
@@ -216,3 +221,74 @@ def test_act_checks_the_generator_index_for_every_r(capsys, tmp_path):
     code, out = run(capsys, "act", "--sign", "-", "--i", "1", "--r", "0", "--vector", tv)
     assert code == 0
     assert json.loads(out) == {"N": 2, "l": 1, "terms": [{"rows": [[1, 2]], "coeff": [[0, 1]]}]}
+
+
+# The checker each entry of VERIFY_SWEEPS calls, in table order.
+SWEEP_CHECKERS = (
+    "check_relations",
+    "check_evaluators",
+    "check_howe",
+    "check_dual_blocks",
+    "check_form_consistency",
+    "check_shapovalov",
+    "check_commutator",
+    "check_serre",
+    "check_cartan",
+)
+
+
+def _stub_checkers(monkeypatch) -> list:
+    """Replace every sweep by a one-check pass that records its arguments."""
+    calls = []
+    for name in SWEEP_CHECKERS:
+        def stub(*args, name=name):
+            calls.append((name, args))
+            return Report(name, cases=1)
+
+        monkeypatch.setattr(verify, name, stub)
+    return calls
+
+
+def test_verify_all_runs_the_sweep_table_in_order(capsys, monkeypatch):
+    calls = _stub_checkers(monkeypatch)
+    argv = ("verify", "--all", "--max-N", "2", "--max-m", "4", "--cases", "7", "--seed", "5")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    args = [(2,), (7, 5, 2, 4), (), (), (), (7, 5), (7, 5), (), (2, 4)]
+    assert calls == list(zip(SWEEP_CHECKERS, args))
+    assert out.splitlines() == [f"pass {name}: 1 checks" for name in SWEEP_CHECKERS]
+
+
+def test_each_verify_flag_runs_only_its_sweep(capsys, monkeypatch):
+    calls = _stub_checkers(monkeypatch)
+    for flag, name in zip(VERIFY_SWEEPS, SWEEP_CHECKERS):
+        calls.clear()
+        assert run(capsys, "verify", f"--{flag}")[0] == 0
+        assert [c[0] for c in calls] == [name]
+
+
+def test_verify_parser_flags_are_the_sweep_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parser = sub.choices["verify"]
+    flags = [a.dest for a in parser._actions if isinstance(a, argparse._StoreTrueAction)]
+    assert flags == ["all", *VERIFY_SWEEPS]
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("ev", {}),
+        ("ev", [1, 2]),
+        ("ev", {"N": 2, "domain": []}),
+        ("act", {"N": 2, "l": 1, "terms": [{"rows": [[1, 1]]}]}),
+        ("act", {"N": 2, "l": 1, "terms": [{"rows": 5, "coeff": [[0, 1]]}]}),
+    ],
+    ids=["empty-web", "list-web", "web-without-slices", "term-without-coeff", "rows-not-a-list"],
+)
+def test_structurally_malformed_json_exits_2(capsys, tmp_path, command, payload):
+    path = _write(tmp_path, "in.json", payload)
+    if command == "ev":
+        argv = ("ev", "--web", path)
+    else:
+        argv = ("act", "--sign", "-", "--i", "1", "--vector", path)
+    assert run(capsys, *argv) == (2, "")

@@ -20,6 +20,7 @@ from qwebs.webs import (
     ladder_from_word,
     merge,
     reflect,
+    rung,
     split,
     state_weight,
     tag,
@@ -199,6 +200,24 @@ def test_web_gram_checks_what_web_form_checks():
         web_gram([Web(w_top.domain, (merge(1, 1, 1),))])
 
 
+def test_web_gram_and_web_form_validate_each_web_once(monkeypatch):
+    import qwebs.webs
+
+    seen = []
+    real = qwebs.webs.validate
+    monkeypatch.setattr(qwebs.webs, "validate", lambda web: seen.append(web) or real(web))
+    w1 = ladder_from_word(2, (2, 2, 0, 0), [(-1, 2, 1), (-1, 3, 1), (-1, 1, 1), (-1, 2, 1)])
+    w2 = ladder_from_word(2, (2, 2, 0, 0), [(-1, 2, 2), (-1, 1, 1), (-1, 3, 1)])
+    gram = web_gram([w1, w2])
+    assert seen == [w1, w2]
+    seen.clear()
+    assert web_form(w1, w2) == gram[0][1]
+    assert seen == [w1, w2]
+    seen.clear()
+    assert web_form(w1, w1) == gram[0][0]
+    assert seen == [w1]
+
+
 def test_web_form_symmetry_and_duality():
     # the type (1,1,1,1) block at N=2: two basis words
     w1 = ladder_from_word(2, (2, 2, 0, 0), [(-1, 2, 1), (-1, 3, 1), (-1, 1, 1), (-1, 2, 1)])
@@ -236,6 +255,41 @@ def test_tag_side_must_be_left_or_right():
     assert evaluate_dense(Web(dom, (Slice("tag", 1, 2),)), x) == evaluate_dense(
         Web(dom, (tag(2, 1, "left"),)), x
     )
+
+
+@pytest.mark.parametrize("side", [{}, {"side": ""}, {"side": "left"}, {"side": "right"}],
+                         ids=["missing", "empty", "left", "right"])
+def test_double_reflection_of_a_tag_evaluates_like_the_tag(side):
+    for N in (2, 3, 4):
+        for a in range(N + 1):
+            web = Web.from_json({
+                "N": N,
+                "domain": [{"color": a, "dual": False}],
+                "slices": [{"kind": "tag", "pos": 1, "a": a, **side}],
+            })
+            twice = reflect(reflect(web))
+            for idx in basis_indices(web.domain):
+                x = TensorVector.basis_vector(web.domain, idx)
+                assert evaluate_dense(twice, x) == evaluate_dense(web, x)
+
+
+def test_web_form_does_not_depend_on_spelling_out_a_left_tag():
+    lad = ladder_from_word(2, (2, 0), [(-1, 1, 1)])
+
+    def tagged(side):
+        return Web(lad.domain, lad.slices + (Slice("tag", 1, 1, side=side), tag(1, 1, "right")))
+
+    assert web_form(tagged(""), lad) == web_form(tagged("left"), lad) == -web_form(lad, lad)
+
+
+def test_rung_moves_color_or_annihilates():
+    assert rung(2, 2, 0, -1, 1) == (1, 1)
+    assert rung(2, 1, 1, +1, 1) == (2, 0)
+    assert rung(3, 1, 2, +1, 0) == (1, 2)
+    with pytest.raises(AnnihilatedError, match="cannot raise by 1"):
+        rung(2, 2, 0, +1, 1)
+    with pytest.raises(AnnihilatedError, match="cannot lower by 2"):
+        rung(2, 1, 1, -1, 2)
 
 
 def test_unknown_slice_kind_is_ill_formed():
