@@ -5,6 +5,15 @@ divided-power word from the peeling procedure applied to the highest-weight
 vector.  Its expansion on column-strict tableaux is unitriangular with
 nonnegative-coefficient Laurent polynomials below the leading term.
 
+Every prefix of a reversed peel word is itself a reversed peel word, so
+A^T = F_i^(r) A^peel(T) and the words of a block form a prefix tree.
+`lt_block` walks that tree once, depth first, in the howe kernel's column
+maps: it keeps at most the maps of one root-to-leaf path, so each distinct
+prefix runs its divided power once, and it builds each distinct `Tableau`
+of the block once.  `lt_vector` is the one-path walk.  Every vector is
+checked for its leading 1, triangularity and nonnegative coefficients as it
+is built.
+
 The dual canonical element b^T is computed from the A-basis by triangular
 elimination: scanning semistandard S below T in descending order, any
 coefficient at S that fails the negative-exponent test is repaired by
@@ -22,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .howe import TableauVector, act_word, highest_vector
+from .howe import TableauVector, _act_divided
 from .ring import ZERO, LaurentPoly, bar, symmetrize_correction
-from .tableaux import Shape, Tableau, enumerate_tableaux, peel_word, tableau_type
+from .tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, peel_word, tableau_type
 from .webs import Web, ladder_from_word
 
 
@@ -67,24 +76,65 @@ def check_negative_exponent(x: TableauVector, leading: Tableau) -> NegativeExpon
 
 def lt_vector(t: Tableau) -> LTBasisElement:
     """The intermediate basis vector attached to a semistandard tableau."""
-    word = peel_word(t)
-    x = act_word(-1, reversed(word), highest_vector(t.shape))
-    if not x.coeff(t).is_one():
-        raise InvariantViolationError(f"leading coefficient at {t} is {x.coeff(t)}")
-    key = t.sort_key()
-    for tau, c in x.coords.items():
-        if tau != t and tau.sort_key() <= key:
-            raise InvariantViolationError(f"non-triangular term {tau} in the vector of {t}")
-        if not c.nonnegative_coeffs():
-            raise InvariantViolationError(f"negative coefficient {c} at {tau}")
-    return LTBasisElement(t, tuple(word), x)
+    return _lt_walk(t.shape, [t])[t]
 
 
 @cache
 def lt_block(N: int, l: int, ktype: tuple[int, ...]) -> dict[Tableau, LTBasisElement]:
     """All LT vectors of one type, keyed by tableau (descending iteration order)."""
     shape = Shape(N, l)
-    return {t: lt_vector(t) for t in enumerate_tableaux(shape, ktype, semistandard_only=True)}
+    return _lt_walk(shape, enumerate_tableaux(shape, ktype, semistandard_only=True))
+
+
+def _lt_walk(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisElement]:
+    """The LT vectors of `labels`, keyed in their order, from one walk of the peel tree.
+
+    The reversed peel words of the labels are visited in sorted order, so
+    each word shares its longest common prefix with its neighbours.  `path[d]`
+    is the kernel map after the first d divided powers of the current word,
+    kept only as deep as the next word shares it; only the pairs past the
+    prefix shared with the previous word are applied.  Tableaux are built
+    once per distinct column tuple and shared by every vector that holds them.
+    """
+    tableaux = {t.sort_key(): t for t in labels}
+    walk = sorted((tuple(peel_word(t))[::-1], n) for n, t in enumerate(labels))
+    shared = [0] + [_common_prefix(a, b) for (a, _), (b, _) in zip(walk, walk[1:])] + [0]
+    path = [{highest_tableau(shape).sort_key(): {0: 1}}]
+    out: list = [None] * len(labels)
+    for j, (rword, n) in enumerate(walk):
+        terms = path[-1]  # path holds depths 0..shared[j]
+        for d in range(shared[j], len(rword)):
+            terms = _act_divided(-1, *rword[d], terms)
+            if d < shared[j + 1]:
+                path.append(terms)
+        del path[shared[j + 1] + 1 :]
+        t = labels[n]
+        key = t.sort_key()
+        if terms.get(key) != {0: 1}:
+            lead = LaurentPoly(terms.get(key, {}))
+            raise InvariantViolationError(f"leading coefficient at {t} is {lead}")
+        x = TableauVector(shape)  # the kernel map has no zero to filter
+        for k, c in terms.items():
+            tau = tableaux.get(k)
+            if tau is None:
+                tau = tableaux[k] = Tableau.from_columns(shape, k)
+            if k < key:
+                raise InvariantViolationError(f"non-triangular term {tau} in the vector of {t}")
+            if min(c.values()) < 0:
+                raise InvariantViolationError(f"negative coefficient {LaurentPoly(c)} at {tau}")
+            x.coords[tau] = LaurentPoly(c)
+        out[n] = LTBasisElement(t, rword[::-1], x)
+    return dict(zip(labels, out))
+
+
+def _common_prefix(a: tuple, b: tuple) -> int:
+    """The length of the longest common prefix of two words."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
 
 
 def dual_canonical(t: Tableau) -> DualCanonicalElement:

@@ -17,7 +17,9 @@ One kernel, `_act`, acts on maps {column tuple (a sort_key): {exponent: int}}:
 a move replaces one column tuple, and its power of v sums the per-column
 differences (i in d) - (i+1 in d).  `act_word` runs a whole divided-power word
 (`act_E` and `act_divided` are one-pair words) on one map and only then builds,
-and so validates, the `Tableau` and `LaurentPoly` objects of its result.
+and so validates, the `Tableau` and `LaurentPoly` objects of its result.  Its
+divided-power step, `_act_divided`, is also the step of the peel-tree walk in
+`bases`.
 
 The same vectors can be read in tensor coordinates through the column
 indicator bijection (tableau_to_nu); `to_tensor` / `from_tensor` implement
@@ -115,6 +117,16 @@ def _act(sign: int, i: int, terms: Terms) -> Terms:
     return out
 
 
+def _act_divided(sign: int, i: int, r: int, terms: Terms) -> Terms:
+    """The divided power (i, r) on a column map: r kernel steps, then exact /[r]!."""
+    for _ in range(r):
+        terms = _act(sign, i, terms)
+    if r >= 2 and terms:
+        fact = qfactorial(r)
+        terms = {k: dict(exact_divide(LaurentPoly(c), fact).items()) for k, c in terms.items()}
+    return terms
+
+
 def act_word(sign: int, word, x: TableauVector) -> TableauVector:
     """Apply the divided powers (i, r) of a word, first pair first (sign -1 lowers)."""
     if sign not in (-1, 1):
@@ -128,11 +140,7 @@ def act_word(sign: int, word, x: TableauVector) -> TableauVector:
             raise ValueError(f"generator index {i} outside 1..{shape.m - 1}")
     terms = {t.sort_key(): dict(c.items()) for t, c in x.coords.items()}
     for i, r in word:
-        for _ in range(r):
-            terms = _act(sign, i, terms)
-        if r >= 2 and terms:
-            fact = qfactorial(r)
-            terms = {k: dict(exact_divide(LaurentPoly(c), fact).items()) for k, c in terms.items()}
+        terms = _act_divided(sign, i, r, terms)
     # tableaux (each validated) and polynomials are built once, for the result
     return TableauVector(
         shape, {Tableau.from_columns(shape, k): LaurentPoly(c) for k, c in terms.items()}

@@ -31,7 +31,11 @@ class LaurentPoly:
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         c: dict[int, int] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        # dict first: the ABC check on typing.Mapping is slow on this hot path
+        if isinstance(coeffs, dict) or isinstance(coeffs, Mapping):
+            items = coeffs.items()
+        else:
+            items = coeffs
         for e, a in items:
             if a:
                 c[e] = c.get(e, 0) + a

@@ -20,6 +20,7 @@ with rows (1,1),(2,4) needs i = 3).
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -160,6 +161,27 @@ def tableau_from_mu(shape: Shape, mu: tuple[tuple[int, ...], ...]) -> Tableau:
     return Tableau(shape, tuple(tuple(col[i] for col in cols) for i in range(shape.l)))
 
 
+# Requests that could exceed this many tableaux are refused before any work.
+# The largest enumeration the tests and sweeps make, all of shape (4, 2), is
+# bounded by 614,656; all of (2, 7), bounded by 11.8 million, is refused.
+MAX_TABLEAUX = 1_000_000
+
+
+def _count_bound(shape: Shape, type: tuple[int, ...] | None) -> int:
+    """An upper bound on the tableaux of the shape (and type), from their columns.
+
+    Without a type each of the N columns is an l-subset of 1..m.  With one,
+    sorting the columns of the m!/prod(k_i!) fillings of that content gives
+    every column-strict tableau exactly (l!)^N times.
+    """
+    if type is None:
+        return math.comb(shape.m, shape.l) ** shape.N
+    fillings = math.factorial(shape.m)
+    for k in type:
+        fillings //= math.factorial(k)
+    return fillings // math.factorial(shape.l) ** shape.N
+
+
 def enumerate_tableaux(
     shape: Shape,
     type: tuple[int, ...] | None = None,
@@ -172,10 +194,16 @@ def enumerate_tableaux(
     type has left and, when only semistandard fillings are wanted, on
     entrywise weak increase.
     """
+    if type is not None and (len(type) != shape.m or sum(type) != shape.m or min(type) < 0):
+        raise ValueError("type must be an m-vector of nonnegative entries summing to m")
+    bound = _count_bound(shape, type)
+    if bound > MAX_TABLEAUX:
+        raise ValueError(
+            f"shape ({shape.N}, {shape.l}) may have up to {bound} tableaux"
+            f"{'' if type is None else ' of this type'}; the limit is {MAX_TABLEAUX}"
+        )
     if type is None:
         type = (shape.N,) * shape.m  # no entry fits in more than N columns
-    elif len(type) != shape.m or sum(type) != shape.m:
-        raise ValueError("type must be an m-vector summing to m")
     left = [0, *type]  # left[x]: how many more x the type allows
     support = [x for x in range(1, shape.m + 1) if left[x] > 0]
     candidates = list(itertools.combinations(support, shape.l))
@@ -212,33 +240,30 @@ def peel_word(t: Tableau) -> list[tuple[int, int]]:
     (i, r).  Stops at the maximal tableau.  The word is returned
     outermost-first: the first pair is the last move applied when raising
     back up from the maximal tableau.
+
+    The steps run on one mutable grid.  An entry x in row r (1-based) can
+    be peeled exactly when x > r, so the next i is the least such x, less
+    one; the grid is the maximal tableau when no entry can be.
     """
     if not t.is_semistandard():
         raise NotSemistandardError(f"not semistandard: {t}")
-    shape = t.shape
-    top = highest_tableau(shape)
+    grid = [list(r) for r in t.rows]
     word: list[tuple[int, int]] = []
-    cur = t
-    while cur != top:
-        for i in range(1, shape.m):
-            hits = [
-                (ri, ci)
-                for ri in range(min(i, shape.l))
-                for ci in range(shape.N)
-                if cur.rows[ri][ci] == i + 1
-            ]
-            if hits:
-                grid = [list(r) for r in cur.rows]
-                for ri, ci in hits:
-                    grid[ri][ci] = i
-                try:
-                    cur = Tableau(shape, tuple(tuple(r) for r in grid))
-                except ValueError as exc:
-                    raise NotSemistandardError(f"peeling broke column strictness: {exc}")
-                if not cur.is_semistandard():
-                    raise NotSemistandardError(f"peeling left the semistandard set at {cur}")
-                word.append((i, len(hits)))
-                break
-        else:  # pragma: no cover - unreachable for semistandard input
-            raise NotSemistandardError(f"peeling stuck at {cur}")
-    return word
+    while True:
+        i = min((x for r, row in enumerate(grid, 1) for x in row if x > r), default=1) - 1
+        if not i:
+            return word
+        hits = 0
+        for row in grid[:i]:  # rows 1..min(i, l)
+            for ci, x in enumerate(row):
+                if x == i + 1:
+                    row[ci] = i
+                    hits += 1
+        if not all(all(map(operator.lt, upper, lower)) for upper, lower in zip(grid, grid[1:])):
+            raise NotSemistandardError(
+                "peeling broke column strictness: columns must strictly increase"
+            )
+        if not all(all(map(operator.le, row, row[1:])) for row in grid):
+            cur = Tableau(t.shape, tuple(map(tuple, grid)))
+            raise NotSemistandardError(f"peeling left the semistandard set at {cur}")
+        word.append((i, hits))

@@ -177,14 +177,19 @@ def _kind(s: Slice) -> _SliceKind:
         raise ShapeMismatchError(f"unknown slice kind {s.kind!r}") from None
 
 
+def _step(i: int, space: Boundary, s: Slice) -> Boundary:
+    """The boundary above slice i, which must compose with `space` below it."""
+    try:
+        return _kind(s).step(space, s)
+    except ShapeMismatchError as exc:
+        raise IllFormedWebError(i, str(exc)) from exc
+
+
 def validate(web: Web) -> Boundary:
     """Check every slice composes; returns the codomain boundary."""
     space = web.domain
     for i, s in enumerate(web.slices):
-        try:
-            space = _kind(s).step(space, s)
-        except ShapeMismatchError as exc:
-            raise IllFormedWebError(i, str(exc)) from exc
+        space = _step(i, space, s)
     return space
 
 
@@ -301,10 +306,11 @@ class StateGraph:
     events: list[tuple] = field(default_factory=list)
     domain_edges: list[int] = field(default_factory=list)
     codomain_edges: list[int] = field(default_factory=list)
+    codomain: Boundary | None = None
 
 
 def compile_graph(web: Web) -> StateGraph:
-    validate(web)
+    """The state graph of a web, validated slice by slice in the same walk."""
     g = StateGraph()
 
     def new_edge(color: int) -> int:
@@ -315,7 +321,8 @@ def compile_graph(web: Web) -> StateGraph:
     space = web.domain
     current = [new_edge(f.color) for f in space.factors]
     g.domain_edges = current[:]
-    for s in web.slices:
+    for n, s in enumerate(web.slices):
+        above = _step(n, space, s)
         if s.kind == "merge":
             out = new_edge(s.a + s.b)
             g.events.append(("merge", current[s.pos], current[s.pos - 1], out))
@@ -336,8 +343,9 @@ def compile_graph(web: Web) -> StateGraph:
         elif s.kind == "cap":
             g.events.append(("cap", current[s.pos], current[s.pos - 1]))
             del current[s.pos - 1 : s.pos + 1]
-        space = _kind(s).step(space, s)
+        space = above
     g.codomain_edges = current[:]
+    g.codomain = space
     return g
 
 
@@ -447,8 +455,7 @@ def evaluate_statesum(web: Web, x: TensorVector) -> TensorVector:
         raise ShapeMismatchError("vector does not live in the web's domain")
     g = compile_graph(web)
     N = web.domain.N
-    cod = validate(web)
-    out = TensorVector(cod)
+    out = TensorVector(g.codomain)
     for idx, coeff in x.coords.items():
         start = dict(zip(g.domain_edges, idx))
         for assign in _state_dfs(g, N, start):

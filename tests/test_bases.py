@@ -1,6 +1,7 @@
 import pytest
 
 from qwebs.bases import (
+    InvariantViolationError,
     check_negative_exponent,
     dual_block,
     dual_canonical,
@@ -10,7 +11,7 @@ from qwebs.bases import (
     lt_web,
     pairing,
 )
-from qwebs.howe import TableauVector
+from qwebs.howe import TableauVector, act_word, highest_vector
 from qwebs.ring import LaurentPoly, bar
 from qwebs.tableaux import (
     NotSemistandardError,
@@ -18,6 +19,7 @@ from qwebs.tableaux import (
     Tableau,
     enumerate_tableaux,
     highest_tableau,
+    peel_word,
     tableau_type,
 )
 from qwebs.tensor import Boundary, Factor, TensorVector, apply_merge, apply_split, apply_tag, ell, tensor_product
@@ -66,6 +68,55 @@ def test_lt_vector_three_strands():
 def test_lt_vector_rejects_non_semistandard():
     with pytest.raises(NotSemistandardError):
         lt_vector(Tableau(Shape(2, 1), ((2, 1),)))
+
+
+def block_types(N, l, every=1):
+    """Every `every`-th semistandard type of the shape, in sorted order."""
+    shape = Shape(N, l)
+    return sorted({tableau_type(t) for t in enumerate_tableaux(shape, semistandard_only=True)})[::every]
+
+
+@pytest.mark.parametrize("N,l,every", [(2, 4, 1), (3, 2, 1), (3, 3, 150), (4, 2, 150)])
+def test_lt_block_tree_walk_matches_whole_word_replay(N, l, every):
+    top = highest_vector(Shape(N, l))
+    for k in block_types(N, l, every):
+        block = lt_block.__wrapped__(N, l, k)  # a fresh walk, not a cached block
+        for t, elem in block.items():
+            word = peel_word(t)
+            assert elem.tableau is t and elem.word == tuple(word)
+            assert elem.expansion == act_word(-1, reversed(word), top), (k, str(t))
+
+
+@pytest.mark.parametrize("N,l", [(2, 4), (3, 2)])
+def test_each_tableau_is_one_object_per_block(N, l):
+    for k in block_types(N, l):
+        seen = {}
+        for t, elem in lt_block.__wrapped__(N, l, k).items():
+            for tau in (t, *elem.expansion.coords):
+                assert seen.setdefault(tau, tau) is tau, (k, str(tau))
+
+
+@pytest.mark.parametrize(
+    "inject, message",
+    [
+        (lambda out: out.update({max(out): {0: -1}}), "negative coefficient -1 at 21"),
+        (lambda out: out.update({((1,), (1,)): {0: 1}}), "non-triangular term 11 in the vector of 12"),
+        (lambda out: out.pop(min(out)), "leading coefficient at 12 is 0"),
+    ],
+)
+def test_walker_checks_every_vector_it_builds(monkeypatch, inject, message):
+    import qwebs.howe
+
+    real = qwebs.howe._act
+
+    def corrupted(sign, i, terms):
+        out = real(sign, i, terms)
+        inject(out)
+        return out
+
+    monkeypatch.setattr(qwebs.howe, "_act", corrupted)
+    with pytest.raises(InvariantViolationError, match=message):
+        lt_vector(Tableau(Shape(2, 1), ((1, 2),)))
 
 
 def test_check_negative_exponent():

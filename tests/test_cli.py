@@ -1,5 +1,7 @@
 import argparse
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -115,6 +117,31 @@ def test_exit_code_on_invalid_input(capsys):
     assert code == 2
     code, _ = run(capsys, "tableaux", "--N", "2", "--l", "1", "--type", "1,2")
     assert code == 2
+    code, _ = run(capsys, "tableaux", "--N", "2", "--l", "1", "--type=-1,3")
+    assert code == 2
+
+
+def test_oversized_tableaux_request_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "tableaux", "--N", "8", "--l", "3", "--semistandard")
+    assert code == 2 and out == ""
+    assert time.perf_counter() - start < 1.0
+
+
+# sha256 of the full-shape JSON, recorded before the LT blocks became a peel-tree walk
+GOLDEN_DIGESTS = {
+    ("lt-basis", "3", "2"): "2d3f386d44d9cdcf8b6a60417e45b6d692dde2fdb55551a7b2978ef9d733e3c9",
+    ("lt-basis", "2", "4"): "a2ecd914d3c4f2e09cc7e71283ddc9d98c19fad89e32e2461f268b92cc7485d5",
+    ("dual-canonical", "3", "2"): "ad8054875bcf3613846ec04155fdcbdadfff37c4db9ae4d44d697f28d64ca6ed",
+    ("dual-canonical", "2", "4"): "d42865f2dfb68e70d8f2d5a957028b62b6f42ebbca8a758bc3c8d29088264cb0",
+}
+
+
+@pytest.mark.parametrize("command,N,l", list(GOLDEN_DIGESTS))
+def test_full_shape_bases_match_golden_digests(capsys, command, N, l):
+    code, out = run(capsys, command, "--N", N, "--l", l)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command, N, l]
 
 
 def test_verify_subset(capsys):

@@ -3,9 +3,11 @@ import itertools
 import pytest
 
 from qwebs.tableaux import (
+    MAX_TABLEAUX,
     NotSemistandardError,
     Shape,
     Tableau,
+    _count_bound,
     compare,
     enumerate_tableaux,
     highest_tableau,
@@ -201,6 +203,86 @@ def test_peel_intermediates_increase():
             assert compare(nxt, cur) == 1
             cur = nxt
         assert cur == highest_tableau(shape)
+
+
+# -- the grid peel_word against the tableau-by-tableau peeling ----------
+
+
+def reference_peel_word(t):
+    """Independent oracle: build and validate a Tableau at every peeling step."""
+    if not t.is_semistandard():
+        raise NotSemistandardError(f"not semistandard: {t}")
+    shape = t.shape
+    top = highest_tableau(shape)
+    word = []
+    cur = t
+    while cur != top:
+        for i in range(1, shape.m):
+            hits = [
+                (ri, ci)
+                for ri in range(min(i, shape.l))
+                for ci in range(shape.N)
+                if cur.rows[ri][ci] == i + 1
+            ]
+            if hits:
+                grid = [list(r) for r in cur.rows]
+                for ri, ci in hits:
+                    grid[ri][ci] = i
+                try:
+                    cur = Tableau(shape, tuple(tuple(r) for r in grid))
+                except ValueError as exc:
+                    raise NotSemistandardError(f"peeling broke column strictness: {exc}")
+                if not cur.is_semistandard():
+                    raise NotSemistandardError(f"peeling left the semistandard set at {cur}")
+                word.append((i, len(hits)))
+                break
+        else:
+            raise NotSemistandardError(f"peeling stuck at {cur}")
+    return word
+
+
+@pytest.mark.parametrize("N,l", [(2, 4), (3, 2), (4, 2)])
+def test_grid_peel_word_matches_tableau_oracle(N, l):
+    for t in enumerate_tableaux(Shape(N, l), semistandard_only=True):
+        assert peel_word(t) == reference_peel_word(t), str(t)
+
+
+def test_grid_peel_word_refuses_what_the_oracle_refuses():
+    for t in enumerate_tableaux(Shape(2, 3)):
+        if not t.is_semistandard():
+            with pytest.raises(NotSemistandardError) as ours:
+                peel_word(t)
+            with pytest.raises(NotSemistandardError) as theirs:
+                reference_peel_word(t)
+            assert str(ours.value) == str(theirs.value)
+
+
+# -- the size guard -------------------------------------------------------
+
+
+@pytest.mark.parametrize("N,l", [(2, 2), (2, 3), (3, 2), (4, 1)])
+def test_count_bound_covers_every_enumeration(N, l):
+    shape = Shape(N, l)
+    everything = enumerate_tableaux(shape)
+    assert len(everything) == _count_bound(shape, None)  # every column is an l-subset
+    for k in {tableau_type(t) for t in everything}:
+        assert len(enumerate_tableaux(shape, k)) <= _count_bound(shape, k)
+    distinct = (1,) * shape.m  # with no repeated entry the bound is the count
+    assert len(enumerate_tableaux(shape, distinct)) == _count_bound(shape, distinct)
+
+
+def test_oversized_enumerations_are_refused_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a tableau was built")
+
+    monkeypatch.setattr(Tableau, "__post_init__", no_work)
+    assert _count_bound(Shape(8, 3), None) > MAX_TABLEAUX
+    with pytest.raises(ValueError, match="limit"):
+        enumerate_tableaux(Shape(8, 3), semistandard_only=True)
+    with pytest.raises(ValueError, match="of this type"):
+        enumerate_tableaux(Shape(4, 4), (1,) * 16)
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_tableaux(Shape(2, 1), (-1, 3))
 
 
 def test_json_roundtrip():

@@ -67,3 +67,9 @@ def test_web_gram_mismatch_names_the_corrupted_entry():
         "web and tensor Gram entries disagree at (235/466, 234/566): "
         "v^9 + 3v^7 + 4v^5 + 3v^3 + v vs v^9 + 3v^7 + 4v^5 + 3v^3 + v + 1"
     )
+
+
+def test_evaluator_sweep_case_count_is_unchanged():
+    # 415 cases, as counted when the state-sum route still validated every web twice
+    rep = verify.check_evaluators(20, 3, 3, 6)
+    assert rep.cases == 415 and not rep.failures

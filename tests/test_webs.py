@@ -113,6 +113,26 @@ def test_statesum_equals_dense_on_tag_and_cup_webs():
             assert evaluate_statesum(w, x) == evaluate_dense(w, x)
 
 
+def test_statesum_steps_each_slice_once_and_skips_validate(monkeypatch):
+    import qwebs.webs
+
+    steps, validated = [], []
+    real_step = qwebs.webs._step
+    monkeypatch.setattr(qwebs.webs, "_step", lambda i, sp, s: steps.append(i) or real_step(i, sp, s))
+    monkeypatch.setattr(qwebs.webs, "validate", lambda web: validated.append(web))
+    dom = Boundary(3, (Factor(2),))
+    w = Web(dom, (cup(2, 2), tag(2, 3), tag(1, 2), merge(1, 2, 1), split(1, 2, 1), cap(1, 2)))
+    for idx in basis_indices(dom):
+        x = TensorVector.basis_vector(dom, idx)
+        steps.clear()
+        assert evaluate_statesum(w, x).space == dom
+        assert steps == list(range(len(w.slices)))
+    assert validated == []
+    with pytest.raises(IllFormedWebError) as exc:
+        evaluate_statesum(Web(dom, (split(1, 1, 1), merge(2, 1, 1))), x)
+    assert exc.value.slice_index == 1
+
+
 def test_associativity_both_evaluators():
     dom = Boundary(3, (Factor(3),))
     lhs = Web(dom, (split(2, 1, 1), split(1, 1, 2)))
