@@ -21,10 +21,11 @@ and so validates, the `Tableau` and `LaurentPoly` objects of its result.  Its
 divided-power step, `_act_divided`, is also the step of the peel-tree walk in
 `bases`.
 
-The same vectors can be read in tensor coordinates through the column
-indicator bijection (tableau_to_nu); `to_tensor` / `from_tensor` implement
-the dictionary and the ladder evaluator in `webs` provides the independent
-second route used by the tests.
+Tableaux and tensor basis indices correspond through one bijection,
+`tableau_to_index` / `index_to_tableau`: slot i of the index of a tableau
+holds the columns that contain the entry i.  `to_tensor` reads a vector in
+tensor coordinates through it, and the ladder evaluator in `webs` provides
+the independent second route that `verify` checks the action against.
 
 The degree-2 Serre relation holds here with middle coefficient +(v + v^-1):
 all the action matrices have nonnegative entries, which forces the positive
@@ -34,8 +35,8 @@ sign (checked in the tests).
 from __future__ import annotations
 
 from .ring import LaurentPoly, ONE, exact_divide, exact_int, qfactorial
-from .tableaux import Shape, Tableau, highest_tableau, tableau_from_nu, tableau_to_nu, tableau_type
-from .tensor import SparseVector, TensorVector, weight_boundary
+from .tableaux import Shape, Tableau, highest_tableau, tableau_type
+from .tensor import Index, SparseVector, TensorVector, weight_boundary
 
 
 class TableauVector(SparseVector):
@@ -157,52 +158,29 @@ def act_divided(sign: int, i: int, r: int, x: TableauVector) -> TableauVector:
     return act_word(sign, [(i, r)], x)
 
 
-def weight_of(t: Tableau) -> tuple[int, ...]:
-    """Consecutive differences of the entry multiplicities (length m-1)."""
-    k = tableau_type(t)
-    return tuple(k[j] - k[j + 1] for j in range(len(k) - 1))
-
-
 def weight_of_type(k: tuple[int, ...]) -> tuple[int, ...]:
+    """Consecutive differences of the entry multiplicities k (length m-1)."""
     return tuple(k[j] - k[j + 1] for j in range(len(k) - 1))
-
-
-def phi(lam: tuple[int, ...], d: int, N: int) -> tuple[int, ...] | None:
-    """Lift a difference-weight to the unique bounded m-vector with sum d.
-
-    Solves k_i - k_{i+1} = lam_i with all k_i in 0..N and sum(k) = d;
-    returns None when no lift exists.
-    """
-    m = len(lam) + 1
-    # k_i = k_1 - prefix_i where prefix_i = lam_1 + ... + lam_{i-1}
-    prefix = [0]
-    for x in lam:
-        prefix.append(prefix[-1] + x)
-    total = d + sum(prefix)
-    if total % m:
-        return None
-    k1 = total // m
-    k = tuple(k1 - p for p in prefix)
-    if any(not 0 <= c <= N for c in k):
-        return None
-    return k
 
 
 # -- dictionary with tensor coordinates --------------------------------
 
 
-def tableau_to_index(t: Tableau):
-    """The basis index of the tensor vector attached to a tableau."""
-    return tuple(
-        frozenset(j + 1 for j, flag in enumerate(row) if flag) for row in tableau_to_nu(t)
-    )
+def tableau_to_index(t: Tableau) -> Index:
+    """The tensor basis index of a tableau: slot i holds the columns containing i."""
+    idx: list[list[int]] = [[] for _ in range(t.shape.m)]
+    for j, col in enumerate(t.columns(), start=1):
+        for i in col:
+            idx[i - 1].append(j)
+    return tuple(map(frozenset, idx))
 
 
-def index_to_tableau(shape: Shape, idx) -> Tableau:
-    nu = tuple(
-        tuple(1 if j in s else 0 for j in range(1, shape.N + 1)) for s in idx
-    )
-    return tableau_from_nu(shape, nu)
+def index_to_tableau(shape: Shape, idx: Index) -> Tableau:
+    """Inverse of tableau_to_index; each column must receive exactly l entries."""
+    cols = [[i for i, s in enumerate(idx, start=1) if j in s] for j in range(1, shape.N + 1)]
+    if any(len(c) != shape.l for c in cols):
+        raise ValueError("indicator vectors do not fill the shape")
+    return Tableau.from_columns(shape, cols)
 
 
 def to_tensor(x: TableauVector) -> TensorVector:
@@ -214,14 +192,6 @@ def to_tensor(x: TableauVector) -> TensorVector:
     out = TensorVector(space)
     for t, c in x.coords.items():
         out.add_term(tableau_to_index(t), c)
-    return out
-
-
-def from_tensor(shape: Shape, x: TensorVector) -> TableauVector:
-    """Inverse dictionary; every index must have full column content."""
-    out = TableauVector(shape)
-    for idx, c in x.coords.items():
-        out.add_term(index_to_tableau(shape, idx), c)
     return out
 
 

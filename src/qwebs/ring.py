@@ -73,12 +73,6 @@ class LaurentPoly:
         """(exponent, coefficient) pairs in ascending exponent order."""
         return iter(sorted(self._c.items()))
 
-    def degree(self) -> int:
-        """Top exponent; raises ValueError on the zero polynomial."""
-        if not self._c:
-            raise ValueError("zero polynomial has no degree")
-        return max(self._c)
-
     def valuation(self) -> int:
         """Bottom exponent; raises ValueError on the zero polynomial."""
         if not self._c:
@@ -91,10 +85,6 @@ class LaurentPoly:
 
     def nonnegative_coeffs(self) -> bool:
         return all(a > 0 for a in self._c.values())
-
-    def eval_at_one(self) -> int:
-        """Sum of coefficients (the value at v = 1)."""
-        return sum(self._c.values())
 
     # -- arithmetic ---------------------------------------------------
 
@@ -188,8 +178,14 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "LaurentPoly":
-        """Inverse of to_json; exponents and coefficients must be integers."""
-        return cls((exact_int(e, "exponent"), exact_int(a, "coefficient")) for e, a in data)
+        """Inverse of to_json: integer exponents and coefficients, each exponent at most once."""
+        coeffs: dict[int, int] = {}
+        for e, a in data:
+            e = exact_int(e, "exponent")
+            if e in coeffs:
+                raise ValueError(f"exponent {e} appears twice")
+            coeffs[e] = exact_int(a, "coefficient")
+        return cls(coeffs)
 
 
 def exact_int(value, what: str) -> int:

@@ -2,13 +2,13 @@
 
 Tableaux are fillings of an l-row, N-column grid with entries in 1..m,
 m = N*l, strictly increasing down each column.  Semistandard tableaux are
-additionally weakly increasing along rows.  They index both the standard
-tensor bases (through the nu/mu correspondences below) and the basis webs.
+additionally weakly increasing along rows.  They index the basis webs and,
+through `howe.tableau_to_index`, the standard tensor bases.
 
 The total order used everywhere: a column c beats a column d when, at the
-first position where they differ, c has the *smaller* entry; tableaux compare
-lexicographically on columns left to right.  Maximal is the tableau whose
-row r is constantly r.
+first position where they differ, c has the *smaller* entry; tableaux are
+ordered lexicographically on columns left to right.  Maximal is the tableau
+whose row r is constantly r.
 
 The peeling procedure walks a semistandard tableau down to the maximal one
 and records the word of lowering moves; that word drives the construction of
@@ -71,10 +71,6 @@ class Tableau:
         """The tableau with these columns, left to right, each read top to bottom."""
         return cls(shape, tuple(zip(*columns)))
 
-    def column(self, j: int) -> tuple[int, ...]:
-        """Column j (1-based), read top to bottom."""
-        return tuple(r[j - 1] for r in self.rows)
-
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.rows))
 
@@ -99,16 +95,6 @@ class Tableau:
         return "/".join("".join(f"{x}" if x < 10 else f"({x})" for x in r) for r in self.rows)
 
 
-def compare(t1: Tableau, t2: Tableau) -> int:
-    """-1, 0 or 1 as t1 is smaller, equal or greater in the total order."""
-    if t1.shape != t2.shape:
-        raise ValueError("tableaux of different shape are incomparable")
-    k1, k2 = t1.sort_key(), t2.sort_key()
-    if k1 == k2:
-        return 0
-    return 1 if k1 < k2 else -1
-
-
 def highest_tableau(shape: Shape) -> Tableau:
     """The maximal tableau: row r constantly filled with r."""
     return Tableau(shape, tuple(tuple(r + 1 for _ in range(shape.N)) for r in range(shape.l)))
@@ -122,43 +108,6 @@ def tableau_type(t: Tableau) -> tuple[int, ...]:
         for x in row:
             k[x - 1] += 1
     return tuple(k)
-
-
-def tableau_to_nu(t: Tableau) -> tuple[tuple[int, ...], ...]:
-    """m indicator vectors over columns: nu^i_j = 1 iff column j contains i."""
-    cols = [set(c) for c in t.columns()]
-    return tuple(
-        tuple(1 if i in cols[j] else 0 for j in range(t.shape.N))
-        for i in range(1, t.shape.m + 1)
-    )
-
-
-def tableau_to_mu(t: Tableau) -> tuple[tuple[int, ...], ...]:
-    """N indicator vectors over entries: mu^i_j = 1 iff j lies in column i."""
-    return tuple(
-        tuple(1 if j in set(t.column(i)) else 0 for j in range(1, t.shape.m + 1))
-        for i in range(1, t.shape.N + 1)
-    )
-
-
-def tableau_from_nu(shape: Shape, nu: tuple[tuple[int, ...], ...]) -> Tableau:
-    """Inverse of tableau_to_nu."""
-    cols = [[] for _ in range(shape.N)]
-    for i, row in enumerate(nu, start=1):
-        for j, flag in enumerate(row):
-            if flag:
-                cols[j].append(i)
-    if any(len(c) != shape.l for c in cols):
-        raise ValueError("indicator vectors do not fill the shape")
-    return Tableau(shape, tuple(tuple(col[i] for col in cols) for i in range(shape.l)))
-
-
-def tableau_from_mu(shape: Shape, mu: tuple[tuple[int, ...], ...]) -> Tableau:
-    """Inverse of tableau_to_mu."""
-    cols = [sorted(j for j, flag in enumerate(row, start=1) if flag) for row in mu]
-    if any(len(c) != shape.l for c in cols):
-        raise ValueError("column sets must have size l")
-    return Tableau(shape, tuple(tuple(col[i] for col in cols) for i in range(shape.l)))
 
 
 # Requests that could exceed this many tableaux are refused before any work.

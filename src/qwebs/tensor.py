@@ -49,7 +49,10 @@ class Factor:
 
     @classmethod
     def from_json(cls, data: dict) -> "Factor":
-        return cls(exact_int(data["color"], "factor color"), bool(data.get("dual", False)))
+        dual = data.get("dual", False)
+        if type(dual) is not bool:
+            raise ValueError(f"factor dual must be a boolean, got {dual!r}")
+        return cls(exact_int(data["color"], "factor color"), dual)
 
 
 @dataclass(frozen=True)
@@ -217,18 +220,6 @@ class TensorVector(SparseVector):
         return out
 
 
-def tensor_product(x: TensorVector, y: TensorVector) -> TensorVector:
-    """Concatenate boundaries, x to the left of y (y keeps the low slots)."""
-    if x.space.N != y.space.N:
-        raise ShapeMismatchError("tensor factors over different N")
-    space = Boundary(x.space.N, y.space.factors + x.space.factors)
-    out = TensorVector(space)
-    for ix, cx in x.coords.items():
-        for iy, cy in y.coords.items():
-            out.add_term(iy + ix, cx * cy)
-    return out
-
-
 def _expect(space: Boundary, pos: int, color: int, dual: bool) -> None:
     f = space.factor(pos)
     if f.color != color or f.dual != dual:
@@ -290,7 +281,7 @@ def apply_tag(x: TensorVector, pos: int, side: str = "left") -> TensorVector:
     On a plain color-a factor the left flavor sends x_S to
     v^len(S^c, S) xhat_{S^c}; on a dual color-c factor it applies the inverse
     of the corresponding map.  The right flavor multiplies by (-1)^(a(N-a)).
-    Two tags of equal side at the same slot compose to the identity.
+    Two tags of equal side at the same slot, one above the other, give the identity.
     """
     if side not in ("left", "right"):
         raise ValueError(f"unknown tag side {side!r}")

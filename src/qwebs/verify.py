@@ -195,7 +195,7 @@ def _check_squares(rep: Report, N: int, s_plus_t: int = 3, st_max: int = 2) -> N
             k0 = (b, a)  # strand a on the left (upright 2), b on the right
             for s in range(0, s_plus_t + 1):
                 for t in range(0, s_plus_t + 1 - s):
-                    # same-direction rungs compose to a quantum binomial
+                    # two same-direction rungs stack to a quantum binomial multiple
                     for sign in (+1, -1):
                         two = ladder_matrix(N, k0, [(sign, 1, s), (sign, 1, t)])
                         one = ladder_matrix(N, k0, [(sign, 1, s + t)])
@@ -326,9 +326,11 @@ def check_dual_blocks(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Report:
             for s in labels:
                 for t in labels:
                     value = pairing(duals[s].expansion, duals[t].expansion)
+                    # diagonal entries in 1 + vN[v], off-diagonal ones in vN[v]
                     target = value - LaurentPoly.one() if s == t else value
                     rep.check(
-                        target.is_zero() or target.valuation() >= 1,
+                        target.is_zero()
+                        or (target.valuation() >= 1 and target.nonnegative_coeffs()),
                         "almost orthogonality fails at N={}, l={}, k={}, ({},{}): {}",
                         N, l, k, s, t, value,
                     )

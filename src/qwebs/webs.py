@@ -47,7 +47,7 @@ from .tensor import (
 
 
 class IllFormedWebError(ValueError):
-    """A slice does not compose; carries the offending slice index."""
+    """A slice does not fit the boundary below it; carries the offending slice index."""
 
     def __init__(self, slice_index: int, message: str):
         super().__init__(f"slice {slice_index}: {message}")
@@ -178,7 +178,7 @@ def _kind(s: Slice) -> _SliceKind:
 
 
 def _step(i: int, space: Boundary, s: Slice) -> Boundary:
-    """The boundary above slice i, which must compose with `space` below it."""
+    """The boundary above slice i, which must fit `space` below it."""
     try:
         return _kind(s).step(space, s)
     except ShapeMismatchError as exc:
@@ -193,13 +193,6 @@ def validate(web: Web) -> Boundary:
     return space
 
 
-def compose(first: Web, then: Web) -> Web:
-    """Stack `then` on top of `first`."""
-    if validate(first) != then.domain:
-        raise ShapeMismatchError("codomain of the first web does not match")
-    return Web(first.domain, first.slices + then.slices)
-
-
 def reflect(web: Web) -> Web:
     """Reflection across the horizontal axis: slices reversed and mirrored."""
     return _reflected(web, validate(web))
@@ -210,20 +203,7 @@ def _reflected(web: Web, cod: Boundary) -> Web:
     return Web(cod, tuple(s.mirror() for s in reversed(web.slices)))
 
 
-def identity_web(space: Boundary) -> Web:
-    return Web(space)
-
-
 # -- ladders ----------------------------------------------------------
-
-
-def highest_weight_vector(N: int, l: int) -> TensorVector:
-    """The canonical basis vector of the boundary (N,...,N,0,...,0)."""
-    m = N * l
-    k = (N,) * l + (0,) * (m - l)
-    full = frozenset(range(1, N + 1))
-    idx = tuple(full if c == N else frozenset() for c in k)
-    return TensorVector.basis_vector(weight_boundary(N, k), idx)
 
 
 def rung(N: int, left: int, right: int, sign: int, a: int) -> tuple[int, int]:
@@ -394,29 +374,6 @@ def _state_dfs(g: StateGraph, N: int, start: dict[int, frozenset]):
     yield from walk(0, dict(start))
 
 
-def enumerate_states(web: Web, domain_index, codomain_index) -> list[tuple[frozenset, ...]]:
-    """All states compatible with the fixed boundary indices.
-
-    A state labels every edge, by edge id, with a subset of {1..N} of the
-    edge's color.
-    """
-    g = compile_graph(web)
-    N = web.domain.N
-    start = {}
-    for e, S in zip(g.domain_edges, domain_index):
-        if e in start and start[e] != S:
-            return []
-        start[e] = frozenset(S)
-    out = []
-    for assign in _state_dfs(g, N, start):
-        if tuple(assign[e] for e in g.codomain_edges) == tuple(
-            frozenset(s) for s in codomain_index
-        ):
-            full = tuple(assign.get(e, frozenset()) for e in range(g.n_edges))
-            out.append(full)
-    return out
-
-
 def _assignment_weight(g: StateGraph, N: int, subset_of) -> LaurentPoly:
     exp = 0
     sign = 1
@@ -441,12 +398,6 @@ def _assignment_weight(g: StateGraph, N: int, subset_of) -> LaurentPoly:
             if side == "right" and (a * (N - a)) % 2:
                 sign = -sign
     return LaurentPoly.monomial(exp, sign)
-
-
-def state_weight(web: Web, state: tuple[frozenset, ...]) -> LaurentPoly:
-    """The signed monomial a single state contributes."""
-    g = compile_graph(web)
-    return _assignment_weight(g, web.domain.N, state.__getitem__)
 
 
 def evaluate_statesum(web: Web, x: TensorVector) -> TensorVector:

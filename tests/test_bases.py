@@ -11,7 +11,7 @@ from qwebs.bases import (
     lt_web,
     pairing,
 )
-from qwebs.howe import TableauVector, act_word, highest_vector
+from qwebs.howe import TableauVector, act_word, highest_vector, to_tensor
 from qwebs.ring import LaurentPoly, bar
 from qwebs.tableaux import (
     NotSemistandardError,
@@ -22,8 +22,10 @@ from qwebs.tableaux import (
     peel_word,
     tableau_type,
 )
-from qwebs.tensor import Boundary, Factor, TensorVector, apply_merge, apply_split, apply_tag, ell, tensor_product
-from qwebs.webs import d_norm, validate
+from qwebs.tensor import Boundary, Factor, TensorVector, apply_merge, apply_split, apply_tag, ell
+from qwebs.webs import d_norm, evaluate_dense, validate
+
+from helpers import tensor_product
 
 fs = frozenset
 one = LaurentPoly.one()
@@ -247,14 +249,11 @@ def test_gram_dual_vs_transition():
 
 def test_lt_web_matches_expansion():
     # the ladder web of a basis vector has the vector as its image
-    from qwebs.howe import to_tensor
-    from qwebs.webs import evaluate_dense, highest_weight_vector
-
     for N, l, rows in ((2, 1, ((1, 2),)), (3, 1, ((1, 2, 3),)), (2, 2, ((1, 2), (3, 4)))):
         t = Tableau(Shape(N, l), rows)
         web = lt_web(t)
         validate(web)
-        image = evaluate_dense(web, highest_weight_vector(N, l))
+        image = evaluate_dense(web, to_tensor(highest_vector(Shape(N, l))))
         assert image == to_tensor(lt_vector(t).expansion)
 
 

@@ -229,6 +229,13 @@ def test_non_integer_json_fields_exit_2(capsys, tmp_path):
     for bad in bad_vecs:
         assert run(capsys, "eval", "--web", _write(tmp_path, "w.json", web),
                    "--vector", _write(tmp_path, "v.json", bad))[0] == 2
+    # a dual flag must be a JSON boolean, not a value read for its truthiness
+    on_dual = {"N": 2, "domain": [{"color": 2, "dual": True}], "slices": []}
+    for flag, code in ((True, 0), ("no", 2), (1, 2)):
+        dual_vec = {"N": 2, "space": [{"color": 2, "dual": flag}],
+                    "terms": [{"subsets": [[2, 1]], "coeff": [[0, 1]]}]}
+        assert run(capsys, "eval", "--web", _write(tmp_path, "w.json", on_dual),
+                   "--vector", _write(tmp_path, "v.json", dual_vec))[0] == code
     bad_webs = (
         {**web, "N": 2.0},
         {**web, "slices": [{**web["slices"][0], "pos": 1.0}] + web["slices"][1:]},

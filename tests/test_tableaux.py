@@ -2,22 +2,20 @@ import itertools
 
 import pytest
 
+from qwebs.howe import index_to_tableau, tableau_to_index
 from qwebs.tableaux import (
     MAX_TABLEAUX,
     NotSemistandardError,
     Shape,
     Tableau,
     _count_bound,
-    compare,
     enumerate_tableaux,
     highest_tableau,
     peel_word,
-    tableau_from_mu,
-    tableau_from_nu,
-    tableau_to_mu,
-    tableau_to_nu,
     tableau_type,
 )
+
+fs = frozenset
 
 
 def brute_force(shape, ktype=None, semistandard=False):
@@ -88,19 +86,18 @@ def test_enumeration_strictly_descending():
     for N, l in ((2, 2), (3, 1)):
         ts = enumerate_tableaux(Shape(N, l))
         for a, b in zip(ts, ts[1:]):
-            assert compare(a, b) == 1
+            assert a.sort_key() < b.sort_key()
 
 
 def test_compare():
+    # a greater tableau has the smaller sort key
     s21 = Shape(2, 1)
     t1 = Tableau(s21, ((1, 2),))
     t2 = Tableau(s21, ((2, 1),))
-    assert compare(t1, t1) == 0
-    assert compare(t1, t2) == 1
-    assert compare(t2, t1) == -1
+    assert t1.sort_key() < t2.sort_key()
     top = highest_tableau(Shape(2, 2))
     for t in enumerate_tableaux(Shape(2, 2)):
-        assert compare(top, t) >= 0
+        assert top.sort_key() <= t.sort_key()
 
 
 def test_highest_tableau():
@@ -116,30 +113,28 @@ def test_type_examples():
     assert tableau_type(big) == (2, 2, 1, 2, 1, 3, 1, 0, 0, 0, 0, 0)
 
 
+# The nu and mu correspondences in set form: nu^i, the set of columns that
+# contain i, is slot i of the tensor index (`howe.tableau_to_index`); mu^j,
+# the set of entries of column j, is column j of `Tableau.columns`.
+
+
 def test_nu_mu_on_reference_tableau():
     big = Tableau(Shape(3, 4), ((1, 1, 2), (2, 3, 4), (4, 5, 6), (6, 6, 7)))
-    nu = tableau_to_nu(big)
-    assert nu[:7] == (
-        (1, 1, 0), (1, 0, 1), (0, 1, 0), (1, 0, 1), (0, 1, 0), (1, 1, 1), (0, 0, 1),
-    )
-    assert all(row == (0, 0, 0) for row in nu[7:])
-    mu = tableau_to_mu(big)
-    assert mu == (
-        (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0),
-        (1, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0),
-        (0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0),
-    )
+    nu = tableau_to_index(big)
+    assert nu[:7] == (fs({1, 2}), fs({1, 3}), fs({2}), fs({1, 3}), fs({2}), fs({1, 2, 3}), fs({3}))
+    assert all(not s for s in nu[7:])
+    assert big.columns() == ((1, 2, 4, 6), (1, 3, 5, 6), (2, 4, 6, 7))
 
 
 def test_nu_mu_of_highest_and_small():
     top = highest_tableau(Shape(2, 2))
-    nu = tableau_to_nu(top)
-    assert nu[0] == nu[1] == (1, 1) and nu[2] == nu[3] == (0, 0)
-    mu = tableau_to_mu(top)
-    assert mu == ((1, 1, 0, 0), (1, 1, 0, 0))
+    assert index_to_tableau(Shape(2, 2), (fs({1, 2}), fs({1, 2}), fs(), fs())) == top
+    assert top.columns() == ((1, 2), (1, 2))
     t = Tableau(Shape(2, 1), ((1, 2),))
-    assert tableau_to_nu(t) == ((1, 0), (0, 1))
-    assert tableau_to_mu(t) == ((1, 0), (0, 1))
+    assert index_to_tableau(Shape(2, 1), (fs({1}), fs({2}))) == t
+    assert t.columns() == ((1,), (2,))
+    with pytest.raises(ValueError, match="indicator vectors do not fill the shape"):
+        index_to_tableau(Shape(2, 1), (fs({1, 2}), fs({1})))
 
 
 @pytest.mark.parametrize("N,l", [(2, 2), (3, 1), (3, 2)])
@@ -147,14 +142,14 @@ def test_nu_mu_roundtrip(N, l):
     shape = Shape(N, l)
     seen_nu, seen_mu = set(), set()
     for t in enumerate_tableaux(shape):
-        nu, mu = tableau_to_nu(t), tableau_to_mu(t)
-        assert tableau_from_nu(shape, nu) == t
-        assert tableau_from_mu(shape, mu) == t
+        nu, mu = tableau_to_index(t), t.columns()
+        assert index_to_tableau(shape, nu) == t
+        assert Tableau.from_columns(shape, mu) == t
         seen_nu.add(nu)
         seen_mu.add(mu)
-        # column sums: each nu block fills the shape, each mu row has size l
-        assert tuple(sum(col) for col in zip(*nu)) == (l,) * N
-        assert all(sum(row) == l for row in mu)
+        # each column is named in l slots of nu, and holds l entries
+        assert all(sum(j in s for s in nu) == l for j in range(1, N + 1))
+        assert all(len(col) == l for col in mu)
     count = len(enumerate_tableaux(shape))
     assert len(seen_nu) == count and len(seen_mu) == count
 
@@ -200,7 +195,7 @@ def test_peel_intermediates_increase():
             assert changed == r
             nxt = Tableau(shape, tuple(tuple(row) for row in grid))
             assert nxt.is_semistandard()
-            assert compare(nxt, cur) == 1
+            assert nxt.sort_key() < cur.sort_key()
             cur = nxt
         assert cur == highest_tableau(shape)
 

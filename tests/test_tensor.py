@@ -14,8 +14,9 @@ from qwebs.tensor import (
     apply_tag,
     basis_indices,
     ell,
-    tensor_product,
 )
+
+from helpers import tensor_product
 
 fs = frozenset
 one = LaurentPoly.one()

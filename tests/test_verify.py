@@ -1,10 +1,10 @@
 """Failures in the verify sweeps are still found and reported with their text."""
 
 from qwebs import verify
-from qwebs.bases import GradedMatrix, gram_matrix
+from qwebs.bases import GradedMatrix, dual_block, gram_matrix
 from qwebs.howe import TableauVector
 from qwebs.ring import LaurentPoly
-from qwebs.tableaux import Shape, highest_tableau
+from qwebs.tableaux import Shape, Tableau, highest_tableau
 from qwebs.verify import Report, check_howe, web_gram_mismatch
 
 
@@ -55,6 +55,26 @@ def test_howe_reports_a_nonzero_action_on_an_annihilated_ladder(monkeypatch):
     rep = check_howe(pairs)
     assert rep.cases == clean.cases
     assert rep.failures == ["annihilated ladder but nonzero action at 11/22, sign=1, i=1, a=1"]
+
+
+def test_dual_sweep_reports_a_negative_gram_coefficient(monkeypatch):
+    # -v^2 + v has valuation 1, so only the sign test can see it
+    pairs = ((2, 2),)
+    clean = verify.check_dual_blocks(pairs)
+    assert clean.passed
+    shape = Shape(2, 2)
+    duals = dual_block(2, 2, (1, 1, 1, 1))
+    x = duals[Tableau(shape, ((1, 3), (2, 4)))].expansion
+    y = duals[Tableau(shape, ((1, 2), (3, 4)))].expansion
+    real = verify.pairing
+    monkeypatch.setattr(
+        verify, "pairing", lambda a, b: LaurentPoly({1: 1, 2: -1}) if (a, b) == (x, y) else real(a, b)
+    )
+    rep = verify.check_dual_blocks(pairs)
+    assert rep.cases == clean.cases
+    assert rep.failures == [
+        "almost orthogonality fails at N=2, l=2, k=(1, 1, 1, 1), (13/24,12/34): -v^2 + v"
+    ]
 
 
 def test_web_gram_mismatch_names_the_corrupted_entry():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwebs.ring import LaurentPoly, bar, qbinom
 from qwebs.tensor import Boundary, Factor, ShapeMismatchError, TensorVector, basis_indices
@@ -8,21 +10,16 @@ from qwebs.webs import (
     Slice,
     Web,
     cap,
-    compose,
     cup,
     d_norm,
-    enumerate_states,
     ev_closed,
     evaluate_dense,
     evaluate_statesum,
-    highest_weight_vector,
-    identity_web,
     ladder_from_word,
     merge,
     reflect,
     rung,
     split,
-    state_weight,
     tag,
     validate,
     web_form,
@@ -30,6 +27,8 @@ from qwebs.webs import (
     web_matrix,
     weight_boundary,
 )
+
+from helpers import compose
 
 fs = frozenset
 one = LaurentPoly.one()
@@ -41,7 +40,7 @@ def mono(e):
 
 def test_validate():
     dom = Boundary(2, (Factor(2),))
-    assert validate(identity_web(dom)) == dom
+    assert validate(Web(dom)) == dom
     w = Web(dom, (split(1, 1, 1),))
     assert validate(w) == Boundary(2, (Factor(1), Factor(1)))
     with pytest.raises(IllFormedWebError) as exc:
@@ -60,8 +59,8 @@ def test_ladder_construction():
 
 
 def test_evaluate_dense_examples():
-    hv = highest_weight_vector(2, 1)
-    assert evaluate_dense(identity_web(hv.space), hv) == hv
+    hv = TensorVector.basis_vector(weight_boundary(2, (2, 0)), (fs({1, 2}), fs()))
+    assert evaluate_dense(Web(hv.space), hv) == hv
     lad = ladder_from_word(2, (2, 0), [(-1, 1, 1)])
     img = evaluate_dense(lad, hv)
     assert img.coords == {
@@ -75,28 +74,23 @@ def test_evaluate_dense_examples():
 
 
 def test_enumerate_states():
-    idw = identity_web(Boundary(2, (Factor(1),)))
-    assert len(enumerate_states(idw, (fs({1}),), (fs({1}),))) == 1
-    assert enumerate_states(idw, (fs({1}),), (fs({2}),)) == []
+    # one state per boundary pair here, so each coefficient is one state's monomial
+    idw = Web(Boundary(2, (Factor(1),)))
+    x = TensorVector.basis_vector(idw.domain, (fs({1}),))
+    assert evaluate_statesum(idw, x).coords == {(fs({1}),): one}
     dom = Boundary(2, (Factor(2),))
     sp = Web(dom, (split(1, 1, 1),))
-    hits = [
-        enumerate_states(sp, (fs({1, 2}),), cod)
-        for cod in [(fs({1}), fs({2})), (fs({2}), fs({1}))]
-    ]
-    assert [len(h) for h in hits] == [1, 1]
+    x = TensorVector.basis_vector(dom, (fs({1, 2}),))
+    assert evaluate_statesum(sp, x).coords == {(fs({1}), fs({2})): one, (fs({2}), fs({1})): mono(-1)}
 
 
 def test_state_weight_matches_dense():
     dom = Boundary(3, (Factor(3),))
     sp = Web(dom, (split(1, 2, 1),))
-    states = enumerate_states(sp, (fs({1, 2, 3}),), (fs({2, 3}), fs({1})))
-    assert len(states) == 1
-    assert state_weight(sp, states[0]) == mono(-2)
-    # identity states weigh 1
-    idw = identity_web(Boundary(2, (Factor(1),)))
-    st = enumerate_states(idw, (fs({1}),), (fs({1}),))[0]
-    assert state_weight(idw, st) == one
+    x = TensorVector.basis_vector(dom, (fs({1, 2, 3}),))
+    # the one state that ends at ({2,3}, {1}) weighs v^-2
+    assert evaluate_statesum(sp, x).coeff((fs({2, 3}), fs({1}))) == mono(-2)
+    assert evaluate_statesum(sp, x) == evaluate_dense(sp, x)
 
 
 def test_statesum_equals_dense_on_tag_and_cup_webs():
@@ -111,6 +105,41 @@ def test_statesum_equals_dense_on_tag_and_cup_webs():
         for idx in basis_indices(dom):
             x = TensorVector.basis_vector(dom, idx)
             assert evaluate_statesum(w, x) == evaluate_dense(w, x)
+
+
+@st.composite
+def composable_webs(draw, max_factors=4, max_slices=5):
+    """A web whose every slice fits: plain and dual factors, both tag sides, cups and caps."""
+    N = draw(st.integers(2, 3))
+    factor = st.builds(Factor, st.integers(0, N), st.booleans())
+    domain = space = Boundary(N, tuple(draw(st.lists(factor, min_size=1, max_size=3))))
+    slices = []
+    for _ in range(draw(st.integers(1, max_slices))):
+        factors, n = space.factors, len(space.factors)
+        pairs = list(enumerate(zip(factors, factors[1:]), start=1))  # (pos, (slot pos, slot pos+1))
+        by_kind = [
+            [tag(N - f.color if f.dual else f.color, pos, side)
+             for pos, f in enumerate(factors, start=1) for side in ("left", "right")],
+            [merge(hi.color, lo.color, pos) for pos, (lo, hi) in pairs
+             if not lo.dual and not hi.dual and lo.color + hi.color <= N],
+            [cap(lo.color, pos) for pos, (lo, hi) in pairs
+             if lo.color == hi.color and lo.dual != hi.dual],
+            [split(a, f.color - a, pos) for pos, f in enumerate(factors, start=1)
+             if not f.dual and n < max_factors for a in range(f.color + 1)],
+            [cup(a, pos) for pos in range(1, n + 2) for a in range(N + 1) if n + 2 <= max_factors],
+        ]
+        s = draw(st.sampled_from(draw(st.sampled_from([opts for opts in by_kind if opts]))))
+        space = validate(Web(space, (s,)))
+        slices.append(s)
+    return Web(domain, tuple(slices))
+
+
+@settings(deadline=None)
+@given(composable_webs())
+def test_statesum_equals_dense_on_random_webs(web):
+    for idx in basis_indices(web.domain):
+        x = TensorVector.basis_vector(web.domain, idx, LaurentPoly({1: 2, -1: -1}))
+        assert evaluate_statesum(web, x) == evaluate_dense(web, x), idx
 
 
 def test_statesum_steps_each_slice_once_and_skips_validate(monkeypatch):
@@ -154,7 +183,7 @@ def test_identity_slice_is_noop():
 
 def test_reflect():
     lad = ladder_from_word(2, (2, 0), [(-1, 1, 1)])
-    assert reflect(identity_web(lad.domain)).slices == ()
+    assert reflect(Web(lad.domain)).slices == ()
     assert reflect(reflect(lad)).slices == lad.slices
     assert reflect(reflect(lad)).domain == lad.domain
     dom = Boundary(2, (Factor(2),))
@@ -165,7 +194,7 @@ def test_reflect():
 
 def test_ev_closed():
     m2 = weight_boundary(2, (2, 0))
-    assert ev_closed(identity_web(m2)).is_one()
+    assert ev_closed(Web(m2)).is_one()
     lad = ladder_from_word(2, (2, 0), [(-1, 1, 1)])
     assert ev_closed(compose(lad, reflect(lad))) == qbinom(2, 1)
     with pytest.raises(ShapeMismatchError):
@@ -197,7 +226,7 @@ def test_d_norm():
 
 
 def test_web_form_examples():
-    w_top = identity_web(weight_boundary(2, (2, 0)))
+    w_top = Web(weight_boundary(2, (2, 0)))
     assert web_form(w_top, w_top).is_one()
     lad = ladder_from_word(2, (2, 0), [(-1, 1, 1)])
     assert web_form(lad, lad) == LaurentPoly({2: 1, 0: 1})
@@ -207,15 +236,15 @@ def test_web_form_examples():
 
 def test_web_gram_checks_what_web_form_checks():
     assert web_gram([]) == []
-    w_top = identity_web(weight_boundary(2, (2, 0)))
+    w_top = Web(weight_boundary(2, (2, 0)))
     lad = ladder_from_word(2, (2, 0), [(-1, 1, 1)])
     assert web_gram([w_top]) == [[web_form(w_top, w_top)]]
     with pytest.raises(ShapeMismatchError, match="codomain"):
         web_gram([w_top, lad])
     with pytest.raises(ShapeMismatchError, match="domain"):
-        web_gram([w_top, identity_web(weight_boundary(2, (0, 2)))])
+        web_gram([w_top, Web(weight_boundary(2, (0, 2)))])
     with pytest.raises(ShapeMismatchError, match="closed evaluation"):
-        web_gram([identity_web(weight_boundary(2, (1, 1)))])
+        web_gram([Web(weight_boundary(2, (1, 1)))])
     with pytest.raises(IllFormedWebError):
         web_gram([Web(w_top.domain, (merge(1, 1, 1),))])
 
@@ -253,7 +282,7 @@ def test_web_form_symmetry_and_duality():
 
 def test_web_matrix_identity():
     dom = Boundary(2, (Factor(1), Factor(1)))
-    mat = web_matrix(identity_web(dom))
+    mat = web_matrix(Web(dom))
     for idx, vec in mat.items():
         assert vec == TensorVector.basis_vector(dom, idx)
 
