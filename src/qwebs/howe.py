@@ -64,11 +64,13 @@ class TableauVector(SparseVector):
     @classmethod
     def from_json(cls, data: dict) -> "TableauVector":
         shape = Shape(exact_int(data["N"], "N"), exact_int(data["l"], "l"))
-        out = cls(shape)
+        coords = {}
         for term in data["terms"]:
             t = Tableau.from_json({"N": shape.N, "l": shape.l, "rows": term["rows"]})
-            out.add_term(t, LaurentPoly.from_json(term["coeff"]))
-        return out
+            if t in coords:
+                raise ValueError(f"tableau {term['rows']} appears twice")
+            coords[t] = LaurentPoly.from_json(term["coeff"])
+        return cls(shape, coords)
 
 
 # -- the action kernel --------------------------------------------------

@@ -212,12 +212,15 @@ class TensorVector(SparseVector):
     @classmethod
     def from_json(cls, data: dict) -> "TensorVector":
         space = Boundary.from_json(exact_int(data["N"], "N"), data["space"])
-        out = cls(space)
+        coords = {}
         for term in data["terms"]:
             subsets = [[exact_int(x, "subset entry") for x in s] for s in term["subsets"]]
             _check_index(space, subsets)
-            out.add_term(tuple(frozenset(s) for s in subsets), LaurentPoly.from_json(term["coeff"]))
-        return out
+            idx = tuple(frozenset(s) for s in subsets)
+            if idx in coords:
+                raise ValueError(f"index {_index_key(idx)} appears twice")
+            coords[idx] = LaurentPoly.from_json(term["coeff"])
+        return cls(space, coords)
 
 
 def _expect(space: Boundary, pos: int, color: int, dual: bool) -> None:

@@ -7,9 +7,11 @@ quantum special linear algebra acting across skew Howe duality, with color-0
 uprights kept as explicit factors so slots stay stable.
 
 Two independent evaluators are provided: `evaluate_dense` composes the sparse
-intertwiners slice by slice, while `evaluate_statesum` enumerates explicit
-edge-labelings (states) of the compiled diagram and adds one signed monomial
-per state.  They must agree on everything; the test suite enforces this.
+intertwiners slice by slice, while `evaluate_statesum` walks the slices depth
+first through the edge-labelings (states) of the web and adds one signed
+monomial per state, from local rules that share no code with the dense
+kernels.  They must agree on everything; the test suite enforces this.  Each
+slice kind is dispatched from one table, `_SLICE_KINDS`.
 
 Closed webs on the highest-weight boundary (color-N strands plus color-0
 padding) span a one-dimensional space; `ev_closed` reads off the unique
@@ -21,12 +23,13 @@ of a list of webs from one forward pass per web.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .ring import LaurentPoly, exact_int
 from .tensor import (
     Boundary,
+    Index,
     ShapeMismatchError,
     TensorVector,
     _subsets,
@@ -71,19 +74,20 @@ class Slice:
             object.__setattr__(self, "side", "left")
 
     def mirror(self) -> "Slice":
-        return _kind(self).mirror(self)
+        return _kind(self.kind).mirror(self)
 
     def to_json(self) -> dict:
         d = {"kind": self.kind, "pos": self.pos}
-        for name in _kind(self).fields:
+        for name in _kind(self.kind).fields:
             d[name] = getattr(self, name)
         return d
 
     @classmethod
     def from_json(cls, d: dict) -> "Slice":
-        return cls(d["kind"], exact_int(d["pos"], "slice pos"),
-                   exact_int(d.get("a", 0), "slice a"), exact_int(d.get("b", 0), "slice b"),
-                   d.get("side", ""))
+        """Inverse of to_json: each field the kind serializes is required, except a tag's side."""
+        fields = [name for name in _kind(d["kind"]).fields if name != "side"]
+        ints = {name: exact_int(d[name], f"slice {name}") for name in fields}
+        return cls(d["kind"], exact_int(d["pos"], "slice pos"), side=d.get("side", ""), **ints)
 
 
 def merge(a: int, b: int, pos: int) -> Slice:
@@ -139,13 +143,38 @@ def _id_space(space: Boundary, s: Slice) -> Boundary:
     return space
 
 
+# The state-sum rules: the labels (an Index) below a slice, on the boundary
+# `space` below it, to each labeling above with its exponent and sign.  They
+# restate the local coefficients of the tensor module's docstring.
+
+
+def _merge_states(space: Boundary, s: Slice, idx: Index) -> list:
+    S, T = idx[s.pos], idx[s.pos - 1]  # left, right
+    return [] if S & T else [(idx[: s.pos - 1] + (S | T,) + idx[s.pos + 1 :], ell(T, S), 1)]
+
+
+def _split_states(space: Boundary, s: Slice, idx: Index) -> list:
+    S = idx[s.pos - 1]
+    return [(idx[: s.pos - 1] + (S - T, T) + idx[s.pos :], -ell(T, S - T), 1)
+            for T in map(frozenset, itertools.combinations(sorted(S), s.a))]
+
+
+def _tag_states(space: Boundary, s: Slice, idx: Index) -> list:
+    S = idx[s.pos - 1]
+    comp = frozenset(range(1, space.N + 1)) - S
+    exp = -ell(S, comp) if space.factor(s.pos).dual else ell(comp, S)
+    sign = -1 if s.side == "right" and len(S) * len(comp) % 2 else 1
+    return [(idx[: s.pos - 1] + (comp,) + idx[s.pos :], exp, sign)]
+
+
 class _SliceKind(NamedTuple):
-    """How one slice kind serializes, reflects, changes the boundary and acts."""
+    """How one slice kind serializes, reflects, changes the boundary, acts and labels states."""
 
     fields: tuple[str, ...]  # serialized after kind and pos
     mirror: Callable[[Slice], Slice]
     step: Callable[[Boundary, Slice], Boundary]  # codomain, or ShapeMismatchError
     act: Callable[[TensorVector, Slice], TensorVector]
+    states: Callable[[Boundary, Slice, Index], list]  # [(labels above, exponent, sign)]
 
 
 # The kernels are looked up by module-global name on every call, so a
@@ -153,34 +182,38 @@ class _SliceKind(NamedTuple):
 _SLICE_KINDS = {
     "merge": _SliceKind(("a", "b"), lambda s: Slice("split", s.pos, s.a, s.b),
                         lambda space, s: merged_space(space, s.a, s.b, s.pos),
-                        lambda x, s: apply_merge(x, s.a, s.b, s.pos)),
+                        lambda x, s: apply_merge(x, s.a, s.b, s.pos), _merge_states),
     "split": _SliceKind(("a", "b"), lambda s: Slice("merge", s.pos, s.a, s.b),
                         lambda space, s: split_space(space, s.a, s.b, s.pos),
-                        lambda x, s: apply_split(x, s.a, s.b, s.pos)),
+                        lambda x, s: apply_split(x, s.a, s.b, s.pos), _split_states),
     "cup": _SliceKind(("a",), lambda s: Slice("cap", s.pos, s.a),
                       lambda space, s: cup_space(space, s.a, s.pos),
-                      lambda x, s: apply_cup(x, s.a, s.pos)),
+                      lambda x, s: apply_cup(x, s.a, s.pos),
+                      lambda space, s, idx: [(idx[: s.pos - 1] + (S, S) + idx[s.pos - 1 :], 0, 1)
+                                             for S in _subsets(space.N, s.a)]),
     "cap": _SliceKind(("a",), lambda s: Slice("cup", s.pos, s.a),
                       lambda space, s: cap_space(space, s.a, s.pos),
-                      lambda x, s: apply_cap(x, s.a, s.pos)),
+                      lambda x, s: apply_cap(x, s.a, s.pos),
+                      lambda space, s, idx: [(idx[: s.pos - 1] + idx[s.pos + 1 :], 0, 1)]
+                      if idx[s.pos - 1] == idx[s.pos] else []),
     "tag": _SliceKind(("a", "side"),
                       lambda s: Slice("tag", s.pos, s.a, side="right" if s.side == "left" else "left"),
-                      _tag_space, lambda x, s: apply_tag(x, s.pos, s.side)),
-    "id": _SliceKind((), lambda s: s, _id_space, lambda x, s: x),
+                      _tag_space, lambda x, s: apply_tag(x, s.pos, s.side), _tag_states),
+    "id": _SliceKind((), lambda s: s, _id_space, lambda x, s: x, lambda space, s, idx: [(idx, 0, 1)]),
 }
 
 
-def _kind(s: Slice) -> _SliceKind:
+def _kind(kind: str) -> _SliceKind:
     try:
-        return _SLICE_KINDS[s.kind]
+        return _SLICE_KINDS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind from JSON
-        raise ShapeMismatchError(f"unknown slice kind {s.kind!r}") from None
+        raise ShapeMismatchError(f"unknown slice kind {kind!r}") from None
 
 
 def _step(i: int, space: Boundary, s: Slice) -> Boundary:
     """The boundary above slice i, which must fit `space` below it."""
     try:
-        return _kind(s).step(space, s)
+        return _kind(s.kind).step(space, s)
     except ShapeMismatchError as exc:
         raise IllFormedWebError(i, str(exc)) from exc
 
@@ -262,7 +295,7 @@ def evaluate_dense(web: Web, x: TensorVector) -> TensorVector:
     if x.space != web.domain:
         raise ShapeMismatchError("vector does not live in the web's domain")
     for s in web.slices:
-        x = _kind(s).act(x, s)
+        x = _kind(s.kind).act(x, s)
     return x
 
 
@@ -277,141 +310,32 @@ def web_matrix(web: Web) -> dict:
 # -- state-sum evaluation ---------------------------------------------
 
 
-@dataclass
-class StateGraph:
-    """Compiled diagram: edges with colors, events in bottom-to-top order."""
-
-    n_edges: int = 0
-    colors: list[int] = field(default_factory=list)
-    events: list[tuple] = field(default_factory=list)
-    domain_edges: list[int] = field(default_factory=list)
-    codomain_edges: list[int] = field(default_factory=list)
-    codomain: Boundary | None = None
-
-
-def compile_graph(web: Web) -> StateGraph:
-    """The state graph of a web, validated slice by slice in the same walk."""
-    g = StateGraph()
-
-    def new_edge(color: int) -> int:
-        g.colors.append(color)
-        g.n_edges += 1
-        return g.n_edges - 1
-
-    space = web.domain
-    current = [new_edge(f.color) for f in space.factors]
-    g.domain_edges = current[:]
-    for n, s in enumerate(web.slices):
-        above = _step(n, space, s)
-        if s.kind == "merge":
-            out = new_edge(s.a + s.b)
-            g.events.append(("merge", current[s.pos], current[s.pos - 1], out))
-            current[s.pos - 1 : s.pos + 1] = [out]
-        elif s.kind == "split":
-            left, right = new_edge(s.a), new_edge(s.b)
-            g.events.append(("split", current[s.pos - 1], left, right))
-            current[s.pos - 1 : s.pos] = [right, left]
-        elif s.kind == "tag":
-            f = space.factor(s.pos)
-            out = new_edge(space.N - f.color)
-            g.events.append(("tag", current[s.pos - 1], out, s.side, f.dual))
-            current[s.pos - 1] = out
-        elif s.kind == "cup":
-            e = new_edge(s.a)
-            g.events.append(("cup", e))
-            current[s.pos - 1 : s.pos - 1] = [e, e]
-        elif s.kind == "cap":
-            g.events.append(("cap", current[s.pos], current[s.pos - 1]))
-            del current[s.pos - 1 : s.pos + 1]
-        space = above
-    g.codomain_edges = current[:]
-    g.codomain = space
-    return g
-
-
-def _state_dfs(g: StateGraph, N: int, start: dict[int, frozenset]):
-    """Yield complete assignments extending fixed values on the domain edges."""
-
-    def walk(ev: int, assign: dict[int, frozenset]):
-        if ev == len(g.events):
-            yield assign
-            return
-        event = g.events[ev]
-        kind = event[0]
-        if kind == "merge":
-            _, le, re, out = event
-            S, T = assign[le], assign[re]
-            if S & T:
-                return
-            assign2 = dict(assign)
-            assign2[out] = S | T
-            yield from walk(ev + 1, assign2)
-        elif kind == "split":
-            _, ine, le, re = event
-            S = assign[ine]
-            for comb in itertools.combinations(sorted(S), g.colors[le]):
-                A = frozenset(comb)
-                assign2 = dict(assign)
-                assign2[le], assign2[re] = A, S - A
-                yield from walk(ev + 1, assign2)
-        elif kind == "tag":
-            _, ine, out = event[:3]
-            assign2 = dict(assign)
-            assign2[out] = frozenset(range(1, N + 1)) - assign[ine]
-            yield from walk(ev + 1, assign2)
-        elif kind == "cup":
-            _, e = event
-            for S in _subsets(N, g.colors[e]):
-                assign2 = dict(assign)
-                assign2[e] = S
-                yield from walk(ev + 1, assign2)
-        elif kind == "cap":
-            _, e1, e2 = event
-            if assign[e1] != assign[e2]:
-                return
-            yield from walk(ev + 1, assign)
-
-    yield from walk(0, dict(start))
-
-
-def _assignment_weight(g: StateGraph, N: int, subset_of) -> LaurentPoly:
-    exp = 0
-    sign = 1
-    for event in g.events:
-        kind = event[0]
-        if kind == "merge":
-            _, le, re, _out = event
-            exp += ell(subset_of(re), subset_of(le))
-        elif kind == "split":
-            _, _ine, le, re = event
-            exp -= ell(subset_of(le), subset_of(re))
-        elif kind == "tag":
-            _, ine, _out, side, in_dual = event
-            S = subset_of(ine)
-            comp = frozenset(range(1, N + 1)) - S
-            if in_dual:
-                exp -= ell(S, comp)
-                a = N - len(S)
-            else:
-                exp += ell(comp, S)
-                a = len(S)
-            if side == "right" and (a * (N - a)) % 2:
-                sign = -sign
-    return LaurentPoly.monomial(exp, sign)
-
-
 def evaluate_statesum(web: Web, x: TensorVector) -> TensorVector:
-    """Sum the per-state monomials over all states; agrees with evaluate_dense."""
+    """Sum one signed monomial per state; agrees with evaluate_dense.
+
+    A state labels every edge of the web.  The walk fixes the labels slice by
+    slice, depth first, carrying the labels of the current boundary, the
+    exponent and the sign; it never merges states at an intermediate
+    boundary, so each complete state adds its own monomial.  The local rules
+    are each kind's `states`, which share no code with the dense kernels.
+    """
     if x.space != web.domain:
         raise ShapeMismatchError("vector does not live in the web's domain")
-    g = compile_graph(web)
-    N = web.domain.N
-    out = TensorVector(g.codomain)
+    spaces = [web.domain]
+    for i, s in enumerate(web.slices):
+        spaces.append(_step(i, spaces[-1], s))
+    rules = [(_kind(s.kind).states, space, s) for space, s in zip(spaces, web.slices)]
+    out = TensorVector(spaces[-1])
     for idx, coeff in x.coords.items():
-        start = dict(zip(g.domain_edges, idx))
-        for assign in _state_dfs(g, N, start):
-            w = _assignment_weight(g, N, assign.__getitem__)
-            out.add_term(tuple(assign[e] for e in g.codomain_edges), coeff * w)
+        stack = [(0, idx, 0, 1)]
+        while stack:
+            i, labels, exp, sign = stack.pop()
+            if i == len(rules):
+                out.add_term(labels, coeff * LaurentPoly.monomial(exp, sign))
+                continue
+            states, space, s = rules[i]
+            for above, e, sg in states(space, s, labels):
+                stack.append((i + 1, above, exp + e, sign * sg))
     return out
 
 

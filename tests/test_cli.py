@@ -247,6 +247,37 @@ def test_non_integer_json_fields_exit_2(capsys, tmp_path):
                    "--vector", _write(tmp_path, "v.json", vec))[0] == 2
 
 
+def test_repeated_vector_terms_exit_2(capsys, tmp_path):
+    # a basis key listed twice is refused, not summed into coefficient 2
+    idweb = _write(tmp_path, "w.json", {"N": 2, "domain": [{"color": 1, "dual": False}], "slices": []})
+    term = {"subsets": [[1]], "coeff": [[0, 1]]}
+    for terms, code in (([term], 0), ([term, term], 2)):
+        vec = _write(tmp_path, "v.json", {"N": 2, "space": [{"color": 1, "dual": False}], "terms": terms})
+        assert run(capsys, "eval", "--web", idweb, "--vector", vec)[0] == code
+    term = {"rows": [[1, 1]], "coeff": [[0, 1]]}
+    for terms, code in (([term], 0), ([term, term], 2)):
+        tv = _write(tmp_path, "tv.json", {"N": 2, "l": 1, "terms": terms})
+        assert run(capsys, "act", "--sign", "-", "--i", "1", "--vector", tv)[0] == code
+
+
+def test_slice_without_a_serialized_field_exits_2(capsys, tmp_path):
+    # every field the slice kind writes must be read back; only a tag's side may be left out
+    zero, one = {"color": 0, "dual": False}, {"color": 1, "dual": False}
+    cases = (
+        ([zero, zero], {"kind": "merge", "pos": 1, "a": 0, "b": 0}, 0),
+        ([zero, zero], {"kind": "merge", "pos": 1, "a": 0}, 2),
+        ([one], {"kind": "cup", "pos": 1, "a": 0}, 0),
+        ([one], {"kind": "cup", "pos": 1}, 2),
+        ([one], {"kind": "tag", "pos": 1, "a": 1}, 0),
+        ([one], {"kind": "id", "pos": 1}, 0),
+    )
+    for space, s, code in cases:
+        web = _write(tmp_path, "w.json", {"N": 2, "domain": space, "slices": [s]})
+        terms = [{"subsets": [[1] if f["color"] else [] for f in space], "coeff": [[0, 1]]}]
+        vec = _write(tmp_path, "v.json", {"N": 2, "space": space, "terms": terms})
+        assert run(capsys, "eval", "--web", web, "--vector", vec)[0] == code, s
+
+
 def test_act_checks_the_generator_index_for_every_r(capsys, tmp_path):
     tv = _write(tmp_path, "tv.json", {"N": 2, "l": 1, "terms": [{"rows": [[1, 2]], "coeff": [[0, 1]]}]})
     for r in ("0", "1", "2"):

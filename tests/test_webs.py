@@ -93,18 +93,36 @@ def test_state_weight_matches_dense():
     assert evaluate_statesum(sp, x) == evaluate_dense(sp, x)
 
 
+_TAG_AND_CUP_DOMAIN = Boundary(3, (Factor(2),))
+_TAG_AND_CUP_WEBS = [
+    Web(_TAG_AND_CUP_DOMAIN, (tag(2, 1, "left"),)),
+    Web(_TAG_AND_CUP_DOMAIN, (tag(2, 1, "right"),)),
+    Web(_TAG_AND_CUP_DOMAIN, (cup(2, 2), tag(2, 3), tag(1, 2), merge(1, 2, 1), split(1, 2, 1), cap(1, 2))),
+    Web(_TAG_AND_CUP_DOMAIN, (split(1, 1, 1), merge(1, 1, 1))),
+]
+
+
 def test_statesum_equals_dense_on_tag_and_cup_webs():
-    dom = Boundary(3, (Factor(2),))
-    webs = [
-        Web(dom, (tag(2, 1, "left"),)),
-        Web(dom, (tag(2, 1, "right"),)),
-        Web(dom, (cup(2, 2), tag(2, 3), tag(1, 2), merge(1, 2, 1), split(1, 2, 1), cap(1, 2))),
-        Web(dom, (split(1, 1, 1), merge(1, 1, 1))),
-    ]
-    for w in webs:
+    dom = _TAG_AND_CUP_DOMAIN
+    for w in _TAG_AND_CUP_WEBS:
         for idx in basis_indices(dom):
             x = TensorVector.basis_vector(dom, idx)
             assert evaluate_statesum(w, x) == evaluate_dense(w, x)
+
+
+def test_statesum_calls_no_dense_kernel(monkeypatch):
+    import qwebs.webs
+
+    dom, webs = _TAG_AND_CUP_DOMAIN, _TAG_AND_CUP_WEBS
+    cases = [(w, TensorVector.basis_vector(dom, idx)) for w in webs for idx in basis_indices(dom)]
+    dense = [evaluate_dense(w, x) for w, x in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the state sum called a dense kernel")
+
+    for name in ("apply_merge", "apply_split", "apply_tag", "apply_cup", "apply_cap"):
+        monkeypatch.setattr(qwebs.webs, name, refuse)
+    assert [evaluate_statesum(w, x) for w, x in cases] == dense
 
 
 @st.composite
@@ -140,6 +158,8 @@ def test_statesum_equals_dense_on_random_webs(web):
     for idx in basis_indices(web.domain):
         x = TensorVector.basis_vector(web.domain, idx, LaurentPoly({1: 2, -1: -1}))
         assert evaluate_statesum(web, x) == evaluate_dense(web, x), idx
+    zero = TensorVector(web.domain)
+    assert evaluate_statesum(web, zero) == evaluate_dense(web, zero)  # vectors compare their spaces too
 
 
 def test_statesum_steps_each_slice_once_and_skips_validate(monkeypatch):
