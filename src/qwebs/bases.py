@@ -9,10 +9,14 @@ Every prefix of a reversed peel word is itself a reversed peel word, so
 A^T = F_i^(r) A^peel(T) and the words of a block form a prefix tree.
 `lt_block` walks that tree once, depth first, in the howe kernel's column
 maps: it keeps at most the maps of one root-to-leaf path, so each distinct
-prefix runs its divided power once, and it builds each distinct `Tableau`
-of the block once.  `lt_vector` is the one-path walk.  Every vector is
-checked for its leading 1, triangularity and nonnegative coefficients as it
-is built.
+prefix runs its divided power once.  `lt_vector` is the one-path walk.
+Every vector is checked for its leading 1, triangularity and nonnegative
+coefficients as it is built, and each distinct column of the block once for
+what `Tableau` validation checks.
+
+Blocks stay in the kernel's form, {column tuple: {exponent: int}}, through
+the corrections and the Gram pairings; an element builds its `Tableau` and
+`LaurentPoly` objects only when a caller reads its `expansion`.
 
 The dual canonical element b^T is computed from the A-basis by triangular
 elimination: scanning semistandard S below T in descending order, any
@@ -31,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .howe import TableauVector, _act_divided
-from .ring import ZERO, LaurentPoly, bar, symmetrize_correction
+from .howe import TableauVector, Terms, _act_divided
+from .ring import LaurentPoly, bar, symmetrize_correction
 from .tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, peel_word, tableau_type
 from .webs import Web, ladder_from_word
 
@@ -42,16 +46,25 @@ class InvariantViolationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LTBasisElement:
+class _BlockElement:
+    """A vector of a block, held as the howe kernel's column map."""
+
     tableau: Tableau
-    word: tuple[tuple[int, int], ...]
-    expansion: TableauVector
+    terms: Terms
+
+    @property
+    def expansion(self) -> TableauVector:
+        """The vector with its `Tableau` and `LaurentPoly` objects, built on each read."""
+        return TableauVector.from_terms(self.tableau.shape, self.terms)
 
 
 @dataclass(frozen=True)
-class DualCanonicalElement:
-    tableau: Tableau
-    expansion: TableauVector
+class LTBasisElement(_BlockElement):
+    word: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class DualCanonicalElement(_BlockElement):
     beta: tuple[tuple[Tableau, LaurentPoly], ...]
 
 
@@ -93,10 +106,12 @@ def _lt_walk(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisElemen
     each word shares its longest common prefix with its neighbours.  `path[d]`
     is the kernel map after the first d divided powers of the current word,
     kept only as deep as the next word shares it; only the pairs past the
-    prefix shared with the previous word are applied.  Tableaux are built
-    once per distinct column tuple and shared by every vector that holds them.
+    prefix shared with the previous word are applied.  Each vector keeps its
+    map; what `Tableau` validation would check of a term is checked once per
+    distinct column of the block.
     """
-    tableaux = {t.sort_key(): t for t in labels}
+    N = shape.N
+    checked: set[tuple[int, ...]] = set()  # columns that passed `_check_column`
     walk = sorted((tuple(peel_word(t))[::-1], n) for n, t in enumerate(labels))
     shared = [0] + [_common_prefix(a, b) for (a, _), (b, _) in zip(walk, walk[1:])] + [0]
     path = [{highest_tableau(shape).sort_key(): {0: 1}}]
@@ -113,18 +128,27 @@ def _lt_walk(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisElemen
         if terms.get(key) != {0: 1}:
             lead = LaurentPoly(terms.get(key, {}))
             raise InvariantViolationError(f"leading coefficient at {t} is {lead}")
-        x = TableauVector(shape)  # the kernel map has no zero to filter
         for k, c in terms.items():
-            tau = tableaux.get(k)
-            if tau is None:
-                tau = tableaux[k] = Tableau.from_columns(shape, k)
+            if len(k) != N:
+                raise InvariantViolationError(f"term {k} of the vector of {t} has {len(k)} columns")
+            if not checked.issuperset(k):
+                for col in k:
+                    _check_column(shape, col)
+                checked.update(k)
             if k < key:
+                tau = Tableau.from_columns(shape, k)
                 raise InvariantViolationError(f"non-triangular term {tau} in the vector of {t}")
             if min(c.values()) < 0:
+                tau = Tableau.from_columns(shape, k)
                 raise InvariantViolationError(f"negative coefficient {LaurentPoly(c)} at {tau}")
-            x.coords[tau] = LaurentPoly(c)
-        out[n] = LTBasisElement(t, rword[::-1], x)
+        out[n] = LTBasisElement(t, terms, rword[::-1])
     return dict(zip(labels, out))
+
+
+def _check_column(shape: Shape, col: tuple[int, ...]) -> None:
+    """A column of the shape: l entries in 1..m, strictly increasing."""
+    if len(col) != shape.l or not all(x < y for x, y in zip((0, *col), (*col, shape.m + 1))):
+        raise InvariantViolationError(f"{col} is not a column of shape ({shape.N}, {shape.l})")
 
 
 def _common_prefix(a: tuple, b: tuple) -> int:
@@ -137,41 +161,59 @@ def _common_prefix(a: tuple, b: tuple) -> int:
     return n
 
 
-def dual_canonical(t: Tableau) -> DualCanonicalElement:
-    """Triangular bar-symmetric correction of the LT vector at t."""
-    block = lt_block(t.shape.N, t.shape.l, tableau_type(t))
-    if t not in block:
-        raise ValueError(f"{t} is not semistandard")
-    coords = dict(block[t].expansion.coords)  # corrected in place
+def _dual(block: dict[Tableau, LTBasisElement], labels: list[Tableau], keys: list, n: int
+          ) -> DualCanonicalElement:
+    """b^T for T = labels[n], corrected on the block's column maps (keys[n] is T's key)."""
+    t, key = labels[n], keys[n]
+    coords = dict(block[t].terms)  # its inner maps are replaced, never changed
     beta: list[tuple[Tableau, LaurentPoly]] = []
-    labels = list(block)  # descending
-    below = labels[labels.index(t) + 1 :]  # s < t, descending
-    for s in below:
-        gamma = symmetrize_correction(coords.get(s, ZERO))
-        if not gamma.is_zero():
-            for tau, c in block[s].expansion.coords.items():
-                new = coords.get(tau, ZERO) - c * gamma
-                if new.is_zero():
-                    del coords[tau]
-                else:
-                    coords[tau] = new
-            beta.append((s, -gamma))
-    cur = TableauVector(t.shape, coords)
-    report = check_negative_exponent(cur, t)
-    if not report.passed:
+    for s, ks in zip(labels[n + 1 :], keys[n + 1 :]):  # s < t, descending
+        c = coords.get(ks)
+        if c is None or max(c) < 0:
+            continue
+        gamma = symmetrize_correction(LaurentPoly(c))
+        g = list(gamma.items())
+        for tau, ca in block[s].terms.items():
+            acc = dict(coords.get(tau, ()))
+            for e1, a1 in ca.items():
+                for e2, a2 in g:
+                    e = e1 + e2
+                    x = acc.get(e, 0) - a1 * a2
+                    if x:
+                        acc[e] = x
+                    else:
+                        del acc[e]
+            if acc:
+                coords[tau] = acc
+            else:
+                del coords[tau]
+        beta.append((s, -gamma))
+    if coords.get(key) != {0: 1} or any(max(c) >= 0 for k, c in coords.items() if k != key):
+        report = check_negative_exponent(TableauVector.from_terms(t.shape, coords), t)
         raise InvariantViolationError(
             f"negative exponent property fails for {t}: {report.violations}"
         )
     for s, g in beta:
         if bar(g) != g:
             raise InvariantViolationError(f"correction at {s} is not bar-invariant: {g}")
-    return DualCanonicalElement(t, cur, tuple(beta))
+    return DualCanonicalElement(t, coords, tuple(beta))
 
 
 @cache
 def dual_block(N: int, l: int, ktype: tuple[int, ...]) -> dict[Tableau, DualCanonicalElement]:
     """All dual canonical elements of one type, labelled as `lt_block` labels them."""
-    return {t: dual_canonical(t) for t in lt_block(N, l, ktype)}
+    block = lt_block(N, l, ktype)
+    labels = list(block)
+    keys = [t.sort_key() for t in labels]
+    return {t: _dual(block, labels, keys, n) for n, t in enumerate(labels)}
+
+
+def dual_canonical(t: Tableau) -> DualCanonicalElement:
+    """Triangular bar-symmetric correction of the LT vector at t (from its `dual_block`)."""
+    block = dual_block(t.shape.N, t.shape.l, tableau_type(t))
+    if t not in block:
+        raise ValueError(f"{t} is not semistandard")
+    return block[t]
 
 
 # -- the form and Gram/Cartan data -------------------------------------
@@ -183,12 +225,26 @@ def pairing(x: TableauVector, y: TableauVector) -> LaurentPoly:
     bar(sum_tau c^x_tau * c^y_tau) over the common expansion; valid for
     vectors fixed by the bar involution (all basis vectors here are).
     """
-    total = LaurentPoly.zero()
-    for tau, cx in x.coords.items():
-        cy = y.coords.get(tau)
+    return _form(x.coords, y.coords)
+
+
+def _form(x: dict, y: dict) -> LaurentPoly:
+    """`pairing` of two coordinate maps, summed on ints into one polynomial.
+
+    The values are anything whose `items()` are (exponent, coefficient)
+    pairs: `LaurentPoly`s, or the kernel's int maps.
+    """
+    if len(y) < len(x):
+        x, y = y, x
+    acc: dict[int, int] = {}
+    for k, cx in x.items():
+        cy = y.get(k)
         if cy is not None:
-            total = total + cx * cy
-    return bar(total)
+            for e1, a1 in cx.items():
+                for e2, a2 in cy.items():
+                    e = -e1 - e2
+                    acc[e] = acc.get(e, 0) + a1 * a2
+    return LaurentPoly(acc)
 
 
 def lt_web(t: Tableau) -> Web:
@@ -220,9 +276,10 @@ class GradedMatrix:
 def gram_matrix(N: int, l: int, ktype: tuple[int, ...], basis: str = "lt") -> GradedMatrix:
     """Gram matrix of a basis of one type block, from the tensor expansions.
 
-    Each entry is `pairing` of two basis vectors.  For the LT basis the same
-    entries are the web forms of the ladder webs (`lt_web`); `qwebs verify
-    --form` checks that second route against this one.
+    Each entry is `pairing` of two basis vectors, taken on their column maps.
+    For the LT basis the same entries are the web forms of the ladder webs
+    (`lt_web`); `qwebs verify --form` checks that second route against this
+    one.
     """
     if basis == "lt":
         block = lt_block(N, l, ktype)
@@ -231,7 +288,5 @@ def gram_matrix(N: int, l: int, ktype: tuple[int, ...], basis: str = "lt") -> Gr
     else:
         raise ValueError(f"unknown basis {basis!r}")
     labels = tuple(block)
-    rows = tuple(
-        tuple(pairing(block[s].expansion, block[t].expansion) for t in labels) for s in labels
-    )
-    return GradedMatrix(labels, rows)
+    maps = [block[t].terms for t in labels]
+    return GradedMatrix(labels, tuple(tuple(_form(x, y) for y in maps) for x in maps))

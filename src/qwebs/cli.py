@@ -25,7 +25,7 @@ from .bases import (
     gram_matrix,
     lt_block,
 )
-from .howe import TableauVector, act_divided
+from .howe import TableauVector, act_divided, terms_json
 from .ring import NonDivisibleError
 from .tableaux import Shape, enumerate_tableaux, tableau_type
 from .tensor import TensorVector
@@ -171,7 +171,7 @@ def cmd_basis(args) -> int:
     for k in ktypes:
         block = dual_block(args.N, args.l, k) if args.dual else lt_block(args.N, args.l, k)
         for t, elem in block.items():
-            entry = {"tableau": t.to_json(), "expansion": elem.expansion.to_json()}
+            entry = {"tableau": t.to_json(), "expansion": terms_json(shape, elem.terms)}
             if args.dual:
                 entry["beta"] = [
                     {"tableau": s.to_json(), "coeff": g.to_json()} for s, g in elem.beta

@@ -10,16 +10,19 @@ values i and i+1 of a column-strict tableau.
   raise (E_+i):  change one i+1 into i, counting to the LEFT with weight
                  v^+(l_i - l_{i+1}).
 
-Divided powers act as the r-fold action divided exactly by [r]!; divisibility
-always holds on these lattices, so a division failure is a bug upstream.
+A divided power (i, r) of either sign moves r columns at once: it sums,
+over the r-subsets S of the columns a single step could move, the tableau
+with all of S moved, with coefficient v^(sum of their one-step exponents +
+r(r-1)/2).  Summing the r! move orders of the r-fold action gives [r]!
+times that one monomial, so no division is needed.
 
-One kernel, `_act`, acts on maps {column tuple (a sort_key): {exponent: int}}:
-a move replaces one column tuple, and its power of v sums the per-column
-differences (i in d) - (i+1 in d).  `act_word` runs a whole divided-power word
-(`act_E` and `act_divided` are one-pair words) on one map and only then builds,
-and so validates, the `Tableau` and `LaurentPoly` objects of its result.  Its
-divided-power step, `_act_divided`, is also the step of the peel-tree walk in
-`bases`.
+One kernel, `_act_divided`, acts on maps {column tuple (a sort_key):
+{exponent: int}}: a move replaces column tuples, and its power of v sums the
+per-column differences (i in d) - (i+1 in d).  `act_word` runs a whole
+divided-power word (`act_E` and `act_divided` are one-pair words) on one map
+and only then builds, and so validates, the `Tableau` and `LaurentPoly`
+objects of its result.  The kernel is also the step of the peel-tree walk in
+`bases`, whose blocks stay in this form.
 
 Tableaux and tensor basis indices correspond through one bijection,
 `tableau_to_index` / `index_to_tableau`: slot i of the index of a tableau
@@ -34,7 +37,9 @@ sign (checked in the tests).
 
 from __future__ import annotations
 
-from .ring import LaurentPoly, ONE, exact_divide, exact_int, qfactorial
+from itertools import combinations
+
+from .ring import LaurentPoly, ONE, exact_int
 from .tableaux import Shape, Tableau, highest_tableau, tableau_type
 from .tensor import Index, SparseVector, TensorVector, weight_boundary
 
@@ -48,6 +53,11 @@ class TableauVector(SparseVector):
     def basis_vector(cls, t: Tableau, coeff: LaurentPoly = ONE) -> "TableauVector":
         return cls(t.shape, {t: coeff})
 
+    @classmethod
+    def from_terms(cls, shape: Shape, terms: "Terms") -> "TableauVector":
+        """The vector of a kernel map; each key is validated as it becomes a `Tableau`."""
+        return cls(shape, {Tableau.from_columns(shape, k): LaurentPoly(c) for k, c in terms.items()})
+
     def __repr__(self) -> str:
         terms = " + ".join(
             f"({c})*{t}" for t, c in sorted(self.coords.items(), key=lambda kv: kv[0].sort_key())
@@ -55,11 +65,7 @@ class TableauVector(SparseVector):
         return f"TableauVector[{terms or '0'}]"
 
     def to_json(self) -> dict:
-        terms = [
-            {"rows": [list(r) for r in t.rows], "coeff": self.coords[t].to_json()}
-            for t in sorted(self.coords, key=Tableau.sort_key)
-        ]
-        return {"N": self.space.N, "l": self.space.l, "terms": terms}
+        return terms_json(self.space, {t.sort_key(): c for t, c in self.coords.items()})
 
     @classmethod
     def from_json(cls, data: dict) -> "TableauVector":
@@ -80,54 +86,70 @@ class TableauVector(SparseVector):
 Terms = dict[tuple[tuple[int, ...], ...], dict[int, int]]
 
 
-def _act(sign: int, i: int, terms: Terms) -> Terms:
-    """One application of the generator of index i to a column map.
+def terms_json(shape: Shape, terms: dict) -> dict:
+    """The JSON of a vector keyed by column tuples, written from its sorted keys.
 
-    A column d moves when it holds the source value and not the target, i.e.
-    when (i in d) - (i+1 in d) is -sign; the moved entry keeps the column
-    increasing, since source and target are adjacent.
+    Each coefficient is a kernel int map or a `LaurentPoly`; both give their
+    (exponent, coefficient) pairs through `items()`.
     """
-    src, dst = (i, i + 1) if sign < 0 else (i + 1, i)
-    out: Terms = {}
-    moves: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for cols, c in terms.items():
-        diffs = [(i in d) - (i + 1 in d) for d in cols]
-        total = sum(diffs)
-        left = 0
-        for j, d in enumerate(cols):
-            dj = diffs[j]
-            if dj == -sign:
-                # lowering counts the columns right of j, raising those left of it
-                shift = left + dj - total if sign < 0 else left
-                moved = moves.get(d)
-                if moved is None:
-                    moved = moves[d] = tuple(dst if e == src else e for e in d)
-                key = cols[:j] + (moved,) + cols[j + 1 :]
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = {e + shift: a for e, a in c.items()}
-                else:
-                    for e, a in c.items():
-                        e += shift
-                        s = acc.get(e, 0) + a
-                        if s:
-                            acc[e] = s
-                        else:
-                            del acc[e]
-                    if not acc:
-                        del out[key]
-            left += dj
-    return out
+    return {"N": shape.N, "l": shape.l, "terms": [
+        {"rows": list(zip(*cols)), "coeff": sorted(terms[cols].items())} for cols in sorted(terms)
+    ]}
 
 
 def _act_divided(sign: int, i: int, r: int, terms: Terms) -> Terms:
-    """The divided power (i, r) on a column map: r kernel steps, then exact /[r]!."""
-    for _ in range(r):
-        terms = _act(sign, i, terms)
-    if r >= 2 and terms:
-        fact = qfactorial(r)
-        terms = {k: dict(exact_divide(LaurentPoly(c), fact).items()) for k, c in terms.items()}
-    return terms
+    """The divided power (i, r) on a column map, in one pass over r-subsets of columns.
+
+    A column d is movable when it holds the source value and not the target,
+    i.e. when (i in d) - (i+1 in d) is -sign; the moved entry keeps the column
+    increasing, since source and target are adjacent.  Its one-step shift w
+    sums the diffs of the columns right of it (lowering, negated) or left of
+    it (raising).  Moving the columns of an r-subset S one at a time, each
+    step adds 2 for every column of S already moved on its counted side; the
+    r! orders sum to v^(r(r-1)/2) [r]!, so the divided power gives S the
+    exponent sum(w) + r(r-1)/2.
+    """
+    src, dst = (i, i + 1) if sign < 0 else (i + 1, i)
+    base = r * (r - 1) // 2
+    out: Terms = {}
+    moves: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for cols, c in terms.items():
+        movable = []  # (position, one-step shift)
+        left = 0
+        for j, d in enumerate(cols):
+            dj = (i in d) - (i + 1 in d)
+            if dj == -sign:
+                movable.append((j, left))
+            left += dj
+        if len(movable) < r:
+            continue
+        if sign < 0:  # lowering counts the columns right of j: left + 1 - total
+            movable = [(j, w + 1 - left) for j, w in movable]
+        for subset in combinations(movable, r):
+            key = list(cols)
+            shift = base
+            for j, w in subset:
+                d = cols[j]
+                moved = moves.get(d)
+                if moved is None:
+                    moved = moves[d] = tuple(dst if e == src else e for e in d)
+                key[j] = moved
+                shift += w
+            key = tuple(key)
+            acc = out.get(key)
+            if acc is None:
+                out[key] = {e + shift: a for e, a in c.items()}
+            else:
+                for e, a in c.items():
+                    e += shift
+                    s = acc.get(e, 0) + a
+                    if s:
+                        acc[e] = s
+                    else:
+                        del acc[e]
+                if not acc:
+                    del out[key]
+    return out
 
 
 def act_word(sign: int, word, x: TableauVector) -> TableauVector:
@@ -145,9 +167,7 @@ def act_word(sign: int, word, x: TableauVector) -> TableauVector:
     for i, r in word:
         terms = _act_divided(sign, i, r, terms)
     # tableaux (each validated) and polynomials are built once, for the result
-    return TableauVector(
-        shape, {Tableau.from_columns(shape, k): LaurentPoly(c) for k, c in terms.items()}
-    )
+    return TableauVector.from_terms(shape, terms)
 
 
 def act_E(sign: int, i: int, x: TableauVector) -> TableauVector:
@@ -156,7 +176,7 @@ def act_E(sign: int, i: int, x: TableauVector) -> TableauVector:
 
 
 def act_divided(sign: int, i: int, r: int, x: TableauVector) -> TableauVector:
-    """The divided power: r-fold action divided exactly by [r]!."""
+    """The divided power F_i^(r) (sign -1) or E_i^(r) (sign +1)."""
     return act_word(sign, [(i, r)], x)
 
 

@@ -195,7 +195,6 @@ def exact_int(value, what: str) -> int:
     return value
 
 
-ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 
 

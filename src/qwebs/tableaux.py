@@ -138,10 +138,11 @@ def enumerate_tableaux(
 ) -> list[Tableau]:
     """All tableaux of the shape (and type, if given), strictly descending.
 
-    Columns are built left to right from the l-subsets of the entries the
-    type allows (all of 1..m without a type), pruning on the entries the
-    type has left and, when only semistandard fillings are wanted, on
-    entrywise weak increase.
+    Semistandard tableaux of a given type are built by `_strip_fillings`.
+    Otherwise columns are built left to right from the l-subsets of the
+    entries the type allows (all of 1..m without a type), pruning on the
+    entries the type has left and, when only semistandard fillings are
+    wanted, on entrywise weak increase.
     """
     if type is not None and (len(type) != shape.m or sum(type) != shape.m or min(type) < 0):
         raise ValueError("type must be an m-vector of nonnegative entries summing to m")
@@ -151,6 +152,10 @@ def enumerate_tableaux(
             f"shape ({shape.N}, {shape.l}) may have up to {bound} tableaux"
             f"{'' if type is None else ' of this type'}; the limit is {MAX_TABLEAUX}"
         )
+    if semistandard_only and type is not None:
+        out = [Tableau(shape, rows) for rows in _strip_fillings(shape, type)]
+        out.sort(key=Tableau.sort_key)
+        return out
     if type is None:
         type = (shape.N,) * shape.m  # no entry fits in more than N columns
     left = [0, *type]  # left[x]: how many more x the type allows
@@ -178,6 +183,45 @@ def enumerate_tableaux(
 
     build(0)
     out.sort(key=Tableau.sort_key)
+    return out
+
+
+def _strip_fillings(shape: Shape, type: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """The rows of every semistandard tableau of the shape and type.
+
+    The entries x = 1..m are placed in turn, each as a horizontal strip of
+    type[x-1] cells: row r grows by at most the old length of row r-1 (N for
+    the top row) less its own, so no two x share a column and rows stay
+    weakly increasing.
+    """
+    N, l = shape.N, shape.l
+    rows: list[list[int]] = [[] for _ in range(l)]
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def place(x: int) -> None:
+        if x > len(type):
+            out.append(tuple(map(tuple, rows)))
+            return
+        old = [N] + [len(row) for row in rows]  # old[r]: length of the row above row r
+        room = [old[r] - old[r + 1] for r in range(l)]
+        for r in range(l - 2, -1, -1):
+            room[r] += room[r + 1]  # room[r]: cells free for x in rows r..l-1
+
+        def strip(r: int, k: int) -> None:
+            if not k:
+                place(x + 1)
+                return
+            if r == l or room[r] < k:
+                return
+            row = rows[r]
+            for c in range(min(k, old[r] - old[r + 1]), -1, -1):
+                row.extend([x] * c)
+                strip(r + 1, k - c)
+                del row[len(row) - c :]
+
+        strip(0, type[x - 1])
+
+    place(1)
     return out
 
 

@@ -88,8 +88,12 @@ class Boundary:
         return cls(N, tuple(Factor.from_json(d) for d in data))
 
 
+@cache
 def weight_boundary(N: int, k: tuple[int, ...]) -> Boundary:
-    """The plain boundary whose factor colors are the weight k, slot 1 first."""
+    """The plain boundary whose factor colors are the weight k, slot 1 first.
+
+    Cached: a `Boundary` is immutable, and k must be a tuple.
+    """
     return Boundary(N, tuple(Factor(c) for c in k))
 
 

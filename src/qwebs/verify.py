@@ -322,10 +322,10 @@ def check_dual_blocks(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Report:
             duals = dual_block(N, l, k)  # construction re-checks the invariants
             if not duals:
                 continue
-            labels = list(duals)
-            for s in labels:
-                for t in labels:
-                    value = pairing(duals[s].expansion, duals[t].expansion)
+            vectors = {t: elem.expansion for t, elem in duals.items()}
+            for s in vectors:
+                for t in vectors:
+                    value = pairing(vectors[s], vectors[t])
                     # diagonal entries in 1 + vN[v], off-diagonal ones in vN[v]
                     target = value - LaurentPoly.one() if s == t else value
                     rep.check(
@@ -374,9 +374,9 @@ def check_form_consistency(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Re
             rep.check(mismatch is None, mismatch or "")
             labels = gram.labels
             for idx_s, s in enumerate(labels):
-                exp = block[s].expansion
                 diag = LaurentPoly.zero()
-                for c in exp.coords.values():
+                for c in block[s].terms.values():
+                    c = LaurentPoly(c)
                     diag = diag + c * c
                 rep.check(
                     gram.entry(idx_s, idx_s) == bar(diag),

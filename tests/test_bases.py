@@ -90,12 +90,22 @@ def test_lt_block_tree_walk_matches_whole_word_replay(N, l, every):
 
 
 @pytest.mark.parametrize("N,l", [(2, 4), (3, 2)])
-def test_each_tableau_is_one_object_per_block(N, l):
+def test_blocks_build_no_tableau_for_their_terms(monkeypatch, N, l):
+    # a block is held as column maps: only its labels are `Tableau`s, and
+    # `expansion` builds the objects of one vector when a caller reads it
+    built = []
+    real = Tableau.__post_init__
+    monkeypatch.setattr(Tableau, "__post_init__", lambda t: built.append(t) or real(t))
     for k in block_types(N, l):
-        seen = {}
-        for t, elem in lt_block.__wrapped__(N, l, k).items():
-            for tau in (t, *elem.expansion.coords):
-                assert seen.setdefault(tau, tau) is tau, (k, str(tau))
+        labels = enumerate_tableaux(Shape(N, l), k, semistandard_only=True)
+        built.clear()
+        block = lt_block.__wrapped__(N, l, k)
+        assert len(built) == len(labels) + 1  # the enumerated labels, and the top
+        for elem in block.values():
+            built.clear()
+            x = elem.expansion
+            assert len(built) == len(x.coords) == len(elem.terms)
+            assert {t.sort_key(): dict(c.items()) for t, c in x.coords.items()} == elem.terms
 
 
 @pytest.mark.parametrize(
@@ -104,19 +114,22 @@ def test_each_tableau_is_one_object_per_block(N, l):
         (lambda out: out.update({max(out): {0: -1}}), "negative coefficient -1 at 21"),
         (lambda out: out.update({((1,), (1,)): {0: 1}}), "non-triangular term 11 in the vector of 12"),
         (lambda out: out.pop(min(out)), "leading coefficient at 12 is 0"),
+        (lambda out: out.update({((2,), (3,)): {0: 1}}), r"\(3,\) is not a column of shape \(2, 1\)"),
+        (lambda out: out.update({((2,), (1, 2)): {0: 1}}), r"\(1, 2\) is not a column of shape"),
+        (lambda out: out.update({((2,),): {0: 1}}), r"term \(\(2,\),\) of the vector of 12 has 1 columns"),
     ],
 )
 def test_walker_checks_every_vector_it_builds(monkeypatch, inject, message):
-    import qwebs.howe
+    import qwebs.bases
 
-    real = qwebs.howe._act
+    real = qwebs.bases._act_divided
 
-    def corrupted(sign, i, terms):
-        out = real(sign, i, terms)
+    def corrupted(sign, i, r, terms):
+        out = real(sign, i, r, terms)
         inject(out)
         return out
 
-    monkeypatch.setattr(qwebs.howe, "_act", corrupted)
+    monkeypatch.setattr(qwebs.bases, "_act_divided", corrupted)
     with pytest.raises(InvariantViolationError, match=message):
         lt_vector(Tableau(Shape(2, 1), ((1, 2),)))
 

@@ -128,20 +128,35 @@ def test_oversized_tableaux_request_exits_2_at_once(capsys):
     assert time.perf_counter() - start < 1.0
 
 
-# sha256 of the full-shape JSON, recorded before the LT blocks became a peel-tree walk
+# sha256 of the JSON each command line prints: the full-shape sweeps recorded
+# before the LT blocks became a peel-tree walk, the single blocks before the
+# blocks were kept as the howe kernel's column maps
 GOLDEN_DIGESTS = {
-    ("lt-basis", "3", "2"): "2d3f386d44d9cdcf8b6a60417e45b6d692dde2fdb55551a7b2978ef9d733e3c9",
-    ("lt-basis", "2", "4"): "a2ecd914d3c4f2e09cc7e71283ddc9d98c19fad89e32e2461f268b92cc7485d5",
-    ("dual-canonical", "3", "2"): "ad8054875bcf3613846ec04155fdcbdadfff37c4db9ae4d44d697f28d64ca6ed",
-    ("dual-canonical", "2", "4"): "d42865f2dfb68e70d8f2d5a957028b62b6f42ebbca8a758bc3c8d29088264cb0",
+    "lt-basis --N 3 --l 2": "2d3f386d44d9cdcf8b6a60417e45b6d692dde2fdb55551a7b2978ef9d733e3c9",
+    "lt-basis --N 2 --l 4": "a2ecd914d3c4f2e09cc7e71283ddc9d98c19fad89e32e2461f268b92cc7485d5",
+    "dual-canonical --N 3 --l 2": "ad8054875bcf3613846ec04155fdcbdadfff37c4db9ae4d44d697f28d64ca6ed",
+    "dual-canonical --N 2 --l 4": "d42865f2dfb68e70d8f2d5a957028b62b6f42ebbca8a758bc3c8d29088264cb0",
+    "dual-canonical --N 4 --l 2 --type 1,1,1,1,1,1,1,1":
+        "620ffb5cae175d70b71da573cdd64fc433c511beb4221e0de5621e24ac503dd8",
+    "gram --N 2 --l 4 --type 1,1,1,1,1,1,1,1 --basis dual":
+        "4f23b69dae117bc9429a7f7cec0d8944bdffe4c71183f543fd2473363bb20459",
+    "gram --N 3 --l 2 --type 1,1,1,1,1,1":
+        "7b6af8ca88220168b8192411231b37ff0580a21b800fccf80de6eaa3aaf33fa1",
+    "cartan --N 4 --k 3,1,1,1,1,1,0,0":
+        "32120db73dfb772be417e5fbbcab1983cbfca520b2f2b88337d5d4dd4b02720e",
 }
 
 
-@pytest.mark.parametrize("command,N,l", list(GOLDEN_DIGESTS))
-def test_full_shape_bases_match_golden_digests(capsys, command, N, l):
-    code, out = run(capsys, command, "--N", N, "--l", l)
+def _golden_id(command: str) -> str:
+    """The values of a command line, e.g. dual-canonical-3-2."""
+    return "-".join(tok for tok in command.split() if not tok.startswith("--"))
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_DIGESTS), ids=_golden_id)
+def test_full_shape_bases_match_golden_digests(capsys, command):
+    code, out = run(capsys, *command.split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command, N, l]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command]
 
 
 def test_verify_subset(capsys):

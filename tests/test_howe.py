@@ -85,14 +85,14 @@ def test_divided_power_examples():
 
 
 def test_divided_power_integrality():
-    # E^(a) stays integral on every basis tableau in small shapes
+    # E^(2) on every basis tableau in small shapes is the square divided exactly by [2]!
     for N, l in ((2, 2), (3, 1)):
         shape = Shape(N, l)
         for t in enumerate_tableaux(shape):
             x = TableauVector.basis_vector(t)
             for i in range(1, shape.m):
                 for sign in (+1, -1):
-                    act_divided(sign, i, 2, x)  # raises NonDivisibleError on failure
+                    assert act_divided(sign, i, 2, x) == reference_act_divided(sign, i, 2, x)
 
 
 def test_action_matches_ladders_small():
@@ -198,6 +198,16 @@ def test_kernel_matches_grid_swap_oracle(x):
             assert act_E(sign, i, x) == reference_act_E(sign, i, x), (sign, i)
             for r in range(4):
                 assert act_divided(sign, i, r, x) == reference_act_divided(sign, i, r, x), (sign, i, r)
+
+
+@settings(deadline=None)
+@given(tableau_vectors(), st.data())
+def test_one_pass_divided_power_is_the_divided_r_fold_action(x, data):
+    # every r up to N + 1, past the N columns a single pass can move
+    sign = data.draw(st.sampled_from((-1, +1)))
+    i = data.draw(st.integers(1, x.space.m - 1))
+    r = data.draw(st.integers(0, x.space.N + 1))
+    assert act_divided(sign, i, r, x) == reference_act_divided(sign, i, r, x), (sign, i, r)
 
 
 @settings(max_examples=50, deadline=None)

@@ -82,6 +82,37 @@ def test_typed_enumeration_is_the_filtered_untyped_one(N, l, semistandard):
         assert enumerate_tableaux(shape, k, semistandard_only=semistandard) == by_type.get(k, []), k
 
 
+def compositions(m):
+    """Every m-vector of nonnegative entries summing to m, entries above N included."""
+    for cuts in itertools.combinations(range(2 * m - 1), m - 1):
+        bounds = (-1, *cuts, 2 * m - 1)
+        yield tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
+
+
+SHAPES_UP_TO_8 = [(N, l) for N in range(2, 9) for l in range(1, 5) if N * l <= 8]
+
+
+@pytest.mark.parametrize("N,l", SHAPES_UP_TO_8)
+def test_semistandard_strips_match_the_column_build(N, l):
+    # every type of every shape with m <= 8.  The filtered column-strict build
+    # is the reference up to m = 6; past it (m^m tableaux for one row) it is
+    # the semistandard column build of the untyped request, and for (8, 1),
+    # whose untyped request the size guard refuses, the one sorted row.
+    shape = Shape(N, l)
+    by_type = {}
+    if shape.m > 6 and (N, l) != (8, 1):
+        for t in enumerate_tableaux(shape, semistandard_only=True):
+            by_type.setdefault(tableau_type(t), []).append(t)
+    for k in compositions(shape.m):
+        if shape.m <= 6:
+            expected = [t for t in enumerate_tableaux(shape, k) if t.is_semistandard()]
+        elif (N, l) == (8, 1):
+            expected = [Tableau(shape, (tuple(x for x, c in enumerate(k, 1) for _ in range(c)),))]
+        else:
+            expected = by_type.get(k, [])
+        assert enumerate_tableaux(shape, k, semistandard_only=True) == expected, k
+
+
 def test_enumeration_strictly_descending():
     for N, l in ((2, 2), (3, 1)):
         ts = enumerate_tableaux(Shape(N, l))
