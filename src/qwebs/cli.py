@@ -27,9 +27,9 @@ from .bases import (
 )
 from .howe import TableauVector, act_divided, terms_json
 from .ring import NonDivisibleError
-from .tableaux import Shape, enumerate_tableaux, tableau_type
+from .tableaux import Shape, check_request, enumerate_tableaux
 from .tensor import TensorVector
-from .webalg import cartan_matrix, frobenius_check, gorenstein_parameter
+from .webalg import bounded_weights, cartan_matrix, frobenius_check, gorenstein_parameter
 from .webs import (
     Web,
     evaluate_dense,
@@ -163,10 +163,9 @@ def cmd_basis(args) -> int:
     shape = Shape(args.N, args.l)
     if args.type:
         ktypes = [_parse_vec(args.type)]
-    else:
-        ktypes = sorted(
-            {tableau_type(t) for t in enumerate_tableaux(shape, semistandard_only=True)}
-        )
+    else:  # every bounded weight is the type of a semistandard tableau
+        check_request(shape)
+        ktypes = bounded_weights(args.N, shape.m)
     payload = []
     for k in ktypes:
         block = dual_block(args.N, args.l, k) if args.dual else lt_block(args.N, args.l, k)

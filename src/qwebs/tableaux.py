@@ -3,7 +3,9 @@
 Tableaux are fillings of an l-row, N-column grid with entries in 1..m,
 m = N*l, strictly increasing down each column.  Semistandard tableaux are
 additionally weakly increasing along rows.  They index the basis webs and,
-through `howe.tableau_to_index`, the standard tensor bases.
+through `howe.tableau_to_index`, the standard tensor bases.  Both kinds, with
+or without a type, come from one search that grows a chain of shapes:
+`enumerate_tableaux` places the entries 1..m in turn at column feet.
 
 The total order used everywhere: a column c beats a column d when, at the
 first position where they differ, c has the *smaller* entry; tableaux are
@@ -19,7 +21,6 @@ with rows (1,1),(2,4) needs i = 3).
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -131,19 +132,8 @@ def _count_bound(shape: Shape, type: tuple[int, ...] | None) -> int:
     return fillings // math.factorial(shape.l) ** shape.N
 
 
-def enumerate_tableaux(
-    shape: Shape,
-    type: tuple[int, ...] | None = None,
-    semistandard_only: bool = False,
-) -> list[Tableau]:
-    """All tableaux of the shape (and type, if given), strictly descending.
-
-    Semistandard tableaux of a given type are built by `_strip_fillings`.
-    Otherwise columns are built left to right from the l-subsets of the
-    entries the type allows (all of 1..m without a type), pruning on the
-    entries the type has left and, when only semistandard fillings are
-    wanted, on entrywise weak increase.
-    """
+def check_request(shape: Shape, type: tuple[int, ...] | None = None) -> None:
+    """Refuse a malformed type, or a request that could exceed MAX_TABLEAUX."""
     if type is not None and (len(type) != shape.m or sum(type) != shape.m or min(type) < 0):
         raise ValueError("type must be an m-vector of nonnegative entries summing to m")
     bound = _count_bound(shape, type)
@@ -152,76 +142,62 @@ def enumerate_tableaux(
             f"shape ({shape.N}, {shape.l}) may have up to {bound} tableaux"
             f"{'' if type is None else ' of this type'}; the limit is {MAX_TABLEAUX}"
         )
-    if semistandard_only and type is not None:
-        out = [Tableau(shape, rows) for rows in _strip_fillings(shape, type)]
-        out.sort(key=Tableau.sort_key)
-        return out
-    if type is None:
-        type = (shape.N,) * shape.m  # no entry fits in more than N columns
-    left = [0, *type]  # left[x]: how many more x the type allows
-    support = [x for x in range(1, shape.m + 1) if left[x] > 0]
-    candidates = list(itertools.combinations(support, shape.l))
-    out: list[Tableau] = []
-    cols: list[tuple[int, ...]] = []
-
-    def build(j: int) -> None:
-        if j == shape.N:
-            out.append(Tableau.from_columns(shape, cols))
-            return
-        for col in candidates:
-            if semistandard_only and cols and not all(map(operator.le, cols[-1], col)):
-                continue
-            if not all(map(left.__getitem__, col)):
-                continue
-            for x in col:
-                left[x] -= 1
-            cols.append(col)
-            build(j + 1)
-            cols.pop()
-            for x in col:
-                left[x] += 1
-
-    build(0)
-    out.sort(key=Tableau.sort_key)
-    return out
 
 
-def _strip_fillings(shape: Shape, type: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """The rows of every semistandard tableau of the shape and type.
+def enumerate_tableaux(
+    shape: Shape,
+    type: tuple[int, ...] | None = None,
+    semistandard_only: bool = False,
+) -> list[Tableau]:
+    """All tableaux of the shape (and type, if given), strictly descending.
 
-    The entries x = 1..m are placed in turn, each as a horizontal strip of
-    type[x-1] cells: row r grows by at most the old length of row r-1 (N for
-    the top row) less its own, so no two x share a column and rows stay
-    weakly increasing.
+    The entries x = 1..m are placed in turn, each at the foot of columns
+    that still have room, so columns strictly increase.  With a type,
+    exactly type[x-1] columns take x; without one, any number that leaves
+    no more empty cells than the entries above x can fill.  A filling is
+    semistandard exactly when the cells holding entries <= x form a Young
+    diagram after every step, so for `semistandard_only` column j grows
+    only up to the new height of column j-1.  The choices are walked with
+    an explicit stack, so long columns or many entries cannot exhaust the
+    interpreter's recursion limit.
     """
-    N, l = shape.N, shape.l
-    rows: list[list[int]] = [[] for _ in range(l)]
-    out: list[tuple[tuple[int, ...], ...]] = []
+    check_request(shape, type)
+    N, l, m = shape.N, shape.l, shape.m
+    cols: list[list[int]] = [[] for _ in range(N)]
+    out: list[Tableau] = []
 
-    def place(x: int) -> None:
-        if x > len(type):
-            out.append(tuple(map(tuple, rows)))
-            return
-        old = [N] + [len(row) for row in rows]  # old[r]: length of the row above row r
-        room = [old[r] - old[r + 1] for r in range(l)]
-        for r in range(l - 2, -1, -1):
-            room[r] += room[r + 1]  # room[r]: cells free for x in rows r..l-1
+    def counts(x: int) -> tuple[int, int]:
+        """The least and most columns that may take x."""
+        if type is not None:
+            return type[x - 1], type[x - 1]
+        left = m - sum(map(len, cols))
+        return max(0, left - N * (m - x)), min(N, left)
 
-        def strip(r: int, k: int) -> None:
-            if not k:
-                place(x + 1)
-                return
-            if r == l or room[r] < k:
-                return
-            row = rows[r]
-            for c in range(min(k, old[r] - old[r + 1]), -1, -1):
-                row.extend([x] * c)
-                strip(r + 1, k - c)
-                del row[len(row) - c :]
-
-        strip(0, type[x - 1])
-
-    place(1)
+    # (x, j, lo, hi): put lo..hi more x's at the feet of columns j..N-1, then
+    # place x+1.  (x, ~j, 0, 0) takes x back off column j.  Each popped
+    # entry is followed down its taking branches; the skips wait on the stack.
+    stack = [(1, 0, *counts(1))]
+    while stack:
+        x, j, lo, hi = stack.pop()
+        if j < 0:
+            cols[~j].pop()
+            continue
+        while lo <= N - j:
+            if j == N or not hi:
+                if x == m:
+                    out.append(Tableau.from_columns(shape, cols))
+                    break
+                x, j = x + 1, 0
+                lo, hi = counts(x)
+                continue
+            col = cols[j]
+            if len(col) < (len(cols[j - 1]) if semistandard_only and j else l):
+                stack.append((x, j + 1, lo, hi))
+                col.append(x)
+                stack.append((x, ~j, 0, 0))
+                lo, hi = lo - 1, hi - 1
+            j += 1
+    out.sort(key=Tableau.sort_key)
     return out
 
 

@@ -319,22 +319,19 @@ def check_dual_blocks(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Report:
     for N, l in pairs:
         m = N * l
         for k in bounded_weights(N, m):
-            duals = dual_block(N, l, k)  # construction re-checks the invariants
-            if not duals:
-                continue
-            vectors = {t: elem.expansion for t, elem in duals.items()}
-            for s in vectors:
-                for t in vectors:
-                    value = pairing(vectors[s], vectors[t])
+            gram = gram_matrix(N, l, k, basis="dual")  # dual_block re-checks the invariants
+            for i, s in enumerate(gram.labels):
+                for j, t in enumerate(gram.labels):
+                    value = gram.entry(i, j)
                     # diagonal entries in 1 + vN[v], off-diagonal ones in vN[v]
-                    target = value - LaurentPoly.one() if s == t else value
+                    target = value - LaurentPoly.one() if i == j else value
                     rep.check(
                         target.is_zero()
                         or (target.valuation() >= 1 and target.nonnegative_coeffs()),
                         "almost orthogonality fails at N={}, l={}, k={}, ({},{}): {}",
                         N, l, k, s, t, value,
                     )
-            for t, elem in duals.items():
+            for t, elem in dual_block(N, l, k).items():
                 for s, g in elem.beta:
                     rep.check(
                         bar(g) == g,
@@ -367,8 +364,6 @@ def check_form_consistency(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Re
         m = N * l
         for k in bounded_weights(N, m):
             block = lt_block(N, l, k)
-            if not block:
-                continue
             gram = gram_matrix(N, l, k, basis="lt")
             mismatch = web_gram_mismatch(gram)
             rep.check(mismatch is None, mismatch or "")
@@ -404,11 +399,7 @@ def check_shapovalov(cases: int = 50, seed: int = 7, pairs=((2, 1), (2, 2), (3, 
                 up = list(k)
                 up[i - 1] += 1
                 up[i] -= 1
-                if not (0 <= up[i - 1] <= N and 0 <= up[i] <= N):
-                    continue
-                w_block = lt_block(N, l, k)
-                u_block = lt_block(N, l, tuple(up))
-                if w_block and u_block:
+                if 0 <= up[i - 1] <= N and 0 <= up[i] <= N:
                     pool.append((N, l, tuple(k), tuple(up), i))
     done = 0
     while done < cases:
@@ -448,13 +439,9 @@ def check_commutator(cases: int = 50, seed: int = 11, pairs=((2, 1), (2, 2), (3,
         shape = Shape(N, l)
         k = rng.choice(bounded_weights(N, shape.m))
         tableaux = enumerate_tableaux(shape, k)
-        if not tableaux:
-            continue
         x = TableauVector(shape)
         for t in rng.sample(tableaux, min(len(tableaux), 3)):
             x.add_term(t, LaurentPoly({rng.randint(-2, 2): rng.randint(1, 3)}))
-        if x.is_zero():
-            continue
         i = rng.randint(1, shape.m - 1)
         lam = weight_of_type(k)
         commutator = act_E(+1, i, act_E(-1, i, x)) - act_E(-1, i, act_E(+1, i, x))
@@ -506,9 +493,6 @@ def check_cartan(N_max: int = 3, m_max: int = 6) -> Report:
     for N, l in shapes:
         m = N * l
         for k in bounded_weights(N, m):
-            block = lt_block(N, l, k)
-            if not block:
-                continue
             cartan = cartan_matrix(N, k)
             g = gorenstein_parameter(N, k)
             rep.check(

@@ -122,15 +122,18 @@ def test_exit_code_on_invalid_input(capsys):
 
 
 def test_oversized_tableaux_request_exits_2_at_once(capsys):
-    start = time.perf_counter()
-    code, out = run(capsys, "tableaux", "--N", "8", "--l", "3", "--semistandard")
-    assert code == 2 and out == ""
-    assert time.perf_counter() - start < 1.0
+    # a whole-shape basis sweep is refused by the same bound
+    for argv in ("tableaux --N 8 --l 3 --semistandard", "lt-basis --N 2 --l 7"):
+        start = time.perf_counter()
+        code, out = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert time.perf_counter() - start < 1.0
 
 
 # sha256 of the JSON each command line prints: the full-shape sweeps recorded
 # before the LT blocks became a peel-tree walk, the single blocks before the
-# blocks were kept as the howe kernel's column maps
+# blocks were kept as the howe kernel's column maps, the tableaux lists before
+# one recursion replaced the strip and column builds
 GOLDEN_DIGESTS = {
     "lt-basis --N 3 --l 2": "2d3f386d44d9cdcf8b6a60417e45b6d692dde2fdb55551a7b2978ef9d733e3c9",
     "lt-basis --N 2 --l 4": "a2ecd914d3c4f2e09cc7e71283ddc9d98c19fad89e32e2461f268b92cc7485d5",
@@ -144,6 +147,15 @@ GOLDEN_DIGESTS = {
         "7b6af8ca88220168b8192411231b37ff0580a21b800fccf80de6eaa3aaf33fa1",
     "cartan --N 4 --k 3,1,1,1,1,1,0,0":
         "32120db73dfb772be417e5fbbcab1983cbfca520b2f2b88337d5d4dd4b02720e",
+    "tableaux --N 3 --l 2": "e707b256a317bc96a7543b699f374e5ea07fdca975b34e9da5d109a62b96952e",
+    "tableaux --N 2 --l 4 --semistandard":
+        "3f5eca3d404a01c5ffcdeb7489b0de1e9eb4091c8e469494ea13b16e3abbf3de",
+    "tableaux --N 3 --l 3 --semistandard":
+        "00d6c5f6bc3ceaf361604fe3526ae3fb4de677f6002d6a91d802acc22e24041c",
+    "tableaux --N 4 --l 2 --type 1,1,1,1,1,1,1,1":
+        "6a9ea1f6992e6e215643a17b3b53af2edf574ef732596a80583c74c7135f1897",
+    "tableaux --N 2 --l 5 --type 2,1,1,1,1,1,1,1,1,0 --semistandard":
+        "50918776c7bc5d086687db0ab3e5910c123bde55a2d268268930fee9ca76e545",
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 
@@ -14,6 +15,7 @@ from qwebs.tableaux import (
     peel_word,
     tableau_type,
 )
+from qwebs.webalg import bounded_weights
 
 fs = frozenset
 
@@ -66,20 +68,50 @@ def bounded_types(shape):
     ]
 
 
+def semistandard_column_build(shape):
+    """Oracle past m = 6: N l-subset columns, each entrywise >= the one before."""
+    columns = list(itertools.combinations(range(1, shape.m + 1), shape.l))
+    fillings = [[c] for c in columns]
+    for _ in range(shape.N - 1):
+        fillings = [f + [c] for f in fillings for c in columns if all(map(operator.le, f[-1], c))]
+    return [Tableau(shape, tuple(zip(*f))) for f in fillings]
+
+
+def by_type(tableaux):
+    """The tableaux grouped by type, each group strictly descending."""
+    groups = {}
+    for t in sorted(tableaux, key=Tableau.sort_key):
+        groups.setdefault(tableau_type(t), []).append(t)
+    return groups
+
+
 @pytest.mark.parametrize(
     "N,l,semistandard",
     [(2, 3, False), (2, 3, True), (3, 2, False), (3, 2, True), (4, 2, True)],
 )
 def test_typed_enumeration_is_the_filtered_untyped_one(N, l, semistandard):
-    # (4,2) without the semistandard filter is left out: its untyped
-    # enumeration alone holds 28^4 = 614,656 tableaux
+    # (4,2) without the semistandard filter is left out: its reference
+    # would hold all 28^4 = 614,656 column-strict tableaux
     shape = Shape(N, l)
+    if shape.m <= 6:
+        reference = brute_force(shape, semistandard=semistandard)
+    else:
+        reference = semistandard_column_build(shape)
     everything = enumerate_tableaux(shape, semistandard_only=semistandard)
-    by_type = {}
-    for t in everything:
-        by_type.setdefault(tableau_type(t), []).append(t)
+    assert everything == sorted(reference, key=Tableau.sort_key)
+    expected = by_type(reference)
     for k in bounded_types(shape):
-        assert enumerate_tableaux(shape, k, semistandard_only=semistandard) == by_type.get(k, []), k
+        assert enumerate_tableaux(shape, k, semistandard_only=semistandard) == expected.get(k, []), k
+
+
+@pytest.mark.parametrize("semistandard", [False, True])
+def test_long_one_row_typed_request_needs_no_deep_recursion(semistandard):
+    # one frame per column and entry would pass the default recursion limit
+    shape = Shape(400, 1)
+    k = (400,) + (0,) * 399
+    assert enumerate_tableaux(shape, k, semistandard_only=semistandard) == [
+        Tableau(shape, ((1,) * 400,))
+    ]
 
 
 def compositions(m):
@@ -94,23 +126,29 @@ SHAPES_UP_TO_8 = [(N, l) for N in range(2, 9) for l in range(1, 5) if N * l <= 8
 
 @pytest.mark.parametrize("N,l", SHAPES_UP_TO_8)
 def test_semistandard_strips_match_the_column_build(N, l):
-    # every type of every shape with m <= 8.  The filtered column-strict build
-    # is the reference up to m = 6; past it (m^m tableaux for one row) it is
-    # the semistandard column build of the untyped request, and for (8, 1),
-    # whose untyped request the size guard refuses, the one sorted row.
+    # every type of every shape with m <= 8.  The brute force is the
+    # reference up to m = 6; past it (m^m grids) it is the one sorted row for
+    # one-row shapes and the semistandard column build for the others.
     shape = Shape(N, l)
-    by_type = {}
-    if shape.m > 6 and (N, l) != (8, 1):
-        for t in enumerate_tableaux(shape, semistandard_only=True):
-            by_type.setdefault(tableau_type(t), []).append(t)
+    if shape.m <= 6:
+        groups = by_type(brute_force(shape, semistandard=True))
+    elif l > 1:
+        groups = by_type(semistandard_column_build(shape))
+    else:
+        groups = {
+            k: [Tableau(shape, (tuple(x for x, c in enumerate(k, 1) for _ in range(c)),))]
+            for k in compositions(shape.m)
+        }
     for k in compositions(shape.m):
-        if shape.m <= 6:
-            expected = [t for t in enumerate_tableaux(shape, k) if t.is_semistandard()]
-        elif (N, l) == (8, 1):
-            expected = [Tableau(shape, (tuple(x for x, c in enumerate(k, 1) for _ in range(c)),))]
-        else:
-            expected = by_type.get(k, [])
-        assert enumerate_tableaux(shape, k, semistandard_only=True) == expected, k
+        assert enumerate_tableaux(shape, k, semistandard_only=True) == groups.get(k, []), k
+
+
+@pytest.mark.parametrize("N,l", [s for s in SHAPES_UP_TO_8 if s != (8, 1)])
+def test_every_bounded_weight_is_a_semistandard_type(N, l):
+    # `qwebs lt-basis` and `dual-canonical` sweep a whole shape over these weights
+    shape = Shape(N, l)
+    types = {tableau_type(t) for t in enumerate_tableaux(shape, semistandard_only=True)}
+    assert bounded_weights(N, N * l) == sorted(types)
 
 
 def test_enumeration_strictly_descending():

@@ -1,7 +1,7 @@
 """Failures in the verify sweeps are still found and reported with their text."""
 
 from qwebs import verify
-from qwebs.bases import GradedMatrix, dual_block, gram_matrix
+from qwebs.bases import GradedMatrix, gram_matrix
 from qwebs.howe import TableauVector
 from qwebs.ring import LaurentPoly
 from qwebs.tableaux import Shape, Tableau, highest_tableau
@@ -63,13 +63,19 @@ def test_dual_sweep_reports_a_negative_gram_coefficient(monkeypatch):
     clean = verify.check_dual_blocks(pairs)
     assert clean.passed
     shape = Shape(2, 2)
-    duals = dual_block(2, 2, (1, 1, 1, 1))
-    x = duals[Tableau(shape, ((1, 3), (2, 4)))].expansion
-    y = duals[Tableau(shape, ((1, 2), (3, 4)))].expansion
-    real = verify.pairing
-    monkeypatch.setattr(
-        verify, "pairing", lambda a, b: LaurentPoly({1: 1, 2: -1}) if (a, b) == (x, y) else real(a, b)
-    )
+    gram = gram_matrix(2, 2, (1, 1, 1, 1), basis="dual")
+    i = gram.labels.index(Tableau(shape, ((1, 3), (2, 4))))
+    j = gram.labels.index(Tableau(shape, ((1, 2), (3, 4))))
+    rows = [list(r) for r in gram.entries]
+    rows[i][j] = LaurentPoly({1: 1, 2: -1})
+    corrupted = GradedMatrix(gram.labels, tuple(tuple(r) for r in rows))
+
+    def corrupt(N, l, k, basis="lt"):
+        if (N, l, k, basis) == (2, 2, (1, 1, 1, 1), "dual"):
+            return corrupted
+        return gram_matrix(N, l, k, basis)
+
+    monkeypatch.setattr(verify, "gram_matrix", corrupt)
     rep = verify.check_dual_blocks(pairs)
     assert rep.cases == clean.cases
     assert rep.failures == [
