@@ -26,9 +26,9 @@ objects of its result.  The kernel is also the step of the peel-tree walk in
 
 Tableaux and tensor basis indices correspond through one bijection,
 `tableau_to_index` / `index_to_tableau`: slot i of the index of a tableau
-holds the columns that contain the entry i.  `to_tensor` reads a vector in
-tensor coordinates through it, and the ladder evaluator in `webs` provides
-the independent second route that `verify` checks the action against.
+holds the columns that contain the entry i.  Through it the ladder evaluator
+in `webs` provides the independent second route that `verify` checks the
+action against.
 
 The degree-2 Serre relation holds here with middle coefficient +(v + v^-1):
 all the action matrices have nonnegative entries, which forces the positive
@@ -40,8 +40,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .ring import LaurentPoly, ONE, exact_int
-from .tableaux import Shape, Tableau, highest_tableau, tableau_type
-from .tensor import Index, SparseVector, TensorVector, weight_boundary
+from .tableaux import Shape, Tableau, highest_tableau
+from .tensor import Index, SparseVector
 
 
 class TableauVector(SparseVector):
@@ -203,18 +203,6 @@ def index_to_tableau(shape: Shape, idx: Index) -> Tableau:
     if any(len(c) != shape.l for c in cols):
         raise ValueError("indicator vectors do not fill the shape")
     return Tableau.from_columns(shape, cols)
-
-
-def to_tensor(x: TableauVector) -> TensorVector:
-    """Read a single-type tableau vector in tensor coordinates."""
-    types = {tableau_type(t) for t in x.coords}
-    if len(types) != 1:
-        raise ValueError("tensor coordinates need a vector of a single type")
-    space = weight_boundary(x.space.N, next(iter(types)))
-    out = TensorVector(space)
-    for t, c in x.coords.items():
-        out.add_term(tableau_to_index(t), c)
-    return out
 
 
 def highest_vector(shape: Shape) -> TableauVector:

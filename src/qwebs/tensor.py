@@ -24,6 +24,16 @@ The elementary intertwiners implemented here, with their local coefficients:
 where len(S,T) counts pairs i in S, j in T with i < j.  The merge coefficient
 attaches v^len(T,S) with S the left input; this choice is pinned down by the
 known expansions of the small invariant vectors (see tests).
+
+The kernels (`merge_kernel`, `split_kernel`, `tag_kernel`, `cup_kernel`,
+`cap_kernel`) act on plain maps {tuple of bitmasks: {exponent: int}}, where
+bit j-1 of a mask stands for j.  len on masks is read from one table per N,
+filled by bit operations when a pair is first read, and the (S - T, T,
+exponent) list of each split from one table per (N, a), keyed by S.
+`to_terms` and `from_terms` convert at the boundary: `webs` runs a whole
+slice list on one map, and `apply_merge` and its siblings run one slice on a
+`TensorVector`.  `ell` on sets and `_subsets` serve the state-sum reference
+in `webs` and share no code with the kernels.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
+from typing import Callable
 
 from .ring import ONE, LaurentPoly, exact_int
 
@@ -243,19 +254,6 @@ def merged_space(space: Boundary, a: int, b: int, pos: int) -> Boundary:
     return space.replace(pos, 2, (Factor(a + b),))
 
 
-def apply_merge(x: TensorVector, a: int, b: int, pos: int) -> TensorVector:
-    """Wedge the factors at slots pos+1 (color a, left) and pos (color b)."""
-    space = merged_space(x.space, a, b, pos)
-    out = TensorVector(space)
-    for idx, c in x.coords.items():
-        S, T = idx[pos], idx[pos - 1]  # left, right
-        if S & T:
-            continue
-        coeff = c.shift(ell(T, S))
-        out.add_term(idx[: pos - 1] + (S | T,) + idx[pos + 1 :], coeff)
-    return out
-
-
 def split_space(space: Boundary, a: int, b: int, pos: int) -> Boundary:
     _expect(space, pos, a + b, False)
     if a < 0 or b < 0 or a + b > space.N:
@@ -263,52 +261,9 @@ def split_space(space: Boundary, a: int, b: int, pos: int) -> Boundary:
     return space.replace(pos, 1, (Factor(b), Factor(a)))
 
 
-def apply_split(x: TensorVector, a: int, b: int, pos: int) -> TensorVector:
-    """Split the color-(a+b) factor at pos into a (slot pos+1) and b (slot pos)."""
-    space = split_space(x.space, a, b, pos)
-    out = TensorVector(space)
-    for idx, c in x.coords.items():
-        S = idx[pos - 1]
-        for comb in itertools.combinations(sorted(S), a):
-            T = frozenset(comb)
-            rest = S - T
-            coeff = c.shift(-ell(T, rest))
-            out.add_term(idx[: pos - 1] + (rest, T) + idx[pos:], coeff)
-    return out
-
-
 def tag_space(space: Boundary, pos: int) -> Boundary:
     f = space.factor(pos)
     return space.replace(pos, 1, (Factor(space.N - f.color, not f.dual),))
-
-
-def apply_tag(x: TensorVector, pos: int, side: str = "left") -> TensorVector:
-    """Flip the factor at pos across the duality of exterior powers.
-
-    On a plain color-a factor the left flavor sends x_S to
-    v^len(S^c, S) xhat_{S^c}; on a dual color-c factor it applies the inverse
-    of the corresponding map.  The right flavor multiplies by (-1)^(a(N-a)).
-    Two tags of equal side at the same slot, one above the other, give the identity.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"unknown tag side {side!r}")
-    space = x.space
-    f = space.factor(pos)
-    N = space.N
-    a = f.color if not f.dual else N - f.color
-    sign = -1 if (side == "right" and (a * (N - a)) % 2) else 1
-    new_space = tag_space(space, pos)
-    full = frozenset(range(1, N + 1))
-    out = TensorVector(new_space)
-    for idx, c in x.coords.items():
-        S = idx[pos - 1]
-        comp = full - S
-        if f.dual:
-            coeff = c.shift(-ell(S, comp)) * sign
-        else:
-            coeff = c.shift(ell(comp, S)) * sign
-        out.add_term(idx[: pos - 1] + (comp,) + idx[pos:], coeff)
-    return out
 
 
 def cup_space(space: Boundary, a: int, pos: int) -> Boundary:
@@ -317,16 +272,6 @@ def cup_space(space: Boundary, a: int, pos: int) -> Boundary:
     if not 0 <= a <= space.N:
         raise ShapeMismatchError(f"cup color {a} outside 0..{space.N}")
     return space.replace(pos, 0, (Factor(a, dual=True), Factor(a)))
-
-
-def apply_cup(x: TensorVector, a: int, pos: int) -> TensorVector:
-    """Insert sum_S x_S (x) xhat_S at the position (plain at slot pos+1)."""
-    space = cup_space(x.space, a, pos)
-    out = TensorVector(space)
-    for idx, c in x.coords.items():
-        for S in _subsets(space.N, a):
-            out.add_term(idx[: pos - 1] + (S, S) + idx[pos - 1 :], c)
-    return out
 
 
 def cap_space(space: Boundary, a: int, pos: int) -> Boundary:
@@ -338,6 +283,189 @@ def cap_space(space: Boundary, a: int, pos: int) -> Boundary:
     return space.replace(pos, 2, ())
 
 
+# -- the slice kernels ------------------------------------------------
+
+# A vector inside the kernels: {tuple of bitmasks: {exponent: int}}, slot 1
+# first, where bit j-1 of a mask stands for j.  No coefficient is zero and no
+# inner map is empty.  A kernel never changes a map it is given, so it may
+# hand an inner map on unchanged; it adds up only into maps it made itself.
+Terms = dict[tuple[int, ...], dict[int, int]]
+
+
+@cache
+def _mask(S: frozenset) -> int:
+    return sum(1 << (j - 1) for j in S)
+
+
+@cache
+def _subset(mask: int) -> frozenset:
+    return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def to_terms(x: TensorVector) -> Terms:
+    return {tuple(map(_mask, idx)): dict(c.items()) for idx, c in x.coords.items()}
+
+
+def from_terms(space: Boundary, terms: Terms) -> TensorVector:
+    return TensorVector(space, {tuple(map(_subset, key)): LaurentPoly(c) for key, c in terms.items()})
+
+
+class _Table(dict):
+    """A map whose entry at a key is `fill(key)`, worked out when first read."""
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _submasks(mask: int, a: int) -> list[int]:
+    """The a-element subsets of a mask."""
+    bits = [1 << j for j in range(mask.bit_length()) if mask >> j & 1]
+    return [sum(c) for c in itertools.combinations(bits, a)]
+
+
+@cache
+def _ell_table(N: int) -> _Table:
+    """ell on the bitmask pairs of one N: the entry at S << N | T is ell(S, T)."""
+
+    def fill(key: int) -> int:
+        S, T = key >> N, key & ((1 << N) - 1)
+        n = 0
+        while S:
+            low = S & -S  # the least element i left in S
+            S ^= low
+            n += (T & -(low << 1)).bit_count()  # the elements of T above i
+        return n
+
+    return _Table(fill)
+
+
+@cache
+def _split_table(N: int, a: int) -> _Table:
+    """At a mask S: (S - T, T, -ell(T, S - T)) for each a-subset T of S."""
+    tab = _ell_table(N)
+    return _Table(lambda S: tuple((S ^ T, T, -tab[T << N | S ^ T]) for T in _submasks(S, a)))
+
+
+def _add(out: Terms, key: tuple[int, ...], c: dict[int, int], shift: int) -> None:
+    """Add v^shift c to out[key], a map the calling kernel made; drop it if it cancels."""
+    acc = out[key]
+    for e, x in c.items():
+        e += shift
+        x += acc.get(e, 0)
+        if x:
+            acc[e] = x
+        else:
+            del acc[e]
+    if not acc:
+        del out[key]
+
+
+def merge_kernel(N: int, terms: Terms, pos: int) -> Terms:
+    """x_S (x) x_T -> v^len(T,S) x_{S u T}, S at slot pos+1 and T at slot pos."""
+    tab = _ell_table(N)
+    lo = pos - 1
+    out: Terms = {}
+    for key, c in terms.items():
+        T, S = key[lo], key[pos]
+        if S & T:
+            continue
+        shift = tab[T << N | S]
+        key = key[:lo] + (S | T,) + key[pos + 1 :]
+        if key in out:
+            _add(out, key, c, shift)
+        else:
+            out[key] = {e + shift: x for e, x in c.items()}
+    return out
+
+
+def split_kernel(N: int, terms: Terms, a: int, pos: int) -> Terms:
+    """x_S -> sum_T v^-len(T, S-T) x_T (x) x_{S-T}, |T| = a at slot pos+1.
+
+    Distinct inputs give distinct outputs, so nothing is added up.
+    """
+    lo = pos - 1
+    out: Terms = {}
+    parts = _split_table(N, a)
+    for key, c in terms.items():
+        head, tail = key[:lo], key[pos:]
+        for rest, T, shift in parts[key[lo]]:
+            out[head + (rest, T) + tail] = {e + shift: x for e, x in c.items()} if shift else c
+    return out
+
+
+def tag_kernel(N: int, terms: Terms, pos: int, dual: bool, side: str) -> Terms:
+    """x_S -> v^len(S^c, S) xhat_{S^c} on a plain factor, its inverse on a dual one.
+
+    The right flavor multiplies by (-1)^(a(N-a)).  A bijection on keys.
+    """
+    tab = _ell_table(N)
+    full = (1 << N) - 1
+    lo = pos - 1
+    out: Terms = {}
+    for key, c in terms.items():
+        S = key[lo]
+        comp = full ^ S
+        shift = -tab[S << N | comp] if dual else tab[comp << N | S]
+        sign = -1 if side == "right" and S.bit_count() * comp.bit_count() % 2 else 1
+        out[key[:lo] + (comp,) + key[pos:]] = {e + shift: sign * x for e, x in c.items()}
+    return out
+
+
+def cup_kernel(N: int, terms: Terms, a: int, pos: int) -> Terms:
+    """Insert sum_S x_S (x) xhat_S, |S| = a, with the plain factor at slot pos+1."""
+    masks = _submasks((1 << N) - 1, a)
+    lo = pos - 1
+    return {key[:lo] + (S, S) + key[lo:]: dict(c) for key, c in terms.items() for S in masks}
+
+
+def cap_kernel(terms: Terms, pos: int) -> Terms:
+    """Contract the pair at slots pos, pos+1 by the delta of their indices."""
+    lo = pos - 1
+    out: Terms = {}
+    for key, c in terms.items():
+        if key[lo] == key[pos]:
+            key = key[:lo] + key[pos + 1 :]
+            if key in out:
+                _add(out, key, c, 0)
+            else:
+                out[key] = dict(c)
+    return out
+
+
+# One slice on a TensorVector: the boundary check, then the kernel.
+
+
+def apply_merge(x: TensorVector, a: int, b: int, pos: int) -> TensorVector:
+    """Wedge the factors at slots pos+1 (color a, left) and pos (color b)."""
+    space = merged_space(x.space, a, b, pos)
+    return from_terms(space, merge_kernel(x.space.N, to_terms(x), pos))
+
+
+def apply_split(x: TensorVector, a: int, b: int, pos: int) -> TensorVector:
+    """Split the color-(a+b) factor at pos into a (slot pos+1) and b (slot pos)."""
+    space = split_space(x.space, a, b, pos)
+    return from_terms(space, split_kernel(x.space.N, to_terms(x), a, pos))
+
+
+def apply_tag(x: TensorVector, pos: int, side: str = "left") -> TensorVector:
+    """Flip the factor at pos across the duality of exterior powers."""
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown tag side {side!r}")
+    space = tag_space(x.space, pos)
+    return from_terms(space, tag_kernel(x.space.N, to_terms(x), pos, x.space.factor(pos).dual, side))
+
+
+def apply_cup(x: TensorVector, a: int, pos: int) -> TensorVector:
+    """Insert sum_S x_S (x) xhat_S at the position (plain at slot pos+1)."""
+    space = cup_space(x.space, a, pos)
+    return from_terms(space, cup_kernel(x.space.N, to_terms(x), a, pos))
+
+
 def apply_cap(x: TensorVector, a: int, pos: int) -> TensorVector:
     """Contract the color-a pair at slots pos, pos+1 by delta of indices.
 
@@ -346,8 +474,4 @@ def apply_cap(x: TensorVector, a: int, pos: int) -> TensorVector:
     naive closure, whose round trip on a cup counts the a-subsets).
     """
     space = cap_space(x.space, a, pos)
-    out = TensorVector(space)
-    for idx, c in x.coords.items():
-        if idx[pos - 1] == idx[pos]:
-            out.add_term(idx[: pos - 1] + idx[pos + 1 :], c)
-    return out
+    return from_terms(space, cap_kernel(to_terms(x), pos))

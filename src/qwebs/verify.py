@@ -8,37 +8,44 @@ text is formatted only when the check fails.
 
 The two cross-checks between routes compute each shared object once:
 
-- `check_howe` reads each tableau in tensor coordinates once, and reads the
-  ladder images back to tableaux through a map from tensor index to tableau
-  built once per shape; each (tableau, i, sign, a) still runs both routes.
+- `check_howe` groups the tableaux of each shape by type.  A rung (sign, i, a)
+  gives one ladder per type, so each ladder is built and walked once per
+  group, not once per tableau; an annihilated one raises once per group.
+  Both routes run in kernel form: the tableau action `howe._act_divided` on
+  {column tuple: {0: 1}}, and the ladder's slice kernels on the tableau's
+  tensor key.  The web image is read back to column tuples through the
+  `tableau_to_index` / `index_to_tableau` bijection, built once per shape.
+  There is still one check per (tableau, sign, i, a).
 - `web_gram_mismatch` gets the web route's Gram matrix from `web_gram`: each
-  LT ladder web is validated, mirrored and pushed forward once per block,
-  and each entry applies one mirrored web to one stored image.
+  LT ladder web is walked, mirrored and pushed forward once per block, and
+  each entry applies one mirrored web to one stored image.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 
 from .bases import GradedMatrix, dual_block, gram_matrix, lt_block, lt_web, pairing
 from .howe import (
     TableauVector,
+    _act_divided,
     act_E,
-    act_divided,
     highest_vector,
     index_to_tableau,
     tableau_to_index,
-    to_tensor,
     weight_of_type,
 )
 from .ring import LaurentPoly, bar, qbinom, qnum
 from .tableaux import Shape, enumerate_tableaux, tableau_type
-from .tensor import Boundary, Factor, TensorVector, basis_indices, weight_boundary
+from .tensor import Boundary, Factor, TensorVector, _mask, _subset, basis_indices, weight_boundary
 from .webalg import bounded_weights, cartan_matrix, frobenius_check, gorenstein_parameter
 from .webs import (
     AnnihilatedError,
     Web,
+    _dense,
+    _walk,
     cap,
     cup,
     d_norm,
@@ -129,9 +136,10 @@ def _check_tag_relations(rep: Report, N: int) -> None:
             left == _scale_matrix(right, sign),
             "tag flavors differ beyond the sign at N={}, a={}", N, a,
         )
-        # a tag followed by a tag of the same flavor undoes itself
+        # a tag followed by a tag of the same flavor undoes itself; the second
+        # tag sits on the dual factor the first leaves, whose color it names
         for side in ("left", "right"):
-            again = web_matrix(Web(space, (tag(a, 1, side), tag(N - a, 1, side))))
+            again = web_matrix(Web(space, (tag(a, 1, side), tag(a, 1, side))))
             rep.check(
                 again == _identity_matrix(space),
                 "double {} tag is not the identity at N={}, a={}", side, N, a,
@@ -277,37 +285,37 @@ def check_howe(pairs=((2, 1), (2, 2), (3, 1), (3, 2)), a_max: int = 2) -> Report
     for N, l in pairs:
         shape = Shape(N, l)
         m = shape.m
-        tableaux = enumerate_tableaux(shape)
-        subsets: dict = {}  # one object per subset keeps the map's keys small
-        by_index = {
-            tuple(subsets.setdefault(s, s) for s in tableau_to_index(t)): t for t in tableaux
-        }
-        for t in tableaux:
-            k = tableau_type(t)
-            x = TableauVector.basis_vector(t)
-            x_tensor = to_tensor(x)
-            for i in range(1, m):
-                for sign in (+1, -1):
-                    for a in range(1, a_max + 1):
-                        by_tabs = act_divided(sign, i, a, x)
-                        try:
-                            web = ladder_from_word(N, k, [(sign, i, a)])
-                        except AnnihilatedError:
-                            rep.check(
-                                by_tabs.is_zero(),
-                                "annihilated ladder but nonzero action at {}, sign={}, i={}, a={}",
-                                t, sign, i, a,
-                            )
-                            continue
-                        image = evaluate_dense(web, x_tensor)
-                        by_web = TableauVector(shape, {
-                            by_index.get(idx) or index_to_tableau(shape, idx): c
-                            for idx, c in image.coords.items()
-                        })
+        by_type: dict = {}
+        by_index = {}  # tensor kernel key -> column tuple, through the bijection
+        for t in enumerate_tableaux(shape):
+            key = tuple(map(_mask, tableau_to_index(t)))
+            by_index[key] = cols = t.sort_key()
+            by_type.setdefault(tableau_type(t), []).append((t, cols, key))
+        rungs = list(product(range(1, m), (+1, -1), range(1, a_max + 1)))
+        for k, group in by_type.items():
+            for i, sign, a in rungs:
+                try:  # one ladder per (type, rung), walked once
+                    walk = _walk(ladder_from_word(N, k, [(sign, i, a)]))[0]
+                except AnnihilatedError:
+                    walk = None
+                for t, cols, key in group:
+                    by_tabs = _act_divided(sign, i, a, {cols: {0: 1}})
+                    if walk is None:
                         rep.check(
-                            by_web == by_tabs,
-                            "routes disagree at {}, sign={}, i={}, a={}", t, sign, i, a,
+                            not by_tabs,
+                            "annihilated ladder but nonzero action at {}, sign={}, i={}, a={}",
+                            t, sign, i, a,
                         )
+                        continue
+                    by_web = {
+                        by_index.get(idx)
+                        or index_to_tableau(shape, tuple(map(_subset, idx))).sort_key(): c
+                        for idx, c in _dense(walk, {key: {0: 1}}).items()
+                    }
+                    rep.check(
+                        by_web == by_tabs,
+                        "routes disagree at {}, sign={}, i={}, a={}", t, sign, i, a,
+                    )
     return rep
 
 

@@ -6,12 +6,15 @@ from rungs between adjacent uprights; they realize the generators of the
 quantum special linear algebra acting across skew Howe duality, with color-0
 uprights kept as explicit factors so slots stay stable.
 
-Two independent evaluators are provided: `evaluate_dense` composes the sparse
-intertwiners slice by slice, while `evaluate_statesum` walks the slices depth
+Two independent evaluators are provided: `evaluate_dense` composes the
+tensor module's slice kernels slice by slice, on one kernel map from the
+input vector to the result, while `evaluate_statesum` walks the slices depth
 first through the edge-labelings (states) of the web and adds one signed
 monomial per state, from local rules that share no code with the dense
 kernels.  They must agree on everything; the test suite enforces this.  Each
-slice kind is dispatched from one table, `_SLICE_KINDS`.
+slice kind is dispatched from one table, `_SLICE_KINDS`, and both evaluators
+first work out a web's boundaries through each kind's `step` (`_walk`), so
+both refuse exactly the webs `validate` refuses.
 
 Closed webs on the highest-weight boundary (color-N strands plus color-0
 padding) span a one-dimensional space; `ev_closed` reads off the unique
@@ -32,24 +35,28 @@ from .tensor import (
     Index,
     ShapeMismatchError,
     TensorVector,
+    Terms,
+    _mask,
     _subsets,
-    apply_cap,
-    apply_cup,
-    apply_merge,
-    apply_split,
-    apply_tag,
     basis_indices,
+    cap_kernel,
     cap_space,
+    cup_kernel,
     cup_space,
     ell,
+    from_terms,
+    merge_kernel,
     merged_space,
+    split_kernel,
     split_space,
+    tag_kernel,
     tag_space,
+    to_terms,
     weight_boundary,
 )
 
 
-class IllFormedWebError(ValueError):
+class IllFormedWebError(ShapeMismatchError):
     """A slice does not fit the boundary below it; carries the offending slice index."""
 
     def __init__(self, slice_index: int, message: str):
@@ -173,33 +180,34 @@ class _SliceKind(NamedTuple):
     fields: tuple[str, ...]  # serialized after kind and pos
     mirror: Callable[[Slice], Slice]
     step: Callable[[Boundary, Slice], Boundary]  # codomain, or ShapeMismatchError
-    act: Callable[[TensorVector, Slice], TensorVector]
+    act: Callable[[Boundary, Slice, Terms], Terms]  # the kernel, given the boundary below
     states: Callable[[Boundary, Slice, Index], list]  # [(labels above, exponent, sign)]
 
 
-# The kernels are looked up by module-global name on every call, so a
-# wrapper installed over e.g. `apply_split` in this module sees each call.
 _SLICE_KINDS = {
     "merge": _SliceKind(("a", "b"), lambda s: Slice("split", s.pos, s.a, s.b),
                         lambda space, s: merged_space(space, s.a, s.b, s.pos),
-                        lambda x, s: apply_merge(x, s.a, s.b, s.pos), _merge_states),
+                        lambda space, s, t: merge_kernel(space.N, t, s.pos), _merge_states),
     "split": _SliceKind(("a", "b"), lambda s: Slice("merge", s.pos, s.a, s.b),
                         lambda space, s: split_space(space, s.a, s.b, s.pos),
-                        lambda x, s: apply_split(x, s.a, s.b, s.pos), _split_states),
+                        lambda space, s, t: split_kernel(space.N, t, s.a, s.pos), _split_states),
     "cup": _SliceKind(("a",), lambda s: Slice("cap", s.pos, s.a),
                       lambda space, s: cup_space(space, s.a, s.pos),
-                      lambda x, s: apply_cup(x, s.a, s.pos),
+                      lambda space, s, t: cup_kernel(space.N, t, s.a, s.pos),
                       lambda space, s, idx: [(idx[: s.pos - 1] + (S, S) + idx[s.pos - 1 :], 0, 1)
                                              for S in _subsets(space.N, s.a)]),
     "cap": _SliceKind(("a",), lambda s: Slice("cup", s.pos, s.a),
                       lambda space, s: cap_space(space, s.a, s.pos),
-                      lambda x, s: apply_cap(x, s.a, s.pos),
+                      lambda space, s, t: cap_kernel(t, s.pos),
                       lambda space, s, idx: [(idx[: s.pos - 1] + idx[s.pos + 1 :], 0, 1)]
                       if idx[s.pos - 1] == idx[s.pos] else []),
     "tag": _SliceKind(("a", "side"),
                       lambda s: Slice("tag", s.pos, s.a, side="right" if s.side == "left" else "left"),
-                      _tag_space, lambda x, s: apply_tag(x, s.pos, s.side), _tag_states),
-    "id": _SliceKind((), lambda s: s, _id_space, lambda x, s: x, lambda space, s, idx: [(idx, 0, 1)]),
+                      _tag_space,
+                      lambda space, s, t: tag_kernel(space.N, t, s.pos, space.factor(s.pos).dual, s.side),
+                      _tag_states),
+    "id": _SliceKind((), lambda s: s, _id_space, lambda space, s, t: t,
+                     lambda space, s, idx: [(idx, 0, 1)]),
 }
 
 
@@ -220,10 +228,20 @@ def _step(i: int, space: Boundary, s: Slice) -> Boundary:
 
 def validate(web: Web) -> Boundary:
     """Check every slice composes; returns the codomain boundary."""
-    space = web.domain
+    return _walk(web)[1]
+
+
+def _walk(web: Web) -> tuple[list, Boundary]:
+    """Each slice's kind with the boundary below it and the slice, and the codomain.
+
+    Every slice is stepped: an ill-formed web raises at its first bad slice.
+    """
+    space, walk = web.domain, []
     for i, s in enumerate(web.slices):
-        space = _step(i, space, s)
-    return space
+        above = _step(i, space, s)
+        walk.append((_kind(s.kind), space, s))
+        space = above
+    return walk, space
 
 
 def reflect(web: Web) -> Web:
@@ -290,21 +308,26 @@ def ladder_from_word(
 # -- dense evaluation -------------------------------------------------
 
 
+def _dense(walk: list, terms: Terms) -> Terms:
+    """Run a walk's kernels on one kernel map, bottom slice first."""
+    for kind, space, s in walk:
+        terms = kind.act(space, s, terms)
+    return terms
+
+
 def evaluate_dense(web: Web, x: TensorVector) -> TensorVector:
-    """Compose the sparse elementary intertwiners slice by slice."""
+    """Compose the elementary intertwiners slice by slice, on one kernel map."""
     if x.space != web.domain:
         raise ShapeMismatchError("vector does not live in the web's domain")
-    for s in web.slices:
-        x = _kind(s.kind).act(x, s)
-    return x
+    walk, cod = _walk(web)
+    return from_terms(cod, _dense(walk, to_terms(x)))
 
 
 def web_matrix(web: Web) -> dict:
     """Column map: domain basis index -> image TensorVector."""
-    return {
-        idx: evaluate_dense(web, TensorVector.basis_vector(web.domain, idx))
-        for idx in basis_indices(web.domain)
-    }
+    walk, cod = _walk(web)
+    return {idx: from_terms(cod, _dense(walk, {tuple(map(_mask, idx)): {0: 1}}))
+            for idx in basis_indices(web.domain)}
 
 
 # -- state-sum evaluation ---------------------------------------------
@@ -321,11 +344,9 @@ def evaluate_statesum(web: Web, x: TensorVector) -> TensorVector:
     """
     if x.space != web.domain:
         raise ShapeMismatchError("vector does not live in the web's domain")
-    spaces = [web.domain]
-    for i, s in enumerate(web.slices):
-        spaces.append(_step(i, spaces[-1], s))
-    rules = [(_kind(s.kind).states, space, s) for space, s in zip(spaces, web.slices)]
-    out = TensorVector(spaces[-1])
+    walk, cod = _walk(web)
+    rules = [(kind.states, space, s) for kind, space, s in walk]
+    out = TensorVector(cod)
     for idx, coeff in x.coords.items():
         stack = [(0, idx, 0, 1)]
         while stack:
@@ -350,26 +371,26 @@ def d_norm(N: int, l: int, k: tuple[int, ...]) -> int:
     return twice // 2
 
 
-def _closed_index(space: Boundary):
-    full = frozenset(range(1, space.N + 1))
-    idx = []
+def _closed_key(space: Boundary) -> tuple[int, ...]:
+    """The kernel key of the closed basis vector: color-N strands full, color-0 padding empty."""
+    full = (1 << space.N) - 1
+    key = []
     for f in space.factors:
         if f.dual or f.color not in (0, space.N):
             raise ShapeMismatchError(
                 "closed evaluation needs color-N strands with color-0 padding"
             )
-        idx.append(full if f.color == space.N else frozenset())
-    return tuple(idx)
+        key.append(full if f.color == space.N else 0)
+    return tuple(key)
 
 
 def ev_closed(web: Web) -> LaurentPoly:
     """The unique coefficient of an endomorphism of the highest-weight boundary."""
-    cod = validate(web)
+    walk, cod = _walk(web)
     if cod != web.domain:
         raise ShapeMismatchError("closed evaluation needs equal domain and codomain")
-    idx = _closed_index(web.domain)
-    image = evaluate_dense(web, TensorVector.basis_vector(web.domain, idx))
-    return image.coeff(idx)
+    key = _closed_key(web.domain)
+    return LaurentPoly(_dense(walk, {key: {0: 1}}).get(key, {}))
 
 
 def web_form(u: Web, w: Web) -> LaurentPoly:
@@ -387,10 +408,11 @@ def _forms(us: list[Web], ws: list[Web]) -> list[list[LaurentPoly]]:
 
     Dense evaluation composes slice by slice, so ev(reflect(u) o w) is
     reflect(u) applied to the image of the closed basis vector under w.
-    Each distinct web is validated once, each u mirrored once and each w
-    pushed forward once; only the row-by-column mirror passes remain.  All
-    webs must share one domain, the highest-weight boundary, and one plain
-    codomain.
+    Each distinct web is walked once, each u mirrored once and each w
+    pushed forward once; only the row-by-column mirror passes remain.  The
+    images and mirror passes stay kernel maps, and each entry becomes one
+    `LaurentPoly`.  All webs must share one domain, the highest-weight
+    boundary, and one plain codomain.
     """
     distinct = list({id(x): x for x in us + ws}.values())
     if not distinct:
@@ -398,16 +420,16 @@ def _forms(us: list[Web], ws: list[Web]) -> list[list[LaurentPoly]]:
     domain = distinct[0].domain
     if any(x.domain != domain for x in distinct):
         raise ShapeMismatchError("webs must share their domain")
-    cods = [validate(x) for x in distinct]
-    cod = cods[0]
-    if any(c != cod for c in cods):
+    walks = {id(x): _walk(x) for x in distinct}
+    cod = walks[id(distinct[0])][1]
+    if any(c != cod for _, c in walks.values()):
         raise ShapeMismatchError("webs must share their codomain")
-    idx = _closed_index(domain)
+    key = _closed_key(domain)
     if any(f.dual for f in cod.factors):
         raise ShapeMismatchError("the web form is defined on plain boundaries")
     l = sum(1 for f in domain.factors if f.color == domain.N)
     d = d_norm(domain.N, l, tuple(f.color for f in cod.factors))
-    top = TensorVector.basis_vector(domain, idx)
-    images = [evaluate_dense(w, top) for w in ws]
-    mirrors = [_reflected(u, cod) for u in us]
-    return [[evaluate_dense(r, x).coeff(idx).shift(d) for x in images] for r in mirrors]
+    images = [_dense(walks[id(w)][0], {key: {0: 1}}) for w in ws]
+    mirrors = [_walk(_reflected(u, cod))[0] for u in us]
+    return [[LaurentPoly({e + d: x for e, x in _dense(r, image).get(key, {}).items()})
+             for image in images] for r in mirrors]

@@ -1,6 +1,8 @@
 """Constructions the tests build webs and vectors with; the program never needs them."""
 
-from qwebs.tensor import Boundary, ShapeMismatchError, TensorVector
+from qwebs.howe import TableauVector, tableau_to_index
+from qwebs.tableaux import tableau_type
+from qwebs.tensor import Boundary, ShapeMismatchError, TensorVector, weight_boundary
 from qwebs.webs import Web, validate
 
 
@@ -20,4 +22,16 @@ def tensor_product(x: TensorVector, y: TensorVector) -> TensorVector:
     for ix, cx in x.coords.items():
         for iy, cy in y.coords.items():
             out.add_term(iy + ix, cx * cy)
+    return out
+
+
+def to_tensor(x: TableauVector) -> TensorVector:
+    """Read a single-type tableau vector in tensor coordinates."""
+    types = {tableau_type(t) for t in x.coords}
+    if len(types) != 1:
+        raise ValueError("tensor coordinates need a vector of a single type")
+    space = weight_boundary(x.space.N, next(iter(types)))
+    out = TensorVector(space)
+    for t, c in x.coords.items():
+        out.add_term(tableau_to_index(t), c)
     return out

@@ -11,7 +11,7 @@ from qwebs.bases import (
     lt_web,
     pairing,
 )
-from qwebs.howe import TableauVector, act_word, highest_vector, to_tensor
+from qwebs.howe import TableauVector, act_word, highest_vector
 from qwebs.ring import LaurentPoly, bar
 from qwebs.tableaux import (
     NotSemistandardError,
@@ -25,7 +25,7 @@ from qwebs.tableaux import (
 from qwebs.tensor import Boundary, Factor, TensorVector, apply_merge, apply_split, apply_tag, ell
 from qwebs.webs import d_norm, evaluate_dense, validate
 
-from helpers import tensor_product
+from helpers import tensor_product, to_tensor
 
 fs = frozenset
 one = LaurentPoly.one()

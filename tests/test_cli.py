@@ -359,6 +359,19 @@ def test_each_verify_flag_runs_only_its_sweep(capsys, monkeypatch):
         assert [c[0] for c in calls] == [name]
 
 
+def test_oversized_verify_request_exits_2_at_once(capsys, monkeypatch):
+    calls = _stub_checkers(monkeypatch)
+    for argv in ("--cartan --max-m 16", "--all --max-N 7", "--shapovalov --cases 10001"):
+        start = time.perf_counter()
+        code = main(["verify", *argv.split()])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "exceeds the limit" in captured.err
+        assert time.perf_counter() - start < 1.0
+    assert calls == []
+    assert run(capsys, "verify", "--all", "--max-N", "6", "--max-m", "8", "--cases", "10000")[0] == 0
+    assert len(calls) == len(SWEEP_CHECKERS)
+
+
 def test_verify_parser_flags_are_the_sweep_table():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     parser = sub.choices["verify"]

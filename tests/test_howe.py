@@ -12,12 +12,13 @@ from qwebs.howe import (
     highest_vector,
     index_to_tableau,
     tableau_to_index,
-    to_tensor,
     weight_of_type,
 )
 from qwebs.ring import LaurentPoly, exact_divide, qfactorial, qint, qnum
 from qwebs.tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, tableau_type
 from qwebs.webs import evaluate_dense, ladder_from_word
+
+from helpers import to_tensor
 
 fs = frozenset
 one = LaurentPoly.one()

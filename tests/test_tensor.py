@@ -7,6 +7,9 @@ from qwebs.tensor import (
     Factor,
     ShapeMismatchError,
     TensorVector,
+    _ell_table,
+    _mask,
+    _subset,
     apply_cap,
     apply_cup,
     apply_merge,
@@ -39,6 +42,15 @@ def test_ell_examples():
 def test_ell_complement_sum(S, T):
     T = T - S
     assert ell(S, T) + ell(T, S) == len(S) * len(T)
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+def test_kernel_ell_table_equals_ell_on_every_pair(N):
+    tab = _ell_table(N)
+    for S in range(1 << N):
+        assert _mask(_subset(S)) == S
+        for T in range(1 << N):
+            assert tab[S << N | T] == ell(_subset(S), _subset(T)), (S, T)
 
 
 def test_merge_examples():

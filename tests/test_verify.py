@@ -2,10 +2,10 @@
 
 from qwebs import verify
 from qwebs.bases import GradedMatrix, gram_matrix
-from qwebs.howe import TableauVector
 from qwebs.ring import LaurentPoly
 from qwebs.tableaux import Shape, Tableau, highest_tableau
 from qwebs.verify import Report, check_howe, web_gram_mismatch
+from qwebs.webs import AnnihilatedError, rung
 
 
 class Unprintable:
@@ -25,23 +25,33 @@ def test_report_formats_the_failure_text_only_on_failure():
     ]
 
 
+def _patch_kernel(monkeypatch, wrong):
+    """Make the tableau route return `wrong(sign, i, a, terms, out)` in place of its map."""
+    real = verify._act_divided
+
+    def act_divided(sign, i, a, terms):
+        return wrong(sign, i, a, terms, real(sign, i, a, terms))
+
+    monkeypatch.setattr(verify, "_act_divided", act_divided)
+
+
 def _wrong_once(monkeypatch, case, wrong):
-    """Make the tableau route return `wrong(out)` for one (tableau, sign, i, a)."""
-    real = verify.act_divided
+    """Make the tableau route return `wrong(terms, out)` for one (tableau, sign, i, a)."""
+    t, *rung = case
 
-    def act_divided(sign, i, a, x):
-        out = real(sign, i, a, x)
-        return wrong(out) if (x, sign, i, a) == case else out
+    def maybe_wrong(sign, i, a, terms, out):
+        return wrong(terms, out) if list(terms) == [t.sort_key()] and [sign, i, a] == rung else out
 
-    monkeypatch.setattr(verify, "act_divided", act_divided)
+    _patch_kernel(monkeypatch, maybe_wrong)
 
 
 def test_howe_reports_the_one_wrong_route(monkeypatch):
     pairs = ((2, 2),)
     clean = check_howe(pairs)
     assert clean.passed
-    x = TableauVector.basis_vector(highest_tableau(Shape(2, 2)))
-    _wrong_once(monkeypatch, (x, -1, 2, 1), lambda out: out.scale(LaurentPoly({0: 2})))
+    t = highest_tableau(Shape(2, 2))
+    _wrong_once(monkeypatch, (t, -1, 2, 1),
+                lambda terms, out: {k: {e: 2 * c for e, c in p.items()} for k, p in out.items()})
     rep = check_howe(pairs)
     assert rep.cases == clean.cases
     assert rep.failures == ["routes disagree at 11/22, sign=-1, i=2, a=1"]
@@ -50,11 +60,41 @@ def test_howe_reports_the_one_wrong_route(monkeypatch):
 def test_howe_reports_a_nonzero_action_on_an_annihilated_ladder(monkeypatch):
     pairs = ((2, 2),)
     clean = check_howe(pairs)
-    x = TableauVector.basis_vector(highest_tableau(Shape(2, 2)))
-    _wrong_once(monkeypatch, (x, 1, 1, 1), lambda out: x)
+    t = highest_tableau(Shape(2, 2))
+    _wrong_once(monkeypatch, (t, 1, 1, 1), lambda terms, out: terms)
     rep = check_howe(pairs)
     assert rep.cases == clean.cases
     assert rep.failures == ["annihilated ladder but nonzero action at 11/22, sign=1, i=1, a=1"]
+
+
+def test_howe_catches_a_shifted_exponent_for_one_rung(monkeypatch):
+    pairs = ((2, 2),)
+    clean = check_howe(pairs)
+    _patch_kernel(monkeypatch, lambda sign, i, a, terms, out: (
+        {k: {e + 1: c for e, c in p.items()} for k, p in out.items()} if (i, sign) == (2, -1) else out))
+    rep = check_howe(pairs)
+    assert rep.cases == clean.cases and rep.failures
+    assert all(f.startswith("routes disagree at ") and ", sign=-1, i=2, a=" in f for f in rep.failures)
+
+
+def test_howe_catches_a_nonzero_map_for_every_annihilated_ladder(monkeypatch):
+    pairs = ((2, 2),)
+    clean = check_howe(pairs)
+
+    def annihilated(sign, i, a, terms):
+        (cols,) = terms  # one tableau: its entries i and i+1 are the rung's weight entries
+        left, right = (sum(col.count(x) for col in cols) for x in (i, i + 1))
+        try:
+            rung(2, left, right, sign, a)
+        except AnnihilatedError:
+            return True
+        return False
+
+    _patch_kernel(monkeypatch, lambda sign, i, a, terms, out: (
+        terms if annihilated(sign, i, a, terms) else out))
+    rep = check_howe(pairs)
+    assert rep.cases == clean.cases and rep.failures
+    assert all(f.startswith("annihilated ladder but nonzero action at ") for f in rep.failures)
 
 
 def test_dual_sweep_reports_a_negative_gram_coefficient(monkeypatch):

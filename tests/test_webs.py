@@ -120,7 +120,7 @@ def test_statesum_calls_no_dense_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the state sum called a dense kernel")
 
-    for name in ("apply_merge", "apply_split", "apply_tag", "apply_cup", "apply_cap"):
+    for name in ("merge_kernel", "split_kernel", "tag_kernel", "cup_kernel", "cap_kernel"):
         monkeypatch.setattr(qwebs.webs, name, refuse)
     assert [evaluate_statesum(w, x) for w, x in cases] == dense
 
@@ -160,6 +160,45 @@ def test_statesum_equals_dense_on_random_webs(web):
         assert evaluate_statesum(web, x) == evaluate_dense(web, x), idx
     zero = TensorVector(web.domain)
     assert evaluate_statesum(web, zero) == evaluate_dense(web, zero)  # vectors compare their spaces too
+
+
+def test_wrong_color_tag_is_refused_by_both_evaluators():
+    dom = Boundary(3, (Factor(2),))
+    x = TensorVector.basis_vector(dom, (fs({1, 2}),))
+    # a tag names the color of the plain factor it flips; on a dual factor
+    # of color c it names N - c, the color the factor's first tag was given
+    for web in (Web(dom, (tag(1, 1),)), Web(dom, (tag(2, 1), tag(1, 1)))):
+        for evaluate in (evaluate_dense, evaluate_statesum):
+            with pytest.raises(ShapeMismatchError) as exc:
+                evaluate(web, x)
+            assert exc.value.slice_index == len(web.slices) - 1
+    assert evaluate_dense(Web(dom, (tag(2, 1), tag(2, 1))), x) == x
+
+
+@st.composite
+def any_slices(draw, N):
+    """A slice of any kind, whose fields may or may not fit a boundary."""
+    return Slice(draw(st.sampled_from(["merge", "split", "cup", "cap", "tag", "id"])),
+                 draw(st.integers(0, 4)), draw(st.integers(-1, N + 1)), draw(st.integers(-1, N + 1)),
+                 draw(st.sampled_from(["", "left", "right", "up"])))
+
+
+@settings(deadline=None)
+@given(composable_webs(), st.data())
+def test_evaluate_dense_raises_exactly_when_validate_does(web, data):
+    if data.draw(st.booleans()):  # put one slice anywhere in the web, fitting or not
+        i = data.draw(st.integers(0, len(web.slices)))
+        s = data.draw(any_slices(web.domain.N))
+        web = Web(web.domain, web.slices[:i] + (s,) + web.slices[i + 1 :])
+    x = TensorVector.basis_vector(web.domain, basis_indices(web.domain)[0])
+    try:
+        validate(web)
+    except IllFormedWebError as exc:
+        with pytest.raises(ShapeMismatchError) as raised:
+            evaluate_dense(web, x)
+        assert raised.value.slice_index == exc.slice_index
+    else:
+        assert evaluate_dense(web, x) == evaluate_statesum(web, x)
 
 
 def test_statesum_steps_each_slice_once_and_skips_validate(monkeypatch):
@@ -270,21 +309,23 @@ def test_web_gram_checks_what_web_form_checks():
 
 
 def test_web_gram_and_web_form_validate_each_web_once(monkeypatch):
+    # each distinct web, then each mirror, is stepped once, by the walk the kernels run on
     import qwebs.webs
 
-    seen = []
-    real = qwebs.webs.validate
-    monkeypatch.setattr(qwebs.webs, "validate", lambda web: seen.append(web) or real(web))
     w1 = ladder_from_word(2, (2, 2, 0, 0), [(-1, 2, 1), (-1, 3, 1), (-1, 1, 1), (-1, 2, 1)])
     w2 = ladder_from_word(2, (2, 2, 0, 0), [(-1, 2, 2), (-1, 1, 1), (-1, 3, 1)])
+    r1, r2 = reflect(w1), reflect(w2)
+    seen = []
+    real = qwebs.webs._walk
+    monkeypatch.setattr(qwebs.webs, "_walk", lambda web: seen.append(web) or real(web))
     gram = web_gram([w1, w2])
-    assert seen == [w1, w2]
+    assert seen == [w1, w2, r1, r2]
     seen.clear()
     assert web_form(w1, w2) == gram[0][1]
-    assert seen == [w1, w2]
+    assert seen == [w1, w2, r1]
     seen.clear()
     assert web_form(w1, w1) == gram[0][0]
-    assert seen == [w1]
+    assert seen == [w1, r1]
 
 
 def test_web_form_symmetry_and_duality():
