@@ -15,8 +15,9 @@ coefficients as it is built, and each distinct column of the block once for
 what `Tableau` validation checks.
 
 Blocks stay in the kernel's form, {column tuple: {exponent: int}}, through
-the corrections and the Gram pairings; an element builds its `Tableau` and
-`LaurentPoly` objects only when a caller reads its `expansion`.
+the corrections and the Gram pairings, which add up through `ring.add_into`;
+an element builds its `Tableau` and `LaurentPoly` objects only when a caller
+reads its `expansion`.
 
 The dual canonical element b^T is computed from the A-basis by triangular
 elimination: scanning semistandard S below T in descending order, any
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .howe import TableauVector, Terms, _act_divided
-from .ring import LaurentPoly, bar, symmetrize_correction
+from .ring import LaurentPoly, add_into, bar, symmetrize_correction
 from .tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, peel_word, tableau_type
 from .webs import Web, ladder_from_word
 
@@ -175,14 +176,8 @@ def _dual(block: dict[Tableau, LTBasisElement], labels: list[Tableau], keys: lis
         g = list(gamma.items())
         for tau, ca in block[s].terms.items():
             acc = dict(coords.get(tau, ()))
-            for e1, a1 in ca.items():
-                for e2, a2 in g:
-                    e = e1 + e2
-                    x = acc.get(e, 0) - a1 * a2
-                    if x:
-                        acc[e] = x
-                    else:
-                        del acc[e]
+            for e, a in g:
+                add_into(acc, ca, e, -a)
             if acc:
                 coords[tau] = acc
             else:
@@ -229,7 +224,7 @@ def pairing(x: TableauVector, y: TableauVector) -> LaurentPoly:
 
 
 def _form(x: dict, y: dict) -> LaurentPoly:
-    """`pairing` of two coordinate maps, summed on ints into one polynomial.
+    """`pairing` of two coordinate maps, summed on ints; bar is taken once, at the end.
 
     The values are anything whose `items()` are (exponent, coefficient)
     pairs: `LaurentPoly`s, or the kernel's int maps.
@@ -240,11 +235,9 @@ def _form(x: dict, y: dict) -> LaurentPoly:
     for k, cx in x.items():
         cy = y.get(k)
         if cy is not None:
-            for e1, a1 in cx.items():
-                for e2, a2 in cy.items():
-                    e = -e1 - e2
-                    acc[e] = acc.get(e, 0) + a1 * a2
-    return LaurentPoly(acc)
+            for e, a in cx.items():
+                add_into(acc, cy, e, a)
+    return LaurentPoly({-e: a for e, a in acc.items()})
 
 
 def lt_web(t: Tableau) -> Web:

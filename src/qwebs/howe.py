@@ -18,10 +18,11 @@ times that one monomial, so no division is needed.
 
 One kernel, `_act_divided`, acts on maps {column tuple (a sort_key):
 {exponent: int}}: a move replaces column tuples, and its power of v sums the
-per-column differences (i in d) - (i+1 in d).  `act_word` runs a whole
-divided-power word (`act_E` and `act_divided` are one-pair words) on one map
-and only then builds, and so validates, the `Tableau` and `LaurentPoly`
-objects of its result.  The kernel is also the step of the peel-tree walk in
+per-column differences (i in d) - (i+1 in d); moves that meet at one tuple
+add up through `ring.add_into`.  `act_word` runs a whole divided-power word
+(`act_E` and `act_divided` are one-pair words) on one map and only then
+builds, and so validates, the `Tableau` and `LaurentPoly` objects of its
+result.  The kernel is also the step of the peel-tree walk in
 `bases`, whose blocks stay in this form.
 
 Tableaux and tensor basis indices correspond through one bijection,
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .ring import LaurentPoly, ONE, exact_int
+from .ring import LaurentPoly, ONE, add_into, exact_int
 from .tableaux import Shape, Tableau, highest_tableau
 from .tensor import Index, SparseVector
 
@@ -140,13 +141,7 @@ def _act_divided(sign: int, i: int, r: int, terms: Terms) -> Terms:
             if acc is None:
                 out[key] = {e + shift: a for e, a in c.items()}
             else:
-                for e, a in c.items():
-                    e += shift
-                    s = acc.get(e, 0) + a
-                    if s:
-                        acc[e] = s
-                    else:
-                        del acc[e]
+                add_into(acc, c, shift)
                 if not acc:
                     del out[key]
     return out

@@ -7,8 +7,9 @@ construction and safe to share between workers.
 
 Besides the ring operations this module provides the balanced quantum
 combinatorics ([n], [n]!, Gaussian binomials), the bar involution v -> v^-1,
-the bar-symmetrization step used by the triangular basis algorithm, and exact
-division.
+the bar-symmetrization step used by the triangular basis algorithm, exact
+division, and `add_into`: the one sum on coefficient maps, which the
+arithmetic here and the kernels in `tensor`, `howe` and `bases` all use.
 """
 
 from __future__ import annotations
@@ -29,19 +30,8 @@ class LaurentPoly:
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        c: dict[int, int] = {}
-        # dict first: the ABC check on typing.Mapping is slow on this hot path
-        if isinstance(coeffs, dict) or isinstance(coeffs, Mapping):
-            items = coeffs.items()
-        else:
-            items = coeffs
-        for e, a in items:
-            if a:
-                c[e] = c.get(e, 0) + a
-                if not c[e]:
-                    del c[e]
-        self._c = c
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
+        self._c: dict[int, int] = {e: a for e, a in coeffs.items() if a} if coeffs else {}
 
     # -- constructors -------------------------------------------------
 
@@ -92,12 +82,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         c = dict(self._c)
-        for e, a in other._c.items():
-            s = c.get(e, 0) + a
-            if s:
-                c[e] = s
-            elif e in c:
-                del c[e]
+        add_into(c, other._c)
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = c
         return out
@@ -122,14 +107,8 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         c: dict[int, int] = {}
-        for e1, a1 in self._c.items():
-            for e2, a2 in other._c.items():
-                e = e1 + e2
-                s = c.get(e, 0) + a1 * a2
-                if s:
-                    c[e] = s
-                elif e in c:
-                    del c[e]
+        for e, a in self._c.items():
+            add_into(c, other._c, e, a)
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = c
         return out
@@ -186,6 +165,21 @@ class LaurentPoly:
                 raise ValueError(f"exponent {e} appears twice")
             coeffs[e] = exact_int(a, "coefficient")
         return cls(coeffs)
+
+
+def add_into(acc: dict[int, int], c: Mapping[int, int], shift: int = 0, factor: int = 1) -> None:
+    """acc += factor * v^shift * c on coefficient maps, dropping every zero; c is not changed.
+
+    `c` is anything whose `items()` are (exponent, coefficient) pairs: an int
+    map or a `LaurentPoly`.  This is the one place a coefficient sum is made.
+    """
+    for e, a in c.items():
+        e += shift
+        a = acc.get(e, 0) + factor * a
+        if a:
+            acc[e] = a
+        else:
+            acc.pop(e, None)
 
 
 def exact_int(value, what: str) -> int:
@@ -250,14 +244,7 @@ def symmetrize_correction(p: LaurentPoly) -> LaurentPoly:
     g = p_0 + sum_{i>0} p_i (v^i + v^-i) where p_i is the coefficient
     of v^i in p.
     """
-    c: dict[int, int] = {}
-    for e, a in p._c.items():
-        if e == 0:
-            c[0] = c.get(0, 0) + a
-        elif e > 0:
-            c[e] = c.get(e, 0) + a
-            c[-e] = c.get(-e, 0) + a
-    return LaurentPoly(c)
+    return LaurentPoly({s: a for e, a in p._c.items() if e >= 0 for s in (e, -e)})
 
 
 def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -288,10 +275,5 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
             raise NonDivisibleError(f"{p} is not divisible by {q}")
         e = dp - dq
         quot[e] = c
-        for de, da in den.items():
-            s = rem.get(de + e, 0) - da * c
-            if s:
-                rem[de + e] = s
-            elif de + e in rem:
-                del rem[de + e]
+        add_into(rem, den, e, -c)
     return LaurentPoly(quot).shift(shift)

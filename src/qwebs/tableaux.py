@@ -122,25 +122,44 @@ def _count_bound(shape: Shape, type: tuple[int, ...] | None) -> int:
 
     Without a type each of the N columns is an l-subset of 1..m.  With one,
     sorting the columns of the m!/prod(k_i!) fillings of that content gives
-    every column-strict tableau exactly (l!)^N times.
+    every column-strict tableau exactly (l!)^N times.  Exact, so only worth
+    computing once `_log_count_bound` has shown it is small.
     """
     if type is None:
         return math.comb(shape.m, shape.l) ** shape.N
-    fillings = math.factorial(shape.m)
+    fillings, placed = 1, 0  # m!/prod(k_i!) as a product of binomials
     for k in type:
-        fillings //= math.factorial(k)
+        placed += k
+        fillings *= math.comb(placed, k)
     return fillings // math.factorial(shape.l) ** shape.N
 
 
+def _log_count_bound(shape: Shape, type: tuple[int, ...] | None) -> float:
+    """The natural logarithm of `_count_bound`'s formula, from `math.lgamma` at any size."""
+    N, l, m = shape.N, shape.l, shape.m
+    if type is None:
+        return N * (math.lgamma(m + 1) - math.lgamma(l + 1) - math.lgamma(m - l + 1))
+    return math.lgamma(m + 1) - sum(math.lgamma(k + 1) for k in type if k > 1) - N * math.lgamma(l + 1)
+
+
+# A bound whose logarithm exceeds this is over MAX_TABLEAUX whatever the
+# rounding of the lgamma sums: the margin of 1 is a factor of e.
+_LOG_LIMIT = math.log(MAX_TABLEAUX) + 1
+
+
 def check_request(shape: Shape, type: tuple[int, ...] | None = None) -> None:
-    """Refuse a malformed type, or a request that could exceed MAX_TABLEAUX."""
+    """Refuse a malformed type, or a request that could exceed MAX_TABLEAUX.
+
+    The bound is estimated first: at shape (2, 1000000) its exact value has
+    over a million digits, which would take longer to build than most
+    requests run.
+    """
     if type is not None and (len(type) != shape.m or sum(type) != shape.m or min(type) < 0):
         raise ValueError("type must be an m-vector of nonnegative entries summing to m")
-    bound = _count_bound(shape, type)
-    if bound > MAX_TABLEAUX:
+    if _log_count_bound(shape, type) > _LOG_LIMIT or _count_bound(shape, type) > MAX_TABLEAUX:
         raise ValueError(
-            f"shape ({shape.N}, {shape.l}) may have up to {bound} tableaux"
-            f"{'' if type is None else ' of this type'}; the limit is {MAX_TABLEAUX}"
+            f"shape ({shape.N}, {shape.l}) may have more tableaux"
+            f"{'' if type is None else ' of this type'} than the limit of {MAX_TABLEAUX}"
         )
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
-from .ring import ONE, LaurentPoly, exact_int
+from .ring import ONE, LaurentPoly, add_into, exact_int
 
 
 class ShapeMismatchError(ValueError):
@@ -288,7 +288,8 @@ def cap_space(space: Boundary, a: int, pos: int) -> Boundary:
 # A vector inside the kernels: {tuple of bitmasks: {exponent: int}}, slot 1
 # first, where bit j-1 of a mask stands for j.  No coefficient is zero and no
 # inner map is empty.  A kernel never changes a map it is given, so it may
-# hand an inner map on unchanged; it adds up only into maps it made itself.
+# hand an inner map on unchanged; it adds up, through `ring.add_into`, only
+# into maps it made itself, and drops a key whose map cancels to empty.
 Terms = dict[tuple[int, ...], dict[int, int]]
 
 
@@ -351,20 +352,6 @@ def _split_table(N: int, a: int) -> _Table:
     return _Table(lambda S: tuple((S ^ T, T, -tab[T << N | S ^ T]) for T in _submasks(S, a)))
 
 
-def _add(out: Terms, key: tuple[int, ...], c: dict[int, int], shift: int) -> None:
-    """Add v^shift c to out[key], a map the calling kernel made; drop it if it cancels."""
-    acc = out[key]
-    for e, x in c.items():
-        e += shift
-        x += acc.get(e, 0)
-        if x:
-            acc[e] = x
-        else:
-            del acc[e]
-    if not acc:
-        del out[key]
-
-
 def merge_kernel(N: int, terms: Terms, pos: int) -> Terms:
     """x_S (x) x_T -> v^len(T,S) x_{S u T}, S at slot pos+1 and T at slot pos."""
     tab = _ell_table(N)
@@ -376,10 +363,13 @@ def merge_kernel(N: int, terms: Terms, pos: int) -> Terms:
             continue
         shift = tab[T << N | S]
         key = key[:lo] + (S | T,) + key[pos + 1 :]
-        if key in out:
-            _add(out, key, c, shift)
-        else:
+        acc = out.get(key)
+        if acc is None:
             out[key] = {e + shift: x for e, x in c.items()}
+        else:
+            add_into(acc, c, shift)
+            if not acc:
+                del out[key]
     return out
 
 
@@ -430,10 +420,13 @@ def cap_kernel(terms: Terms, pos: int) -> Terms:
     for key, c in terms.items():
         if key[lo] == key[pos]:
             key = key[:lo] + key[pos + 1 :]
-            if key in out:
-                _add(out, key, c, 0)
-            else:
+            acc = out.get(key)
+            if acc is None:
                 out[key] = dict(c)
+            else:
+                add_into(acc, c)
+                if not acc:
+                    del out[key]
     return out
 
 

@@ -22,6 +22,8 @@ from .webs import d_norm
 
 
 def _shape_of_weight(N: int, k: tuple[int, ...]) -> int:
+    if N < 2:
+        raise ValueError(f"invalid N={N}: a weight needs N >= 2")
     m = len(k)
     if m % N:
         raise ValueError(f"weight length {m} is not a multiple of N={N}")

@@ -119,14 +119,21 @@ def test_exit_code_on_invalid_input(capsys):
     assert code == 2
     code, _ = run(capsys, "tableaux", "--N", "2", "--l", "1", "--type=-1,3")
     assert code == 2
+    assert main(["cartan", "--N", "0", "--k", "1"]) == 2
+    assert "error: invalid N=0" in capsys.readouterr().err
 
 
 def test_oversized_tableaux_request_exits_2_at_once(capsys):
-    # a whole-shape basis sweep is refused by the same bound
-    for argv in ("tableaux --N 8 --l 3 --semistandard", "lt-basis --N 2 --l 7"):
+    # a whole-shape basis sweep is refused by the same bound; the bounds of
+    # the last three have over a million digits each and are never built
+    for argv in ("tableaux --N 8 --l 3 --semistandard", "lt-basis --N 2 --l 7",
+                 "tableaux --N 2 --l 1000000", "tableaux --N 4000000 --l 1",
+                 "lt-basis --N 2 --l 1000000"):
         start = time.perf_counter()
-        code, out = run(capsys, *argv.split())
-        assert code == 2 and out == ""
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "than the limit of 1000000" in captured.err
         assert time.perf_counter() - start < 1.0
 
 

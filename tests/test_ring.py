@@ -1,9 +1,12 @@
+from collections import Counter
+
 from hypothesis import given, strategies as st
 import pytest
 
 from qwebs.ring import (
     LaurentPoly,
     NonDivisibleError,
+    add_into,
     bar,
     exact_divide,
     qbinom,
@@ -21,6 +24,25 @@ def poly(d):
 laurent = st.dictionaries(
     st.integers(min_value=-6, max_value=6), st.integers(min_value=-9, max_value=9), max_size=6
 ).map(LaurentPoly)
+
+
+coeff_maps = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9).filter(bool), max_size=6)
+
+
+@given(coeff_maps, coeff_maps, st.integers(-4, 4), st.integers(-3, 3))
+def test_add_into_matches_a_counter_sum(acc, c, shift, factor):
+    before = dict(c)
+    expected = Counter(acc)
+    for e, a in c.items():
+        expected[e + shift] += factor * a
+    add_into(acc, c, shift, factor)
+    assert acc == {e: a for e, a in expected.items() if a}
+    assert 0 not in acc.values()
+    # full cancellation leaves the empty map
+    negated = {e + shift: -factor * a for e, a in c.items()}
+    add_into(negated, c, shift, factor)
+    assert negated == {}
+    assert c == before
 
 
 def test_qint_small():

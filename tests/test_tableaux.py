@@ -1,5 +1,7 @@
 import itertools
+import math
 import operator
+import time
 
 import pytest
 
@@ -10,6 +12,8 @@ from qwebs.tableaux import (
     Shape,
     Tableau,
     _count_bound,
+    _log_count_bound,
+    check_request,
     enumerate_tableaux,
     highest_tableau,
     peel_word,
@@ -347,6 +351,24 @@ def test_oversized_enumerations_are_refused_before_any_work(monkeypatch):
         enumerate_tableaux(Shape(4, 4), (1,) * 16)
     with pytest.raises(ValueError, match="nonnegative"):
         enumerate_tableaux(Shape(2, 1), (-1, 3))
+
+
+def test_huge_requests_are_refused_from_the_estimate():
+    # the exact bounds have 300,000 digits or more
+    shape = Shape(2, 1_000_000)
+    for ktype in (None, (1,) * shape.m, (2,) * shape.l + (0,) * shape.l):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"than the limit of {MAX_TABLEAUX}"):
+            check_request(shape, ktype)
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("N,l", [(2, 2), (2, 3), (3, 2), (4, 1), (8, 3)])
+def test_log_count_bound_is_the_log_of_the_exact_bound(N, l):
+    shape = Shape(N, l)
+    distinct = (1,) * shape.m
+    for ktype in (None, distinct):
+        assert math.isclose(_log_count_bound(shape, ktype), math.log(_count_bound(shape, ktype)))
 
 
 def test_json_roundtrip():

@@ -1,6 +1,10 @@
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
+from qwebs.bases import dual_block, lt_block
+from qwebs.howe import _act_divided
 from qwebs.ring import LaurentPoly, qbinom
 from qwebs.tensor import (
     Boundary,
@@ -16,7 +20,12 @@ from qwebs.tensor import (
     apply_split,
     apply_tag,
     basis_indices,
+    cap_kernel,
+    cup_kernel,
     ell,
+    merge_kernel,
+    split_kernel,
+    tag_kernel,
 )
 
 from helpers import tensor_product
@@ -202,3 +211,41 @@ def test_from_json_rejects_malformed_subsets(subsets):
     }
     with pytest.raises(ShapeMismatchError):
         TensorVector.from_json(data)
+
+
+def test_no_kernel_changes_a_map_it_is_given():
+    # Kernels may hand an input's inner map on as their own (split does), so
+    # adding into an input map would corrupt the caller's vector.  Each input
+    # has keys that collide, some cancelling in part and some in full; the
+    # key that comes first in each collision is the one moved with shift 0.
+    merge_in = {(2, 1, 1): {1: -1, 5: 1}, (1, 2, 1): {0: 1, 3: 2}, (2, 1, 2): {1: -1}, (1, 2, 2): {0: 1}}
+    cap_in = {(1, 1, 1): {0: 1, 2: 3}, (2, 2, 1): {0: -1}, (1, 1, 2): {4: 1}, (2, 2, 2): {4: -1}}
+    howe_in = {
+        ((2,), (1,), (3,)): {1: -1}, ((1,), (2,), (3,)): {0: 1, 2: 3},
+        ((2,), (1,), (4,)): {1: -1}, ((1,), (2,), (4,)): {0: 1},
+    }
+    split_in = {(3, 1): {0: 1, 2: -1}, (3, 2): {1: 2}}
+    runs = [
+        (lambda x: merge_kernel(2, x, 1), merge_in, {(3, 1): {4: 2, 5: 1}}),
+        (lambda x: cap_kernel(x, 1), cap_in, {(1,): {2: 3}}),
+        (lambda x: _act_divided(-1, 1, 1, x), howe_in, {((2,), (2,), (3,)): {3: 3}}),
+        (lambda x: split_kernel(2, x, 1, 1), split_in, None),
+        (lambda x: merge_kernel(2, split_kernel(2, x, 1, 1), 1), split_in,
+         {(3, 1): {-1: 1, 3: -1}, (3, 2): {2: 2, 0: 2}}),  # [2](1 - v^2) = v^-1 - v^3
+        (lambda x: tag_kernel(2, x, 1, False, "right"), split_in, None),
+        (lambda x: cup_kernel(2, x, 1, 2), split_in, None),
+    ]
+    for kernel, terms, expected in runs:
+        before = copy.deepcopy(terms)
+        out = kernel(terms)
+        assert terms == before
+        assert all(c and 0 not in c.values() for c in out.values())
+        if expected is not None:
+            assert out == expected
+
+    # the dual corrections replace, never change, the LT block's inner maps
+    k = (0, 0, 1, 2, 1, 2)
+    lt = {t: copy.deepcopy(e.terms) for t, e in lt_block(3, 2, k).items()}
+    dual_block.cache_clear()
+    assert any(e.beta for e in dual_block(3, 2, k).values())
+    assert {t: e.terms for t, e in lt_block(3, 2, k).items()} == lt
