@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import json
 import time
 
@@ -7,7 +8,11 @@ import pytest
 
 from qwebs import verify
 from qwebs.cli import VERIFY_SWEEPS, build_parser, main
+from qwebs.tensor import Boundary, Factor
 from qwebs.verify import Report
+from qwebs.webs import Web, cup, ladder_from_word, merge, reflect, split, tag
+
+from helpers import compose
 
 
 def run(capsys, *argv):
@@ -178,6 +183,69 @@ def test_full_shape_bases_match_golden_digests(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command]
 
 
+# Inputs of the vector commands, written here: a ladder web with a 14-term
+# vector on its domain, a web through a split, a merge, a cup and two tags
+# whose image has dual factors, a 4-term tableau vector of shape (3, 2) over
+# four types, and two closed and two open ladder webs.
+def _vector_command_inputs(tmp_path) -> dict:
+    ladder = ladder_from_word(3, (2, 1, 1), [(-1, 1, 1), (+1, 2, 1), (-1, 2, 2)])
+    domain = Boundary(3, (Factor(2), Factor(1)))
+    tagged = Web(domain, (split(1, 1, 1), merge(1, 1, 2), cup(2, 3), tag(2, 4, "right"), tag(1, 1)))
+    column = ladder_from_word(3, (3, 0, 0), [(-1, 1, 1), (-1, 2, 1), (-1, 1, 1)])
+    u = ladder_from_word(2, (2, 2, 0, 0), [(-1, 2, 1), (-1, 3, 1), (-1, 1, 1), (-1, 2, 1)])
+    w = ladder_from_word(2, (2, 2, 0, 0), [(-1, 2, 2), (-1, 1, 1), (-1, 3, 1)])
+
+    def vector(web, every):
+        """Every `every`-th basis index of the web's domain, with varied coefficients."""
+        pools = [list(itertools.combinations(range(1, 4), f.color)) for f in web.domain.factors]
+        terms = [{"subsets": [sorted(s, reverse=True) for s in idx],
+                  "coeff": [[n % 5 - 2, (-1) ** n * (n % 3 + 1)], [n % 5 + 1, 1]]}
+                 for n, idx in enumerate(list(itertools.product(*pools))[::every])]
+        return {"N": 3, "space": web.domain.to_json(), "terms": terms}
+
+    rows = [[[1, 1, 2], [3, 3, 4]], [[1, 2, 3], [5, 5, 6]], [[1, 3, 2], [4, 5, 6]], [[2, 1, 1], [3, 4, 3]]]
+    payloads = {
+        "ladder": ladder.to_json(), "ladder-vector": vector(ladder, 2),
+        "tagged": tagged.to_json(), "tagged-vector": vector(tagged, 1),
+        "tableaux": {"N": 3, "l": 2, "terms": [
+            {"rows": r, "coeff": [[-n, n + 1], [n + 2, -1]]} for n, r in enumerate(rows)]},
+        "closed": compose(column, reflect(column)).to_json(), "u": u.to_json(), "w": w.to_json(),
+    }
+    return {name: _write(tmp_path, f"{name}.json", data) for name, data in payloads.items()}
+
+
+# sha256 of what each command line prints on those inputs ({name} is the
+# path of an input), recorded before vectors held the kernels' int maps
+VECTOR_GOLDEN_DIGESTS = {
+    "eval --web {ladder} --vector {ladder-vector}":
+        "1303cee6d169859a67ab722420440c8d838feb2e8273af9f3d686d59adcb1877",
+    "eval --web {tagged} --vector {tagged-vector}":
+        "5096aa167f219429fc1a18c44a7226a63b7afeaae21230f7135d56a46de351b0",
+    "act --sign - --i 1 --vector {tableaux}":
+        "0c50bc590b725f35706ab2be3aba6c81cf20dbfa0e99fe05526486ef11303047",
+    "act --sign - --i 3 --r 2 --vector {tableaux}":
+        "2c0588c62766ff29d929bb80e9bc2564e31c99d2c45b87f24fbe8d31b8e6a6af",
+    "act --sign + --i 2 --vector {tableaux}":
+        "1b45929a992946389e33cccc11992cd5fada32cba6d278bfa5823754973b1928",
+    "act --sign + --i 4 --r 2 --vector {tableaux}":
+        "70d3a4c2694a607d5cb07f8dfc111af71bc35bcba406a75e2d7ee2801f55858c",
+    "act --sign - --i 5 --r 0 --vector {tableaux}":
+        "a106f180896ad2829821bf590c3cc0465dcc52c0294b418fbe95fac403903c8b",
+    "ev --web {closed}":
+        "bc3c178421ce95491b7166766fdc1a55a325ae9c47b92eb9ffc35c090e2521d8",
+    "form --u {u} --w {w}":
+        "298255f1eb2e8d8a79faceb08b87749863b33019f812849d3a2d0865eb48305c",
+}
+
+
+@pytest.mark.parametrize("command", list(VECTOR_GOLDEN_DIGESTS), ids=_golden_id)
+def test_vector_commands_match_golden_digests(capsys, tmp_path, command):
+    paths = _vector_command_inputs(tmp_path)
+    code, out = run(capsys, *[tok.format_map(paths) for tok in command.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VECTOR_GOLDEN_DIGESTS[command]
+
+
 def test_verify_subset(capsys):
     code, out = run(capsys, "verify", "--relations", "--max-N", "2")
     assert code == 0
@@ -213,6 +281,13 @@ def test_malformed_json_inputs_exit_2(capsys, tmp_path):
         "terms": [{"subsets": [[7, 2, 1], []], "coeff": [[0, 1]]}],
     }))
     assert run(capsys, "eval", "--web", str(web), "--vector", str(vec))[0] == 2
+    # a repeated entry is refused, never folded into a smaller subset
+    for color, subset in ((2, [1, 1]), (1, [3]), (1, [0]), (1, [-1])):
+        space = [{"color": color, "dual": False}]
+        idweb = _write(tmp_path, "id.json", {"N": 2, "domain": space, "slices": []})
+        bad = _write(tmp_path, "v.json", {"N": 2, "space": space,
+                                          "terms": [{"subsets": [subset], "coeff": [[0, 1]]}]})
+        assert run(capsys, "eval", "--web", idweb, "--vector", bad)[0] == 2, subset
     tv = tmp_path / "tv.json"
     tv.write_text(json.dumps({"N": 2, "l": 1, "terms": [{"rows": [[1, 1]], "coeff": [[0, 1.5]]}]}))
     assert run(capsys, "act", "--sign", "-", "--i", "1", "--vector", str(tv))[0] == 2

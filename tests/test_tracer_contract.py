@@ -1,0 +1,76 @@
+"""The benchmark's tracer wraps and counts qwebs names: each must exist and be restored.
+
+The tracer's own tests are not part of this suite, so these pin what it
+reads of qwebs: the spanned and counted names, and a sized `coords` on the
+results whose terms it counts.
+"""
+
+import importlib
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+from perfbench import tracer  # noqa: E402
+
+import qwebs.cli  # noqa: E402,F401  (the tracer patches qwebs.cli.json)
+from qwebs.howe import highest_vector  # noqa: E402
+from qwebs.tableaux import Shape  # noqa: E402
+from qwebs.tensor import Boundary, Factor, TensorVector, basis_indices  # noqa: E402
+
+
+def _qwebs_modules() -> dict:
+    return {name: mod for name, mod in sys.modules.items()
+            if mod is not None and (name == "qwebs" or name.startswith("qwebs."))}
+
+
+def test_every_traced_name_exists():
+    for mod, attr, _ in tracer.SPANNED + tracer.COUNTED_FUNCTIONS:
+        assert callable(getattr(importlib.import_module(mod), attr, None)), f"{mod}.{attr}"
+    for mod, cls, attr, _ in tracer.COUNTED_METHODS:
+        owner = getattr(importlib.import_module(mod), cls, None)
+        assert callable(getattr(owner, attr, None)), f"{mod}.{cls}.{attr}"
+
+
+def test_install_wraps_and_uninstall_restores_every_attribute():
+    for mod, *_ in tracer.SPANNED + tracer.COUNTED_FUNCTIONS + tracer.COUNTED_METHODS:
+        importlib.import_module(mod)
+    before = {name: dict(vars(mod)) for name, mod in _qwebs_modules().items()}
+    classes = {(mod, cls): dict(vars(getattr(sys.modules[mod], cls)))
+               for mod, cls, _, _ in tracer.COUNTED_METHODS}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for mod, attr, _ in tracer.SPANNED:
+            assert getattr(sys.modules[mod], attr).__wrapped__ is before[mod][attr], f"{mod}.{attr}"
+        for mod, cls, attr, _ in tracer.COUNTED_METHODS:
+            assert getattr(sys.modules[mod], cls).__dict__[attr].__wrapped__ is classes[mod, cls][attr]
+    finally:
+        t.uninstall()
+    for name, mod in _qwebs_modules().items():
+        now = vars(mod)
+        assert now.keys() == before[name].keys(), name
+        assert all(now[k] is v for k, v in before[name].items()), name
+    for (mod, cls), attrs in classes.items():
+        now = vars(getattr(sys.modules[mod], cls))
+        assert all(now[k] is v for k, v in attrs.items()), cls
+
+
+def test_counted_results_expose_sized_coords():
+    tensor, howe = sys.modules["qwebs.tensor"], sys.modules["qwebs.howe"]
+    space = Boundary(3, (Factor(3),))
+    x = TensorVector.basis_vector(space, basis_indices(space)[0])
+    t = tracer.Tracer()
+    t.install()
+    try:  # each call looks the wrapped name up in its module, as qwebs callers do
+        split = tensor.apply_split(x, 1, 2, 1)
+        merged = tensor.apply_merge(split, 1, 2, 1)
+        lowered = howe.act_E(-1, 2, highest_vector(Shape(2, 2)))
+    finally:
+        t.uninstall()
+    assert (len(split.coords), len(merged.coords), len(lowered.coords)) == (3, 1, 2)
+    assert t.counts["tensor.terms_in"] == len(x.coords) + len(split.coords)
+    assert t.counts["tensor.peak_terms"] == len(split.coords)
+    assert t.counts["howe.terms_out"] == len(lowered.coords)
