@@ -14,10 +14,10 @@ Every vector is checked for its leading 1, triangularity and nonnegative
 coefficients as it is built, and each distinct column of the block once for
 what `Tableau` validation checks.
 
-Blocks stay in the kernel's form, {column tuple: {exponent: int}}, through
-the corrections and the Gram pairings, which add up through `ring.add_into`;
-an element builds its `Tableau` and `LaurentPoly` objects only when a caller
-reads its `expansion`.
+Each element holds its vector as the kernel's map, {column tuple:
+{exponent: int}}, the form every `TableauVector` holds; the corrections and
+the Gram pairings add up on these maps through `ring.add_into`, and an
+element's `expansion` is the vector of its map.
 
 The dual canonical element b^T is computed from the A-basis by triangular
 elimination: scanning semistandard S below T in descending order, any
@@ -36,9 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .howe import TableauVector, Terms, _act_divided
+from .howe import TableauVector, _act_divided
 from .ring import LaurentPoly, add_into, bar, symmetrize_correction
 from .tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, peel_word, tableau_type
+from .tensor import Terms
 from .webs import Web, ladder_from_word
 
 
@@ -55,8 +56,8 @@ class _BlockElement:
 
     @property
     def expansion(self) -> TableauVector:
-        """The vector with its `Tableau` and `LaurentPoly` objects, built on each read."""
-        return TableauVector.from_terms(self.tableau.shape, self.terms)
+        """The vector of the element's map."""
+        return TableauVector(self.tableau.shape, self.terms)
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,13 @@ class NegativeExponentReport:
 def check_negative_exponent(x: TableauVector, leading: Tableau) -> NegativeExponentReport:
     """Leading coefficient must be 1; every other one in v^-1 Z[v^-1]."""
     violations = []
-    lead = x.coeff(leading)
+    key = leading.sort_key()
+    lead = x.coeff(key)
     if not lead.is_one():
         violations.append((leading, lead))
-    for t, c in x.coords.items():
-        if t != leading and not c.only_negative_exponents():
-            violations.append((t, c))
+    for k, c in x.coords.items():
+        if k != key and max(c) >= 0:
+            violations.append((Tableau.from_columns(x.space, k), LaurentPoly(c)))
     violations.sort(key=lambda vc: vc[0].sort_key())
     return NegativeExponentReport(not violations, tuple(violations))
 
@@ -184,7 +186,7 @@ def _dual(block: dict[Tableau, LTBasisElement], labels: list[Tableau], keys: lis
                 del coords[tau]
         beta.append((s, -gamma))
     if coords.get(key) != {0: 1} or any(max(c) >= 0 for k, c in coords.items() if k != key):
-        report = check_negative_exponent(TableauVector.from_terms(t.shape, coords), t)
+        report = check_negative_exponent(TableauVector(t.shape, coords), t)
         raise InvariantViolationError(
             f"negative exponent property fails for {t}: {report.violations}"
         )
@@ -223,12 +225,8 @@ def pairing(x: TableauVector, y: TableauVector) -> LaurentPoly:
     return _form(x.coords, y.coords)
 
 
-def _form(x: dict, y: dict) -> LaurentPoly:
-    """`pairing` of two coordinate maps, summed on ints; bar is taken once, at the end.
-
-    The values are anything whose `items()` are (exponent, coefficient)
-    pairs: `LaurentPoly`s, or the kernel's int maps.
-    """
+def _form(x: Terms, y: Terms) -> LaurentPoly:
+    """`pairing` of two vectors' maps, summed on ints; bar is taken once, at the end."""
     if len(y) < len(x):
         x, y = y, x
     acc: dict[int, int] = {}

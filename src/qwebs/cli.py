@@ -223,18 +223,23 @@ VERIFY_SWEEPS = {
 }
 
 
-# The largest size options `verify` accepts; a larger request is refused
-# before any sweep runs.  The relations sweep takes about 7 s at N = 6 and
-# 32 s at N = 7; --max-m 9 brings shape (3, 3) into the Cartan sweep, which
-# then runs past a minute (1.2 s at 8); a case costs a few milliseconds.
-VERIFY_LIMITS = {"max_N": 6, "max_m": 8, "cases": 10_000}
+# The (least, largest) size options `verify` accepts; a request outside is
+# refused before any sweep runs.  The sweeps start at N = 2 and m = 2, so
+# below that they would make no check.  --cases has no least value: zero
+# cases make no check, which the run reports as a failure.  The relations
+# sweep takes about 7 s at N = 6 and 32 s at N = 7; --max-m 9 brings shape
+# (3, 3) into the Cartan sweep, which then runs past a minute (1.2 s at 8);
+# a case costs a few milliseconds.
+VERIFY_LIMITS = {"max_N": (2, 6), "max_m": (2, 8), "cases": (None, 10_000)}
 
 
 def cmd_verify(args) -> int:
-    for name, limit in VERIFY_LIMITS.items():
-        if getattr(args, name) > limit:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} {getattr(args, name)} exceeds the limit {limit}")
+    for name, (least, limit) in VERIFY_LIMITS.items():
+        value, flag = getattr(args, name), "--" + name.replace("_", "-")
+        if least is not None and value < least:
+            raise ValueError(f"{flag} {value} is below the least value {least}")
+        if value > limit:
+            raise ValueError(f"{flag} {value} exceeds the limit {limit}")
     reports = [run(args) for flag, run in VERIFY_SWEEPS.items() if args.all or getattr(args, flag)]
     if not reports:
         raise ValueError("nothing to verify; pass --all or a specific sweep")

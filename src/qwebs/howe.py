@@ -16,20 +16,20 @@ with all of S moved, with coefficient v^(sum of their one-step exponents +
 r(r-1)/2).  Summing the r! move orders of the r-fold action gives [r]!
 times that one monomial, so no division is needed.
 
-One kernel, `_act_divided`, acts on maps {column tuple (a sort_key):
-{exponent: int}}: a move replaces column tuples, and its power of v sums the
+A `TableauVector` is keyed by column tuples (`Tableau.sort_key()`), with the
+`tensor.Terms` int maps as coefficients.  One kernel, `_act_divided`, acts on
+that map: a move replaces column tuples, and its power of v sums the
 per-column differences (i in d) - (i+1 in d); moves that meet at one tuple
 add up through `ring.add_into`.  `act_word` runs a whole divided-power word
-(`act_E` and `act_divided` are one-pair words) on one map and only then
-builds, and so validates, the `Tableau` and `LaurentPoly` objects of its
-result.  The kernel is also the step of the peel-tree walk in
-`bases`, whose blocks stay in this form.
+(`act_E` and `act_divided` are one-pair words) on a vector's map.  The
+kernel is also the step of the peel-tree walk in `bases`, whose blocks are
+maps of the same form.
 
 Tableaux and tensor basis indices correspond through one bijection,
 `tableau_to_index` / `index_to_tableau`: slot i of the index of a tableau
-holds the columns that contain the entry i.  Through it the ladder evaluator
-in `webs` provides the independent second route that `verify` checks the
-action against.
+holds the mask of the columns that contain the entry i.  Through it the
+ladder evaluator in `webs` provides the independent second route that
+`verify` checks the action against.
 
 The degree-2 Serre relation holds here with middle coefficient +(v + v^-1):
 all the action matrices have nonnegative entries, which forces the positive
@@ -42,57 +42,46 @@ from itertools import combinations
 
 from .ring import LaurentPoly, ONE, add_into, exact_int
 from .tableaux import Shape, Tableau, highest_tableau
-from .tensor import Index, SparseVector
+from .tensor import Index, SparseVector, Terms
 
 
 class TableauVector(SparseVector):
-    """A sparse vector keyed by column-strict tableaux of one shape (its space)."""
+    """A sparse vector of one shape (its space), keyed by the column tuples of tableaux."""
 
     __slots__ = ()
 
     @classmethod
     def basis_vector(cls, t: Tableau, coeff: LaurentPoly = ONE) -> "TableauVector":
-        return cls(t.shape, {t: coeff})
-
-    @classmethod
-    def from_terms(cls, shape: Shape, terms: "Terms") -> "TableauVector":
-        """The vector of a kernel map; each key is validated as it becomes a `Tableau`."""
-        return cls(shape, {Tableau.from_columns(shape, k): LaurentPoly(c) for k, c in terms.items()})
+        x = cls(t.shape)
+        x.add_term(t.sort_key(), coeff)
+        return x
 
     def __repr__(self) -> str:
-        terms = " + ".join(
-            f"({c})*{t}" for t, c in sorted(self.coords.items(), key=lambda kv: kv[0].sort_key())
-        )
+        terms = " + ".join(f"({LaurentPoly(c)})*{Tableau.from_columns(self.space, k)}"
+                           for k, c in sorted(self.coords.items(), key=lambda kc: kc[0]))
         return f"TableauVector[{terms or '0'}]"
 
     def to_json(self) -> dict:
-        return terms_json(self.space, {t.sort_key(): c for t, c in self.coords.items()})
+        return terms_json(self.space, self.coords)
 
     @classmethod
     def from_json(cls, data: dict) -> "TableauVector":
         shape = Shape(exact_int(data["N"], "N"), exact_int(data["l"], "l"))
-        coords = {}
+        x, seen = cls(shape), set()
         for term in data["terms"]:
-            t = Tableau.from_json({"N": shape.N, "l": shape.l, "rows": term["rows"]})
-            if t in coords:
+            key = Tableau.from_json({"N": shape.N, "l": shape.l, "rows": term["rows"]}).sort_key()
+            if key in seen:
                 raise ValueError(f"tableau {term['rows']} appears twice")
-            coords[t] = LaurentPoly.from_json(term["coeff"])
-        return cls(shape, coords)
+            seen.add(key)
+            x.add_term(key, LaurentPoly.from_json(term["coeff"]))
+        return x
 
 
 # -- the action kernel --------------------------------------------------
 
-# A vector inside the kernel: {column tuple: {exponent: int}}, with no zero
-# coefficient and no empty inner map.
-Terms = dict[tuple[tuple[int, ...], ...], dict[int, int]]
 
-
-def terms_json(shape: Shape, terms: dict) -> dict:
-    """The JSON of a vector keyed by column tuples, written from its sorted keys.
-
-    Each coefficient is a kernel int map or a `LaurentPoly`; both give their
-    (exponent, coefficient) pairs through `items()`.
-    """
+def terms_json(shape: Shape, terms: Terms) -> dict:
+    """The JSON of a map keyed by column tuples, written from its sorted keys."""
     return {"N": shape.N, "l": shape.l, "terms": [
         {"rows": list(zip(*cols)), "coeff": sorted(terms[cols].items())} for cols in sorted(terms)
     ]}
@@ -158,11 +147,10 @@ def act_word(sign: int, word, x: TableauVector) -> TableauVector:
             raise ValueError("multiplicity must be nonnegative")
         if not 1 <= i <= shape.m - 1:
             raise ValueError(f"generator index {i} outside 1..{shape.m - 1}")
-    terms = {t.sort_key(): dict(c.items()) for t, c in x.coords.items()}
+    terms = x.coords
     for i, r in word:
         terms = _act_divided(sign, i, r, terms)
-    # tableaux (each validated) and polynomials are built once, for the result
-    return TableauVector.from_terms(shape, terms)
+    return TableauVector(shape, terms)
 
 
 def act_E(sign: int, i: int, x: TableauVector) -> TableauVector:
@@ -184,17 +172,17 @@ def weight_of_type(k: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def tableau_to_index(t: Tableau) -> Index:
-    """The tensor basis index of a tableau: slot i holds the columns containing i."""
-    idx: list[list[int]] = [[] for _ in range(t.shape.m)]
-    for j, col in enumerate(t.columns(), start=1):
+    """The tensor basis index of a tableau: slot i holds the mask of the columns containing i."""
+    idx = [0] * t.shape.m
+    for j, col in enumerate(t.columns()):
         for i in col:
-            idx[i - 1].append(j)
-    return tuple(map(frozenset, idx))
+            idx[i - 1] |= 1 << j
+    return tuple(idx)
 
 
 def index_to_tableau(shape: Shape, idx: Index) -> Tableau:
     """Inverse of tableau_to_index; each column must receive exactly l entries."""
-    cols = [[i for i, s in enumerate(idx, start=1) if j in s] for j in range(1, shape.N + 1)]
+    cols = [[i for i, S in enumerate(idx, start=1) if S >> j & 1] for j in range(shape.N)]
     if any(len(c) != shape.l for c in cols):
         raise ValueError("indicator vectors do not fill the shape")
     return Tableau.from_columns(shape, cols)

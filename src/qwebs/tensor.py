@@ -7,9 +7,13 @@ x_S (x) x_T in the mathematical order has S at the higher slot.
 
 Basis vectors are indexed per factor by subsets of {1..N}: a plain factor of
 color a by a-subsets (decreasing-order wedges of standard vectors), a dual
-factor of color c by the c-subsets indexing the dual basis.  Vectors are
-sparse maps from index tuples to Laurent polynomials; no zero value is ever
-stored.
+factor of color c by the c-subsets indexing the dual basis.  An index is a
+tuple of bitmasks, slot 1 first, where bit j-1 of a mask stands for j.
+
+Every vector, here and in `howe`, is one sparse map {key: {exponent: int}}
+(`Terms`): no coefficient is zero and no inner map is empty.  `SparseVector`
+holds such a map for one space, and the kernels act on it directly.
+`LaurentPoly` is the scalar type: `coeff` returns one, `scale` takes one.
 
 The elementary intertwiners implemented here, with their local coefficients:
 
@@ -26,14 +30,12 @@ attaches v^len(T,S) with S the left input; this choice is pinned down by the
 known expansions of the small invariant vectors (see tests).
 
 The kernels (`merge_kernel`, `split_kernel`, `tag_kernel`, `cup_kernel`,
-`cap_kernel`) act on plain maps {tuple of bitmasks: {exponent: int}}, where
-bit j-1 of a mask stands for j.  len on masks is read from one table per N,
-filled by bit operations when a pair is first read, and the (S - T, T,
-exponent) list of each split from one table per (N, a), keyed by S.
-`to_terms` and `from_terms` convert at the boundary: `webs` runs a whole
-slice list on one map, and `apply_merge` and its siblings run one slice on a
-`TensorVector`.  `ell` on sets and `_subsets` serve the state-sum reference
-in `webs` and share no code with the kernels.
+`cap_kernel`) act on a vector's map.  len on masks is read from one table per
+N, filled by bit operations when a pair is first read, and the (S - T, T,
+exponent) list of each split from one table per (N, a), keyed by S.  `webs`
+runs a whole slice list on one map, and `apply_merge` and its siblings run
+one slice on a `TensorVector`.  `ell` on sets and `_subsets` serve the
+state-sum reference in `webs` and share no code with the kernels.
 """
 
 from __future__ import annotations
@@ -108,7 +110,15 @@ def weight_boundary(N: int, k: tuple[int, ...]) -> Boundary:
     return Boundary(N, tuple(Factor(c) for c in k))
 
 
-Index = tuple[frozenset, ...]
+Index = tuple[int, ...]  # a bitmask per slot, slot 1 first
+
+# A vector: {key: {exponent: int}}, keyed by an `Index` on a tensor boundary
+# or by a column tuple on a tableau shape.  No coefficient is zero and no
+# inner map is empty.  Inner maps are shared between vectors and kernels and
+# never changed in place: a kernel hands an inner map on unchanged or adds
+# up, through `ring.add_into`, only into maps it made itself, dropping a key
+# whose map cancels to empty; `SparseVector.add_term` copies on write.
+Terms = dict[tuple, dict[int, int]]
 
 
 def ell(S, T) -> int:
@@ -121,18 +131,35 @@ def _subsets(N: int, k: int) -> tuple[frozenset, ...]:
     return tuple(frozenset(c) for c in itertools.combinations(range(1, N + 1), k))
 
 
+@cache
+def _mask(S: frozenset) -> int:
+    return sum(1 << (j - 1) for j in S)
+
+
+@cache
+def _subset(mask: int) -> frozenset:
+    return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def _submasks(mask: int, a: int) -> list[int]:
+    """The a-element subsets of a mask, in the order of `_subsets`."""
+    bits = [1 << j for j in range(mask.bit_length()) if mask >> j & 1]
+    return [sum(c) for c in itertools.combinations(bits, a)]
+
+
 def basis_indices(space: Boundary) -> list[Index]:
     """All basis index tuples of the space, in a fixed deterministic order."""
-    pools = [_subsets(space.N, f.color) for f in space.factors]
-    return [tuple(choice) for choice in itertools.product(*pools)]
+    full = (1 << space.N) - 1
+    return list(itertools.product(*(_submasks(full, f.color) for f in space.factors)))
 
 
 def _index_key(idx: Index) -> tuple:
-    return tuple(tuple(sorted(s, reverse=True)) for s in idx)
+    """The members of each slot in descending order: the order of printed terms."""
+    return tuple(tuple(sorted(_subset(S), reverse=True)) for S in idx)
 
 
 class SparseVector:
-    """A finite map from basis keys to nonzero Laurent polynomials.
+    """A vector of one space, held as a `Terms` map in `coords`.
 
     `space` names what the keys index; vectors add only within one space.
     Subclasses fix the keys and how they are built, printed and serialized.
@@ -140,26 +167,24 @@ class SparseVector:
 
     __slots__ = ("space", "coords")
 
-    def __init__(self, space, coords: dict | None = None):
+    def __init__(self, space, coords: Terms | None = None):
+        """The vector of a `Terms` map; the outer map is copied, the inner maps are shared."""
         self.space = space
-        self.coords: dict = {}
-        if coords:
-            for key, c in coords.items():
-                if not c.is_zero():
-                    self.coords[key] = c
+        self.coords: Terms = dict(coords) if coords else {}
 
-    def add_term(self, key, c: LaurentPoly) -> None:
-        s = self.coords.get(key)
-        s = c if s is None else s + c
-        if s.is_zero():
-            self.coords.pop(key, None)
+    def add_term(self, key, c, shift: int = 0, factor: int = 1) -> None:
+        """Add factor * v^shift * c at key; c is an int map or a `LaurentPoly`."""
+        acc = dict(self.coords.get(key, ()))
+        add_into(acc, c, shift, factor)
+        if acc:
+            self.coords[key] = acc
         else:
-            self.coords[key] = s
+            self.coords.pop(key, None)
 
     def __add__(self, other):
         if self.space != other.space:
             raise ShapeMismatchError("cannot add vectors in different spaces")
-        out = type(self)(self.space, dict(self.coords))
+        out = type(self)(self.space, self.coords)
         for key, c in other.coords.items():
             out.add_term(key, c)
         return out
@@ -168,15 +193,20 @@ class SparseVector:
         return self + other.scale(LaurentPoly({0: -1}))
 
     def scale(self, c: LaurentPoly):
-        if c.is_zero():
-            return type(self)(self.space)
-        return type(self)(self.space, {key: a * c for key, a in self.coords.items()})
+        """The vector times c; over Z[v, v^-1] no product of nonzero terms vanishes."""
+        out = type(self)(self.space)
+        if c:
+            for key, a in self.coords.items():
+                acc = out.coords[key] = {}
+                for e, b in c.items():
+                    add_into(acc, a, e, b)
+        return out
 
     def is_zero(self) -> bool:
         return not self.coords
 
     def coeff(self, key) -> LaurentPoly:
-        return self.coords.get(key, LaurentPoly.zero())
+        return LaurentPoly(self.coords.get(key))
 
     def __eq__(self, other) -> bool:
         return (
@@ -186,15 +216,13 @@ class SparseVector:
         )
 
 
-def _check_index(space: Boundary, idx) -> None:
-    """Each entry of idx (a set or a list) must be a color-sized subset of 1..N."""
+def _check_index(space: Boundary, idx: Index) -> None:
+    """Each mask of idx must be a color-sized subset of 1..N."""
     if len(idx) != len(space.factors):
         raise ShapeMismatchError(f"index has {len(idx)} subsets for {len(space.factors)} factors")
-    for s, f in zip(idx, space.factors):
-        if len(set(s)) != len(s) or len(s) != f.color or not all(1 <= x <= space.N for x in s):
-            raise ShapeMismatchError(
-                f"index {sorted(s)} is not a color-{f.color} subset of 1..{space.N}"
-            )
+    for S, f in zip(idx, space.factors):
+        if not 0 <= S < 1 << space.N or S.bit_count() != f.color:
+            raise ShapeMismatchError(f"mask {S} is not a color-{f.color} subset of 1..{space.N}")
 
 
 class TensorVector(SparseVector):
@@ -205,37 +233,42 @@ class TensorVector(SparseVector):
     @classmethod
     def basis_vector(cls, space: Boundary, idx: Index, coeff: LaurentPoly = ONE) -> "TensorVector":
         _check_index(space, idx)
-        return cls(space, {idx: coeff})
+        x = cls(space)
+        x.add_term(idx, coeff)
+        return x
+
+    def _sorted(self) -> list:
+        """(members of each slot, coefficient) per term, in printed order."""
+        return sorted(((_index_key(idx), c) for idx, c in self.coords.items()), key=lambda kc: kc[0])
 
     def __repr__(self) -> str:
-        terms = ", ".join(
-            f"({c}) {_index_key(i)}" for i, c in sorted(self.coords.items(), key=lambda kv: _index_key(kv[0]))
-        )
+        terms = ", ".join(f"({LaurentPoly(c)}) {key}" for key, c in self._sorted())
         return f"TensorVector[{terms or '0'}]"
 
     def to_json(self) -> dict:
-        terms = []
-        for idx in sorted(self.coords, key=_index_key):
-            terms.append(
-                {
-                    "subsets": [sorted(s, reverse=True) for s in idx],
-                    "coeff": self.coords[idx].to_json(),
-                }
-            )
+        terms = [{"subsets": [list(s) for s in key], "coeff": sorted(c.items())}
+                 for key, c in self._sorted()]
         return {"N": self.space.N, "space": self.space.to_json(), "terms": terms}
 
     @classmethod
     def from_json(cls, data: dict) -> "TensorVector":
+        """Each subset is checked for repeated and out-of-range entries before it becomes a mask."""
         space = Boundary.from_json(exact_int(data["N"], "N"), data["space"])
-        coords = {}
+        x, seen = cls(space), set()
         for term in data["terms"]:
-            subsets = [[exact_int(x, "subset entry") for x in s] for s in term["subsets"]]
-            _check_index(space, subsets)
-            idx = tuple(frozenset(s) for s in subsets)
-            if idx in coords:
+            masks = []
+            for s in term["subsets"]:
+                entries = [exact_int(j, "subset entry") for j in s]
+                if len(set(entries)) != len(entries) or not all(1 <= j <= space.N for j in entries):
+                    raise ShapeMismatchError(f"subset {sorted(entries)} is not a subset of 1..{space.N}")
+                masks.append(_mask(frozenset(entries)))
+            idx = tuple(masks)
+            _check_index(space, idx)
+            if idx in seen:
                 raise ValueError(f"index {_index_key(idx)} appears twice")
-            coords[idx] = LaurentPoly.from_json(term["coeff"])
-        return cls(space, coords)
+            seen.add(idx)
+            x.add_term(idx, LaurentPoly.from_json(term["coeff"]))
+        return x
 
 
 def _expect(space: Boundary, pos: int, color: int, dual: bool) -> None:
@@ -285,31 +318,6 @@ def cap_space(space: Boundary, a: int, pos: int) -> Boundary:
 
 # -- the slice kernels ------------------------------------------------
 
-# A vector inside the kernels: {tuple of bitmasks: {exponent: int}}, slot 1
-# first, where bit j-1 of a mask stands for j.  No coefficient is zero and no
-# inner map is empty.  A kernel never changes a map it is given, so it may
-# hand an inner map on unchanged; it adds up, through `ring.add_into`, only
-# into maps it made itself, and drops a key whose map cancels to empty.
-Terms = dict[tuple[int, ...], dict[int, int]]
-
-
-@cache
-def _mask(S: frozenset) -> int:
-    return sum(1 << (j - 1) for j in S)
-
-
-@cache
-def _subset(mask: int) -> frozenset:
-    return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
-
-
-def to_terms(x: TensorVector) -> Terms:
-    return {tuple(map(_mask, idx)): dict(c.items()) for idx, c in x.coords.items()}
-
-
-def from_terms(space: Boundary, terms: Terms) -> TensorVector:
-    return TensorVector(space, {tuple(map(_subset, key)): LaurentPoly(c) for key, c in terms.items()})
-
 
 class _Table(dict):
     """A map whose entry at a key is `fill(key)`, worked out when first read."""
@@ -321,12 +329,6 @@ class _Table(dict):
     def __missing__(self, key):
         value = self[key] = self.fill(key)
         return value
-
-
-def _submasks(mask: int, a: int) -> list[int]:
-    """The a-element subsets of a mask."""
-    bits = [1 << j for j in range(mask.bit_length()) if mask >> j & 1]
-    return [sum(c) for c in itertools.combinations(bits, a)]
 
 
 @cache
@@ -436,13 +438,13 @@ def cap_kernel(terms: Terms, pos: int) -> Terms:
 def apply_merge(x: TensorVector, a: int, b: int, pos: int) -> TensorVector:
     """Wedge the factors at slots pos+1 (color a, left) and pos (color b)."""
     space = merged_space(x.space, a, b, pos)
-    return from_terms(space, merge_kernel(x.space.N, to_terms(x), pos))
+    return TensorVector(space, merge_kernel(x.space.N, x.coords, pos))
 
 
 def apply_split(x: TensorVector, a: int, b: int, pos: int) -> TensorVector:
     """Split the color-(a+b) factor at pos into a (slot pos+1) and b (slot pos)."""
     space = split_space(x.space, a, b, pos)
-    return from_terms(space, split_kernel(x.space.N, to_terms(x), a, pos))
+    return TensorVector(space, split_kernel(x.space.N, x.coords, a, pos))
 
 
 def apply_tag(x: TensorVector, pos: int, side: str = "left") -> TensorVector:
@@ -450,13 +452,13 @@ def apply_tag(x: TensorVector, pos: int, side: str = "left") -> TensorVector:
     if side not in ("left", "right"):
         raise ValueError(f"unknown tag side {side!r}")
     space = tag_space(x.space, pos)
-    return from_terms(space, tag_kernel(x.space.N, to_terms(x), pos, x.space.factor(pos).dual, side))
+    return TensorVector(space, tag_kernel(x.space.N, x.coords, pos, x.space.factor(pos).dual, side))
 
 
 def apply_cup(x: TensorVector, a: int, pos: int) -> TensorVector:
     """Insert sum_S x_S (x) xhat_S at the position (plain at slot pos+1)."""
     space = cup_space(x.space, a, pos)
-    return from_terms(space, cup_kernel(x.space.N, to_terms(x), a, pos))
+    return TensorVector(space, cup_kernel(x.space.N, x.coords, a, pos))
 
 
 def apply_cap(x: TensorVector, a: int, pos: int) -> TensorVector:
@@ -467,4 +469,4 @@ def apply_cap(x: TensorVector, a: int, pos: int) -> TensorVector:
     naive closure, whose round trip on a cup counts the a-subsets).
     """
     space = cap_space(x.space, a, pos)
-    return from_terms(space, cap_kernel(to_terms(x), pos))
+    return TensorVector(space, cap_kernel(x.coords, pos))

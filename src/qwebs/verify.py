@@ -13,7 +13,7 @@ The two cross-checks between routes compute each shared object once:
   group, not once per tableau; an annihilated one raises once per group.
   Both routes run in kernel form: the tableau action `howe._act_divided` on
   {column tuple: {0: 1}}, and the ladder's slice kernels on the tableau's
-  tensor key.  The web image is read back to column tuples through the
+  tensor index.  The web image is read back to column tuples through the
   `tableau_to_index` / `index_to_tableau` bijection, built once per shape.
   There is still one check per (tableau, sign, i, a).
 - `web_gram_mismatch` gets the web route's Gram matrix from `web_gram`: each
@@ -39,7 +39,7 @@ from .howe import (
 )
 from .ring import LaurentPoly, bar, qbinom, qnum
 from .tableaux import Shape, enumerate_tableaux, tableau_type
-from .tensor import Boundary, Factor, TensorVector, _mask, _subset, basis_indices, weight_boundary
+from .tensor import Boundary, Factor, TensorVector, basis_indices, weight_boundary
 from .webalg import bounded_weights, cartan_matrix, frobenius_check, gorenstein_parameter
 from .webs import (
     AnnihilatedError,
@@ -286,9 +286,9 @@ def check_howe(pairs=((2, 1), (2, 2), (3, 1), (3, 2)), a_max: int = 2) -> Report
         shape = Shape(N, l)
         m = shape.m
         by_type: dict = {}
-        by_index = {}  # tensor kernel key -> column tuple, through the bijection
+        by_index = {}  # tensor index -> column tuple, through the bijection
         for t in enumerate_tableaux(shape):
-            key = tuple(map(_mask, tableau_to_index(t)))
+            key = tableau_to_index(t)
             by_index[key] = cols = t.sort_key()
             by_type.setdefault(tableau_type(t), []).append((t, cols, key))
         rungs = list(product(range(1, m), (+1, -1), range(1, a_max + 1)))
@@ -308,8 +308,7 @@ def check_howe(pairs=((2, 1), (2, 2), (3, 1), (3, 2)), a_max: int = 2) -> Report
                         )
                         continue
                     by_web = {
-                        by_index.get(idx)
-                        or index_to_tableau(shape, tuple(map(_subset, idx))).sort_key(): c
+                        by_index.get(idx) or index_to_tableau(shape, idx).sort_key(): c
                         for idx, c in _dense(walk, {key: {0: 1}}).items()
                     }
                     rep.check(
@@ -449,7 +448,7 @@ def check_commutator(cases: int = 50, seed: int = 11, pairs=((2, 1), (2, 2), (3,
         tableaux = enumerate_tableaux(shape, k)
         x = TableauVector(shape)
         for t in rng.sample(tableaux, min(len(tableaux), 3)):
-            x.add_term(t, LaurentPoly({rng.randint(-2, 2): rng.randint(1, 3)}))
+            x.add_term(t.sort_key(), {rng.randint(-2, 2): rng.randint(1, 3)})
         i = rng.randint(1, shape.m - 1)
         lam = weight_of_type(k)
         commutator = act_E(+1, i, act_E(-1, i, x)) - act_E(-1, i, act_E(+1, i, x))

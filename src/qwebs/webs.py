@@ -7,14 +7,14 @@ quantum special linear algebra acting across skew Howe duality, with color-0
 uprights kept as explicit factors so slots stay stable.
 
 Two independent evaluators are provided: `evaluate_dense` composes the
-tensor module's slice kernels slice by slice, on one kernel map from the
-input vector to the result, while `evaluate_statesum` walks the slices depth
-first through the edge-labelings (states) of the web and adds one signed
-monomial per state, from local rules that share no code with the dense
-kernels.  They must agree on everything; the test suite enforces this.  Each
-slice kind is dispatched from one table, `_SLICE_KINDS`, and both evaluators
-first work out a web's boundaries through each kind's `step` (`_walk`), so
-both refuse exactly the webs `validate` refuses.
+tensor module's slice kernels slice by slice on the input vector's map,
+while `evaluate_statesum` walks the slices depth first through the
+edge-labelings (states) of the web, labelled by frozensets, and adds one
+signed monomial per state, from local rules that share no code with the
+dense kernels.  They must agree on everything; the test suite enforces
+this.  Each slice kind is dispatched from one table, `_SLICE_KINDS`, and
+both evaluators first work out a web's boundaries through each kind's
+`step` (`_walk`), so both refuse exactly the webs `validate` refuses.
 
 Closed webs on the highest-weight boundary (color-N strands plus color-0
 padding) span a one-dimensional space; `ev_closed` reads off the unique
@@ -29,14 +29,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .ring import LaurentPoly, exact_int
+from .ring import LaurentPoly, add_into, exact_int
 from .tensor import (
     Boundary,
-    Index,
     ShapeMismatchError,
     TensorVector,
     Terms,
     _mask,
+    _subset,
     _subsets,
     basis_indices,
     cap_kernel,
@@ -44,14 +44,12 @@ from .tensor import (
     cup_kernel,
     cup_space,
     ell,
-    from_terms,
     merge_kernel,
     merged_space,
     split_kernel,
     split_space,
     tag_kernel,
     tag_space,
-    to_terms,
     weight_boundary,
 )
 
@@ -150,23 +148,24 @@ def _id_space(space: Boundary, s: Slice) -> Boundary:
     return space
 
 
-# The state-sum rules: the labels (an Index) below a slice, on the boundary
-# `space` below it, to each labeling above with its exponent and sign.  They
-# restate the local coefficients of the tensor module's docstring.
+# The state-sum rules: the labels below a slice (a frozenset per slot), on the
+# boundary `space` below it, to each labeling above with its exponent and
+# sign.  They restate the local coefficients of the tensor module's docstring.
+Labels = tuple[frozenset, ...]
 
 
-def _merge_states(space: Boundary, s: Slice, idx: Index) -> list:
+def _merge_states(space: Boundary, s: Slice, idx: Labels) -> list:
     S, T = idx[s.pos], idx[s.pos - 1]  # left, right
     return [] if S & T else [(idx[: s.pos - 1] + (S | T,) + idx[s.pos + 1 :], ell(T, S), 1)]
 
 
-def _split_states(space: Boundary, s: Slice, idx: Index) -> list:
+def _split_states(space: Boundary, s: Slice, idx: Labels) -> list:
     S = idx[s.pos - 1]
     return [(idx[: s.pos - 1] + (S - T, T) + idx[s.pos :], -ell(T, S - T), 1)
             for T in map(frozenset, itertools.combinations(sorted(S), s.a))]
 
 
-def _tag_states(space: Boundary, s: Slice, idx: Index) -> list:
+def _tag_states(space: Boundary, s: Slice, idx: Labels) -> list:
     S = idx[s.pos - 1]
     comp = frozenset(range(1, space.N + 1)) - S
     exp = -ell(S, comp) if space.factor(s.pos).dual else ell(comp, S)
@@ -181,7 +180,7 @@ class _SliceKind(NamedTuple):
     mirror: Callable[[Slice], Slice]
     step: Callable[[Boundary, Slice], Boundary]  # codomain, or ShapeMismatchError
     act: Callable[[Boundary, Slice, Terms], Terms]  # the kernel, given the boundary below
-    states: Callable[[Boundary, Slice, Index], list]  # [(labels above, exponent, sign)]
+    states: Callable[[Boundary, Slice, Labels], list]  # [(labels above, exponent, sign)]
 
 
 _SLICE_KINDS = {
@@ -316,18 +315,17 @@ def _dense(walk: list, terms: Terms) -> Terms:
 
 
 def evaluate_dense(web: Web, x: TensorVector) -> TensorVector:
-    """Compose the elementary intertwiners slice by slice, on one kernel map."""
+    """Compose the elementary intertwiners slice by slice, on the vector's map."""
     if x.space != web.domain:
         raise ShapeMismatchError("vector does not live in the web's domain")
     walk, cod = _walk(web)
-    return from_terms(cod, _dense(walk, to_terms(x)))
+    return TensorVector(cod, _dense(walk, x.coords))
 
 
 def web_matrix(web: Web) -> dict:
     """Column map: domain basis index -> image TensorVector."""
     walk, cod = _walk(web)
-    return {idx: from_terms(cod, _dense(walk, {tuple(map(_mask, idx)): {0: 1}}))
-            for idx in basis_indices(web.domain)}
+    return {idx: TensorVector(cod, _dense(walk, {idx: {0: 1}})) for idx in basis_indices(web.domain)}
 
 
 # -- state-sum evaluation ---------------------------------------------
@@ -341,23 +339,25 @@ def evaluate_statesum(web: Web, x: TensorVector) -> TensorVector:
     exponent and the sign; it never merges states at an intermediate
     boundary, so each complete state adds its own monomial.  The local rules
     are each kind's `states`, which share no code with the dense kernels.
+    The masks of each input term become frozensets once, and the sums by
+    final labels become masks once, at the end.
     """
     if x.space != web.domain:
         raise ShapeMismatchError("vector does not live in the web's domain")
     walk, cod = _walk(web)
     rules = [(kind.states, space, s) for kind, space, s in walk]
-    out = TensorVector(cod)
+    out: dict[Labels, dict[int, int]] = {}
     for idx, coeff in x.coords.items():
-        stack = [(0, idx, 0, 1)]
+        stack = [(0, tuple(map(_subset, idx)), 0, 1)]
         while stack:
             i, labels, exp, sign = stack.pop()
             if i == len(rules):
-                out.add_term(labels, coeff * LaurentPoly.monomial(exp, sign))
+                add_into(out.setdefault(labels, {}), coeff, exp, sign)
                 continue
             states, space, s = rules[i]
             for above, e, sg in states(space, s, labels):
                 stack.append((i + 1, above, exp + e, sign * sg))
-    return out
+    return TensorVector(cod, {tuple(map(_mask, labels)): c for labels, c in out.items() if c})
 
 
 # -- closed evaluation and the web form -------------------------------

@@ -1,9 +1,22 @@
 """Constructions the tests build webs and vectors with; the program never needs them."""
 
 from qwebs.howe import TableauVector, tableau_to_index
-from qwebs.tableaux import tableau_type
-from qwebs.tensor import Boundary, ShapeMismatchError, TensorVector, weight_boundary
+from qwebs.ring import LaurentPoly
+from qwebs.tableaux import Tableau, tableau_type
+from qwebs.tensor import Boundary, Index, ShapeMismatchError, TensorVector, _mask, weight_boundary
 from qwebs.webs import Web, validate
+
+
+def idx(*subsets) -> Index:
+    """The tensor index whose slots hold these subsets of 1..N, slot 1 first."""
+    return tuple(_mask(frozenset(s)) for s in subsets)
+
+
+def polys(x) -> dict:
+    """The coordinates of a vector as `LaurentPoly`s, a tableau vector's keyed by `Tableau`."""
+    if isinstance(x, TableauVector):
+        return {Tableau.from_columns(x.space, k): LaurentPoly(c) for k, c in x.coords.items()}
+    return {k: LaurentPoly(c) for k, c in x.coords.items()}
 
 
 def compose(first: Web, then: Web) -> Web:
@@ -21,17 +34,19 @@ def tensor_product(x: TensorVector, y: TensorVector) -> TensorVector:
     out = TensorVector(space)
     for ix, cx in x.coords.items():
         for iy, cy in y.coords.items():
-            out.add_term(iy + ix, cx * cy)
+            for e, a in cy.items():
+                out.add_term(iy + ix, cx, e, a)
     return out
 
 
 def to_tensor(x: TableauVector) -> TensorVector:
     """Read a single-type tableau vector in tensor coordinates."""
-    types = {tableau_type(t) for t in x.coords}
+    tableaux = {Tableau.from_columns(x.space, k): c for k, c in x.coords.items()}
+    types = {tableau_type(t) for t in tableaux}
     if len(types) != 1:
         raise ValueError("tensor coordinates need a vector of a single type")
     space = weight_boundary(x.space.N, next(iter(types)))
     out = TensorVector(space)
-    for t, c in x.coords.items():
+    for t, c in tableaux.items():
         out.add_term(tableau_to_index(t), c)
     return out

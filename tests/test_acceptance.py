@@ -22,6 +22,8 @@ from qwebs.verify import (
     check_shapovalov,
 )
 
+from helpers import polys
+
 fs = frozenset
 
 
@@ -37,12 +39,12 @@ def test_criterion_1_known_vector_reproduction():
     ok = True
     # two strands of color 1: coefficients 1, v^-1
     d1 = dual_canonical(Tableau(Shape(2, 1), ((1, 2),)))
-    got1 = {t.rows[0]: c for t, c in d1.expansion.coords.items()}
+    got1 = {t.rows[0]: c for t, c in polys(d1.expansion).items()}
     ok &= got1 == {(1, 2): LaurentPoly.one(), (2, 1): LaurentPoly.monomial(-1)}
     ok &= d1.beta == ()
     # strands of colors 2 and 1 at N=3: coefficients 1, v^-1, v^-2
     d2 = dual_canonical(Tableau(Shape(3, 1), ((1, 1, 2),)))
-    got2 = {t.rows[0]: c for t, c in d2.expansion.coords.items()}
+    got2 = {t.rows[0]: c for t, c in polys(d2.expansion).items()}
     ok &= got2 == {
         (1, 1, 2): LaurentPoly.one(),
         (1, 2, 1): LaurentPoly.monomial(-1),

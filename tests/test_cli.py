@@ -454,6 +454,20 @@ def test_oversized_verify_request_exits_2_at_once(capsys, monkeypatch):
     assert len(calls) == len(SWEEP_CHECKERS)
 
 
+def test_verify_size_below_2_exits_2_at_once(capsys, monkeypatch):
+    # the sweeps start at N = 2 and m = 2, so a smaller bound would make no check
+    calls = _stub_checkers(monkeypatch)
+    for argv in ("--relations --max-N 1", "--cartan --max-N 1", "--cartan --max-m 1",
+                 "--evaluators --max-m 1", "--evaluators --max-N 1", "--all --max-m -5"):
+        code = main(["verify", *argv.split()])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert f"error: {argv.split()[1]} " in captured.err and "below the least value 2" in captured.err
+    assert calls == []
+    assert run(capsys, "verify", "--all", "--max-N", "2", "--max-m", "2")[0] == 0
+    assert len(calls) == len(SWEEP_CHECKERS)
+
+
 def test_verify_parser_flags_are_the_sweep_table():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     parser = sub.choices["verify"]

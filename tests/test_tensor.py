@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qwebs.bases import dual_block, lt_block
-from qwebs.howe import _act_divided
+from qwebs.howe import TableauVector, _act_divided, act_word, highest_vector
 from qwebs.ring import LaurentPoly, qbinom
 from qwebs.tensor import (
     Boundary,
@@ -27,8 +27,10 @@ from qwebs.tensor import (
     split_kernel,
     tag_kernel,
 )
+from qwebs.tableaux import Shape
+from qwebs.webs import Web, evaluate_dense, evaluate_statesum, merge, split, tag, web_matrix
 
-from helpers import tensor_product
+from helpers import idx, polys, tensor_product
 
 fs = frozenset
 one = LaurentPoly.one()
@@ -65,35 +67,35 @@ def test_kernel_ell_table_equals_ell_on_every_pair(N):
 def test_merge_examples():
     space = Boundary(2, (Factor(1), Factor(1)))
     # left slot 2 = {2}, right slot 1 = {1}
-    x = TensorVector.basis_vector(space, (fs({1}), fs({2})))
-    assert apply_merge(x, 1, 1, 1).coords == {(fs({1, 2}),): mono(1)}
-    x = TensorVector.basis_vector(space, (fs({1}), fs({1})))
+    x = TensorVector.basis_vector(space, idx({1}, {2}))
+    assert polys(apply_merge(x, 1, 1, 1)) == {idx({1, 2}): mono(1)}
+    x = TensorVector.basis_vector(space, idx({1}, {1}))
     assert apply_merge(x, 1, 1, 1).is_zero()
-    x = TensorVector.basis_vector(space, (fs({2}), fs({1})))
-    assert apply_merge(x, 1, 1, 1).coords == {(fs({1, 2}),): one}
+    x = TensorVector.basis_vector(space, idx({2}, {1}))
+    assert polys(apply_merge(x, 1, 1, 1)) == {idx({1, 2}): one}
 
 
 def test_split_examples():
     w2 = Boundary(2, (Factor(2),))
-    z = apply_split(TensorVector.basis_vector(w2, (fs({1, 2}),)), 1, 1, 1)
-    assert z.coords == {
-        (fs({1}), fs({2})): one,
-        (fs({2}), fs({1})): mono(-1),
+    z = apply_split(TensorVector.basis_vector(w2, idx({1, 2})), 1, 1, 1)
+    assert polys(z) == {
+        idx({1}, {2}): one,
+        idx({2}, {1}): mono(-1),
     }
     w3 = Boundary(3, (Factor(3),))
-    z = apply_split(TensorVector.basis_vector(w3, (fs({1, 2, 3}),)), 1, 2, 1)
-    assert z.coords == {
-        (fs({1, 2}), fs({3})): one,
-        (fs({1, 3}), fs({2})): mono(-1),
-        (fs({2, 3}), fs({1})): mono(-2),
+    z = apply_split(TensorVector.basis_vector(w3, idx({1, 2, 3})), 1, 2, 1)
+    assert polys(z) == {
+        idx({1, 2}, {3}): one,
+        idx({1, 3}, {2}): mono(-1),
+        idx({2, 3}, {1}): mono(-2),
     }
-    z = apply_split(TensorVector.basis_vector(w2, (fs({1, 2}),)), 2, 0, 1)
-    assert z.coords == {(fs(), fs({1, 2})): one}
+    z = apply_split(TensorVector.basis_vector(w2, idx({1, 2})), 2, 0, 1)
+    assert polys(z) == {idx((), {1, 2}): one}
 
 
 def test_shape_mismatch():
     space = Boundary(2, (Factor(1), Factor(1)))
-    x = TensorVector.basis_vector(space, (fs({1}), fs({2})))
+    x = TensorVector.basis_vector(space, idx({1}, {2}))
     with pytest.raises(ShapeMismatchError):
         apply_merge(x, 2, 1, 1)
     with pytest.raises(ShapeMismatchError):
@@ -104,16 +106,16 @@ def test_shape_mismatch():
 
 def test_tag_examples():
     v1 = Boundary(2, (Factor(1),))
-    t = apply_tag(TensorVector.basis_vector(v1, (fs({1}),)), 1)
+    t = apply_tag(TensorVector.basis_vector(v1, idx({1})), 1)
     assert t.space.factors == (Factor(1, dual=True),)
-    assert t.coords == {(fs({2}),): one}
-    t = apply_tag(TensorVector.basis_vector(v1, (fs({2}),)), 1)
-    assert t.coords == {(fs({1}),): mono(1)}
+    assert polys(t) == {idx({2}): one}
+    t = apply_tag(TensorVector.basis_vector(v1, idx({2})), 1)
+    assert polys(t) == {idx({1}): mono(1)}
     vN = Boundary(3, (Factor(3),))
     full = fs({1, 2, 3})
     for side in ("left", "right"):
-        t = apply_tag(TensorVector.basis_vector(vN, (full,)), 1, side=side)
-        assert t.coords == {(fs(),): one}  # (-1)^(N*0) = 1
+        t = apply_tag(TensorVector.basis_vector(vN, idx(full)), 1, side=side)
+        assert polys(t) == {idx(()): one}  # (-1)^(N*0) = 1
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -144,49 +146,49 @@ def test_digon_identity(N):
 
 def test_cup_cap_examples():
     v1 = Boundary(2, (Factor(1),))
-    x = TensorVector.basis_vector(v1, (fs({1}),))
+    x = TensorVector.basis_vector(v1, idx({1}))
     # zig-zag: cup to the left, cap underneath
     assert apply_cap(apply_cup(x, 1, 2), 1, 1) == x
     # the other zig-zag, on a dual strand
     v1d = Boundary(2, (Factor(1, True),))
-    f = TensorVector.basis_vector(v1d, (fs({2}),))
+    f = TensorVector.basis_vector(v1d, idx({2}))
     assert apply_cap(apply_cup(f, 1, 1), 1, 2) == f
     # direct closure counts subsets
     for N, a in ((2, 1), (3, 2), (4, 2)):
         scalar = Boundary(N, ())
-        unit = TensorVector(scalar, {(): one})
+        unit = TensorVector.basis_vector(scalar, ())
         closed = apply_cap(apply_cup(unit, a, 1), a, 1)
         from math import comb
 
-        assert closed.coords == {(): LaurentPoly({0: comb(N, a)})}
+        assert polys(closed) == {(): LaurentPoly({0: comb(N, a)})}
     # delta mismatch
     pair = Boundary(2, (Factor(1), Factor(1, True)))
-    bad = TensorVector.basis_vector(pair, (fs({2}), fs({1})))
+    bad = TensorVector.basis_vector(pair, idx({2}, {1}))
     assert apply_cap(bad, 1, 1).is_zero()
 
 
 def test_operations_are_linear():
     space = Boundary(2, (Factor(2),))
-    x = TensorVector.basis_vector(space, (fs({1, 2}),), LaurentPoly({2: 3, -1: 1}))
+    x = TensorVector.basis_vector(space, idx({1, 2}), LaurentPoly({2: 3, -1: 1}))
     split_then = apply_split(x, 1, 1, 1)
-    base = apply_split(TensorVector.basis_vector(space, (fs({1, 2}),)), 1, 1, 1)
+    base = apply_split(TensorVector.basis_vector(space, idx({1, 2})), 1, 1, 1)
     assert split_then == base.scale(LaurentPoly({2: 3, -1: 1}))
 
 
 def test_tensor_product_slots():
     a = Boundary(2, (Factor(1),))
-    x = TensorVector.basis_vector(a, (fs({1}),), mono(1))
-    y = TensorVector.basis_vector(a, (fs({2}),), mono(2))
+    x = TensorVector.basis_vector(a, idx({1}), mono(1))
+    y = TensorVector.basis_vector(a, idx({2}), mono(2))
     xy = tensor_product(x, y)  # x to the left, y keeps slot 1
     assert xy.space.factors == (Factor(1), Factor(1))
-    assert xy.coords == {(fs({2}), fs({1})): mono(3)}
+    assert polys(xy) == {idx({2}, {1}): mono(3)}
 
 
 def test_json_roundtrip():
     space = Boundary(3, (Factor(2), Factor(1, True)))
     x = TensorVector(space)
-    x.add_term((fs({1, 3}), fs({2})), LaurentPoly({-1: 2}))
-    x.add_term((fs({2, 3}), fs({1})), one)
+    x.add_term(idx({1, 3}, {2}), LaurentPoly({-1: 2}))
+    x.add_term(idx({2, 3}, {1}), one)
     assert TensorVector.from_json(x.to_json()) == x
     data = x.to_json()
     assert data["terms"][0]["subsets"][0] == [3, 1]  # descending inside subsets
@@ -249,3 +251,39 @@ def test_no_kernel_changes_a_map_it_is_given():
     dual_block.cache_clear()
     assert any(e.beta for e in dual_block(3, 2, k).values())
     assert {t: e.terms for t, e in lt_block(3, 2, k).items()} == lt
+
+
+def _is_int_map(c) -> bool:
+    return type(c) is dict and bool(c) and all(type(e) is int and type(a) is int and a for e, a in c.items())
+
+
+def test_every_vector_holds_int_maps_and_shares_none_it_may_change():
+    space = Boundary(3, (Factor(3),))
+    x = TensorVector.basis_vector(space, idx({1, 2, 3}), LaurentPoly({1: 2, -1: -1}))
+    web = Web(space, (split(1, 2, 1), tag(1, 2), tag(1, 2), merge(1, 2, 1)))
+    parts = apply_split(x, 1, 2, 1)
+    cupped = apply_cup(parts, 1, 1)
+    tensors = [parts, apply_merge(parts, 1, 2, 1), apply_tag(parts, 2, "right"), cupped,
+               apply_cap(cupped, 1, 1), evaluate_dense(web, x), evaluate_statesum(web, x),
+               *web_matrix(web).values(), TensorVector.from_json(parts.to_json())]
+    top = highest_vector(Shape(2, 2))
+    k = (0, 0, 1, 2, 1, 2)
+    tableaux = [act_word(-1, [(2, 1), (1, 1)], top), act_word(-1, [], top),
+                *(e.expansion for e in lt_block(3, 2, k).values()),
+                *(e.expansion for e in dual_block(3, 2, k).values())]
+    tableaux.append(TableauVector.from_json(tableaux[0].to_json()))
+    for v in tensors + tableaux:
+        assert v.coords and all(_is_int_map(c) for c in v.coords.values()), v
+    assert polys(evaluate_dense(web, x)) == polys(x.scale(qbinom(3, 1)))
+
+    # a vector's outer map is its own, and add_term copies an inner map before it
+    # changes it: vectors built on a block's maps leave the cached block as it was
+    empty_word = act_word(-1, [], top)
+    assert empty_word.coords == top.coords and empty_word.coords is not top.coords
+    blocks = {t: copy.deepcopy(e.terms) for t, e in lt_block(3, 2, k).items()}
+    for t, e in lt_block(3, 2, k).items():
+        y = e.expansion
+        for key in list(y.coords):
+            y.add_term(key, {0: 1, 7: 1})
+        y.add_term(t.sort_key(), {0: -1})
+    assert {t: e.terms for t, e in lt_block(3, 2, k).items()} == blocks
