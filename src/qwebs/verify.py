@@ -272,7 +272,7 @@ def check_evaluators(cases: int = 100, seed: int = 2024, N_max: int = 3, m_max: 
             x = TensorVector.basis_vector(web.domain, idx)
             rep.check(
                 evaluate_dense(web, x) == evaluate_statesum(web, x),
-                "evaluators disagree on case {} index {}", case, idx,
+                "evaluators disagree on case {} at {}", case, x,
             )
     return rep
 

@@ -20,7 +20,6 @@ from qwebs.webs import evaluate_dense, ladder_from_word
 
 from helpers import idx, polys, to_tensor
 
-fs = frozenset
 one = LaurentPoly.one()
 
 

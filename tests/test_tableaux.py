@@ -23,8 +23,6 @@ from qwebs.webalg import bounded_weights
 
 from helpers import idx
 
-fs = frozenset
-
 
 def brute_force(shape, ktype=None, semistandard=False):
     """Oracle: filter all grids with entries in 1..m."""

@@ -139,3 +139,11 @@ def test_evaluator_sweep_case_count_is_unchanged():
     # 415 cases, as counted when the state-sum route still validated every web twice
     rep = verify.check_evaluators(20, 3, 3, 6)
     assert rep.cases == 415 and not rep.failures
+
+
+def test_evaluator_disagreement_names_the_input_vector(monkeypatch):
+    real = verify.evaluate_statesum
+    monkeypatch.setattr(verify, "evaluate_statesum", lambda web, x: real(web, x).scale(LaurentPoly({1: 1})))
+    rep = verify.check_evaluators(1, 3, 3, 6)
+    assert rep.failures
+    assert all(f.startswith("evaluators disagree on case 0 at TensorVector[(1) ((") for f in rep.failures)

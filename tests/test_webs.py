@@ -30,7 +30,6 @@ from qwebs.webs import (
 
 from helpers import compose, idx, polys
 
-fs = frozenset
 one = LaurentPoly.one()
 
 
