@@ -34,7 +34,6 @@ from .webs import (
     Web,
     evaluate_dense,
     ladder_from_word,
-    validate,
     web_form,
     ev_closed,
 )
@@ -116,7 +115,7 @@ def _matrix_table(payload) -> str:
 
 def cmd_tableaux(args) -> int:
     shape = Shape(args.N, args.l)
-    ktype = _parse_vec(args.type) if args.type else None
+    ktype = _parse_vec(args.type) if args.type is not None else None
     ts = enumerate_tableaux(shape, ktype, semistandard_only=args.semistandard)
     _emit([t.to_json() for t in ts], args.format, _tableaux_table)
     return 0
@@ -124,9 +123,7 @@ def cmd_tableaux(args) -> int:
 
 def cmd_ladder(args) -> int:
     k = _parse_vec(args.k)
-    web = ladder_from_word(args.N, k, _parse_word(args.word))
-    validate(web)
-    _emit(web.to_json(), args.format, None)
+    _emit(ladder_from_word(args.N, k, _parse_word(args.word)).to_json(), args.format, None)
     return 0
 
 
@@ -161,7 +158,7 @@ def cmd_act(args) -> int:
 def cmd_basis(args) -> int:
     """`lt-basis` (args.dual false) or `dual-canonical` (args.dual true)."""
     shape = Shape(args.N, args.l)
-    if args.type:
+    if args.type is not None:
         ktypes = [_parse_vec(args.type)]
     else:  # every bounded weight is the type of a semistandard tableau
         check_request(shape)
@@ -260,11 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_shape=True):
+    def common(p):
         p.add_argument("--format", choices=("json", "table"), default="json")
-        if with_shape:
-            p.add_argument("--N", type=int, required=True, help="strand color bound (>= 2)")
-            p.add_argument("--l", type=int, required=True, help="row count of the shape")
+        p.add_argument("--N", type=int, required=True, help="strand color bound (>= 2)")
+        p.add_argument("--l", type=int, required=True, help="row count of the shape")
 
     p = sub.add_parser("tableaux", help="enumerate tableaux of a shape, descending")
     common(p)

@@ -25,11 +25,11 @@ add up through `ring.add_into`.  `act_word` runs a whole divided-power word
 kernel is also the step of the peel-tree walk in `bases`, whose blocks are
 maps of the same form.
 
-Tableaux and tensor basis indices correspond through one bijection,
-`tableau_to_index` / `index_to_tableau`: slot i of the index of a tableau
-holds the mask of the columns that contain the entry i.  Through it the
-ladder evaluator in `webs` provides the independent second route that
-`verify` checks the action against.
+Tableaux and tensor basis indices correspond through one injection,
+`tableau_to_index`: slot i of the index of a tableau holds the mask of the
+columns that contain the entry i.  Through it the ladder evaluator in `webs`
+provides the independent second route that `verify` checks the action
+against.
 
 The degree-2 Serre relation holds here with middle coefficient +(v + v^-1):
 all the action matrices have nonnegative entries, which forces the positive
@@ -178,14 +178,6 @@ def tableau_to_index(t: Tableau) -> Index:
         for i in col:
             idx[i - 1] |= 1 << j
     return tuple(idx)
-
-
-def index_to_tableau(shape: Shape, idx: Index) -> Tableau:
-    """Inverse of tableau_to_index; each column must receive exactly l entries."""
-    cols = [[i for i, S in enumerate(idx, start=1) if S >> j & 1] for j in range(shape.N)]
-    if any(len(c) != shape.l for c in cols):
-        raise ValueError("indicator vectors do not fill the shape")
-    return Tableau.from_columns(shape, cols)
 
 
 def highest_vector(shape: Shape) -> TableauVector:

@@ -9,15 +9,16 @@ text is formatted only when the check fails.
 The two cross-checks between routes compute each shared object once:
 
 - `check_howe` groups the tableaux of each shape by type.  A rung (sign, i, a)
-  gives one ladder per type, so each ladder is built and walked once per
-  group, not once per tableau; an annihilated one raises once per group.
-  Both routes run in kernel form: the tableau action `howe._act_divided` on
-  {column tuple: {0: 1}}, and the ladder's slice kernels on the tableau's
-  tensor index.  The web image is read back to column tuples through the
-  `tableau_to_index` / `index_to_tableau` bijection, built once per shape.
-  There is still one check per (tableau, sign, i, a).
+  gives one ladder per type, so each ladder is built once per group, not
+  once per tableau; an annihilated one raises once per group.  Both routes
+  run in kernel form: the tableau action `howe._act_divided` on {column
+  tuple: {0: 1}}, and the ladder's slice kernels on the tableau's tensor
+  index.  The web image is read back to column tuples through
+  `tableau_to_index`, inverted once per shape; an index no tableau has stays
+  a mask tuple, equal to no column tuple, so its check fails.  There is
+  still one check per (tableau, sign, i, a).
 - `web_gram_mismatch` gets the web route's Gram matrix from `web_gram`: each
-  LT ladder web is walked, mirrored and pushed forward once per block, and
+  LT ladder web is built, mirrored and pushed forward once per block, and
   each entry applies one mirrored web to one stored image.
 """
 
@@ -33,7 +34,6 @@ from .howe import (
     _act_divided,
     act_E,
     highest_vector,
-    index_to_tableau,
     tableau_to_index,
     weight_of_type,
 )
@@ -45,7 +45,6 @@ from .webs import (
     AnnihilatedError,
     Web,
     _dense,
-    _walk,
     cap,
     cup,
     d_norm,
@@ -197,12 +196,12 @@ def _check_associativity(rep: Report, N: int) -> None:
                 )
 
 
-def _check_squares(rep: Report, N: int, s_plus_t: int = 3, st_max: int = 2) -> None:
+def _check_squares(rep: Report, N: int) -> None:
     for a in range(N + 1):
         for b in range(N + 1):
             k0 = (b, a)  # strand a on the left (upright 2), b on the right
-            for s in range(0, s_plus_t + 1):
-                for t in range(0, s_plus_t + 1 - s):
+            for s in range(4):  # s + t <= 3
+                for t in range(4 - s):
                     # two same-direction rungs stack to a quantum binomial multiple
                     for sign in (+1, -1):
                         two = ladder_matrix(N, k0, [(sign, 1, s), (sign, 1, t)])
@@ -215,8 +214,8 @@ def _check_squares(rep: Report, N: int, s_plus_t: int = 3, st_max: int = 2) -> N
                             "parallel square fails at N={}, a={}, b={}, s={}, t={}, sign={}",
                             N, a, b, s, t, sign,
                         )
-            for s in range(0, st_max + 1):
-                for t in range(0, st_max + 1):
+            for s in range(3):  # s, t <= 2
+                for t in range(3):
                     try:  # the words index a map only when their net move is a rung
                         end = rung(N, b, a, +1, s - t) if s >= t else rung(N, b, a, -1, t - s)
                     except AnnihilatedError:
@@ -286,7 +285,7 @@ def check_howe(pairs=((2, 1), (2, 2), (3, 1), (3, 2)), a_max: int = 2) -> Report
         shape = Shape(N, l)
         m = shape.m
         by_type: dict = {}
-        by_index = {}  # tensor index -> column tuple, through the bijection
+        by_index = {}  # tensor index -> column tuple, inverting tableau_to_index
         for t in enumerate_tableaux(shape):
             key = tableau_to_index(t)
             by_index[key] = cols = t.sort_key()
@@ -294,8 +293,8 @@ def check_howe(pairs=((2, 1), (2, 2), (3, 1), (3, 2)), a_max: int = 2) -> Report
         rungs = list(product(range(1, m), (+1, -1), range(1, a_max + 1)))
         for k, group in by_type.items():
             for i, sign, a in rungs:
-                try:  # one ladder per (type, rung), walked once
-                    walk = _walk(ladder_from_word(N, k, [(sign, i, a)]))[0]
+                try:  # one ladder per (type, rung)
+                    walk = ladder_from_word(N, k, [(sign, i, a)]).walk
                 except AnnihilatedError:
                     walk = None
                 for t, cols, key in group:
@@ -308,7 +307,7 @@ def check_howe(pairs=((2, 1), (2, 2), (3, 1), (3, 2)), a_max: int = 2) -> Report
                         )
                         continue
                     by_web = {
-                        by_index.get(idx) or index_to_tableau(shape, idx).sort_key(): c
+                        by_index.get(idx, idx): c
                         for idx, c in _dense(walk, {key: {0: 1}}).items()
                     }
                     rep.check(

@@ -12,9 +12,10 @@ while `evaluate_statesum` walks the slices depth first through the
 edge-labelings (states) of the web, labelled by frozensets, and adds one
 signed monomial per state, from local rules that share no code with the
 dense kernels.  They must agree on everything; the test suite enforces
-this.  Each slice kind is dispatched from one table, `_SLICE_KINDS`, and
-both evaluators first work out a web's boundaries through each kind's
-`step` (`_walk`), so both refuse exactly the webs `validate` refuses.
+this.  Each slice kind is dispatched from one table, `_SLICE_KINDS`.  A
+`Web` steps its slices through each kind's `step` once, when it is made, and
+keeps the boundary below each slice (`walk`) and its codomain: an ill-formed
+web cannot be built, and every reader runs on the stored walk.
 
 Closed webs on the highest-weight boundary (color-N strands plus color-0
 padding) span a one-dimensional space; `ev_closed` reads off the unique
@@ -26,7 +27,7 @@ of a list of webs from one forward pass per web.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .ring import LaurentPoly, add_into, exact_int
@@ -117,8 +118,26 @@ def tag(a: int, pos: int, side: str = "left") -> Slice:
 
 @dataclass(frozen=True)
 class Web:
+    """A domain boundary and its slices, bottom first, each fitting the boundary below it.
+
+    Making a web steps every slice once and raises `IllFormedWebError` at the
+    first that does not fit.  `walk` holds each slice's kind with the
+    boundary below it and the slice; `codomain` is the boundary above the top.
+    """
+
     domain: Boundary
     slices: tuple[Slice, ...] = ()
+    walk: tuple = field(init=False, compare=False, repr=False)
+    codomain: Boundary = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        space, walk = self.domain, []
+        for i, s in enumerate(self.slices):
+            above = _step(i, space, s)
+            walk.append((_kind(s.kind), space, s))
+            space = above
+        object.__setattr__(self, "walk", tuple(walk))
+        object.__setattr__(self, "codomain", space)
 
     def to_json(self) -> dict:
         return {
@@ -226,31 +245,13 @@ def _step(i: int, space: Boundary, s: Slice) -> Boundary:
 
 
 def validate(web: Web) -> Boundary:
-    """Check every slice composes; returns the codomain boundary."""
-    return _walk(web)[1]
-
-
-def _walk(web: Web) -> tuple[list, Boundary]:
-    """Each slice's kind with the boundary below it and the slice, and the codomain.
-
-    Every slice is stepped: an ill-formed web raises at its first bad slice.
-    """
-    space, walk = web.domain, []
-    for i, s in enumerate(web.slices):
-        above = _step(i, space, s)
-        walk.append((_kind(s.kind), space, s))
-        space = above
-    return walk, space
+    """The codomain boundary; every slice was checked when the web was made."""
+    return web.codomain
 
 
 def reflect(web: Web) -> Web:
     """Reflection across the horizontal axis: slices reversed and mirrored."""
-    return _reflected(web, validate(web))
-
-
-def _reflected(web: Web, cod: Boundary) -> Web:
-    """`reflect(web)` for a web already validated to the codomain `cod`."""
-    return Web(cod, tuple(s.mirror() for s in reversed(web.slices)))
+    return Web(web.codomain, tuple(s.mirror() for s in reversed(web.slices)))
 
 
 # -- ladders ----------------------------------------------------------
@@ -307,7 +308,7 @@ def ladder_from_word(
 # -- dense evaluation -------------------------------------------------
 
 
-def _dense(walk: list, terms: Terms) -> Terms:
+def _dense(walk: tuple, terms: Terms) -> Terms:
     """Run a walk's kernels on one kernel map, bottom slice first."""
     for kind, space, s in walk:
         terms = kind.act(space, s, terms)
@@ -318,14 +319,13 @@ def evaluate_dense(web: Web, x: TensorVector) -> TensorVector:
     """Compose the elementary intertwiners slice by slice, on the vector's map."""
     if x.space != web.domain:
         raise ShapeMismatchError("vector does not live in the web's domain")
-    walk, cod = _walk(web)
-    return TensorVector(cod, _dense(walk, x.coords))
+    return TensorVector(web.codomain, _dense(web.walk, x.coords))
 
 
 def web_matrix(web: Web) -> dict:
     """Column map: domain basis index -> image TensorVector."""
-    walk, cod = _walk(web)
-    return {idx: TensorVector(cod, _dense(walk, {idx: {0: 1}})) for idx in basis_indices(web.domain)}
+    return {idx: TensorVector(web.codomain, _dense(web.walk, {idx: {0: 1}}))
+            for idx in basis_indices(web.domain)}
 
 
 # -- state-sum evaluation ---------------------------------------------
@@ -344,8 +344,7 @@ def evaluate_statesum(web: Web, x: TensorVector) -> TensorVector:
     """
     if x.space != web.domain:
         raise ShapeMismatchError("vector does not live in the web's domain")
-    walk, cod = _walk(web)
-    rules = [(kind.states, space, s) for kind, space, s in walk]
+    rules = [(kind.states, space, s) for kind, space, s in web.walk]
     out: dict[Labels, dict[int, int]] = {}
     for idx, coeff in x.coords.items():
         stack = [(0, tuple(map(_subset, idx)), 0, 1)]
@@ -357,7 +356,7 @@ def evaluate_statesum(web: Web, x: TensorVector) -> TensorVector:
             states, space, s = rules[i]
             for above, e, sg in states(space, s, labels):
                 stack.append((i + 1, above, exp + e, sign * sg))
-    return TensorVector(cod, {tuple(map(_mask, labels)): c for labels, c in out.items() if c})
+    return TensorVector(web.codomain, {tuple(map(_mask, labels)): c for labels, c in out.items() if c})
 
 
 # -- closed evaluation and the web form -------------------------------
@@ -386,11 +385,10 @@ def _closed_key(space: Boundary) -> tuple[int, ...]:
 
 def ev_closed(web: Web) -> LaurentPoly:
     """The unique coefficient of an endomorphism of the highest-weight boundary."""
-    walk, cod = _walk(web)
-    if cod != web.domain:
+    if web.codomain != web.domain:
         raise ShapeMismatchError("closed evaluation needs equal domain and codomain")
     key = _closed_key(web.domain)
-    return LaurentPoly(_dense(walk, {key: {0: 1}}).get(key, {}))
+    return LaurentPoly(_dense(web.walk, {key: {0: 1}}).get(key, {}))
 
 
 def web_form(u: Web, w: Web) -> LaurentPoly:
@@ -408,28 +406,25 @@ def _forms(us: list[Web], ws: list[Web]) -> list[list[LaurentPoly]]:
 
     Dense evaluation composes slice by slice, so ev(reflect(u) o w) is
     reflect(u) applied to the image of the closed basis vector under w.
-    Each distinct web is walked once, each u mirrored once and each w
-    pushed forward once; only the row-by-column mirror passes remain.  The
-    images and mirror passes stay kernel maps, and each entry becomes one
-    `LaurentPoly`.  All webs must share one domain, the highest-weight
-    boundary, and one plain codomain.
+    Each u is mirrored once and each w pushed forward once; only the
+    row-by-column mirror passes remain.  The images and mirror passes stay
+    kernel maps, and each entry becomes one `LaurentPoly`.  All webs must
+    share one domain, the highest-weight boundary, and one plain codomain.
     """
-    distinct = list({id(x): x for x in us + ws}.values())
-    if not distinct:
+    webs = us + ws
+    if not webs:
         return []
-    domain = distinct[0].domain
-    if any(x.domain != domain for x in distinct):
+    domain, cod = webs[0].domain, webs[0].codomain
+    if any(x.domain != domain for x in webs):
         raise ShapeMismatchError("webs must share their domain")
-    walks = {id(x): _walk(x) for x in distinct}
-    cod = walks[id(distinct[0])][1]
-    if any(c != cod for _, c in walks.values()):
+    if any(x.codomain != cod for x in webs):
         raise ShapeMismatchError("webs must share their codomain")
     key = _closed_key(domain)
     if any(f.dual for f in cod.factors):
         raise ShapeMismatchError("the web form is defined on plain boundaries")
     l = sum(1 for f in domain.factors if f.color == domain.N)
     d = d_norm(domain.N, l, tuple(f.color for f in cod.factors))
-    images = [_dense(walks[id(w)][0], {key: {0: 1}}) for w in ws]
-    mirrors = [_walk(_reflected(u, cod))[0] for u in us]
+    images = [_dense(w.walk, {key: {0: 1}}) for w in ws]
+    mirrors = [reflect(u).walk for u in us]
     return [[LaurentPoly({e + d: x for e, x in _dense(r, image).get(key, {}).items()})
              for image in images] for r in mirrors]

@@ -2,9 +2,9 @@
 
 from qwebs.howe import TableauVector, tableau_to_index
 from qwebs.ring import LaurentPoly
-from qwebs.tableaux import Tableau, tableau_type
+from qwebs.tableaux import Shape, Tableau, tableau_type
 from qwebs.tensor import Boundary, Index, ShapeMismatchError, TensorVector, _mask, weight_boundary
-from qwebs.webs import Web, validate
+from qwebs.webs import Web
 
 
 def idx(*subsets) -> Index:
@@ -21,9 +21,17 @@ def polys(x) -> dict:
 
 def compose(first: Web, then: Web) -> Web:
     """Stack `then` on top of `first`."""
-    if validate(first) != then.domain:
+    if first.codomain != then.domain:
         raise ShapeMismatchError("codomain of the first web does not match")
     return Web(first.domain, first.slices + then.slices)
+
+
+def index_to_tableau(shape: Shape, idx: Index) -> Tableau:
+    """Inverse of tableau_to_index; each column must receive exactly l entries."""
+    cols = [[i for i, S in enumerate(idx, start=1) if S >> j & 1] for j in range(shape.N)]
+    if any(len(c) != shape.l for c in cols):
+        raise ValueError("indicator vectors do not fill the shape")
+    return Tableau.from_columns(shape, cols)
 
 
 def tensor_product(x: TensorVector, y: TensorVector) -> TensorVector:

@@ -126,6 +126,10 @@ def test_exit_code_on_invalid_input(capsys):
     assert code == 2
     assert main(["cartan", "--N", "0", "--k", "1"]) == 2
     assert "error: invalid N=0" in capsys.readouterr().err
+    # an empty type is a malformed list, not the absence of a type
+    for command in ("tableaux", "lt-basis", "dual-canonical", "gram"):
+        assert main([command, "--N", "2", "--l", "1", "--type="]) == 2, command
+        assert "expected a comma-separated integer list, got ''" in capsys.readouterr().err
 
 
 def test_oversized_tableaux_request_exits_2_at_once(capsys):
@@ -281,6 +285,14 @@ def test_malformed_json_inputs_exit_2(capsys, tmp_path):
         "terms": [{"subsets": [[7, 2, 1], []], "coeff": [[0, 1]]}],
     }))
     assert run(capsys, "eval", "--web", str(web), "--vector", str(vec))[0] == 2
+    # a web whose first slice does not fit is refused, naming the slice
+    strand = [{"color": 1, "dual": False}]
+    illformed = _write(tmp_path, "ill.json", {"N": 2, "domain": strand,
+                                              "slices": [merge(1, 1, 1).to_json()]})
+    good = _write(tmp_path, "good.json", {"N": 2, "space": strand,
+                                          "terms": [{"subsets": [[1]], "coeff": [[0, 1]]}]})
+    assert main(["eval", "--web", illformed, "--vector", good]) == 2
+    assert capsys.readouterr().err.startswith("error: slice 0:")
     # a repeated entry is refused, never folded into a smaller subset
     for color, subset in ((2, [1, 1]), (1, [3]), (1, [0]), (1, [-1])):
         space = [{"color": color, "dual": False}]

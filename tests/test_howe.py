@@ -10,7 +10,6 @@ from qwebs.howe import (
     act_divided,
     act_word,
     highest_vector,
-    index_to_tableau,
     tableau_to_index,
     weight_of_type,
 )
@@ -18,7 +17,7 @@ from qwebs.ring import LaurentPoly, exact_divide, qfactorial, qint, qnum
 from qwebs.tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, tableau_type
 from qwebs.webs import evaluate_dense, ladder_from_word
 
-from helpers import idx, polys, to_tensor
+from helpers import idx, index_to_tableau, polys, to_tensor
 
 one = LaurentPoly.one()
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qwebs.howe import index_to_tableau, tableau_to_index
+from qwebs.howe import tableau_to_index
 from qwebs.tableaux import (
     MAX_TABLEAUX,
     NotSemistandardError,
@@ -21,7 +21,7 @@ from qwebs.tableaux import (
 )
 from qwebs.webalg import bounded_weights
 
-from helpers import idx
+from helpers import idx, index_to_tableau
 
 
 def brute_force(shape, ktype=None, semistandard=False):

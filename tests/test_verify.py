@@ -2,6 +2,7 @@
 
 from qwebs import verify
 from qwebs.bases import GradedMatrix, gram_matrix
+from qwebs.cli import main
 from qwebs.ring import LaurentPoly
 from qwebs.tableaux import Shape, Tableau, highest_tableau
 from qwebs.verify import Report, check_howe, web_gram_mismatch
@@ -95,6 +96,20 @@ def test_howe_catches_a_nonzero_map_for_every_annihilated_ladder(monkeypatch):
     rep = check_howe(pairs)
     assert rep.cases == clean.cases and rep.failures
     assert all(f.startswith("annihilated ladder but nonzero action at ") for f in rep.failures)
+
+
+def test_howe_reports_a_web_image_off_the_tableaux_as_a_failed_check(monkeypatch):
+    # a route bug that sends the web image to an index no tableau has is a
+    # disagreement of the routes, not bad input
+    pairs = ((2, 1),)
+    clean = check_howe(pairs)
+    real = verify._dense
+    monkeypatch.setattr(verify, "_dense", lambda walk, terms: {
+        (key[0], key[0]) + key[2:]: c for key, c in real(walk, terms).items()})
+    rep = check_howe(pairs)
+    assert rep.cases == clean.cases and rep.failures
+    assert all(f.startswith("routes disagree at ") for f in rep.failures)
+    assert main(["verify", "--howe"]) == 3
 
 
 def test_dual_sweep_reports_a_negative_gram_coefficient(monkeypatch):

@@ -165,13 +165,14 @@ def test_wrong_color_tag_is_refused_by_both_evaluators():
     dom = Boundary(3, (Factor(2),))
     x = TensorVector.basis_vector(dom, idx({1, 2}))
     # a tag names the color of the plain factor it flips; on a dual factor
-    # of color c it names N - c, the color the factor's first tag was given
-    for web in (Web(dom, (tag(1, 1),)), Web(dom, (tag(2, 1), tag(1, 1)))):
-        for evaluate in (evaluate_dense, evaluate_statesum):
-            with pytest.raises(ShapeMismatchError) as exc:
-                evaluate(web, x)
-            assert exc.value.slice_index == len(web.slices) - 1
-    assert evaluate_dense(Web(dom, (tag(2, 1), tag(2, 1))), x) == x
+    # of color c it names N - c, the color the factor's first tag was given.
+    # A web with a wrong tag cannot be made, so no evaluator ever gets one.
+    for slices in ((tag(1, 1),), (tag(2, 1), tag(1, 1))):
+        with pytest.raises(ShapeMismatchError) as exc:
+            Web(dom, slices)
+        assert exc.value.slice_index == len(slices) - 1
+    twice = Web(dom, (tag(2, 1), tag(2, 1)))
+    assert evaluate_dense(twice, x) == evaluate_statesum(twice, x) == x
 
 
 @st.composite
@@ -185,18 +186,19 @@ def any_slices(draw, N):
 @settings(deadline=None)
 @given(composable_webs(), st.data())
 def test_evaluate_dense_raises_exactly_when_validate_does(web, data):
+    # making the web is the one check: it fails at the first slice that does
+    # not fit, or both evaluators run and agree
+    domain, slices, i = web.domain, web.slices, len(web.slices)
     if data.draw(st.booleans()):  # put one slice anywhere in the web, fitting or not
-        i = data.draw(st.integers(0, len(web.slices)))
-        s = data.draw(any_slices(web.domain.N))
-        web = Web(web.domain, web.slices[:i] + (s,) + web.slices[i + 1 :])
-    x = TensorVector.basis_vector(web.domain, basis_indices(web.domain)[0])
+        i = data.draw(st.integers(0, len(slices)))
+        slices = slices[:i] + (data.draw(any_slices(domain.N)),) + slices[i + 1 :]
     try:
-        validate(web)
+        web = Web(domain, slices)
     except IllFormedWebError as exc:
-        with pytest.raises(ShapeMismatchError) as raised:
-            evaluate_dense(web, x)
-        assert raised.value.slice_index == exc.slice_index
+        assert exc.slice_index >= i
+        assert len(Web(domain, slices[: exc.slice_index]).walk) == exc.slice_index
     else:
+        x = TensorVector.basis_vector(domain, basis_indices(domain)[0])
         assert evaluate_dense(web, x) == evaluate_statesum(web, x)
 
 
@@ -209,14 +211,14 @@ def test_statesum_steps_each_slice_once_and_skips_validate(monkeypatch):
     monkeypatch.setattr(qwebs.webs, "validate", lambda web: validated.append(web))
     dom = Boundary(3, (Factor(2),))
     w = Web(dom, (cup(2, 2), tag(2, 3), tag(1, 2), merge(1, 2, 1), split(1, 2, 1), cap(1, 2)))
+    assert steps == list(range(len(w.slices)))  # each slice once, when the web is made
+    steps.clear()
     for idx in basis_indices(dom):
         x = TensorVector.basis_vector(dom, idx)
-        steps.clear()
         assert evaluate_statesum(w, x).space == dom
-        assert steps == list(range(len(w.slices)))
-    assert validated == []
+    assert steps == [] and validated == []
     with pytest.raises(IllFormedWebError) as exc:
-        evaluate_statesum(Web(dom, (split(1, 1, 1), merge(2, 1, 1))), x)
+        Web(dom, (split(1, 1, 1), merge(2, 1, 1)))
     assert exc.value.slice_index == 1
 
 
@@ -306,23 +308,24 @@ def test_web_gram_checks_what_web_form_checks():
 
 
 def test_web_gram_and_web_form_validate_each_web_once(monkeypatch):
-    # each distinct web, then each mirror, is stepped once, by the walk the kernels run on
+    # the webs were stepped when they were made; only each row's mirror is
+    # made, and stepped once, for the walk the kernels run on
     import qwebs.webs
 
     w1 = ladder_from_word(2, (2, 2, 0, 0), [(-1, 2, 1), (-1, 3, 1), (-1, 1, 1), (-1, 2, 1)])
     w2 = ladder_from_word(2, (2, 2, 0, 0), [(-1, 2, 2), (-1, 1, 1), (-1, 3, 1)])
-    r1, r2 = reflect(w1), reflect(w2)
+    r1, r2 = (list(enumerate(reflect(w).slices)) for w in (w1, w2))
     seen = []
-    real = qwebs.webs._walk
-    monkeypatch.setattr(qwebs.webs, "_walk", lambda web: seen.append(web) or real(web))
+    real = qwebs.webs._step
+    monkeypatch.setattr(qwebs.webs, "_step", lambda i, sp, s: seen.append((i, s)) or real(i, sp, s))
     gram = web_gram([w1, w2])
-    assert seen == [w1, w2, r1, r2]
+    assert seen == r1 + r2
     seen.clear()
     assert web_form(w1, w2) == gram[0][1]
-    assert seen == [w1, w2, r1]
+    assert seen == r1
     seen.clear()
     assert web_form(w1, w1) == gram[0][0]
-    assert seen == [w1, r1]
+    assert seen == r1
 
 
 def test_web_form_symmetry_and_duality():
@@ -353,11 +356,9 @@ def test_web_json_roundtrip():
 def test_tag_side_must_be_left_or_right():
     dom = Boundary(3, (Factor(2),))
     x = TensorVector.basis_vector(dom, idx({1, 2}))
-    bad = Web(dom, (Slice("tag", 1, 2, side="middle"),))
-    with pytest.raises(IllFormedWebError):
-        validate(bad)
-    with pytest.raises(IllFormedWebError):
-        evaluate_statesum(bad, x)
+    with pytest.raises(IllFormedWebError) as exc:
+        Web(dom, (Slice("tag", 1, 2, side="middle"),))
+    assert exc.value.slice_index == 0
     # a missing side means left
     assert evaluate_dense(Web(dom, (Slice("tag", 1, 2),)), x) == evaluate_dense(
         Web(dom, (tag(2, 1, "left"),)), x
@@ -404,3 +405,34 @@ def test_unknown_slice_kind_is_ill_formed():
     for kind in ("twist", ["merge"]):
         with pytest.raises(IllFormedWebError):
             validate(Web(dom, (Slice(kind, 1),)))
+
+
+def test_a_web_steps_its_slices_once_when_made_and_its_readers_step_none(monkeypatch):
+    import qwebs.webs
+
+    lad = ladder_from_word(2, (2, 0), [(-1, 1, 1)])
+    slices = compose(lad, reflect(lad)).slices
+    steps = []
+    real = qwebs.webs._step
+    monkeypatch.setattr(qwebs.webs, "_step", lambda i, sp, s: steps.append(i) or real(i, sp, s))
+    closed = Web(lad.domain, slices)
+    assert steps == list(range(len(slices)))
+    steps.clear()
+    key = idx({1, 2}, ())
+    x = TensorVector.basis_vector(closed.domain, key)
+    assert evaluate_dense(closed, x) == evaluate_statesum(closed, x) == web_matrix(closed)[key]
+    assert ev_closed(closed) == qbinom(2, 1)
+    assert validate(closed) == closed.codomain == closed.domain
+    assert steps == []
+
+
+def test_web_from_json_refuses_an_ill_formed_web_at_its_slice():
+    dom = [{"color": 2, "dual": False}]
+    for slices, at in (
+        ([split(1, 1, 1).to_json(), merge(2, 1, 1).to_json()], 1),
+        ([{"kind": "tag", "pos": 1, "a": 2, "side": "middle"}], 0),
+        ([Slice("id", 1).to_json(), Slice("id", 2).to_json()], 1),
+    ):
+        with pytest.raises(IllFormedWebError) as exc:
+            Web.from_json({"N": 3, "domain": dom, "slices": slices})
+        assert exc.value.slice_index == at
