@@ -5,8 +5,10 @@ command line and seed (keys sorted, rows in the descending tableau order),
 so runs can be diffed against golden files.
 
 Every JSON input is read through `_read`, so a malformed file of any kind is
-an input error.  The `verify` sweeps are declared once, in `VERIFY_SWEEPS`:
-it names the flags, their order and the call each flag makes.
+an input error.  Every command is declared once, in `COMMANDS`, and `main`
+builds the subparser of the command it runs and no other.  The `verify`
+sweeps are declared once, in `VERIFY_SWEEPS`: it names the flags, their
+order and the call each flag makes.
 
 Exit codes: 0 success, 2 invalid input, 3 violated internal invariant.
 """
@@ -250,96 +252,74 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 3
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The options several commands share, each an (option, add_argument keywords) pair.
+_FORMAT = ("--format", {"choices": ("json", "table"), "default": "json"})
+_N = ("--N", {"type": int, "required": True})
+_SHAPE = [_FORMAT, ("--N", {**_N[1], "help": "strand color bound (>= 2)"}),
+          ("--l", {"type": int, "required": True, "help": "row count of the shape"})]
+_REQUIRED, _FLAG = {"required": True}, {"action": "store_true"}
+
+# Every command, in `qwebs --help` order: name -> (help, handler, extra
+# defaults, options).  `build_parser` adds a subparser from this table only.
+COMMANDS = {
+    "tableaux": ("enumerate tableaux of a shape, descending", cmd_tableaux, {}, [
+        *_SHAPE, ("--type", {"help": "entry multiplicities, e.g. 1,1,0,2"}),
+        ("--semistandard", _FLAG)]),
+    "ladder": ("build a ladder web from a rung word", cmd_ladder, {}, [
+        _FORMAT, _N, ("--k", {**_REQUIRED, "help": "start weight, e.g. 2,0"}),
+        ("--word", {"default": "", "help": "rung word, bottom rung first; use the = form for "
+                                           "leading signs, e.g. --word=-1^1,+2^1"})]),
+    "eval": ("apply a web to a tensor vector", cmd_eval, {}, [
+        _FORMAT, ("--web", {**_REQUIRED, "help": "web JSON path, or - for stdin"}),
+        ("--vector", {**_REQUIRED, "help": "tensor vector JSON path"})]),
+    "ev": ("closed evaluation of an endomorphism web", cmd_ev, {}, [
+        _FORMAT, ("--web", _REQUIRED)]),
+    "form": ("the web form of two webs with equal boundaries", cmd_form, {}, [
+        _FORMAT, ("--u", _REQUIRED), ("--w", _REQUIRED)]),
+    "act": ("apply a divided power to a tableau vector", cmd_act, {}, [
+        _FORMAT, ("--sign", {**_REQUIRED, "choices": ("+", "-")}),
+        ("--i", {**_REQUIRED, "type": int}), ("--r", {"type": int, "default": 1}),
+        ("--vector", {**_REQUIRED, "help": "tableau vector JSON path"})]),
+    "lt-basis": ("intermediate basis vectors with peel words", cmd_basis, {"dual": False}, [
+        *_SHAPE, ("--type", {"help": "restrict to one type block"})]),
+    "dual-canonical": ("dual canonical basis vectors with corrections", cmd_basis, {"dual": True}, [
+        *_SHAPE, ("--type", {"help": "restrict to one type block"})]),
+    "gram": ("Gram matrix of a basis on one type block", cmd_gram, {}, [
+        *_SHAPE, ("--type", _REQUIRED), ("--basis", {"choices": ("lt", "dual"), "default": "lt"})]),
+    "cartan": ("graded Cartan matrix and Frobenius report", cmd_cartan, {}, [
+        _FORMAT, _N, ("--k", {**_REQUIRED, "help": "block weight, e.g. 1,1,1,1"})]),
+    "verify": ("relation and property sweeps", cmd_verify, {}, [
+        ("--format", {**_FORMAT[1], "default": "table"}), ("--all", _FLAG),
+        *[(f"--{flag}", _FLAG) for flag in VERIFY_SWEEPS],
+        ("--seed", {"type": int, "default": 2024}), ("--cases", {"type": int, "default": 100}),
+        ("--max-N", {"type": int, "default": 4}), ("--max-m", {"type": int, "default": 6})]),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with only `command`'s subparser, or with all of them when
+    `command` is None or not a command (help and the choice errors list them)."""
     parser = argparse.ArgumentParser(
         prog="qwebs",
         description="Exact computation in SL(N) web spaces over Z[v, v^-1].",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--N", type=int, required=True, help="strand color bound (>= 2)")
-        p.add_argument("--l", type=int, required=True, help="row count of the shape")
-
-    p = sub.add_parser("tableaux", help="enumerate tableaux of a shape, descending")
-    common(p)
-    p.add_argument("--type", help="entry multiplicities, e.g. 1,1,0,2")
-    p.add_argument("--semistandard", action="store_true")
-    p.set_defaults(func=cmd_tableaux)
-
-    p = sub.add_parser("ladder", help="build a ladder web from a rung word")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", required=True, help="start weight, e.g. 2,0")
-    p.add_argument("--word", default="",
-                   help="rung word, bottom rung first; use the = form for "
-                        "leading signs, e.g. --word=-1^1,+2^1")
-    p.set_defaults(func=cmd_ladder)
-
-    p = sub.add_parser("eval", help="apply a web to a tensor vector")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--web", required=True, help="web JSON path, or - for stdin")
-    p.add_argument("--vector", required=True, help="tensor vector JSON path")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ev", help="closed evaluation of an endomorphism web")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--web", required=True)
-    p.set_defaults(func=cmd_ev)
-
-    p = sub.add_parser("form", help="the web form of two webs with equal boundaries")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--u", required=True)
-    p.add_argument("--w", required=True)
-    p.set_defaults(func=cmd_form)
-
-    p = sub.add_parser("act", help="apply a divided power to a tableau vector")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--sign", choices=("+", "-"), required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--vector", required=True, help="tableau vector JSON path")
-    p.set_defaults(func=cmd_act)
-
-    for name, dual, text in (
-        ("lt-basis", False, "intermediate basis vectors with peel words"),
-        ("dual-canonical", True, "dual canonical basis vectors with corrections"),
-    ):
+    one = command in COMMANDS
+    # With one subparser the metavar keeps every command in an error's usage
+    # line; the full parser needs none, and its missing-command error names `command`.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name in [command] if one else COMMANDS:
+        text, func, defaults, options = COMMANDS[name]
         p = sub.add_parser(name, help=text)
-        common(p)
-        p.add_argument("--type", help="restrict to one type block")
-        p.set_defaults(func=cmd_basis, dual=dual)
-
-    p = sub.add_parser("gram", help="Gram matrix of a basis on one type block")
-    common(p)
-    p.add_argument("--type", required=True)
-    p.add_argument("--basis", choices=("lt", "dual"), default="lt")
-    p.set_defaults(func=cmd_gram)
-
-    p = sub.add_parser("cartan", help="graded Cartan matrix and Frobenius report")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", required=True, help="block weight, e.g. 1,1,1,1")
-    p.set_defaults(func=cmd_cartan)
-
-    p = sub.add_parser("verify", help="relation and property sweeps")
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.add_argument("--all", action="store_true")
-    for flag in VERIFY_SWEEPS:
-        p.add_argument(f"--{flag}", action="store_true")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--max-N", type=int, default=4)
-    p.add_argument("--max-m", type=int, default=6)
-    p.set_defaults(func=cmd_verify)
-
+        for option, kwargs in options:
+            p.add_argument(option, **kwargs)
+        p.set_defaults(func=func, **defaults)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (InvariantViolationError, NonDivisibleError) as exc:

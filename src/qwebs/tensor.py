@@ -70,12 +70,14 @@ class Factor:
 
 @dataclass(frozen=True)
 class Boundary:
-    """An ordered tensor boundary; factors[0] is slot 1 (rightmost)."""
+    """An ordered tensor boundary for N >= 2; factors[0] is slot 1 (rightmost)."""
 
     N: int
     factors: tuple[Factor, ...]
 
     def __post_init__(self):
+        if self.N < 2:
+            raise ValueError(f"invalid N={self.N}: a boundary needs N >= 2")
         for f in self.factors:
             if not 0 <= f.color <= self.N:
                 raise ValueError(f"factor color {f.color} outside 0..{self.N}")

@@ -2,12 +2,13 @@ import argparse
 import hashlib
 import itertools
 import json
+import sys
 import time
 
 import pytest
 
 from qwebs import verify
-from qwebs.cli import VERIFY_SWEEPS, build_parser, main
+from qwebs.cli import COMMANDS, VERIFY_SWEEPS, build_parser, main
 from qwebs.tensor import Boundary, Factor
 from qwebs.verify import Report
 from qwebs.webs import Web, cup, ladder_from_word, merge, reflect, split, tag
@@ -117,9 +118,21 @@ def test_gram_and_cartan_commands(capsys):
     assert payload["frobenius"]["passed"] is True
 
 
-def test_exit_code_on_invalid_input(capsys):
+def test_exit_code_on_invalid_input(capsys, tmp_path):
     code, _ = run(capsys, "ladder", "--N", "2", "--k", "2,0", "--word=-1^3")
     assert code == 2
+    # a boundary needs N >= 2: a ladder's, and a web's or a vector's read from JSON
+    strand = [{"color": 1, "dual": False}]
+    web1 = _write(tmp_path, "w1.json", {"N": 1, "domain": strand, "slices": []})
+    web2 = _write(tmp_path, "w2.json", {"N": 2, "domain": strand, "slices": []})
+    vec1 = _write(tmp_path, "v1.json", {"N": 1, "space": strand,
+                                        "terms": [{"subsets": [[1]], "coeff": [[0, 1]]}]})
+    for N, argv in ((0, "ladder --N 0 --k 0,0"), (1, "ladder --N 1 --k 1,0 --word=-1^1"),
+                    (-1, "ladder --N -1 --k 0"), (1, f"ev --web {web1}"),
+                    (1, f"eval --web {web2} --vector {vec1}")):
+        assert main(argv.split()) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: invalid N={N}: a boundary needs N >= 2" in captured.err
     code, _ = run(capsys, "tableaux", "--N", "2", "--l", "1", "--type", "1,2")
     assert code == 2
     code, _ = run(capsys, "tableaux", "--N", "2", "--l", "1", "--type=-1,3")
@@ -481,10 +494,65 @@ def test_verify_size_below_2_exits_2_at_once(capsys, monkeypatch):
 
 
 def test_verify_parser_flags_are_the_sweep_table():
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    parser = sub.choices["verify"]
-    flags = [a.dest for a in parser._actions if isinstance(a, argparse._StoreTrueAction)]
-    assert flags == ["all", *VERIFY_SWEEPS]
+    for parser in (build_parser(), build_parser("verify")):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = [a.dest for a in sub.choices["verify"]._actions
+                 if isinstance(a, argparse._StoreTrueAction)]
+        assert flags == ["all", *VERIFY_SWEEPS]
+
+
+def _parse(capsys, parse, argv):
+    """The namespace `parse(argv)` returns, or its exit code, with the captured output."""
+    try:
+        outcome = parse(argv)
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_parses_and_fails_as_the_full_parser(capsys, command):
+    # help, a missing required option, a bad choice, a bad int, an unknown
+    # option (whose error prints the top-level usage) and a valid line
+    valid = {"tableaux": "--N 2 --l 1", "ladder": "--N 2 --k 2,0", "eval": "--web w --vector v",
+             "ev": "--web w", "form": "--u u --w w", "act": "--sign=- --i 1 --vector v",
+             "lt-basis": "--N 2 --l 1", "dual-canonical": "--N 2 --l 1 --type 1,1",
+             "gram": "--N 2 --l 2 --type 1,1,1,1", "cartan": "--N 2 --k 1,1,1,1",
+             "verify": "--all --seed 3 --max-N 2"}[command].split()
+    for rest in (["--help"], [], ["--format", "xml"], ["--N", "x"], [*valid, "--bogus"], valid):
+        argv = [command, *rest]
+        one = _parse(capsys, build_parser(command).parse_args, argv)
+        assert one == _parse(capsys, build_parser().parse_args, argv), argv
+        if rest != valid and (rest or command != "verify"):  # a bare verify parses
+            assert one[0] == (0 if rest == ["--help"] else 2), argv
+
+
+def test_main_without_a_command_prints_every_command(capsys):
+    for argv, code in ((["--help"], 0), ([], 2), (["bogus"], 2), (["-h", "cartan"], 0)):
+        outcome = _parse(capsys, main, argv)
+        assert outcome == (code, _parse(capsys, build_parser().parse_args, argv)[1]), argv
+        text = outcome[1].out + outcome[1].err
+        assert "{" + ",".join(COMMANDS) + "}" in text, argv
+    help_text = _parse(capsys, main, ["--help"])[1].out
+    listed = [line.split(None, 1) for line in help_text.splitlines()
+              if line.startswith("    ") and not line[4].isspace()]
+    assert listed == [[name, text] for name, (text, *_) in COMMANDS.items()]
+
+
+def test_main_builds_only_the_parser_of_its_command(capsys, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw))
+    assert main(["cartan", "--N", "2", "--k", "1,1,1,1"]) == 0
+    assert added == ["cartan"]
+    monkeypatch.setattr(sys, "argv", ["qwebs", "ladder", "--N", "2", "--k", "1,1"])
+    assert main() == 0 and added == ["cartan", "ladder"]
+    added.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert added == list(COMMANDS)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
