@@ -10,6 +10,12 @@ builds the subparser of the command it runs and no other.  The `verify`
 sweeps are declared once, in `VERIFY_SWEEPS`: it names the flags, their
 order and the call each flag makes.
 
+`lt-basis` and `dual-canonical` write their JSON list one block at a time,
+each as soon as it is made, and a whole-shape sweep (no --type) keeps no
+block once it is written.  A refused request writes nothing, but an exit 3
+in the middle of a sweep can follow a partial list: the exit code is the
+status.
+
 Exit codes: 0 success, 2 invalid input, 3 violated internal invariant.
 """
 
@@ -27,7 +33,7 @@ from .bases import (
     gram_matrix,
     lt_block,
 )
-from .howe import TableauVector, act_divided, terms_json
+from .howe import TableauVector, act_divided, terms_texts
 from .ring import NonDivisibleError
 from .tableaux import Shape, check_request, enumerate_tableaux
 from .tensor import TensorVector
@@ -157,27 +163,41 @@ def cmd_act(args) -> int:
     return 0
 
 
+def basis_entries(shape: Shape, block: dict, dual: bool) -> list[str]:
+    """`json.dumps(entry, sort_keys=True)` of each element of an `lt_block` (a
+    `dual_block` if `dual`), with the expansions from one `howe.terms_texts` table."""
+    labels = {t: json.dumps(t.to_json(), sort_keys=True) for t in block}
+    expansions = terms_texts(shape, [elem.terms for elem in block.values()])
+    out = []
+    for (t, elem), x in zip(block.items(), expansions):
+        if dual:
+            beta = ", ".join(f'{{"coeff": {json.dumps(g.to_json())}, "tableau": {labels[s]}}}'
+                             for s, g in elem.beta)
+            out.append(f'{{"beta": [{beta}], "expansion": {x}, "tableau": {labels[t]}}}')
+        else:
+            out.append(f'{{"expansion": {x}, "tableau": {labels[t]}, "word": {json.dumps(elem.word)}}}')
+    return out
+
+
 def cmd_basis(args) -> int:
-    """`lt-basis` (args.dual false) or `dual-canonical` (args.dual true)."""
+    """`lt-basis` (args.dual false) or `dual-canonical` (args.dual true), one block at a time."""
     shape = Shape(args.N, args.l)
     if args.type is not None:
         ktypes = [_parse_vec(args.type)]
     else:  # every bounded weight is the type of a semistandard tableau
         check_request(shape)
         ktypes = bounded_weights(args.N, shape.m)
-    payload = []
+    opened = False
     for k in ktypes:
         block = dual_block(args.N, args.l, k) if args.dual else lt_block(args.N, args.l, k)
-        for t, elem in block.items():
-            entry = {"tableau": t.to_json(), "expansion": terms_json(shape, elem.terms)}
-            if args.dual:
-                entry["beta"] = [
-                    {"tableau": s.to_json(), "coeff": g.to_json()} for s, g in elem.beta
-                ]
-            else:
-                entry["word"] = [list(p) for p in elem.word]
-            payload.append(entry)
-    _emit(payload, args.format, None)
+        entries = basis_entries(shape, block, args.dual)
+        if args.type is None:  # a sweep keeps no block it has written
+            lt_block.cache_clear()
+            dual_block.cache_clear()
+        if entries:
+            sys.stdout.write((", " if opened else "[") + ", ".join(entries))
+            opened = True
+    sys.stdout.write("]\n" if opened else "[]\n")
     return 0
 
 

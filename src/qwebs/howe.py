@@ -23,7 +23,9 @@ per-column differences (i in d) - (i+1 in d); moves that meet at one tuple
 add up through `ring.add_into`.  `act_word` runs a whole divided-power word
 (`act_E` and `act_divided` are one-pair words) on a vector's map.  The
 kernel is also the step of the peel-tree walk in `bases`, whose blocks are
-maps of the same form.
+maps of the same form.  This module owns the JSON form of such a map:
+`terms_json` gives it as dicts, and `terms_texts` writes the same JSON text
+for many maps from one table of their keys.
 
 Tableaux and tensor basis indices correspond through one injection,
 `tableau_to_index`: slot i of the index of a tableau holds the mask of the
@@ -38,6 +40,7 @@ sign (checked in the tests).
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 from .ring import LaurentPoly, ONE, add_into, exact_int
@@ -85,6 +88,32 @@ def terms_json(shape: Shape, terms: Terms) -> dict:
     return {"N": shape.N, "l": shape.l, "terms": [
         {"rows": list(zip(*cols)), "coeff": sorted(terms[cols].items())} for cols in sorted(terms)
     ]}
+
+
+def terms_texts(shape: Shape, maps: list[Terms]) -> list[str]:
+    """`json.dumps(terms_json(shape, terms), sort_keys=True)` of each map, from one key table.
+
+    The table is made once per distinct column tuple of the maps: the
+    tuple's rank among them all, which orders the terms of each map, and the
+    `"rows"` text that ends each of its terms.
+    """
+    keys = sorted({k for terms in maps for k in terms})
+    rank = {k: n for n, k in enumerate(keys)}
+    rows = [', "rows": ' + json.dumps(list(zip(*k))) + "}" for k in keys]
+    head = f'{{"N": {shape.N}, "l": {shape.l}, "terms": ['
+    out = []
+    for terms in maps:
+        parts = []
+        for n in sorted(map(rank.__getitem__, terms)):
+            c = terms[keys[n]]
+            if len(c) == 1:  # most coefficients are monomials
+                [(e, a)] = c.items()
+                coeff = f"[{e}, {a}]"
+            else:
+                coeff = ", ".join([f"[{e}, {a}]" for e, a in sorted(c.items())])
+            parts.append(f'{{"coeff": [{coeff}]{rows[n]}')
+        out.append(head + ", ".join(parts) + "]}")
+    return out
 
 
 def _act_divided(sign: int, i: int, r: int, terms: Terms) -> Terms:

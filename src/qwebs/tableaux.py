@@ -135,10 +135,15 @@ def _count_bound(shape: Shape, type: tuple[int, ...] | None) -> int:
 
 
 def _log_count_bound(shape: Shape, type: tuple[int, ...] | None) -> float:
-    """The natural logarithm of `_count_bound`'s formula, from `math.lgamma` at any size."""
+    """The natural logarithm of `_count_bound`'s formula, at any size.
+
+    Without a type, log comb(m, l) is summed as l logs of ratios, each
+    positive: as a difference of `math.lgamma` values it cancels to 0.0 for
+    l = 1 and m >= 2**53.
+    """
     N, l, m = shape.N, shape.l, shape.m
     if type is None:
-        return N * (math.lgamma(m + 1) - math.lgamma(l + 1) - math.lgamma(m - l + 1))
+        return N * sum(math.log((m - j) / (j + 1)) for j in range(l))
     return math.lgamma(m + 1) - sum(math.lgamma(k + 1) for k in type if k > 1) - N * math.lgamma(l + 1)
 
 

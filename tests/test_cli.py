@@ -8,9 +8,13 @@ import time
 import pytest
 
 from qwebs import verify
-from qwebs.cli import COMMANDS, VERIFY_SWEEPS, build_parser, main
+from qwebs.bases import dual_block, lt_block
+from qwebs.cli import COMMANDS, VERIFY_SWEEPS, basis_entries, build_parser, main
+from qwebs.howe import terms_json
+from qwebs.tableaux import Shape
 from qwebs.tensor import Boundary, Factor
 from qwebs.verify import Report
+from qwebs.webalg import bounded_weights
 from qwebs.webs import Web, cup, ladder_from_word, merge, reflect, split, tag
 
 from helpers import compose
@@ -147,16 +151,61 @@ def test_exit_code_on_invalid_input(capsys, tmp_path):
 
 def test_oversized_tableaux_request_exits_2_at_once(capsys):
     # a whole-shape basis sweep is refused by the same bound; the bounds of
-    # the last three have over a million digits each and are never built
+    # the last five have over a million digits each and are never built, and
+    # for the last two (l = 1, m = 2**53) a difference of lgamma values cancels
     for argv in ("tableaux --N 8 --l 3 --semistandard", "lt-basis --N 2 --l 7",
                  "tableaux --N 2 --l 1000000", "tableaux --N 4000000 --l 1",
-                 "lt-basis --N 2 --l 1000000"):
+                 "lt-basis --N 2 --l 1000000",
+                 "lt-basis --N 9007199254740992 --l 1", "tableaux --N 9007199254740992 --l 1"):
         start = time.perf_counter()
         code = main(argv.split())
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "than the limit of 1000000" in captured.err
         assert time.perf_counter() - start < 1.0
+
+
+def test_basis_commands_write_nothing_when_refused_and_a_list_when_empty(capsys):
+    # a writer that opened the list before the first block was made would
+    # leave "[" on stdout here
+    for command in ("lt-basis", "dual-canonical"):
+        assert main([command, "--N", "2", "--l", "2", "--type", "1,1,1,2"]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and "type must be" in captured.err
+        # no column-strict tableau has three 1s in two columns
+        assert main([command, "--N", "2", "--l", "2", "--type", "3,1,0,0"]) == 0, command
+        assert capsys.readouterr().out == "[]\n"
+
+
+def _basis_entry_reference(t, elem, dual: bool) -> str:
+    """The JSON of one basis element as the dict form writes it."""
+    entry = {"tableau": t.to_json(), "expansion": terms_json(t.shape, elem.terms)}
+    if dual:
+        entry["beta"] = [{"tableau": s.to_json(), "coeff": g.to_json()} for s, g in elem.beta]
+    else:
+        entry["word"] = [list(p) for p in elem.word]
+    return json.dumps(entry, sort_keys=True)
+
+
+def test_basis_entries_match_the_dict_reference():
+    blocks = [(N, l, k) for N, l in ((3, 2), (2, 4)) for k in bounded_weights(N, N * l)]
+    blocks.append((4, 2, (1,) * 8))
+    binomials = corrected = 0
+    for N, l, k in blocks:
+        for dual, make in ((False, lt_block), (True, dual_block)):
+            block = make(N, l, k)
+            reference = [_basis_entry_reference(t, elem, dual) for t, elem in block.items()]
+            assert basis_entries(Shape(N, l), block, dual) == reference, (N, l, k, dual)
+            binomials += sum(len(c) > 1 for elem in block.values() for c in elem.terms.values())
+            corrected += dual and sum(bool(elem.beta) for elem in block.values())
+    # the cases hold a coefficient with two exponents and a nonempty correction list
+    assert binomials and corrected
+
+
+def test_whole_shape_sweep_keeps_no_block(capsys):
+    assert main(["dual-canonical", "--N", "2", "--l", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert lt_block.cache_info().currsize == 0 and dual_block.cache_info().currsize == 0
 
 
 # sha256 of the JSON each command line prints: the full-shape sweeps recorded

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from qwebs.howe import (
     act_word,
     highest_vector,
     tableau_to_index,
+    terms_json,
+    terms_texts,
     weight_of_type,
 )
 from qwebs.ring import LaurentPoly, exact_divide, qfactorial, qint, qnum
@@ -233,3 +236,13 @@ def test_generator_index_is_checked_for_every_r(r):
     for sign in (0, 2, -2):
         with pytest.raises(ValueError):
             act_divided(sign, 1, r, top)
+
+
+def test_terms_texts_write_the_json_of_terms_json():
+    shape = Shape(2, 2)
+    x = act_word(-1, [(2, 1), (1, 1), (3, 1)], highest_vector(shape))
+    y = act_divided(-1, 2, 1, x)
+    # shares its keys with x and y; one coefficient has two exponents
+    mixed = {**x.coords, min(y.coords): {-2: 3, 1: -1}}
+    maps = [x.coords, {}, y.coords, mixed]
+    assert terms_texts(shape, maps) == [json.dumps(terms_json(shape, m), sort_keys=True) for m in maps]
