@@ -105,12 +105,7 @@ def terms_texts(shape: Shape, maps: list[Terms]) -> list[str]:
     for terms in maps:
         parts = []
         for n in sorted(map(rank.__getitem__, terms)):
-            c = terms[keys[n]]
-            if len(c) == 1:  # most coefficients are monomials
-                [(e, a)] = c.items()
-                coeff = f"[{e}, {a}]"
-            else:
-                coeff = ", ".join([f"[{e}, {a}]" for e, a in sorted(c.items())])
+            coeff = ", ".join([f"[{e}, {a}]" for e, a in sorted(terms[keys[n]].items())])
             parts.append(f'{{"coeff": [{coeff}]{rows[n]}')
         out.append(head + ", ".join(parts) + "]}")
     return out

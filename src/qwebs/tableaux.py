@@ -134,22 +134,30 @@ def _count_bound(shape: Shape, type: tuple[int, ...] | None) -> int:
     return fillings // math.factorial(shape.l) ** shape.N
 
 
-def _log_count_bound(shape: Shape, type: tuple[int, ...] | None) -> float:
-    """The natural logarithm of `_count_bound`'s formula, at any size.
+# A bound whose logarithm exceeds this is over MAX_TABLEAUX whatever the
+# rounding of the log sums: the margin of 1 is a factor of e.
+_LOG_LIMIT = math.log(MAX_TABLEAUX) + 1
 
-    Without a type, log comb(m, l) is summed as l logs of ratios, each
-    positive: as a difference of `math.lgamma` values it cancels to 0.0 for
-    l = 1 and m >= 2**53.
+
+def _log_count_bound(shape: Shape, type: tuple[int, ...] | None) -> float:
+    """The natural logarithm of `_count_bound`'s formula, or of a part of it over _LOG_LIMIT.
+
+    Without a type, log comb(m, l) is summed as l logs of ratios: as a
+    difference of `math.lgamma` values it cancels to 0.0 for l = 1 and
+    m >= 2**53.  Since m >= 2l every ratio is at least 1, so each partial sum
+    is a lower bound, and the sum stops once it is over the limit; the first
+    term alone is log m, so a large l stops within a few terms.  With a type,
+    m is its length, so m is far too small for the lgamma values to cancel.
     """
     N, l, m = shape.N, shape.l, shape.m
     if type is None:
-        return N * sum(math.log((m - j) / (j + 1)) for j in range(l))
+        total = 0.0
+        for j in range(l):
+            total += math.log((m - j) / (j + 1))
+            if N * total > _LOG_LIMIT:
+                break
+        return N * total
     return math.lgamma(m + 1) - sum(math.lgamma(k + 1) for k in type if k > 1) - N * math.lgamma(l + 1)
-
-
-# A bound whose logarithm exceeds this is over MAX_TABLEAUX whatever the
-# rounding of the lgamma sums: the margin of 1 is a factor of e.
-_LOG_LIMIT = math.log(MAX_TABLEAUX) + 1
 
 
 def check_request(shape: Shape, type: tuple[int, ...] | None = None) -> None:

@@ -151,11 +151,13 @@ def test_exit_code_on_invalid_input(capsys, tmp_path):
 
 def test_oversized_tableaux_request_exits_2_at_once(capsys):
     # a whole-shape basis sweep is refused by the same bound; the bounds of
-    # the last five have over a million digits each and are never built, and
-    # for the last two (l = 1, m = 2**53) a difference of lgamma values cancels
+    # the last seven have over a million digits each and are never built, the
+    # estimate for l = 10**9 must stop after a few of its l terms, and for the
+    # last two (l = 1, m = 2**53) a difference of lgamma values cancels
     for argv in ("tableaux --N 8 --l 3 --semistandard", "lt-basis --N 2 --l 7",
                  "tableaux --N 2 --l 1000000", "tableaux --N 4000000 --l 1",
                  "lt-basis --N 2 --l 1000000",
+                 "tableaux --N 2 --l 1000000000", "lt-basis --N 2 --l 1000000000",
                  "lt-basis --N 9007199254740992 --l 1", "tableaux --N 9007199254740992 --l 1"):
         start = time.perf_counter()
         code = main(argv.split())

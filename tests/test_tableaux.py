@@ -12,6 +12,7 @@ from qwebs.tableaux import (
     Shape,
     Tableau,
     _count_bound,
+    _LOG_LIMIT,
     _log_count_bound,
     check_request,
     enumerate_tableaux,
@@ -368,7 +369,12 @@ def test_log_count_bound_is_the_log_of_the_exact_bound(N, l):
     shape = Shape(N, l)
     distinct = (1,) * shape.m
     for ktype in (None, distinct):
-        assert math.isclose(_log_count_bound(shape, ktype), math.log(_count_bound(shape, ktype)))
+        estimate, exact = _log_count_bound(shape, ktype), math.log(_count_bound(shape, ktype))
+        if ktype is None and exact > _LOG_LIMIT:
+            # the untyped sum may stop once it is over the limit
+            assert _LOG_LIMIT < estimate <= exact * (1 + 1e-12)
+        else:
+            assert math.isclose(estimate, exact)
 
 
 def test_json_roundtrip():
