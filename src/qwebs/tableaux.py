@@ -7,6 +7,9 @@ through `howe.tableau_to_index`, the standard tensor bases.  Both kinds, with
 or without a type, come from one search that grows a chain of shapes:
 `enumerate_tableaux` places the entries 1..m in turn at column feet.
 
+One size rule holds every request: `check_request` refuses, before any
+work, a shape (and type) whose `_count_bound` is over MAX_TABLEAUX.
+
 The total order used everywhere: a column c beats a column d when, at the
 first position where they differ, c has the *smaller* entry; tableaux are
 ordered lexicographically on columns left to right.  Maximal is the tableau
@@ -122,54 +125,37 @@ def _count_bound(shape: Shape, type: tuple[int, ...] | None) -> int:
 
     Without a type each of the N columns is an l-subset of 1..m.  With one,
     sorting the columns of the m!/prod(k_i!) fillings of that content gives
-    every column-strict tableau exactly (l!)^N times.  Exact, so only worth
-    computing once `_log_count_bound` has shown it is small.
+    every column-strict tableau exactly (l!)^N times.  Exact when at most
+    MAX_TABLEAUX, and some value above it otherwise, so a bound of a million
+    digits is never built.  Without a type, comb(m, j) grows with j up to
+    l <= m/2, so comb(m, j) ** N is built for j = 1, 2, ... up to the first
+    power over the limit; comb(m, 1) = m >= 2, so N >= MAX_TABLEAUX.bit_length()
+    is over at once.  With a type, m is its length, and a log estimate from
+    `math.lgamma`, with a margin of a factor e for rounding, gates the product.
     """
+    N, l, m = shape.N, shape.l, shape.m
     if type is None:
-        return math.comb(shape.m, shape.l) ** shape.N
+        columns = 1  # comb(m, j)
+        for j in range(1, l + 1):
+            columns = columns * (m + 1 - j) // j
+            if N >= MAX_TABLEAUX.bit_length() or columns ** N > MAX_TABLEAUX:
+                return MAX_TABLEAUX + 1
+        return columns ** N
+    log = math.lgamma(m + 1) - sum(math.lgamma(k + 1) for k in type if k > 1) - N * math.lgamma(l + 1)
+    if log > math.log(MAX_TABLEAUX) + 1:
+        return MAX_TABLEAUX + 1
     fillings, placed = 1, 0  # m!/prod(k_i!) as a product of binomials
     for k in type:
         placed += k
         fillings *= math.comb(placed, k)
-    return fillings // math.factorial(shape.l) ** shape.N
-
-
-# A bound whose logarithm exceeds this is over MAX_TABLEAUX whatever the
-# rounding of the log sums: the margin of 1 is a factor of e.
-_LOG_LIMIT = math.log(MAX_TABLEAUX) + 1
-
-
-def _log_count_bound(shape: Shape, type: tuple[int, ...] | None) -> float:
-    """The natural logarithm of `_count_bound`'s formula, or of a part of it over _LOG_LIMIT.
-
-    Without a type, log comb(m, l) is summed as l logs of ratios: as a
-    difference of `math.lgamma` values it cancels to 0.0 for l = 1 and
-    m >= 2**53.  Since m >= 2l every ratio is at least 1, so each partial sum
-    is a lower bound, and the sum stops once it is over the limit; the first
-    term alone is log m, so a large l stops within a few terms.  With a type,
-    m is its length, so m is far too small for the lgamma values to cancel.
-    """
-    N, l, m = shape.N, shape.l, shape.m
-    if type is None:
-        total = 0.0
-        for j in range(l):
-            total += math.log((m - j) / (j + 1))
-            if N * total > _LOG_LIMIT:
-                break
-        return N * total
-    return math.lgamma(m + 1) - sum(math.lgamma(k + 1) for k in type if k > 1) - N * math.lgamma(l + 1)
+    return fillings // math.factorial(l) ** N
 
 
 def check_request(shape: Shape, type: tuple[int, ...] | None = None) -> None:
-    """Refuse a malformed type, or a request that could exceed MAX_TABLEAUX.
-
-    The bound is estimated first: at shape (2, 1000000) its exact value has
-    over a million digits, which would take longer to build than most
-    requests run.
-    """
+    """Refuse a malformed type, or a request that could exceed MAX_TABLEAUX."""
     if type is not None and (len(type) != shape.m or sum(type) != shape.m or min(type) < 0):
         raise ValueError("type must be an m-vector of nonnegative entries summing to m")
-    if _log_count_bound(shape, type) > _LOG_LIMIT or _count_bound(shape, type) > MAX_TABLEAUX:
+    if _count_bound(shape, type) > MAX_TABLEAUX:
         raise ValueError(
             f"shape ({shape.N}, {shape.l}) may have more tableaux"
             f"{'' if type is None else ' of this type'} than the limit of {MAX_TABLEAUX}"

@@ -68,16 +68,22 @@ class Factor:
         return cls(exact_int(data["color"], "factor color"), dual)
 
 
+# The largest N of a boundary: far above the N <= 8 of any sweep, and small
+# enough that the mask of 1..N takes a few hundred bytes.
+MAX_N = 2**12
+
+
 @dataclass(frozen=True)
 class Boundary:
-    """An ordered tensor boundary for N >= 2; factors[0] is slot 1 (rightmost)."""
+    """An ordered tensor boundary for 2 <= N <= MAX_N; factors[0] is slot 1 (rightmost)."""
 
     N: int
     factors: tuple[Factor, ...]
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError(f"invalid N={self.N}: a boundary needs N >= 2")
+        if not 2 <= self.N <= MAX_N:
+            bound = ">= 2" if self.N < 2 else f"<= {MAX_N}"
+            raise ValueError(f"invalid N={self.N}: a boundary needs N {bound}")
         for f in self.factors:
             if not 0 <= f.color <= self.N:
                 raise ValueError(f"factor color {f.color} outside 0..{self.N}")
@@ -103,13 +109,17 @@ class Boundary:
         return cls(N, tuple(Factor.from_json(d) for d in data))
 
 
+_factor = cache(Factor)  # one shared `Factor` per (color, dual)
+
+
 @cache
 def weight_boundary(N: int, k: tuple[int, ...]) -> Boundary:
     """The plain boundary whose factor colors are the weight k, slot 1 first.
 
-    Cached: a `Boundary` is immutable, and k must be a tuple.
+    Cached: a `Boundary` is immutable, and k must be a tuple.  The cached
+    boundaries share their factors.
     """
-    return Boundary(N, tuple(Factor(c) for c in k))
+    return Boundary(N, tuple(map(_factor, k)))
 
 
 Index = tuple[int, ...]  # a bitmask per slot, slot 1 first
@@ -290,8 +300,8 @@ def merged_space(space: Boundary, a: int, b: int, pos: int) -> Boundary:
 
 
 def split_space(space: Boundary, a: int, b: int, pos: int) -> Boundary:
-    _expect(space, pos, a + b, False)
-    if a < 0 or b < 0 or a + b > space.N:
+    _expect(space, pos, a + b, False)  # so a + b is a color of 0..N
+    if a < 0 or b < 0:
         raise ShapeMismatchError(f"split colors ({a},{b}) invalid for N={space.N}")
     return space.replace(pos, 1, (Factor(b), Factor(a)))
 

@@ -18,19 +18,19 @@ from dataclasses import dataclass
 
 from .bases import GradedMatrix, gram_matrix
 from .ring import LaurentPoly, bar
+from .tensor import weight_boundary
 from .webs import d_norm
 
 
 def _shape_of_weight(N: int, k: tuple[int, ...]) -> int:
-    if N < 2:
-        raise ValueError(f"invalid N={N}: a weight needs N >= 2")
+    """The row count l of the weight k; its N and colors must make a `Boundary`."""
+    weight_boundary(N, tuple(k))
     m = len(k)
     if m % N:
         raise ValueError(f"weight length {m} is not a multiple of N={N}")
-    l = m // N
-    if sum(k) != m or any(not 0 <= c <= N for c in k):
-        raise ValueError(f"{k} is not an N-bounded weight of total {m}")
-    return l
+    if sum(k) != m:
+        raise ValueError(f"weight {k} does not sum to its length {m}")
+    return m // N
 
 
 def cartan_matrix(N: int, k: tuple[int, ...]) -> GradedMatrix:

@@ -7,12 +7,12 @@ import time
 
 import pytest
 
-from qwebs import verify
+from qwebs import bases, verify
 from qwebs.bases import dual_block, lt_block
 from qwebs.cli import COMMANDS, VERIFY_SWEEPS, basis_entries, build_parser, main
-from qwebs.howe import terms_json
+from qwebs.howe import _act_divided, terms_json
 from qwebs.tableaux import Shape
-from qwebs.tensor import Boundary, Factor
+from qwebs.tensor import MAX_N, Boundary, Factor
 from qwebs.verify import Report
 from qwebs.webalg import bounded_weights
 from qwebs.webs import Web, cup, ladder_from_word, merge, reflect, split, tag
@@ -137,6 +137,18 @@ def test_exit_code_on_invalid_input(capsys, tmp_path):
         assert main(argv.split()) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and f"error: invalid N={N}: a boundary needs N >= 2" in captured.err
+    # and N <= MAX_N, so a mask of 1..N stays small: a ladder's, a block weight's, and
+    # a web's or a vector's read from JSON
+    big = 2**70
+    web_big = _write(tmp_path, "wb.json", {"N": big, "domain": strand, "slices": []})
+    vec_big = _write(tmp_path, "vb.json", {"N": big, "space": strand,
+                                           "terms": [{"subsets": [[1]], "coeff": [[0, 1]]}]})
+    for argv in (f"ladder --N {big} --k 1,0 --word=-1^1", f"ladder --N {big} --k 1,0",
+                 f"cartan --N {big} --k 1,1", f"ev --web {web_big}", f"form --u {web_big} --w {web_big}",
+                 f"eval --web {web_big} --vector {vec_big}", f"eval --web {web2} --vector {vec_big}"):
+        assert main(argv.split()) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: invalid N={big}: a boundary needs N <= {MAX_N}" in captured.err
     code, _ = run(capsys, "tableaux", "--N", "2", "--l", "1", "--type", "1,2")
     assert code == 2
     code, _ = run(capsys, "tableaux", "--N", "2", "--l", "1", "--type=-1,3")
@@ -151,14 +163,17 @@ def test_exit_code_on_invalid_input(capsys, tmp_path):
 
 def test_oversized_tableaux_request_exits_2_at_once(capsys):
     # a whole-shape basis sweep is refused by the same bound; the bounds of
-    # the last seven have over a million digits each and are never built, the
-    # estimate for l = 10**9 must stop after a few of its l terms, and for the
-    # last two (l = 1, m = 2**53) a difference of lgamma values cancels
+    # the last eleven have over a million digits each and are never built,
+    # the bound for l = 10**9 must stop after a few of its l terms, for
+    # l = 1, m = 2**53 a difference of lgamma values would cancel, and
+    # 10**400 is too large for a float
     for argv in ("tableaux --N 8 --l 3 --semistandard", "lt-basis --N 2 --l 7",
                  "tableaux --N 2 --l 1000000", "tableaux --N 4000000 --l 1",
                  "lt-basis --N 2 --l 1000000",
                  "tableaux --N 2 --l 1000000000", "lt-basis --N 2 --l 1000000000",
-                 "lt-basis --N 9007199254740992 --l 1", "tableaux --N 9007199254740992 --l 1"):
+                 "lt-basis --N 9007199254740992 --l 1", "tableaux --N 9007199254740992 --l 1",
+                 f"lt-basis --N {10**400} --l 1", f"tableaux --N {10**400} --l 1",
+                 f"tableaux --N 2 --l {10**400}", f"lt-basis --N 2 --l {10**400}"):
         start = time.perf_counter()
         code = main(argv.split())
         captured = capsys.readouterr()
@@ -624,3 +639,94 @@ def test_structurally_malformed_json_exits_2(capsys, tmp_path, command, payload)
     else:
         argv = ("act", "--sign", "-", "--i", "1", "--vector", path)
     assert run(capsys, *argv) == (2, "")
+
+
+_STRAND, _TOP = [{"color": 1, "dual": False}], [{"color": 2, "dual": False}]
+
+
+def _tableau_vector(*rows) -> dict:
+    return {"N": 2, "l": len(rows), "terms": [{"rows": list(rows), "coeff": [[0, 1]]}]}
+
+
+def _web(domain, *slices) -> dict:
+    return {"N": 2, "domain": domain, "slices": list(slices)}
+
+
+# Input checks that no other test reaches: (argv with {name} for the path of
+# an input, the inputs, the message on stderr).
+INPUT_CHECKS = {
+    "tableau-rows-off-the-shape": ("act --sign=- --i 1 --vector {tv}",
+                                   {"tv": _tableau_vector([1, 2, 1])}, "grid does not match shape"),
+    "tableau-entry-out-of-range": ("act --sign=- --i 1 --vector {tv}",
+                                   {"tv": _tableau_vector([1, 3])}, "entry 3 out of range 1..2"),
+    "tableau-column-not-increasing": ("act --sign=- --i 1 --vector {tv}",
+                                      {"tv": _tableau_vector([1, 2], [1, 3])},
+                                      "columns must strictly increase"),
+    "factor-color-over-N": ("ev --web {w}", {"w": _web([{"color": 3, "dual": False}])},
+                            "factor color 3 outside 0..2"),
+    "merge-colors-over-N": ("ev --web {w}",
+                            {"w": _web(_TOP + _STRAND, {"kind": "merge", "pos": 1, "a": 1, "b": 2})},
+                            "slice 0: merge color 1+2 exceeds N=2"),
+    "split-color-over-N": ("ev --web {w}",
+                            {"w": _web(_TOP, {"kind": "split", "pos": 1, "a": 3, "b": -1})},
+                            "slice 0: split colors (3,-1) invalid for N=2"),
+    "cartan-weight-length": ("cartan --N 3 --k 1,1,1,1", {},
+                             "weight length 4 is not a multiple of N=3"),
+    "cartan-color-over-N": ("cartan --N 2 --k 3,1,0,0", {}, "factor color 3 outside 0..2"),
+    "cartan-weight-sum": ("cartan --N 2 --k 1,1,1,2", {}, "weight (1, 1, 1, 2) does not sum to its length 4"),
+    "rung-index-0": ("ladder --N 2 --k 1,1 --word=-0^1", {}, "rung index 0 outside 1..1"),
+    "rung-index-over-m-1": ("ladder --N 2 --k 1,1 --word=+2^1", {}, "rung index 2 outside 1..1"),
+    "bad-rung-token": ("ladder --N 2 --k 1,1 --word=-1^-1", {},
+                       "bad rung token '-1^-1', expected e.g. -1^2"),
+    "vector-outside-the-domain": (
+        "eval --web {w} --vector {v}",
+        {"w": _web(_STRAND), "v": {"N": 2, "space": _TOP,
+                                   "terms": [{"subsets": [[2, 1]], "coeff": [[0, 1]]}]}},
+        "vector does not live in the web's domain"),
+    "form-on-a-dual-codomain": ("form --u {w} --w {w}",
+                                {"w": _web(_TOP, {"kind": "tag", "pos": 1, "a": 2})},
+                                "the web form is defined on plain boundaries"),
+    "bare-verify": ("verify", {}, "nothing to verify; pass --all or a specific sweep"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_checks_exit_2_with_their_message(capsys, tmp_path, case):
+    argv, inputs, message = INPUT_CHECKS[case]
+    paths = {name: _write(tmp_path, f"{name}.json", data) for name, data in inputs.items()}
+    assert main([tok.format_map(paths) for tok in argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+# `--format table` text, recorded before the N cap and the one tableau bound came in
+TABLES = {
+    "gram --N 2 --l 2 --type 1,1,1,1": [
+        "label 13/24", "label 12/34", "v^4 + 2v^2 + 1         v^3 + v", "       v^3 + v  v^4 + 2v^2 + 1"],
+    "cartan --N 2 --k 1,1,1,1": [
+        "label 13/24", "label 12/34", "v^4 + 2v^2 + 1         v^3 + v", "       v^3 + v  v^4 + 2v^2 + 1",
+        "gorenstein 4", "frobenius pass"],
+    "form --u {u} --w {w}": ["v^3 + v"],
+}
+
+
+@pytest.mark.parametrize("command", TABLES, ids=_golden_id)
+def test_table_format(capsys, tmp_path, command):
+    paths = _vector_command_inputs(tmp_path)
+    code, out = run(capsys, *[tok.format_map(paths) for tok in command.split()], "--format", "table")
+    assert code == 0 and out == "\n".join(TABLES[command]) + "\n"
+
+
+def test_broken_leading_term_exits_3_with_no_output(capsys, monkeypatch):
+    # the walk's kernel loses the leading term of each map it makes
+    def drop_leading(*args):
+        terms = dict(_act_divided(*args))
+        terms.pop(min(terms, default=None), None)
+        return terms
+
+    monkeypatch.setattr(bases, "_act_divided", drop_leading)
+    lt_block.cache_clear()
+    assert main(["lt-basis", "--N", "2", "--l", "2", "--type", "1,1,1,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("invariant violation: leading coefficient at ")
+    assert lt_block.cache_info().currsize == 0

@@ -12,8 +12,6 @@ from qwebs.tableaux import (
     Shape,
     Tableau,
     _count_bound,
-    _LOG_LIMIT,
-    _log_count_bound,
     check_request,
     enumerate_tableaux,
     highest_tableau,
@@ -364,17 +362,42 @@ def test_huge_requests_are_refused_from_the_estimate():
         assert time.perf_counter() - start < 1.0
 
 
+def exact_bound(shape, ktype=None):
+    """`_count_bound`'s formula built in full: comb(m, l)^N, or m!/prod(k_i!) // (l!)^N."""
+    N, l, m = shape.N, shape.l, shape.m
+    if ktype is None:
+        return math.comb(m, l) ** N
+    fillings = math.factorial(m)
+    for k in ktype:
+        fillings //= math.factorial(k)
+    return fillings // math.factorial(l) ** N
+
+
 @pytest.mark.parametrize("N,l", [(2, 2), (2, 3), (3, 2), (4, 1), (8, 3)])
-def test_log_count_bound_is_the_log_of_the_exact_bound(N, l):
+def test_count_bound_is_exact_up_to_the_limit(N, l):
     shape = Shape(N, l)
-    distinct = (1,) * shape.m
-    for ktype in (None, distinct):
-        estimate, exact = _log_count_bound(shape, ktype), math.log(_count_bound(shape, ktype))
-        if ktype is None and exact > _LOG_LIMIT:
-            # the untyped sum may stop once it is over the limit
-            assert _LOG_LIMIT < estimate <= exact * (1 + 1e-12)
+    for ktype in (None, (1,) * shape.m):
+        bound, exact = _count_bound(shape, ktype), exact_bound(shape, ktype)
+        if exact <= MAX_TABLEAUX:
+            assert bound == exact, ktype
         else:
-            assert math.isclose(estimate, exact)
+            assert bound > MAX_TABLEAUX, ktype
+
+
+def test_count_bound_refuses_what_the_exact_formulas_refuse():
+    # every shape with m <= 12: untyped, with the all-distinct type and with
+    # one entry twice (refused by the lgamma gate at (6, 2) and (12, 1), by
+    # the exact product at (10, 1) with one entry twice); every type of m <= 8
+    refused = {}
+    for N, l in [(N, l) for N in range(2, 13) for l in range(1, 7) if N * l <= 12]:
+        shape = Shape(N, l)
+        types = [None, (1,) * shape.m, (2,) + (1,) * (shape.m - 2) + (0,)]
+        types += list(compositions(shape.m)) if shape.m <= 8 else []
+        for ktype in types:
+            over = exact_bound(shape, ktype) > MAX_TABLEAUX
+            assert (_count_bound(shape, ktype) > MAX_TABLEAUX) == over, (N, l, ktype)
+            refused[over] = refused.get(over, 0) + 1
+    assert refused[True] and refused[False] > 20_000
 
 
 def test_json_roundtrip():

@@ -26,6 +26,7 @@ from qwebs.tensor import (
     merge_kernel,
     split_kernel,
     tag_kernel,
+    weight_boundary,
 )
 from qwebs.tableaux import Shape
 from qwebs.webs import Web, evaluate_dense, evaluate_statesum, merge, split, tag, web_matrix
@@ -102,6 +103,12 @@ def test_shape_mismatch():
         apply_split(x, 1, 1, 1)
     with pytest.raises(ShapeMismatchError):
         apply_merge(x, 1, 1, 2)
+
+
+def test_weight_boundaries_share_one_factor_per_color():
+    a, b = weight_boundary(3, (1, 2, 0)), weight_boundary(4, (0, 2, 2, 1))
+    assert a.factors == (Factor(1), Factor(2), Factor(0))
+    assert a.factors[0] is b.factors[3] and a.factors[1] is b.factors[1] is b.factors[2]
 
 
 def test_tag_examples():

@@ -55,6 +55,9 @@ def test_ladder_construction():
         ladder_from_word(2, (2, 0), [(-1, 1, 3)])
     with pytest.raises(AnnihilatedError):
         ladder_from_word(2, (0, 2), [(-1, 1, 1)])
+    # the command line's rung tokens cannot write a negative width
+    with pytest.raises(ValueError, match="rung width must be nonnegative"):
+        ladder_from_word(2, (2, 0), [(-1, 1, -1)])
 
 
 def test_evaluate_dense_examples():
