@@ -37,7 +37,7 @@ from .howe import TableauVector, act_divided, terms_texts
 from .ring import NonDivisibleError
 from .tableaux import Shape, check_request, enumerate_tableaux
 from .tensor import TensorVector
-from .webalg import bounded_weights, cartan_matrix, frobenius_check, gorenstein_parameter
+from .webalg import bounded_weights, cartan_matrix, frobenius_check
 from .webs import (
     Web,
     evaluate_dense,
@@ -159,7 +159,7 @@ def cmd_act(args) -> int:
     vec = _read(TableauVector, args.vector)
     sign = 1 if args.sign == "+" else -1
     out = act_divided(sign, args.i, args.r, vec)
-    _emit(out.to_json(), args.format, None)
+    print(terms_texts(out.space, [out.coords])[0])  # JSON in both formats
     return 0
 
 
@@ -214,7 +214,7 @@ def cmd_cartan(args) -> int:
     frob = frobenius_check(args.N, k, matrix)
     payload = {
         "cartan": matrix.to_json(),
-        "gorenstein_parameter": gorenstein_parameter(args.N, k),
+        "gorenstein_parameter": frob.gorenstein,
         "frobenius": {
             "passed": frob.passed,
             "total_dimension": frob.total_dimension.to_json(),

@@ -23,9 +23,9 @@ per-column differences (i in d) - (i+1 in d); moves that meet at one tuple
 add up through `ring.add_into`.  `act_word` runs a whole divided-power word
 (`act_E` and `act_divided` are one-pair words) on a vector's map.  The
 kernel is also the step of the peel-tree walk in `bases`, whose blocks are
-maps of the same form.  This module owns the JSON form of such a map:
-`terms_json` gives it as dicts, and `terms_texts` writes the same JSON text
-for many maps from one table of their keys.
+maps of the same form.  `terms_texts` is the one writer of the JSON of such
+maps (`act`, `lt-basis` and `dual-canonical` print through it), and
+`TableauVector.from_json` reads it back.
 
 Tableaux and tensor basis indices correspond through one injection,
 `tableau_to_index`: slot i of the index of a tableau holds the mask of the
@@ -64,9 +64,6 @@ class TableauVector(SparseVector):
                            for k, c in sorted(self.coords.items(), key=lambda kc: kc[0]))
         return f"TableauVector[{terms or '0'}]"
 
-    def to_json(self) -> dict:
-        return terms_json(self.space, self.coords)
-
     @classmethod
     def from_json(cls, data: dict) -> "TableauVector":
         shape = Shape(exact_int(data["N"], "N"), exact_int(data["l"], "l"))
@@ -83,19 +80,16 @@ class TableauVector(SparseVector):
 # -- the action kernel --------------------------------------------------
 
 
-def terms_json(shape: Shape, terms: Terms) -> dict:
-    """The JSON of a map keyed by column tuples, written from its sorted keys."""
-    return {"N": shape.N, "l": shape.l, "terms": [
-        {"rows": list(zip(*cols)), "coeff": sorted(terms[cols].items())} for cols in sorted(terms)
-    ]}
-
-
 def terms_texts(shape: Shape, maps: list[Terms]) -> list[str]:
-    """`json.dumps(terms_json(shape, terms), sort_keys=True)` of each map, from one key table.
+    """The JSON text of each map keyed by column tuples, from one key table.
 
-    The table is made once per distinct column tuple of the maps: the
-    tuple's rank among them all, which orders the terms of each map, and the
-    `"rows"` text that ends each of its terms.
+    Each text is `{"N": N, "l": l, "terms": [...]}` with one
+    `{"coeff": [[exponent, coefficient], ...], "rows": [[...], ...]}` per key,
+    as `json.dumps(..., sort_keys=True)` writes it: terms in ascending column
+    tuple (descending tableau) order, exponents ascending.  The table is made
+    once per distinct column tuple of the maps: the tuple's rank among them
+    all, which orders the terms of each map, and the `"rows"` text that ends
+    each of its terms.
     """
     keys = sorted({k for terms in maps for k in terms})
     rank = {k: n for n, k in enumerate(keys)}

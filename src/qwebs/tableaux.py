@@ -130,10 +130,14 @@ def _count_bound(shape: Shape, type: tuple[int, ...] | None) -> int:
     digits is never built.  Without a type, comb(m, j) grows with j up to
     l <= m/2, so comb(m, j) ** N is built for j = 1, 2, ... up to the first
     power over the limit; comb(m, 1) = m >= 2, so N >= MAX_TABLEAUX.bit_length()
-    is over at once.  With a type, m is its length, and a log estimate from
+    is over at once.  With a type, m is its length.  A type with an entry
+    above N has no tableau, since N strictly increasing columns hold each
+    value at most N times, so its bound is 0; otherwise a log estimate from
     `math.lgamma`, with a margin of a factor e for rounding, gates the product.
     """
     N, l, m = shape.N, shape.l, shape.m
+    if type is not None and max(type) > N:
+        return 0
     if type is None:
         columns = 1  # comb(m, j)
         for j in range(1, l + 1):

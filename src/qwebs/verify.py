@@ -40,7 +40,7 @@ from .howe import (
 from .ring import LaurentPoly, bar, qbinom, qnum
 from .tableaux import Shape, enumerate_tableaux, tableau_type
 from .tensor import Boundary, Factor, TensorVector, basis_indices, weight_boundary
-from .webalg import bounded_weights, cartan_matrix, frobenius_check, gorenstein_parameter
+from .webalg import bounded_weights, cartan_matrix, frobenius_check
 from .webs import (
     AnnihilatedError,
     Web,
@@ -500,7 +500,8 @@ def check_cartan(N_max: int = 3, m_max: int = 6) -> Report:
         m = N * l
         for k in bounded_weights(N, m):
             cartan = cartan_matrix(N, k)
-            g = gorenstein_parameter(N, k)
+            frob = frobenius_check(N, k, cartan)
+            g = frob.gorenstein
             rep.check(
                 g == 2 * d_norm(N, l, k),
                 "Gorenstein parameter mismatch at N={}, k={}", N, k,
@@ -521,6 +522,5 @@ def check_cartan(N_max: int = 3, m_max: int = 6) -> Report:
                         bar(c) == cartan.entry(j, i).shift(-g),
                         "graded duality fails at N={}, k={}, ({},{}): {}", N, k, i, j, c,
                     )
-            frob = frobenius_check(N, k, cartan)
             rep.check(frob.passed, "Frobenius check fails at N={}, k={}", N, k)
     return rep

@@ -3,7 +3,7 @@
 from qwebs.howe import TableauVector, tableau_to_index
 from qwebs.ring import LaurentPoly
 from qwebs.tableaux import Shape, Tableau, tableau_type
-from qwebs.tensor import Boundary, Index, ShapeMismatchError, TensorVector, _mask, weight_boundary
+from qwebs.tensor import Boundary, Index, ShapeMismatchError, TensorVector, Terms, _mask, weight_boundary
 from qwebs.webs import Web
 
 
@@ -17,6 +17,13 @@ def polys(x) -> dict:
     if isinstance(x, TableauVector):
         return {Tableau.from_columns(x.space, k): LaurentPoly(c) for k, c in x.coords.items()}
     return {k: LaurentPoly(c) for k, c in x.coords.items()}
+
+
+def terms_json(shape: Shape, terms: Terms) -> dict:
+    """The JSON of a map keyed by column tuples, as dicts: the reference for `howe.terms_texts`."""
+    return {"N": shape.N, "l": shape.l, "terms": [
+        {"rows": list(zip(*cols)), "coeff": sorted(terms[cols].items())} for cols in sorted(terms)
+    ]}
 
 
 def compose(first: Web, then: Web) -> Web:

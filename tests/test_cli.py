@@ -10,14 +10,14 @@ import pytest
 from qwebs import bases, verify
 from qwebs.bases import dual_block, lt_block
 from qwebs.cli import COMMANDS, VERIFY_SWEEPS, basis_entries, build_parser, main
-from qwebs.howe import _act_divided, terms_json
+from qwebs.howe import _act_divided
 from qwebs.tableaux import Shape
 from qwebs.tensor import MAX_N, Boundary, Factor
 from qwebs.verify import Report
 from qwebs.webalg import bounded_weights
 from qwebs.webs import Web, cup, ladder_from_word, merge, reflect, split, tag
 
-from helpers import compose
+from helpers import compose, terms_json
 
 
 def run(capsys, *argv):
@@ -109,6 +109,8 @@ def test_act_command(capsys, tmp_path):
         {"coeff": [[0, 1]], "rows": [[1, 2]]},
         {"coeff": [[-1, 1]], "rows": [[2, 1]]},
     ]
+    # act has no table form: --format table prints the same JSON
+    assert run(capsys, "act", "--format", "table", "--sign", "-", "--i", "1", "--vector", str(vec)) == (0, out)
 
 
 def test_gram_and_cartan_commands(capsys):
