@@ -8,7 +8,7 @@ or without a type, come from one search that grows a chain of shapes:
 `enumerate_tableaux` places the entries 1..m in turn at column feet.
 
 One size rule holds every request: `check_request` refuses, before any
-work, a shape (and type) whose `_count_bound` is over MAX_TABLEAUX.
+work, one whose `_count_bound` is over MAX_TABLEAUX, and 0 means no search.
 
 The total order used everywhere: a column c beats a column d when, at the
 first position where they differ, c has the *smaller* entry; tableaux are
@@ -155,15 +155,14 @@ def _count_bound(shape: Shape, type: tuple[int, ...] | None) -> int:
     return fillings // math.factorial(l) ** N
 
 
-def check_request(shape: Shape, type: tuple[int, ...] | None = None) -> None:
-    """Refuse a malformed type, or a request that could exceed MAX_TABLEAUX."""
+def check_request(shape: Shape, type: tuple[int, ...] | None = None) -> int:
+    """Refuse a malformed type, or a request over MAX_TABLEAUX; else return its bound."""
     if type is not None and (len(type) != shape.m or sum(type) != shape.m or min(type) < 0):
         raise ValueError("type must be an m-vector of nonnegative entries summing to m")
-    if _count_bound(shape, type) > MAX_TABLEAUX:
-        raise ValueError(
-            f"shape ({shape.N}, {shape.l}) may have more tableaux"
-            f"{'' if type is None else ' of this type'} than the limit of {MAX_TABLEAUX}"
-        )
+    if (bound := _count_bound(shape, type)) > MAX_TABLEAUX:
+        raise ValueError(f"shape ({shape.N}, {shape.l}) may have more tableaux"
+                         f"{'' if type is None else ' of this type'} than the limit of {MAX_TABLEAUX}")
+    return bound
 
 
 def enumerate_tableaux(
@@ -183,7 +182,8 @@ def enumerate_tableaux(
     an explicit stack, so long columns or many entries cannot exhaust the
     interpreter's recursion limit.
     """
-    check_request(shape, type)
+    if not check_request(shape, type):
+        return []  # e.g. a type with an entry above N, which the search meets only there
     N, l, m = shape.N, shape.l, shape.m
     cols: list[list[int]] = [[] for _ in range(N)]
     out: list[Tableau] = []

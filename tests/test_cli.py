@@ -194,6 +194,15 @@ def test_basis_commands_write_nothing_when_refused_and_a_list_when_empty(capsys)
         # no column-strict tableau has three 1s in two columns
         assert main([command, "--N", "2", "--l", "2", "--type", "3,1,0,0"]) == 0, command
         assert capsys.readouterr().out == "[]\n"
+    # nor a three in two columns, found before a search that would meet it
+    # only after placing 1..37
+    back_loaded = ",".join(["1"] * 37 + ["3", "0", "0"])
+    for command, empty in (("tableaux", "[]"), ("lt-basis", "[]"), ("dual-canonical", "[]"),
+                           ("gram", '{"entries": [], "labels": []}')):
+        start = time.perf_counter()
+        assert main([command, "--N", "2", "--l", "20", "--type", back_loaded]) == 0, command
+        assert capsys.readouterr().out == empty + "\n"
+        assert time.perf_counter() - start < 1.0
 
 
 def _basis_entry_reference(t, elem, dual: bool) -> str:

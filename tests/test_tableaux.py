@@ -341,19 +341,16 @@ def test_count_bound_covers_every_enumeration(N, l):
 def test_semistandard_counts_match_the_hook_content_formula():
     # s_(N^l)(1^m) = prod (m + c(u)) / h(u) over the cells u = (r, c) of the
     # l x N rectangle, content c - r, hook (N - c) + (l - r) - 1; it shares no
-    # code with the enumerator.  The size guard bounds all column-strict
-    # tableaux, m^N of them at l = 1, so it refuses (8, 1) and (9, 1).
-    counts, refused = {}, []
+    # code with the enumerator.  Shapes the size guard refuses are skipped.
+    counts = {}
     for N, l in [(N, l) for N in range(2, 10) for l in range(1, 5) if N * l <= 9]:
         if _count_bound(Shape(N, l), None) > MAX_TABLEAUX:
-            refused.append((N, l))
             continue
         m = N * l
         cells = [(r, c) for r in range(l) for c in range(N)]
         formula = math.prod(m + c - r for r, c in cells) // math.prod(N - c + l - r - 1 for r, c in cells)
         counts[N, l] = len(enumerate_tableaux(Shape(N, l), semistandard_only=True))
         assert counts[N, l] == formula, (N, l)
-    assert refused == [(8, 1), (9, 1)]
     assert (counts[2, 4], counts[3, 2], counts[4, 2], counts[3, 3]) == (1_764, 490, 13_860, 41_580)
 
 
@@ -379,12 +376,16 @@ def test_huge_requests_are_refused_from_the_estimate():
         with pytest.raises(ValueError, match=f"than the limit of {MAX_TABLEAUX}"):
             check_request(shape, ktype)
         assert time.perf_counter() - start < 1.0
-    # a type with an entry above N has no tableau: accepted at once, and empty
-    shape, ktype = Shape(2, 100_000), (100_000, 100_000) + (0,) * 199_998
-    start = time.perf_counter()
-    check_request(shape, ktype)
-    assert enumerate_tableaux(shape, ktype) == []
-    assert time.perf_counter() - start < 1.0
+    # a type with an entry above N has no tableau: accepted at once, and
+    # empty without a search, which would meet the entry first at x = 1 in
+    # the first case and only at x = 38 in the second
+    for shape, ktype in ((Shape(2, 100_000), (100_000, 100_000) + (0,) * 199_998),
+                         (Shape(2, 20), (1,) * 37 + (3, 0, 0))):
+        start = time.perf_counter()
+        assert check_request(shape, ktype) == 0
+        assert enumerate_tableaux(shape, ktype) == []
+        assert enumerate_tableaux(shape, ktype, semistandard_only=True) == []
+        assert time.perf_counter() - start < 1.0
 
 
 def exact_bound(shape, ktype=None):
