@@ -185,7 +185,7 @@ def cmd_basis(args) -> int:
     if args.type is not None:
         ktypes = [_parse_vec(args.type)]
     else:  # every bounded weight is the type of a semistandard tableau
-        check_request(shape)
+        check_request(shape)  # column-strict: the expansions run over every such tableau
         ktypes = bounded_weights(args.N, shape.m)
     opened = False
     for k in ktypes:

@@ -20,11 +20,14 @@ A `TableauVector` is keyed by column tuples (`Tableau.sort_key()`), with the
 `tensor.Terms` int maps as coefficients.  One kernel, `_act_divided`, acts on
 that map: a move replaces column tuples, and its power of v sums the
 per-column differences (i in d) - (i+1 in d); moves that meet at one tuple
-add up through `ring.add_into`.  `act_word` runs a whole divided-power word
+add up through `ring.add_into`.  Each column's difference and moved column
+come from the move table of (sign, i), `_column_moves`, a cache of one
+`tensor._Table` per generator.  `act_word` runs a whole divided-power word
 (`act_E` and `act_divided` are one-pair words) on a vector's map.  The
 kernel is also the step of the peel-tree walk in `bases`, whose blocks are
 maps of the same form.  `terms_texts` is the one writer of the JSON of such
-maps (`act`, `lt-basis` and `dual-canonical` print through it), and
+maps (`act`, `lt-basis` and `dual-canonical` print through it), joining
+each key's rows from a table of row texts made per call, and
 `TableauVector.from_json` reads it back.
 
 Tableaux and tensor basis indices correspond through one injection,
@@ -40,12 +43,12 @@ sign (checked in the tests).
 
 from __future__ import annotations
 
-import json
+from functools import cache
 from itertools import combinations
 
 from .ring import LaurentPoly, ONE, add_into, exact_int
 from .tableaux import Shape, Tableau, highest_tableau
-from .tensor import Index, SparseVector, Terms
+from .tensor import Index, SparseVector, Terms, _Table
 
 
 class TableauVector(SparseVector):
@@ -89,20 +92,40 @@ def terms_texts(shape: Shape, maps: list[Terms]) -> list[str]:
     tuple (descending tableau) order, exponents ascending.  The table is made
     once per distinct column tuple of the maps: the tuple's rank among them
     all, which orders the terms of each map, and the `"rows"` text that ends
-    each of its terms.
+    each of its terms, joined from a table of row texts (`str` of an int list
+    is its JSON).
     """
     keys = sorted({k for terms in maps for k in terms})
     rank = {k: n for n, k in enumerate(keys)}
-    rows = [', "rows": ' + json.dumps(list(zip(*k))) + "}" for k in keys]
+    row_text = _Table(lambda row: str(list(row)))
+    rows = [', "rows": [' + ", ".join([row_text[r] for r in zip(*k)]) + "]}" for k in keys]
     head = f'{{"N": {shape.N}, "l": {shape.l}, "terms": ['
     out = []
     for terms in maps:
         parts = []
         for n in sorted(map(rank.__getitem__, terms)):
-            coeff = ", ".join([f"[{e}, {a}]" for e, a in sorted(terms[keys[n]].items())])
+            c = terms[keys[n]]
+            if len(c) == 1:
+                [(e, a)] = c.items()
+                coeff = f"[{e}, {a}]"
+            else:
+                coeff = ", ".join([f"[{e}, {a}]" for e, a in sorted(c.items())])
             parts.append(f'{{"coeff": [{coeff}]{rows[n]}')
         out.append(head + ", ".join(parts) + "]}")
     return out
+
+
+@cache
+def _column_moves(sign: int, i: int) -> _Table:
+    """At a column d: (i in d) - (i+1 in d), and d with its source entry moved
+    to the target when a step of (sign, i) can move it, else None."""
+    src, dst = (i, i + 1) if sign < 0 else (i + 1, i)
+
+    def fill(d: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
+        dj = (i in d) - (i + 1 in d)
+        return dj, tuple(dst if e == src else e for e in d) if dj == -sign else None
+
+    return _Table(fill)
 
 
 def _act_divided(sign: int, i: int, r: int, terms: Terms) -> Terms:
@@ -110,37 +133,33 @@ def _act_divided(sign: int, i: int, r: int, terms: Terms) -> Terms:
 
     A column d is movable when it holds the source value and not the target,
     i.e. when (i in d) - (i+1 in d) is -sign; the moved entry keeps the column
-    increasing, since source and target are adjacent.  Its one-step shift w
-    sums the diffs of the columns right of it (lowering, negated) or left of
-    it (raising).  Moving the columns of an r-subset S one at a time, each
-    step adds 2 for every column of S already moved on its counted side; the
-    r! orders sum to v^(r(r-1)/2) [r]!, so the divided power gives S the
-    exponent sum(w) + r(r-1)/2.
+    increasing, since source and target are adjacent.  Both are read from the
+    move table of (sign, i).  Its one-step shift w sums the diffs of the
+    columns right of it (lowering, negated) or left of it (raising).  Moving
+    the columns of an r-subset S one at a time, each step adds 2 for every
+    column of S already moved on its counted side; the r! orders sum to
+    v^(r(r-1)/2) [r]!, so the divided power gives S the exponent
+    sum(w) + r(r-1)/2.
     """
-    src, dst = (i, i + 1) if sign < 0 else (i + 1, i)
+    moves = _column_moves(sign, i)
     base = r * (r - 1) // 2
     out: Terms = {}
-    moves: dict[tuple[int, ...], tuple[int, ...]] = {}
     for cols, c in terms.items():
-        movable = []  # (position, one-step shift)
+        movable = []  # (position, diffs left of it, moved column)
         left = 0
         for j, d in enumerate(cols):
-            dj = (i in d) - (i + 1 in d)
-            if dj == -sign:
-                movable.append((j, left))
+            dj, moved = moves[d]
+            if moved is not None:
+                movable.append((j, left, moved))
             left += dj
         if len(movable) < r:
             continue
-        if sign < 0:  # lowering counts the columns right of j: left + 1 - total
-            movable = [(j, w + 1 - left) for j, w in movable]
+        # lowering counts the columns right of j: (diffs left of j) + 1 - total
+        start = base + r * (1 - left) if sign < 0 else base
         for subset in combinations(movable, r):
             key = list(cols)
-            shift = base
-            for j, w in subset:
-                d = cols[j]
-                moved = moves.get(d)
-                if moved is None:
-                    moved = moves[d] = tuple(dst if e == src else e for e in d)
+            shift = start
+            for j, w, moved in subset:
                 key[j] = moved
                 shift += w
             key = tuple(key)

@@ -9,6 +9,7 @@ or without a type, come from one search that grows a chain of shapes:
 
 One size rule holds every request: `check_request` refuses, before any
 work, one whose `_count_bound` is over MAX_TABLEAUX, and 0 means no search.
+A semistandard-only request with no type is held to its exact count.
 
 The total order used everywhere: a column c beats a column d when, at the
 first position where they differ, c has the *smaller* entry; tableaux are
@@ -120,8 +121,8 @@ def tableau_type(t: Tableau) -> tuple[int, ...]:
 MAX_TABLEAUX = 1_000_000
 
 
-def _count_bound(shape: Shape, type: tuple[int, ...] | None) -> int:
-    """An upper bound on the tableaux of the shape (and type), from their columns.
+def _count_bound(shape: Shape, type: tuple[int, ...] | None, semistandard_only: bool = False) -> int:
+    """An upper bound on the tableaux of the shape (and type) a request can make.
 
     Without a type each of the N columns is an l-subset of 1..m.  With one,
     sorting the columns of the m!/prod(k_i!) fillings of that content gives
@@ -134,10 +135,26 @@ def _count_bound(shape: Shape, type: tuple[int, ...] | None) -> int:
     above N has no tableau, since N strictly increasing columns hold each
     value at most N times, so its bound is 0; otherwise a log estimate from
     `math.lgamma`, with a margin of a factor e for rounding, gates the product.
+
+    Semistandard-only with no type, the bound is the hook-content count
+    prod (m + c - r) / ((N - c) + (l - r) - 1) over the cells (r, c),
+    0-based.  Each factor is at least 1, as m >= N + l - 1, so the product
+    grows as it is built, from the bottom-right cell (r, c) = (l - 1, N - 1),
+    whose factor m + N - l is at least N and l + 2; it stops at the first
+    partial product over the limit.
     """
     N, l, m = shape.N, shape.l, shape.m
     if type is not None and max(type) > N:
         return 0
+    if type is None and semistandard_only:
+        num = den = 1
+        for r in reversed(range(l)):
+            for c in reversed(range(N)):
+                num *= m + c - r
+                den *= N - c + l - r - 1
+                if num > MAX_TABLEAUX * den:
+                    return MAX_TABLEAUX + 1
+        return num // den
     if type is None:
         columns = 1  # comb(m, j)
         for j in range(1, l + 1):
@@ -155,11 +172,12 @@ def _count_bound(shape: Shape, type: tuple[int, ...] | None) -> int:
     return fillings // math.factorial(l) ** N
 
 
-def check_request(shape: Shape, type: tuple[int, ...] | None = None) -> int:
+def check_request(shape: Shape, type: tuple[int, ...] | None = None,
+                  semistandard_only: bool = False) -> int:
     """Refuse a malformed type, or a request over MAX_TABLEAUX; else return its bound."""
     if type is not None and (len(type) != shape.m or sum(type) != shape.m or min(type) < 0):
         raise ValueError("type must be an m-vector of nonnegative entries summing to m")
-    if (bound := _count_bound(shape, type)) > MAX_TABLEAUX:
+    if (bound := _count_bound(shape, type, semistandard_only)) > MAX_TABLEAUX:
         raise ValueError(f"shape ({shape.N}, {shape.l}) may have more tableaux"
                          f"{'' if type is None else ' of this type'} than the limit of {MAX_TABLEAUX}")
     return bound
@@ -182,7 +200,7 @@ def enumerate_tableaux(
     an explicit stack, so long columns or many entries cannot exhaust the
     interpreter's recursion limit.
     """
-    if not check_request(shape, type):
+    if not check_request(shape, type, semistandard_only):
         return []  # e.g. a type with an entry above N, which the search meets only there
     N, l, m = shape.N, shape.l, shape.m
     cols: list[list[int]] = [[] for _ in range(N)]

@@ -175,13 +175,26 @@ def test_oversized_tableaux_request_exits_2_at_once(capsys):
                  "tableaux --N 2 --l 1000000000", "lt-basis --N 2 --l 1000000000",
                  "lt-basis --N 9007199254740992 --l 1", "tableaux --N 9007199254740992 --l 1",
                  f"lt-basis --N {10**400} --l 1", f"tableaux --N {10**400} --l 1",
-                 f"tableaux --N 2 --l {10**400}", f"lt-basis --N 2 --l {10**400}"):
+                 f"tableaux --N 2 --l {10**400}", f"lt-basis --N 2 --l {10**400}",
+                 f"tableaux --N {10**400} --l 1 --semistandard",
+                 f"tableaux --N 2 --l {10**400} --semistandard"):
         start = time.perf_counter()
         code = main(argv.split())
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "than the limit of 1000000" in captured.err
         assert time.perf_counter() - start < 1.0
+
+
+def test_semistandard_tableaux_are_held_to_their_own_count(capsys):
+    # (8, 1) has C(15, 8) = 6,435 semistandard tableaux but 8^8 column-strict
+    # ones, which the basis expansions would cover
+    assert main(["tableaux", "--N", "8", "--l", "1", "--semistandard"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 6_435
+    for argv in ("tableaux --N 8 --l 1", "dual-canonical --N 8 --l 1", "lt-basis --N 8 --l 1"):
+        assert main(argv.split()) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "than the limit of 1000000" in captured.err
 
 
 def test_basis_commands_write_nothing_when_refused_and_a_list_when_empty(capsys):

@@ -243,5 +243,19 @@ def test_terms_texts_write_the_json_of_terms_json():
     y = act_divided(-1, 2, 1, x)
     # shares its keys with x and y; one coefficient has two exponents
     mixed = {**x.coords, min(y.coords): {-2: 3, 1: -1}}
-    maps = [x.coords, {}, y.coords, mixed]
-    assert terms_texts(shape, maps) == [json.dumps(terms_json(shape, m), sort_keys=True) for m in maps]
+    # two-digit entries (m = 10 and 12), one row (l = 1), coefficients past
+    # 64 bits, negative exponents, and empty maps
+    wide, row = Shape(5, 2), Shape(12, 1)
+    a = Tableau(wide, ((1, 2, 3, 5, 7), (10, 9, 4, 6, 8))).sort_key()
+    b = highest_tableau(wide).sort_key()
+    c = Tableau(wide, ((1, 1, 2, 3, 9), (10, 10, 4, 6, 10))).sort_key()
+    p = Tableau(row, (tuple(range(1, 13)),)).sort_key()
+    q = Tableau(row, ((12, 11, 10, 9, 1, 1, 2, 2, 3, 4, 5, 12),)).sort_key()
+    cases = [
+        (shape, [x.coords, {}, y.coords, mixed]),
+        (wide, [{a: {-3: 2**64 + 1, 5: -(2**70)}, b: {0: 1}}, {c: {-1: -(2**64)}, a: {2: 7}}, {}]),
+        (row, [{p: {-2: 1, -1: 2}, q: {-5: -3}}, {q: {0: 2**80}}]),
+        (wide, [{}]),
+    ]
+    for shape, maps in cases:
+        assert terms_texts(shape, maps) == [json.dumps(terms_json(shape, m), sort_keys=True) for m in maps]

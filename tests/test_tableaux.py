@@ -339,19 +339,40 @@ def test_count_bound_covers_every_enumeration(N, l):
 
 
 def test_semistandard_counts_match_the_hook_content_formula():
-    # s_(N^l)(1^m) = prod (m + c(u)) / h(u) over the cells u = (r, c) of the
-    # l x N rectangle, content c - r, hook (N - c) + (l - r) - 1; it shares no
-    # code with the enumerator.  Shapes the size guard refuses are skipped.
+    # the hook-content formula (`hook_content`) shares no code with the
+    # enumerator.  Every shape with m <= 9 is under the semistandard limit,
+    # also (8, 1) and (9, 1), whose column-strict bounds 8^8 and 9^9 are over it.
     counts = {}
     for N, l in [(N, l) for N in range(2, 10) for l in range(1, 5) if N * l <= 9]:
-        if _count_bound(Shape(N, l), None) > MAX_TABLEAUX:
-            continue
-        m = N * l
-        cells = [(r, c) for r in range(l) for c in range(N)]
-        formula = math.prod(m + c - r for r, c in cells) // math.prod(N - c + l - r - 1 for r, c in cells)
+        formula = hook_content(N, l)
+        assert _count_bound(Shape(N, l), None, semistandard_only=True) == formula, (N, l)
         counts[N, l] = len(enumerate_tableaux(Shape(N, l), semistandard_only=True))
         assert counts[N, l] == formula, (N, l)
     assert (counts[2, 4], counts[3, 2], counts[4, 2], counts[3, 3]) == (1_764, 490, 13_860, 41_580)
+    assert (counts[8, 1], counts[9, 1]) == (6_435, 24_310)
+    assert _count_bound(Shape(8, 1), None) > MAX_TABLEAUX
+
+
+def hook_content(N, l):
+    """s_(N^l)(1^m) = prod (m + c(u)) / h(u) over the cells u = (r, c) of the
+    l x N rectangle, content c - r, hook (N - c) + (l - r) - 1."""
+    m = N * l
+    cells = [(r, c) for r in range(l) for c in range(N)]
+    return math.prod(m + c - r for r, c in cells) // math.prod(N - c + l - r - 1 for r, c in cells)
+
+
+def test_semistandard_bound_is_the_hook_content_count_up_to_the_limit():
+    # the product stops at the first partial product over the limit, which
+    # for N or l past a million is the first factor, m + N - l
+    for N, l in [(N, l) for N in range(2, 40) for l in range(1, 40)]:
+        bound, exact = _count_bound(Shape(N, l), None, semistandard_only=True), hook_content(N, l)
+        assert bound == exact if exact <= MAX_TABLEAUX else bound > MAX_TABLEAUX, (N, l)
+    assert hook_content(8, 3) > 4.8e17
+    for N, l in ((10**400, 1), (2, 10**400), (10**6, 10**6)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="than the limit"):
+            check_request(Shape(N, l), semistandard_only=True)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_oversized_enumerations_are_refused_before_any_work(monkeypatch):

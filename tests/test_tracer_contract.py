@@ -14,8 +14,10 @@ if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
 from perfbench import tracer  # noqa: E402
+from perfbench.run import module_caches  # noqa: E402
 
 import qwebs.cli  # noqa: E402,F401  (the tracer patches qwebs.cli.json)
+from qwebs import bases, howe  # noqa: E402
 from qwebs.howe import highest_vector  # noqa: E402
 from qwebs.tableaux import Shape  # noqa: E402
 from qwebs.tensor import Boundary, Factor, TensorVector, basis_indices  # noqa: E402
@@ -74,3 +76,17 @@ def test_counted_results_expose_sized_coords():
     assert t.counts["tensor.terms_in"] == len(x.coords) + len(split.coords)
     assert t.counts["tensor.peak_terms"] == len(split.coords)
     assert t.counts["howe.terms_out"] == len(lowered.coords)
+
+
+def test_kernel_move_table_is_cleared_before_each_op():
+    # perfbench clears every functools cache of a qwebs module before each
+    # op, so each op starts with an empty move table
+    assert module_caches().get("qwebs.howe._column_moves") is howe._column_moves
+    labels = [(3, 2, (2, 1, 1, 1, 1, 0)), (2, 3, (1, 1, 1, 1, 1, 1))]
+    warm = [{t: e.terms for t, e in bases.lt_block(*key).items()} for key in labels]
+    assert all(warm)
+    assert howe._column_moves.cache_info().currsize
+    for key, maps in zip(labels, warm):
+        bases.lt_block.cache_clear()
+        howe._column_moves.cache_clear()
+        assert {t: e.terms for t, e in bases.lt_block(*key).items()} == maps
