@@ -267,10 +267,11 @@ class GradedMatrix:
 def gram_matrix(N: int, l: int, ktype: tuple[int, ...], basis: str = "lt") -> GradedMatrix:
     """Gram matrix of a basis of one type block, from the tensor expansions.
 
-    Each entry is `pairing` of two basis vectors, taken on their column maps.
-    For the LT basis the same entries are the web forms of the ladder webs
-    (`lt_web`); `qwebs verify --form` checks that second route against this
-    one.
+    Each entry is `pairing` of two basis vectors, taken on their column maps,
+    once per unordered pair: the form is symmetric, so (j, i) holds the same
+    immutable `LaurentPoly` as (i, j).  For the LT basis the same entries are
+    the web forms of the ladder webs (`lt_web`); `qwebs verify --form` checks
+    every ordered pair of that second route against this one.
     """
     if basis == "lt":
         block = lt_block(N, l, ktype)
@@ -280,4 +281,9 @@ def gram_matrix(N: int, l: int, ktype: tuple[int, ...], basis: str = "lt") -> Gr
         raise ValueError(f"unknown basis {basis!r}")
     labels = tuple(block)
     maps = [block[t].terms for t in labels]
-    return GradedMatrix(labels, tuple(tuple(_form(x, y) for y in maps) for x in maps))
+    n = len(maps)
+    entries: list[list] = [[None] * n for _ in maps]
+    for i, x in enumerate(maps):
+        for j in range(i, n):
+            entries[i][j] = entries[j][i] = _form(x, maps[j])
+    return GradedMatrix(labels, tuple(map(tuple, entries)))

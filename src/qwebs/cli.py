@@ -6,7 +6,7 @@ so runs can be diffed against golden files.
 
 Every JSON input is read through `_read`, so a malformed file of any kind is
 an input error.  Every command is declared once, in `COMMANDS`, and `main`
-builds the subparser of the command it runs and no other.  The `verify`
+builds the parser of the command it runs and no other.  The `verify`
 sweeps are declared once, in `VERIFY_SWEEPS`: it names the flags, their
 order and the call each flag makes.
 
@@ -280,7 +280,7 @@ _SHAPE = [_FORMAT, ("--N", {**_N[1], "help": "strand color bound (>= 2)"}),
 _REQUIRED, _FLAG = {"required": True}, {"action": "store_true"}
 
 # Every command, in `qwebs --help` order: name -> (help, handler, extra
-# defaults, options).  `build_parser` adds a subparser from this table only.
+# defaults, options).  `command_parser` and `build_parser` read this table only.
 COMMANDS = {
     "tableaux": ("enumerate tableaux of a shape, descending", cmd_tableaux, {}, [
         *_SHAPE, ("--type", {"help": "entry multiplicities, e.g. 1,1,0,2"}),
@@ -316,30 +316,50 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser with only `command`'s subparser, or with all of them when
-    `command` is None or not a command (help and the choice errors list them)."""
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, as `qwebs name`: the subparser that
+    `build_parser` adds for it, with the same options and defaults."""
+    return _add_options(argparse.ArgumentParser(prog=f"qwebs {name}"), name)
+
+
+def _add_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, func, defaults, options = COMMANDS[name]
+    for option, kwargs in options:
+        parser.add_argument(option, **kwargs)
+    parser.set_defaults(command=name, func=func, **defaults)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every command's subparser (help and the choice errors list them)."""
     parser = argparse.ArgumentParser(
         prog="qwebs",
         description="Exact computation in SL(N) web spaces over Z[v, v^-1].",
     )
-    one = command in COMMANDS
-    # With one subparser the metavar keeps every command in an error's usage
-    # line; the full parser needs none, and its missing-command error names `command`.
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
-    for name in [command] if one else COMMANDS:
-        text, func, defaults, options = COMMANDS[name]
-        p = sub.add_parser(name, help=text)
-        for option, kwargs in options:
-            p.add_argument(option, **kwargs)
-        p.set_defaults(func=func, **defaults)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, *_) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=text), name)
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, from the parser of the named command alone.
+
+    Once argv[0] names a command, the full parser hands every later argument
+    to that command's subparser, so the two agree; only help, a missing or
+    unknown command and arguments the command leaves over, whose error
+    prints the top-level usage, need the full parser.
+    """
+    if argv and argv[0] in COMMANDS:
+        args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except (InvariantViolationError, NonDivisibleError) as exc:

@@ -164,11 +164,14 @@ def _act_divided(sign: int, i: int, r: int, terms: Terms) -> Terms:
                 shift += w
             key = tuple(key)
             acc = out.get(key)
-            if acc is None:
-                out[key] = {e + shift: a for e, a in c.items()}
-            else:
+            if acc is None:  # an unshifted map is handed on, not copied
+                out[key] = {e + shift: a for e, a in c.items()} if shift else c
+            else:  # acc may be an input's map: add into a copy
+                acc = dict(acc)
                 add_into(acc, c, shift)
-                if not acc:
+                if acc:
+                    out[key] = acc
+                else:
                     del out[key]
     return out
 

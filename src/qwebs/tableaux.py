@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .ring import exact_int
@@ -250,29 +251,32 @@ def peel_word(t: Tableau) -> list[tuple[int, int]]:
     outermost-first: the first pair is the last move applied when raising
     back up from the maximal tableau.
 
-    The steps run on one mutable grid.  An entry x in row r (1-based) can
-    be peeled exactly when x > r, so the next i is the least such x, less
-    one; the grid is the maximal tableau when no entry can be.
+    The steps run on one mutable grid, whose rows stay weakly increasing.
+    An entry x in row r (1-based) can be peeled exactly when x > r, so the
+    next i is the least such x, less one: the first entry past r in each row,
+    found by bisection.  The grid is the maximal tableau when no entry can be.
+    A step turns the run of i+1 in each row r <= i into i, which keeps the
+    row weakly increasing and each changed cell below the cell under it, so
+    column strictness is checked only against the cell above.
     """
     if not t.is_semistandard():
         raise NotSemistandardError(f"not semistandard: {t}")
     grid = [list(r) for r in t.rows]
     word: list[tuple[int, int]] = []
     while True:
-        i = min((x for r, row in enumerate(grid, 1) for x in row if x > r), default=1) - 1
+        firsts = [row[n] for r, row in enumerate(grid, 1) if (n := bisect_right(row, r)) < len(row)]
+        i = min(firsts, default=1) - 1
         if not i:
             return word
         hits = 0
-        for row in grid[:i]:  # rows 1..min(i, l)
-            for ci, x in enumerate(row):
-                if x == i + 1:
-                    row[ci] = i
-                    hits += 1
-        if not all(all(map(operator.lt, upper, lower)) for upper, lower in zip(grid, grid[1:])):
-            raise NotSemistandardError(
-                "peeling broke column strictness: columns must strictly increase"
-            )
-        if not all(all(map(operator.le, row, row[1:])) for row in grid):
-            cur = Tableau(t.shape, tuple(map(tuple, grid)))
-            raise NotSemistandardError(f"peeling left the semistandard set at {cur}")
+        for r, row in enumerate(grid[:i]):  # rows 1..min(i, l)
+            lo, hi = bisect_left(row, i + 1), bisect_right(row, i + 1)
+            if lo == hi:
+                continue
+            row[lo:hi] = [i] * (hi - lo)
+            if r and max(grid[r - 1][lo:hi]) >= i:
+                raise NotSemistandardError(
+                    "peeling broke column strictness: columns must strictly increase"
+                )
+            hits += hi - lo
         word.append((i, hits))

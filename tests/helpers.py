@@ -1,5 +1,6 @@
 """Constructions the tests build webs and vectors with; the program never needs them."""
 
+from qwebs.bases import _form, dual_block, lt_block
 from qwebs.howe import TableauVector, tableau_to_index
 from qwebs.ring import LaurentPoly
 from qwebs.tableaux import Shape, Tableau, tableau_type
@@ -24,6 +25,14 @@ def terms_json(shape: Shape, terms: Terms) -> dict:
     return {"N": shape.N, "l": shape.l, "terms": [
         {"rows": list(zip(*cols)), "coeff": sorted(terms[cols].items())} for cols in sorted(terms)
     ]}
+
+
+def reference_gram(N: int, l: int, ktype: tuple[int, ...], basis: str) -> tuple:
+    """The entries of `bases.gram_matrix`, each ordered pair paired on its own:
+    the reference for the matrix that pairs each unordered pair once."""
+    block = lt_block(N, l, ktype) if basis == "lt" else dual_block(N, l, ktype)
+    maps = [e.terms for e in block.values()]
+    return tuple(tuple(_form(x, y) for y in maps) for x in maps)
 
 
 def compose(first: Web, then: Web) -> Web:

@@ -1,5 +1,6 @@
 import pytest
 
+from qwebs import bases
 from qwebs.bases import (
     InvariantViolationError,
     check_negative_exponent,
@@ -23,9 +24,10 @@ from qwebs.tableaux import (
     tableau_type,
 )
 from qwebs.tensor import Boundary, Factor, TensorVector, _subset, apply_merge, apply_split, apply_tag, ell
+from qwebs.webalg import bounded_weights
 from qwebs.webs import d_norm, evaluate_dense, validate
 
-from helpers import idx, polys, tensor_product, to_tensor
+from helpers import idx, polys, reference_gram, tensor_product, to_tensor
 
 fs = frozenset
 one = LaurentPoly.one()
@@ -231,6 +233,24 @@ def test_gram_matrix_examples():
             assert g.entry(i, j) == g.entry(j, i)
             assert bar(g.entry(i, j)) == g.entry(j, i).shift(-2 * d)
             assert g.entry(i, j).is_zero() or g.entry(i, j).nonnegative_coeffs()
+
+
+GRAM_BLOCKS = [*((3, 2, k) for k in bounded_weights(3, 6)), *((2, 4, k) for k in bounded_weights(2, 8)),
+               (4, 2, (1,) * 8)]
+
+
+@pytest.mark.parametrize("basis", ["lt", "dual"])
+def test_gram_matrix_pairs_each_unordered_pair_once(monkeypatch, basis):
+    # every entry equals the ordered-pair reference, from n(n+1)/2 pairings
+    calls = []
+    form = bases._form
+    monkeypatch.setattr(bases, "_form", lambda x, y: calls.append(1) or form(x, y))
+    for N, l, k in GRAM_BLOCKS:
+        calls.clear()
+        g = gram_matrix(N, l, k, basis=basis)
+        n = len(g.labels)
+        assert len(calls) == n * (n + 1) // 2, (N, l, k)
+        assert g.entries == reference_gram(N, l, k, basis), (N, l, k)
 
 
 def test_gram_dual_vs_transition():

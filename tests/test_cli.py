@@ -9,7 +9,7 @@ import pytest
 
 from qwebs import bases, verify
 from qwebs.bases import dual_block, lt_block
-from qwebs.cli import COMMANDS, VERIFY_SWEEPS, basis_entries, build_parser, main
+from qwebs.cli import COMMANDS, VERIFY_SWEEPS, basis_entries, build_parser, command_parser, main, parse_args
 from qwebs.howe import _act_divided
 from qwebs.tableaux import Shape
 from qwebs.tensor import MAX_N, Boundary, Factor
@@ -584,10 +584,9 @@ def test_verify_size_below_2_exits_2_at_once(capsys, monkeypatch):
 
 
 def test_verify_parser_flags_are_the_sweep_table():
-    for parser in (build_parser(), build_parser("verify")):
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        flags = [a.dest for a in sub.choices["verify"]._actions
-                 if isinstance(a, argparse._StoreTrueAction)]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for parser in (sub.choices["verify"], command_parser("verify")):
+        flags = [a.dest for a in parser._actions if isinstance(a, argparse._StoreTrueAction)]
         assert flags == ["all", *VERIFY_SWEEPS]
 
 
@@ -603,15 +602,18 @@ def _parse(capsys, parse, argv):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_one_command_parser_parses_and_fails_as_the_full_parser(capsys, command):
     # help, a missing required option, a bad choice, a bad int, an unknown
-    # option (whose error prints the top-level usage) and a valid line
+    # option (whose error prints the top-level usage), a bad int and an
+    # unknown option on one line, and a valid line
     valid = {"tableaux": "--N 2 --l 1", "ladder": "--N 2 --k 2,0", "eval": "--web w --vector v",
              "ev": "--web w", "form": "--u u --w w", "act": "--sign=- --i 1 --vector v",
              "lt-basis": "--N 2 --l 1", "dual-canonical": "--N 2 --l 1 --type 1,1",
              "gram": "--N 2 --l 2 --type 1,1,1,1", "cartan": "--N 2 --k 1,1,1,1",
              "verify": "--all --seed 3 --max-N 2"}[command].split()
-    for rest in (["--help"], [], ["--format", "xml"], ["--N", "x"], [*valid, "--bogus"], valid):
+    int_option = {"act": "--r", "verify": "--cases"}.get(command, "--N")  # eval, ev, form: unknown
+    both = ["--bogus", *valid, int_option, "x"]
+    for rest in (["--help"], [], ["--format", "xml"], ["--N", "x"], [*valid, "--bogus"], both, valid):
         argv = [command, *rest]
-        one = _parse(capsys, build_parser(command).parse_args, argv)
+        one = _parse(capsys, parse_args, argv)
         assert one == _parse(capsys, build_parser().parse_args, argv), argv
         if rest != valid and (rest or command != "verify"):  # a bare verify parses
             assert one[0] == (0 if rest == ["--help"] else 2), argv
@@ -630,18 +632,26 @@ def test_main_without_a_command_prints_every_command(capsys):
 
 
 def test_main_builds_only_the_parser_of_its_command(capsys, monkeypatch):
-    added = []
-    add_parser = argparse._SubParsersAction.add_parser
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
-                        lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw))
+    # one parser per valid command line; the full parser, one per command
+    # and one above them, only for help, an unknown command or leftovers
+    made = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: made.append(kw.get("prog")) or init(self, *a, **kw))
+    full = 1 + len(COMMANDS)
     assert main(["cartan", "--N", "2", "--k", "1,1,1,1"]) == 0
-    assert added == ["cartan"]
+    assert made == ["qwebs cartan"]
     monkeypatch.setattr(sys, "argv", ["qwebs", "ladder", "--N", "2", "--k", "1,1"])
-    assert main() == 0 and added == ["cartan", "ladder"]
-    added.clear()
-    with pytest.raises(SystemExit):
-        main(["--help"])
-    assert added == list(COMMANDS)
+    assert main() == 0 and made == ["qwebs cartan", "qwebs ladder"]
+    for argv, one in ((["--help"], 0), (["bogus"], 0), ([], 0), (["ladder", "--N", "2", "--k", "1,1", "x"], 1)):
+        made.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert len(made) == one + full and made[one] == "qwebs", argv
+    made.clear()
+    with pytest.raises(SystemExit):  # a command's own help needs only its parser
+        main(["cartan", "--help"])
+    assert made == ["qwebs cartan"]
     capsys.readouterr()
 
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwebs.bases import _lt_walk, dual_block, lt_block
 from qwebs.howe import (
     TableauVector,
+    _act_divided,
     act_E,
     act_divided,
     act_word,
@@ -222,6 +225,50 @@ def test_word_matches_step_by_step(x, data):
     for i, r in word:
         y = reference_act_divided(sign, i, r, y)
     assert act_word(sign, word, x) == y
+
+
+def _meeting_moves(shape, sign, i, r):
+    """(K, [(key, shift), ...]) for each key K that moves from two or more
+    column tuples reach, one of them with shift 0, from the reference action."""
+    reached = {}
+    for t in enumerate_tableaux(shape):
+        out = reference_act_divided(sign, i, r, TableauVector.basis_vector(t))
+        for K, c in out.coords.items():
+            [(shift, _)] = c.items()  # one subset moves a tuple to K
+            reached.setdefault(K, []).append((t.sort_key(), shift))
+    return [(K, sorted(src, key=lambda ks: ks[1] != 0)) for K, src in reached.items()
+            if len(src) > 1 and any(shift == 0 for _, shift in src)]
+
+
+@pytest.mark.parametrize("N,l,r", [(2, 2, 1), (2, 3, 1), (3, 1, 2), (4, 1, 2)])
+def test_kernel_hands_on_unshifted_maps_and_changes_no_input(N, l, r):
+    # two moves meet at K, the first with shift 0, whose map the kernel hands
+    # on: the second must add into a copy, also when the two cancel at K
+    shape = Shape(N, l)
+    cases = 0
+    for sign, i in itertools.product((-1, 1), range(1, shape.m)):
+        for K, [(k1, _), (k2, s2), *_] in _meeting_moves(shape, sign, i, r):
+            a = {0: 2, 3: -1}
+            for b in ({5: 1}, {e - s2: -x for e, x in a.items()}):  # the second cancels a at K
+                for terms in ({k1: a, k2: b}, {k2: b, k1: a}):
+                    before = copy.deepcopy(terms)
+                    out = _act_divided(sign, i, r, terms)
+                    assert out == reference_act_divided(sign, i, r, TableauVector(shape, terms)).coords
+                    assert terms == before and (K in out) == (b == {5: 1})
+                    cases += 1
+    assert cases
+    c = {0: 1}  # moving the right column of 1/1 has shift 0, and meets no other move
+    assert _act_divided(-1, 1, 1, {((1,), (1,)): c})[((1,), (2,))] is c
+
+
+def test_dual_block_leaves_the_cached_lt_maps_as_computed():
+    k = (1,) * 8
+    lt_block.cache_clear()
+    dual_block.cache_clear()
+    block = lt_block(4, 2, k)
+    assert any(e.beta for e in dual_block(4, 2, k).values())
+    fresh = _lt_walk(Shape(4, 2), list(block))
+    assert {t: e.terms for t, e in lt_block(4, 2, k).items()} == {t: e.terms for t, e in fresh.items()}
 
 
 @pytest.mark.parametrize("r", [0, 1, 3])

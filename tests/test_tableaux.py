@@ -308,9 +308,12 @@ def reference_peel_word(t):
     return word
 
 
-@pytest.mark.parametrize("N,l", [(2, 4), (3, 2), (4, 2)])
+@pytest.mark.parametrize("N,l", [(2, 4), (3, 2), (4, 2), (3, 3), (2, 5)])
 def test_grid_peel_word_matches_tableau_oracle(N, l):
-    for t in enumerate_tableaux(Shape(N, l), semistandard_only=True):
+    # every tableau up to m = 8; a fixed tenth of the 41,580 of (3,3) and a
+    # fifth of the 19,404 of (2,5) keep the slow oracle to a few seconds
+    every = {(3, 3): 10, (2, 5): 5}.get((N, l), 1)
+    for t in enumerate_tableaux(Shape(N, l), semistandard_only=True)[::every]:
         assert peel_word(t) == reference_peel_word(t), str(t)
 
 
