@@ -12,8 +12,9 @@ tuple of bitmasks, slot 1 first, where bit j-1 of a mask stands for j.
 
 Every vector, here and in `howe`, is one sparse map {key: {exponent: int}}
 (`Terms`): no coefficient is zero and no inner map is empty.  `SparseVector`
-holds such a map for one space, and the kernels act on it directly.
-`LaurentPoly` is the scalar type: `coeff` returns one, `scale` takes one.
+holds such a map for one space, and the kernels act on it directly; linear
+combinations are made on the maps, through `ring.add_into`, not on vectors.
+`LaurentPoly` is the scalar type: `coeff` returns one.
 
 The elementary intertwiners implemented here, with their local coefficients:
 
@@ -176,8 +177,9 @@ def _index_key(idx: Index) -> tuple:
 class SparseVector:
     """A vector of one space, held as a `Terms` map in `coords`.
 
-    `space` names what the keys index; vectors add only within one space.
-    Subclasses fix the keys and how they are built, printed and serialized.
+    `space` names what the keys index, and vectors are equal only within one
+    space.  Subclasses fix the keys and how they are built, printed and
+    serialized.
     """
 
     __slots__ = ("space", "coords")
@@ -195,30 +197,6 @@ class SparseVector:
             self.coords[key] = acc
         else:
             self.coords.pop(key, None)
-
-    def __add__(self, other):
-        if self.space != other.space:
-            raise ShapeMismatchError("cannot add vectors in different spaces")
-        out = type(self)(self.space, self.coords)
-        for key, c in other.coords.items():
-            out.add_term(key, c)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(LaurentPoly({0: -1}))
-
-    def scale(self, c: LaurentPoly):
-        """The vector times c; over Z[v, v^-1] no product of nonzero terms vanishes."""
-        out = type(self)(self.space)
-        if c:
-            for key, a in self.coords.items():
-                acc = out.coords[key] = {}
-                for e, b in c.items():
-                    add_into(acc, a, e, b)
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.coords
 
     def coeff(self, key) -> LaurentPoly:
         return LaurentPoly(self.coords.get(key))

@@ -6,17 +6,24 @@ test suite both drive these functions; everything is deterministic given the
 seed.  A check passes its failure text as a template and arguments, so the
 text is formatted only when the check fails.
 
+Every sweep works on the kernels' one vector form, the `tensor.Terms` map: a
+web's matrix is `webs.web_matrix`, {domain index: image map}, the tableau
+action `howe._act_divided`, a pairing `bases._form`, and each linear
+combination `_combine`.  A map does not name its space, so a check on webs
+also compares their codomains.  A symmetry check compares a Gram or Cartan
+entry with `_form` of its two maps in reversed order.
+
 The two cross-checks between routes compute each shared object once:
 
 - `check_howe` groups the tableaux of each shape by type.  A rung (sign, i, a)
   gives one ladder per type, so each ladder is built once per group, not
   once per tableau; an annihilated one raises once per group.  Both routes
-  run in kernel form: the tableau action `howe._act_divided` on {column
-  tuple: {0: 1}}, and the ladder's slice kernels on the tableau's tensor
-  index.  The web image is read back to column tuples through
-  `tableau_to_index`, inverted once per shape; an index no tableau has stays
-  a mask tuple, equal to no column tuple, so its check fails.  There is
-  still one check per (tableau, sign, i, a).
+  run in kernel form: the tableau action on {column tuple: {0: 1}}, and the
+  ladder's slice kernels on the tableau's tensor index.  The web image is
+  read back to column tuples through `tableau_to_index`, inverted once per
+  shape; an index no tableau has stays a mask tuple, equal to no column
+  tuple, so its check fails.  There is still one check per (tableau, sign,
+  i, a).
 - `web_gram_mismatch` gets the web route's Gram matrix from `web_gram`: each
   LT ladder web is built, mirrored and pushed forward once per block, and
   each entry applies one mirrored web to one stored image.
@@ -28,18 +35,11 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .bases import GradedMatrix, dual_block, gram_matrix, lt_block, lt_web, pairing
-from .howe import (
-    TableauVector,
-    _act_divided,
-    act_E,
-    highest_vector,
-    tableau_to_index,
-    weight_of_type,
-)
-from .ring import LaurentPoly, bar, qbinom, qnum
-from .tableaux import Shape, enumerate_tableaux, tableau_type
-from .tensor import Boundary, Factor, TensorVector, basis_indices, weight_boundary
+from .bases import GradedMatrix, _form, dual_block, gram_matrix, lt_block, lt_web
+from .howe import _act_divided, tableau_to_index, weight_of_type
+from .ring import ONE, LaurentPoly, add_into, bar, qbinom, qnum
+from .tableaux import Shape, enumerate_tableaux, highest_tableau, tableau_type
+from .tensor import Boundary, Factor, TensorVector, Terms, basis_indices, weight_boundary
 from .webalg import bounded_weights, cartan_matrix, frobenius_check
 from .webs import (
     AnnihilatedError,
@@ -85,29 +85,38 @@ class Report:
         return line
 
 
-# -- linear-map helpers -------------------------------------------------
+# -- linear combinations on kernel maps ------------------------------------
 
 
-def _zero_matrix(domain: Boundary, cod: Boundary) -> dict:
-    return {idx: TensorVector(cod) for idx in basis_indices(domain)}
+def _combine(parts) -> Terms:
+    """The sum of c * x over the (c, x) in `parts`, c a `LaurentPoly` and x a kernel map,
+    added through `ring.add_into` into maps made here; a key that cancels is dropped."""
+    out: Terms = {}
+    for c, x in parts:
+        for key, a in x.items():
+            acc = out.setdefault(key, {})
+            for e, b in c.items():
+                add_into(acc, a, e, b)
+            if not acc:
+                del out[key]
+    return out
 
 
-def _scale_matrix(mat: dict, c: LaurentPoly) -> dict:
-    return {idx: vec.scale(c) for idx, vec in mat.items()}
+def _vanishes(parts, codomain: Boundary) -> bool:
+    """Whether each web of `parts` ends on `codomain` and the sum of c * web over
+    its (c, web) is the zero map.  The webs share a domain; a web's matrix is read
+    as one map keyed by (domain index, image index), and `Web(space)` is the identity."""
+    def matrix(web: Web) -> Terms:
+        return {(idx, key): c for idx, image in web_matrix(web).items() for key, c in image.items()}
+
+    return all(web.codomain == codomain for _, web in parts) and not _combine(
+        [(c, matrix(web)) for c, web in parts])
 
 
-def _add_matrices(m1: dict, m2: dict) -> dict:
-    return {idx: m1[idx] + m2[idx] for idx in m1}
-
-
-def _identity_matrix(space: Boundary) -> dict:
-    return {idx: TensorVector.basis_vector(space, idx) for idx in basis_indices(space)}
-
-
-def ladder_matrix(N: int, k_start: tuple[int, ...], word) -> dict | None:
-    """The matrix of a ladder word, or None when the word is annihilated."""
+def _ladder(N: int, k_start: tuple[int, ...], word) -> Web | None:
+    """The ladder web of a word, or None when the word is annihilated."""
     try:
-        return web_matrix(ladder_from_word(N, k_start, list(word)))
+        return ladder_from_word(N, k_start, list(word))
     except AnnihilatedError:
         return None
 
@@ -128,19 +137,19 @@ def check_relations(N_max: int = 4) -> Report:
 def _check_tag_relations(rep: Report, N: int) -> None:
     for a in range(N + 1):
         space = Boundary(N, (Factor(a),))
-        left = web_matrix(Web(space, (tag(a, 1, "left"),)))
-        right = web_matrix(Web(space, (tag(a, 1, "right"),)))
+        left = Web(space, (tag(a, 1, "left"),))
+        right = Web(space, (tag(a, 1, "right"),))
         sign = LaurentPoly({0: -1 if (a * (N - a)) % 2 else 1})
         rep.check(
-            left == _scale_matrix(right, sign),
+            _vanishes([(ONE, left), (-sign, right)], left.codomain),
             "tag flavors differ beyond the sign at N={}, a={}", N, a,
         )
         # a tag followed by a tag of the same flavor undoes itself; the second
         # tag sits on the dual factor the first leaves, whose color it names
         for side in ("left", "right"):
-            again = web_matrix(Web(space, (tag(a, 1, side), tag(a, 1, side))))
+            again = Web(space, (tag(a, 1, side), tag(a, 1, side)))
             rep.check(
-                again == _identity_matrix(space),
+                _vanishes([(ONE, again), (-ONE, Web(space))], space),
                 "double {} tag is not the identity at N={}, a={}", side, N, a,
             )
 
@@ -149,10 +158,9 @@ def _check_digons(rep: Report, N: int) -> None:
     for a in range(N + 1):
         for b in range(N + 1 - a):
             space = Boundary(N, (Factor(a + b),))
-            digon = web_matrix(Web(space, (split(a, b, 1), merge(a, b, 1))))
-            expected = _scale_matrix(_identity_matrix(space), qbinom(a + b, a))
+            digon = Web(space, (split(a, b, 1), merge(a, b, 1)))
             rep.check(
-                digon == expected,
+                _vanishes([(ONE, digon), (-qbinom(a + b, a), Web(space))], space),
                 "parallel digon fails at N={}, a={}, b={}", N, a, b,
             )
             # opposite orientation: a bubble of color b on an a-strand
@@ -168,9 +176,8 @@ def _check_digons(rep: Report, N: int) -> None:
                     cap(b, 2),
                 ),
             )
-            expected = _scale_matrix(_identity_matrix(strand), qbinom(N - a, b))
             rep.check(
-                web_matrix(bubble) == expected,
+                _vanishes([(ONE, bubble), (-qbinom(N - a, b), Web(strand))], strand),
                 "opposite digon fails at N={}, a={}, b={}", N, a, b,
             )
 
@@ -181,17 +188,17 @@ def _check_associativity(rep: Report, N: int) -> None:
             for c in range(N + 1 - a - b):
                 # merges: (a b) c versus a (b c), strands left to right a, b, c
                 space = Boundary(N, (Factor(c), Factor(b), Factor(a)))
-                lhs = web_matrix(Web(space, (merge(a, b, 2), merge(a + b, c, 1))))
-                rhs = web_matrix(Web(space, (merge(b, c, 1), merge(a, b + c, 1))))
+                lhs = Web(space, (merge(a, b, 2), merge(a + b, c, 1)))
+                rhs = Web(space, (merge(b, c, 1), merge(a, b + c, 1)))
                 rep.check(
-                    lhs == rhs,
+                    _vanishes([(ONE, lhs), (-ONE, rhs)], lhs.codomain),
                     "merge associativity fails at N={}, ({},{},{})", N, a, b, c,
                 )
                 whole = Boundary(N, (Factor(a + b + c),))
-                lhs = web_matrix(Web(whole, (split(a + b, c, 1), split(a, b, 2))))
-                rhs = web_matrix(Web(whole, (split(a, b + c, 1), split(b, c, 1))))
+                lhs = Web(whole, (split(a + b, c, 1), split(a, b, 2)))
+                rhs = Web(whole, (split(a, b + c, 1), split(b, c, 1)))
                 rep.check(
-                    lhs == rhs,
+                    _vanishes([(ONE, lhs), (-ONE, rhs)], lhs.codomain),
                     "split coassociativity fails at N={}, ({},{},{})", N, a, b, c,
                 )
 
@@ -204,13 +211,12 @@ def _check_squares(rep: Report, N: int) -> None:
                 for t in range(4 - s):
                     # two same-direction rungs stack to a quantum binomial multiple
                     for sign in (+1, -1):
-                        two = ladder_matrix(N, k0, [(sign, 1, s), (sign, 1, t)])
-                        one = ladder_matrix(N, k0, [(sign, 1, s + t)])
+                        two = _ladder(N, k0, [(sign, 1, s), (sign, 1, t)])
+                        one = _ladder(N, k0, [(sign, 1, s + t)])
                         if two is None or one is None:
                             continue
-                        expected = _scale_matrix(one, qbinom(s + t, t))
                         rep.check(
-                            two == expected,
+                            _vanishes([(ONE, two), (-qbinom(s + t, t), one)], two.codomain),
                             "parallel square fails at N={}, a={}, b={}, s={}, t={}, sign={}",
                             N, a, b, s, t, sign,
                         )
@@ -220,16 +226,15 @@ def _check_squares(rep: Report, N: int) -> None:
                         end = rung(N, b, a, +1, s - t) if s >= t else rung(N, b, a, -1, t - s)
                     except AnnihilatedError:
                         continue
-                    zero = _zero_matrix(weight_boundary(N, k0), weight_boundary(N, end))
-                    lhs = ladder_matrix(N, k0, [(+1, 1, s), (-1, 1, t)])
-                    total = zero
+                    # the word minus its reordered terms; an annihilated ladder is 0
+                    lhs = _ladder(N, k0, [(+1, 1, s), (-1, 1, t)])
+                    parts = [(ONE, lhs)] if lhs is not None else []
                     for r in range(0, min(s, t) + 1):
-                        term = ladder_matrix(N, k0, [(-1, 1, t - r), (+1, 1, s - r)])
+                        term = _ladder(N, k0, [(-1, 1, t - r), (+1, 1, s - r)])
                         if term is not None:
-                            scaled = _scale_matrix(term, qbinom(a - b + t - s, r))
-                            total = _add_matrices(total, scaled)
+                            parts.append((-qbinom(a - b + t - s, r), term))
                     rep.check(
-                        (zero if lhs is None else lhs) == total,
+                        _vanishes(parts, weight_boundary(N, end)),
                         "opposite square fails at N={}, a={}, b={}, s={}, t={}", N, a, b, s, t,
                     )
 
@@ -363,6 +368,16 @@ def web_gram_mismatch(gram: GradedMatrix) -> str | None:
     return None
 
 
+def _reversed_forms(maps: list[Terms]) -> list[list[LaurentPoly]]:
+    """`_form(maps[j], maps[i])` at (i, j) and (j, i) for i <= j: `gram_matrix` in reversed order."""
+    n = len(maps)
+    out: list[list] = [[None] * n for _ in maps]
+    for i, x in enumerate(maps):
+        for j in range(i, n):
+            out[i][j] = out[j][i] = _form(maps[j], x)
+    return out
+
+
 def check_form_consistency(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Report:
     """Gram entries by web evaluation versus tensor expansions, per block."""
     rep = Report("web form consistency")
@@ -374,6 +389,7 @@ def check_form_consistency(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Re
             mismatch = web_gram_mismatch(gram)
             rep.check(mismatch is None, mismatch or "")
             labels = gram.labels
+            reversed_forms = _reversed_forms([block[s].terms for s in labels])
             for idx_s, s in enumerate(labels):
                 diag = LaurentPoly.zero()
                 for c in block[s].terms.values():
@@ -385,7 +401,7 @@ def check_form_consistency(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Re
                 )
                 for idx_t, t in enumerate(labels):
                     rep.check(
-                        gram.entry(idx_s, idx_t) == gram.entry(idx_t, idx_s),
+                        gram.entry(idx_s, idx_t) == reversed_forms[idx_s][idx_t],
                         "Gram symmetry fails at N={}, l={}, k={}, ({},{})", N, l, k, s, t,
                     )
     return rep
@@ -412,11 +428,11 @@ def check_shapovalov(cases: int = 50, seed: int = 7, pairs=((2, 1), (2, 2), (3, 
         N, l, k, up, i = rng.choice(pool)
         w_block = lt_block(N, l, k)
         u_block = lt_block(N, l, up)
-        u = u_block[rng.choice(list(u_block))].expansion
-        w = w_block[rng.choice(list(w_block))].expansion
+        u = u_block[rng.choice(list(u_block))].terms
+        w = w_block[rng.choice(list(w_block))].terms
         lam = weight_of_type(k)
-        lhs = pairing(act_E(-1, i, u), w)
-        rhs = pairing(u, act_E(+1, i, w)).shift(1 + lam[i - 1])
+        lhs = _form(_act_divided(-1, i, 1, u), w)
+        rhs = _form(u, _act_divided(+1, i, 1, w)).shift(1 + lam[i - 1])
         rep.check(
             lhs == rhs,
             "adjointness fails at N={}, l={}, k={}, i={}: {} vs {}", N, l, k, i, lhs, rhs,
@@ -432,10 +448,10 @@ def check_commutator(cases: int = 50, seed: int = 11, pairs=((2, 1), (2, 2), (3,
     rep = Report("highest weight annihilation and commutator")
     for N, l in pairs:
         shape = Shape(N, l)
-        top = highest_vector(shape)
+        top = {highest_tableau(shape).sort_key(): {0: 1}}
         for i in range(1, shape.m):
             rep.check(
-                act_E(+1, i, top).is_zero(),
+                not _act_divided(+1, i, 1, top),
                 "raising does not kill the highest vector at N={}, l={}, i={}", N, l, i,
             )
     rng = random.Random(seed)
@@ -445,14 +461,14 @@ def check_commutator(cases: int = 50, seed: int = 11, pairs=((2, 1), (2, 2), (3,
         shape = Shape(N, l)
         k = rng.choice(bounded_weights(N, shape.m))
         tableaux = enumerate_tableaux(shape, k)
-        x = TableauVector(shape)
-        for t in rng.sample(tableaux, min(len(tableaux), 3)):
-            x.add_term(t.sort_key(), {rng.randint(-2, 2): rng.randint(1, 3)})
+        x = {t.sort_key(): {rng.randint(-2, 2): rng.randint(1, 3)}
+             for t in rng.sample(tableaux, min(len(tableaux), 3))}
         i = rng.randint(1, shape.m - 1)
         lam = weight_of_type(k)
-        commutator = act_E(+1, i, act_E(-1, i, x)) - act_E(-1, i, act_E(+1, i, x))
+        raise_lower = _act_divided(+1, i, 1, _act_divided(-1, i, 1, x))
+        lower_raise = _act_divided(-1, i, 1, _act_divided(+1, i, 1, x))
         rep.check(
-            commutator == x.scale(qnum(lam[i - 1])),
+            not _combine([(ONE, raise_lower), (-ONE, lower_raise), (-qnum(lam[i - 1]), x)]),
             "commutator is not [{}] at N={}, l={}, k={}, i={}", lam[i - 1], N, l, k, i,
         )
         done += 1
@@ -470,15 +486,14 @@ def check_serre(pairs=((2, 2), (3, 1))) -> Report:
                 if max(i, j) > shape.m - 1:
                     continue
                 for t in enumerate_tableaux(shape):
-                    x = TableauVector.basis_vector(t)
+                    x = {t.sort_key(): {0: 1}}
 
-                    def e(idx, vec, s=sign):
-                        return act_E(s, idx, vec)
+                    def e(idx, terms, s=sign):
+                        return _act_divided(s, idx, 1, terms)
 
-                    lhs = e(i, e(i, e(j, x))) + e(j, e(i, e(i, x)))
-                    mid = e(i, e(j, e(i, x))).scale(two)
                     rep.check(
-                        lhs == mid,
+                        not _combine([(ONE, e(i, e(i, e(j, x)))), (ONE, e(j, e(i, e(i, x)))),
+                                      (-two, e(i, e(j, e(i, x))))]),
                         "degree-2 relation fails at N={}, l={}, sign={}, i={}, j={}, {}",
                         N, l, sign, i, j, t,
                     )
@@ -507,6 +522,8 @@ def check_cartan(N_max: int = 3, m_max: int = 6) -> Report:
                 "Gorenstein parameter mismatch at N={}, k={}", N, k,
             )
             n = len(cartan.labels)
+            block = lt_block(N, l, k)  # the maps `cartan_matrix` pairs, in label order
+            reversed_forms = _reversed_forms([block[t].terms for t in cartan.labels])
             for i in range(n):
                 for j in range(n):
                     c = cartan.entry(i, j)
@@ -515,7 +532,7 @@ def check_cartan(N_max: int = 3, m_max: int = 6) -> Report:
                         "negative Cartan coefficient at N={}, k={}, ({},{}): {}", N, k, i, j, c,
                     )
                     rep.check(
-                        c == cartan.entry(j, i),
+                        c == reversed_forms[i][j],
                         "Cartan symmetry fails at N={}, k={}, ({},{})", N, k, i, j,
                     )
                     rep.check(

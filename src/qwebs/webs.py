@@ -33,6 +33,7 @@ from typing import Callable, NamedTuple
 from .ring import LaurentPoly, add_into, exact_int
 from .tensor import (
     Boundary,
+    Index,
     ShapeMismatchError,
     TensorVector,
     Terms,
@@ -322,10 +323,9 @@ def evaluate_dense(web: Web, x: TensorVector) -> TensorVector:
     return TensorVector(web.codomain, _dense(web.walk, x.coords))
 
 
-def web_matrix(web: Web) -> dict:
-    """Column map: domain basis index -> image TensorVector."""
-    return {idx: TensorVector(web.codomain, _dense(web.walk, {idx: {0: 1}}))
-            for idx in basis_indices(web.domain)}
+def web_matrix(web: Web) -> dict[Index, Terms]:
+    """Column map: domain basis index -> the kernel map of its image on `web.codomain`."""
+    return {idx: _dense(web.walk, {idx: {0: 1}}) for idx in basis_indices(web.domain)}
 
 
 # -- state-sum evaluation ---------------------------------------------

@@ -2,7 +2,7 @@
 
 from qwebs.bases import _form, dual_block, lt_block
 from qwebs.howe import TableauVector, tableau_to_index
-from qwebs.ring import LaurentPoly
+from qwebs.ring import LaurentPoly, add_into
 from qwebs.tableaux import Shape, Tableau, tableau_type
 from qwebs.tensor import Boundary, Index, ShapeMismatchError, TensorVector, Terms, _mask, weight_boundary
 from qwebs.webs import Web
@@ -18,6 +18,28 @@ def polys(x) -> dict:
     if isinstance(x, TableauVector):
         return {Tableau.from_columns(x.space, k): LaurentPoly(c) for k, c in x.coords.items()}
     return {k: LaurentPoly(c) for k, c in x.coords.items()}
+
+
+def combine(*parts):
+    """The sum of c * x over the (c, x) parts, c a `LaurentPoly` and x a vector.
+
+    The vectors must share one type and space, and the sum is one more of
+    them.  It is made on their maps through `ring.add_into`: the program
+    makes linear combinations on kernel maps only, so the tests compare
+    vectors through this one function.
+    """
+    (_, first), *_ = parts
+    out: Terms = {}
+    for c, x in parts:
+        if type(x) is not type(first) or x.space != first.space:
+            raise ShapeMismatchError("cannot combine vectors of different spaces")
+        for key, a in x.coords.items():
+            acc = out.setdefault(key, {})
+            for e, b in c.items():
+                add_into(acc, a, e, b)
+            if not acc:
+                del out[key]
+    return type(first)(first.space, out)
 
 
 def terms_json(shape: Shape, terms: Terms) -> dict:

@@ -27,7 +27,7 @@ from qwebs.tensor import Boundary, Factor, TensorVector, _subset, apply_merge, a
 from qwebs.webalg import bounded_weights
 from qwebs.webs import d_norm, evaluate_dense, validate
 
-from helpers import idx, polys, reference_gram, tensor_product, to_tensor
+from helpers import combine, idx, polys, reference_gram, tensor_product, to_tensor
 
 fs = frozenset
 one = LaurentPoly.one()
@@ -186,9 +186,7 @@ def test_dual_canonical_nontrivial_correction():
             assert s.sort_key() > t.sort_key()
         # the recorded identity b = A^T + sum beta A^S holds
         lt = lt_block(3, 2, k)
-        recon = lt[t].expansion
-        for s, g in elem.beta:
-            recon = recon + lt[s].expansion.scale(g)
+        recon = combine((one, lt[t].expansion), *((g, lt[s].expansion) for s, g in elem.beta))
         assert recon == elem.expansion
 
 

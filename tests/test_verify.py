@@ -8,6 +8,8 @@ from qwebs.tableaux import Shape, Tableau, highest_tableau
 from qwebs.verify import Report, check_howe, web_gram_mismatch
 from qwebs.webs import AnnihilatedError, rung
 
+from helpers import combine
+
 
 class Unprintable:
     def __str__(self):
@@ -158,7 +160,98 @@ def test_evaluator_sweep_case_count_is_unchanged():
 
 def test_evaluator_disagreement_names_the_input_vector(monkeypatch):
     real = verify.evaluate_statesum
-    monkeypatch.setattr(verify, "evaluate_statesum", lambda web, x: real(web, x).scale(LaurentPoly({1: 1})))
+    monkeypatch.setattr(verify, "evaluate_statesum", lambda web, x: combine((LaurentPoly({1: 1}), real(web, x))))
     rep = verify.check_evaluators(1, 3, 3, 6)
     assert rep.failures
     assert all(f.startswith("evaluators disagree on case 0 at TensorVector[(1) ((") for f in rep.failures)
+
+
+def _mirrored_wrong(matrix: GradedMatrix, i: int, j: int, wrong: LaurentPoly) -> GradedMatrix:
+    """`matrix` with the same wrong polynomial at (i, j) and (j, i)."""
+    rows = [list(r) for r in matrix.entries]
+    rows[i][j] = rows[j][i] = wrong
+    return GradedMatrix(matrix.labels, tuple(map(tuple, rows)))
+
+
+def test_cartan_sweep_reports_a_mirrored_wrong_entry(monkeypatch):
+    # 2v^3 + 2v keeps the coefficients nonnegative, the graded duality and the
+    # Frobenius check, so only the comparison with the reversed form sees it
+    clean = verify.check_cartan(2, 4)
+    assert clean.passed
+    real = verify.cartan_matrix
+    k0 = (1, 1, 1, 1)
+    assert real(2, k0).entry(0, 1) == LaurentPoly({3: 1, 1: 1})
+    wrong = _mirrored_wrong(real(2, k0), 0, 1, LaurentPoly({3: 2, 1: 2}))
+    monkeypatch.setattr(verify, "cartan_matrix", lambda N, k: wrong if (N, k) == (2, k0) else real(N, k))
+    rep = verify.check_cartan(2, 4)
+    assert rep.cases == clean.cases
+    assert rep.failures == [
+        "Cartan symmetry fails at N=2, k=(1, 1, 1, 1), (0,1)",
+        "Cartan symmetry fails at N=2, k=(1, 1, 1, 1), (1,0)",
+    ]
+
+
+def test_form_sweep_reports_a_mirrored_wrong_gram_entry(monkeypatch):
+    pairs = ((2, 2),)
+    clean = verify.check_form_consistency(pairs)
+    assert clean.passed
+    real = verify.gram_matrix
+    k0 = (1, 1, 1, 1)
+    wrong = _mirrored_wrong(real(2, 2, k0), 0, 1, LaurentPoly({3: 2, 1: 2}))
+    monkeypatch.setattr(verify, "gram_matrix", lambda N, l, k, basis="lt": (
+        wrong if (N, l, k) == (2, 2, k0) else real(N, l, k, basis)))
+    rep = verify.check_form_consistency(pairs)
+    assert rep.cases == clean.cases
+    assert [f for f in rep.failures if f.startswith("Gram symmetry")] == [
+        "Gram symmetry fails at N=2, l=2, k=(1, 1, 1, 1), (13/24,12/34)",
+        "Gram symmetry fails at N=2, l=2, k=(1, 1, 1, 1), (12/34,13/24)",
+    ]
+
+
+def test_relation_sweep_fails_on_shifted_binomials(monkeypatch):
+    clean = verify.check_relations(2)
+    assert clean.passed
+    real = verify.qbinom
+    monkeypatch.setattr(verify, "qbinom", lambda n, k: real(n, k).shift(1))
+    rep = verify.check_relations(2)
+    assert rep.cases == clean.cases
+    assert {f.split(" at ")[0] for f in rep.failures} == {
+        "parallel digon fails", "opposite digon fails", "parallel square fails", "opposite square fails"}
+
+
+def test_commutator_sweep_fails_on_shifted_quantum_numbers(monkeypatch):
+    clean = verify.check_commutator()
+    assert clean.passed
+    real = verify.qnum
+    monkeypatch.setattr(verify, "qnum", lambda z: real(z).shift(1))
+    rep = verify.check_commutator()
+    assert rep.cases == clean.cases and rep.failures
+    assert all(f.startswith("commutator is not [") for f in rep.failures)
+
+
+def _shifted(out):
+    """The map times v."""
+    return {k: {e + 1: c for e, c in p.items()} for k, p in out.items()}
+
+
+def test_shapovalov_sweep_fails_on_a_shifted_lowering_at_one_index(monkeypatch):
+    # a shift of both signs at i would cancel between the two sides
+    clean = verify.check_shapovalov()
+    assert clean.passed
+    _patch_kernel(monkeypatch, lambda sign, i, a, terms, out: (
+        _shifted(out) if (sign, i) == (-1, 1) else out))
+    rep = verify.check_shapovalov()
+    assert rep.cases == clean.cases and rep.failures
+    assert all(f.startswith("adjointness fails at ") and ", i=1: " in f for f in rep.failures)
+
+
+def test_serre_sweep_fails_on_a_shifted_sum_at_one_index(monkeypatch):
+    # every term of the relation applies i twice, so a shift of every map at i
+    # would cancel; this one shifts only the images of maps with several terms
+    clean = verify.check_serre()
+    assert clean.passed
+    _patch_kernel(monkeypatch, lambda sign, i, a, terms, out: (
+        _shifted(out) if i == 1 and len(terms) > 1 else out))
+    rep = verify.check_serre()
+    assert rep.cases == clean.cases and rep.failures
+    assert all(f.startswith("degree-2 relation fails at ") for f in rep.failures)
