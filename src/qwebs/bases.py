@@ -9,23 +9,25 @@ Every prefix of a reversed peel word is itself a reversed peel word, so
 A^T = F_i^(r) A^peel(T) and the words of a block form a prefix tree.
 `lt_block` walks that tree once, depth first, in the howe kernel's column
 maps: it keeps at most the maps of one root-to-leaf path, so each distinct
-prefix runs its divided power once.  `lt_vector` is the one-path walk.
-Every vector is checked for its leading 1, triangularity and nonnegative
-coefficients as it is built, and each distinct column of the block once for
-what `Tableau` validation checks.
+prefix runs its divided power once.  `lt_vector` is that walk, over any list
+of semistandard labels of one shape.  Every vector is checked for its
+leading 1, triangularity and nonnegative coefficients as it is built, and
+each distinct column of the block once for what `Tableau` validation checks.
 
 Each element holds its vector as the kernel's map, {column tuple:
 {exponent: int}}, the form every `TableauVector` holds; the corrections and
 the Gram pairings add up on these maps through `ring.add_into`, and an
-element's `expansion` is the vector of its map.
+element's `expansion` is the vector of its map.  `pairing` is the one form
+on such maps.
 
 The dual canonical element b^T is computed from the A-basis by triangular
 elimination: scanning semistandard S below T in descending order, any
 coefficient at S that fails the negative-exponent test is repaired by
 subtracting the bar-symmetric part times A^S.  The recorded corrections
 beta_ST are bar-invariant and the result satisfies the full negative
-exponent property, also at non-semistandard tableaux; the final check turns
-that theorem into a runtime invariant.
+exponent property, also at non-semistandard tableaux; the final check in
+`dual_canonical` turns that theorem into a runtime invariant, naming every
+tableau that breaks it.
 
 Everything is organized per (shape, type) block: coefficients between
 different blocks vanish, so blocks are computed and cached independently.
@@ -36,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .howe import TableauVector, _act_divided
+from .howe import TableauVector, act_divided
 from .ring import LaurentPoly, add_into, bar, symmetrize_correction
-from .tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, peel_word, tableau_type
+from .tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, peel_word
 from .tensor import Terms
 from .webs import Web, ladder_from_word
 
@@ -70,39 +72,14 @@ class DualCanonicalElement(_BlockElement):
     beta: tuple[tuple[Tableau, LaurentPoly], ...]
 
 
-@dataclass(frozen=True)
-class NegativeExponentReport:
-    passed: bool
-    violations: tuple[tuple[Tableau, LaurentPoly], ...]
-
-
-def check_negative_exponent(x: TableauVector, leading: Tableau) -> NegativeExponentReport:
-    """Leading coefficient must be 1; every other one in v^-1 Z[v^-1]."""
-    violations = []
-    key = leading.sort_key()
-    lead = x.coeff(key)
-    if not lead.is_one():
-        violations.append((leading, lead))
-    for k, c in x.coords.items():
-        if k != key and max(c) >= 0:
-            violations.append((Tableau.from_columns(x.space, k), LaurentPoly(c)))
-    violations.sort(key=lambda vc: vc[0].sort_key())
-    return NegativeExponentReport(not violations, tuple(violations))
-
-
-def lt_vector(t: Tableau) -> LTBasisElement:
-    """The intermediate basis vector attached to a semistandard tableau."""
-    return _lt_walk(t.shape, [t])[t]
-
-
 @cache
 def lt_block(N: int, l: int, ktype: tuple[int, ...]) -> dict[Tableau, LTBasisElement]:
     """All LT vectors of one type, keyed by tableau (descending iteration order)."""
     shape = Shape(N, l)
-    return _lt_walk(shape, enumerate_tableaux(shape, ktype, semistandard_only=True))
+    return lt_vector(shape, enumerate_tableaux(shape, ktype, semistandard_only=True))
 
 
-def _lt_walk(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisElement]:
+def lt_vector(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisElement]:
     """The LT vectors of `labels`, keyed in their order, from one walk of the peel tree.
 
     The reversed peel words of the labels are visited in sorted order, so
@@ -122,7 +99,7 @@ def _lt_walk(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisElemen
     for j, (rword, n) in enumerate(walk):
         terms = path[-1]  # path holds depths 0..shared[j]
         for d in range(shared[j], len(rword)):
-            terms = _act_divided(-1, *rword[d], terms)
+            terms = act_divided(-1, *rword[d], terms)
             if d < shared[j + 1]:
                 path.append(terms)
         del path[shared[j + 1] + 1 :]
@@ -164,8 +141,7 @@ def _common_prefix(a: tuple, b: tuple) -> int:
     return n
 
 
-def _dual(block: dict[Tableau, LTBasisElement], labels: list[Tableau], keys: list, n: int
-          ) -> DualCanonicalElement:
+def dual_canonical(block: dict, labels: list[Tableau], keys: list, n: int) -> DualCanonicalElement:
     """b^T for T = labels[n], corrected on the block's column maps (keys[n] is T's key)."""
     t, key = labels[n], keys[n]
     coords = dict(block[t].terms)  # its inner maps are replaced, never changed
@@ -185,11 +161,12 @@ def _dual(block: dict[Tableau, LTBasisElement], labels: list[Tableau], keys: lis
             else:
                 del coords[tau]
         beta.append((s, -gamma))
-    if coords.get(key) != {0: 1} or any(max(c) >= 0 for k, c in coords.items() if k != key):
-        report = check_negative_exponent(TableauVector(t.shape, coords), t)
-        raise InvariantViolationError(
-            f"negative exponent property fails for {t}: {report.violations}"
-        )
+    bad = {k: c for k, c in coords.items() if k != key and max(c) >= 0}
+    if coords.get(key) != {0: 1}:  # the leading coefficient must be 1
+        bad[key] = coords.get(key, {})
+    if bad:
+        found = tuple((Tableau.from_columns(t.shape, k), LaurentPoly(bad[k])) for k in sorted(bad))
+        raise InvariantViolationError(f"negative exponent property fails for {t}: {found}")
     for s, g in beta:
         if bar(g) != g:
             raise InvariantViolationError(f"correction at {s} is not bar-invariant: {g}")
@@ -202,31 +179,19 @@ def dual_block(N: int, l: int, ktype: tuple[int, ...]) -> dict[Tableau, DualCano
     block = lt_block(N, l, ktype)
     labels = list(block)
     keys = [t.sort_key() for t in labels]
-    return {t: _dual(block, labels, keys, n) for n, t in enumerate(labels)}
-
-
-def dual_canonical(t: Tableau) -> DualCanonicalElement:
-    """Triangular bar-symmetric correction of the LT vector at t (from its `dual_block`)."""
-    block = dual_block(t.shape.N, t.shape.l, tableau_type(t))
-    if t not in block:
-        raise ValueError(f"{t} is not semistandard")
-    return block[t]
+    return {t: dual_canonical(block, labels, keys, n) for n, t in enumerate(labels)}
 
 
 # -- the form and Gram/Cartan data -------------------------------------
 
 
-def pairing(x: TableauVector, y: TableauVector) -> LaurentPoly:
-    """The sesquilinear form on bar-symmetric vectors, via tensor coefficients.
+def pairing(x: Terms, y: Terms) -> LaurentPoly:
+    """The sesquilinear form of two vectors' maps, via their tensor coefficients.
 
-    bar(sum_tau c^x_tau * c^y_tau) over the common expansion; valid for
-    vectors fixed by the bar involution (all basis vectors here are).
+    bar(sum_tau c^x_tau * c^y_tau) over the common keys, summed on ints over
+    the shorter map, with bar taken once, at the end; valid for vectors
+    fixed by the bar involution (all basis vectors here are).
     """
-    return _form(x.coords, y.coords)
-
-
-def _form(x: Terms, y: Terms) -> LaurentPoly:
-    """`pairing` of two vectors' maps, summed on ints; bar is taken once, at the end."""
     if len(y) < len(x):
         x, y = y, x
     acc: dict[int, int] = {}
@@ -285,5 +250,5 @@ def gram_matrix(N: int, l: int, ktype: tuple[int, ...], basis: str = "lt") -> Gr
     entries: list[list] = [[None] * n for _ in maps]
     for i, x in enumerate(maps):
         for j in range(i, n):
-            entries[i][j] = entries[j][i] = _form(x, maps[j])
+            entries[i][j] = entries[j][i] = pairing(x, maps[j])
     return GradedMatrix(labels, tuple(map(tuple, entries)))

@@ -33,10 +33,10 @@ from .bases import (
     gram_matrix,
     lt_block,
 )
-from .howe import TableauVector, act_divided, terms_texts
+from .howe import TableauVector, act_divided, check_generator, terms_texts
 from .ring import NonDivisibleError
 from .tableaux import Shape, check_request, enumerate_tableaux
-from .tensor import TensorVector
+from .tensor import ShapeMismatchError, TensorVector
 from .webalg import bounded_weights, cartan_matrix, frobenius_check
 from .webs import (
     Web,
@@ -138,7 +138,9 @@ def cmd_ladder(args) -> int:
 def cmd_eval(args) -> int:
     web = _read(Web, args.web)
     vec = _read(TensorVector, args.vector)
-    _emit(evaluate_dense(web, vec).to_json(), args.format, None)
+    if vec.space != web.domain:
+        raise ShapeMismatchError("vector does not live in the web's domain")
+    _emit(TensorVector(web.codomain, evaluate_dense(web, vec.coords)).to_json(), args.format, None)
     return 0
 
 
@@ -158,8 +160,9 @@ def cmd_form(args) -> int:
 def cmd_act(args) -> int:
     vec = _read(TableauVector, args.vector)
     sign = 1 if args.sign == "+" else -1
-    out = act_divided(sign, args.i, args.r, vec)
-    print(terms_texts(out.space, [out.coords])[0])  # JSON in both formats
+    check_generator(vec.space, sign, args.i, args.r)
+    out = act_divided(sign, args.i, args.r, vec.coords)
+    print(terms_texts(vec.space, [out])[0])  # JSON in both formats
     return 0
 
 

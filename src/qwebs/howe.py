@@ -17,18 +17,18 @@ r(r-1)/2).  Summing the r! move orders of the r-fold action gives [r]!
 times that one monomial, so no division is needed.
 
 A `TableauVector` is keyed by column tuples (`Tableau.sort_key()`), with the
-`tensor.Terms` int maps as coefficients.  One kernel, `_act_divided`, acts on
-that map: a move replaces column tuples, and its power of v sums the
+`tensor.Terms` int maps as coefficients.  One kernel, `act_divided`, acts on
+such a map: a move replaces column tuples, and its power of v sums the
 per-column differences (i in d) - (i+1 in d); moves that meet at one tuple
 add up through `ring.add_into`.  Each column's difference and moved column
 come from the move table of (sign, i), `_column_moves`, a cache of one
-`tensor._Table` per generator.  `act_word` runs a whole divided-power word
-(`act_E` and `act_divided` are one-pair words) on a vector's map.  The
-kernel is also the step of the peel-tree walk in `bases`, whose blocks are
-maps of the same form.  `terms_texts` is the one writer of the JSON of such
-maps (`act`, `lt-basis` and `dual-canonical` print through it), joining
-each key's rows from a table of row texts made per call, and
-`TableauVector.from_json` reads it back.
+`tensor._Table` per generator.  The kernel checks none of its arguments:
+`act_E`, the one step on a `TableauVector`, and the `act` command refuse a
+generator outside the shape.  The kernel is also the step of the peel-tree
+walk in `bases`, whose blocks are maps of the same form.  `terms_texts` is
+the one writer of the JSON of such maps (`act`, `lt-basis` and
+`dual-canonical` print through it), joining each key's rows from a table of
+row texts made per call, and `TableauVector.from_json` reads it back.
 
 Tableaux and tensor basis indices correspond through one injection,
 `tableau_to_index`: slot i of the index of a tableau holds the mask of the
@@ -47,7 +47,7 @@ from functools import cache
 from itertools import combinations
 
 from .ring import LaurentPoly, ONE, add_into, exact_int
-from .tableaux import Shape, Tableau, highest_tableau
+from .tableaux import Shape, Tableau
 from .tensor import Index, SparseVector, Terms, _Table
 
 
@@ -128,7 +128,7 @@ def _column_moves(sign: int, i: int) -> _Table:
     return _Table(fill)
 
 
-def _act_divided(sign: int, i: int, r: int, terms: Terms) -> Terms:
+def act_divided(sign: int, i: int, r: int, terms: Terms) -> Terms:
     """The divided power (i, r) on a column map, in one pass over r-subsets of columns.
 
     A column d is movable when it holds the source value and not the target,
@@ -176,31 +176,20 @@ def _act_divided(sign: int, i: int, r: int, terms: Terms) -> Terms:
     return out
 
 
-def act_word(sign: int, word, x: TableauVector) -> TableauVector:
-    """Apply the divided powers (i, r) of a word, first pair first (sign -1 lowers)."""
+def check_generator(shape: Shape, sign: int, i: int, r: int = 1) -> None:
+    """Refuse a divided power (sign, i, r) that does not act on the tableau vectors of `shape`."""
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
-    shape = x.space
-    word = list(word)
-    for i, r in word:
-        if r < 0:
-            raise ValueError("multiplicity must be nonnegative")
-        if not 1 <= i <= shape.m - 1:
-            raise ValueError(f"generator index {i} outside 1..{shape.m - 1}")
-    terms = x.coords
-    for i, r in word:
-        terms = _act_divided(sign, i, r, terms)
-    return TableauVector(shape, terms)
+    if r < 0:
+        raise ValueError("multiplicity must be nonnegative")
+    if not 1 <= i <= shape.m - 1:
+        raise ValueError(f"generator index {i} outside 1..{shape.m - 1}")
 
 
 def act_E(sign: int, i: int, x: TableauVector) -> TableauVector:
     """Apply the generator of index i (sign -1 lowers, +1 raises)."""
-    return act_word(sign, [(i, 1)], x)
-
-
-def act_divided(sign: int, i: int, r: int, x: TableauVector) -> TableauVector:
-    """The divided power F_i^(r) (sign -1) or E_i^(r) (sign +1)."""
-    return act_word(sign, [(i, r)], x)
+    check_generator(x.space, sign, i)
+    return TableauVector(x.space, act_divided(sign, i, 1, x.coords))
 
 
 def weight_of_type(k: tuple[int, ...]) -> tuple[int, ...]:
@@ -219,6 +208,3 @@ def tableau_to_index(t: Tableau) -> Index:
             idx[i - 1] |= 1 << j
     return tuple(idx)
 
-
-def highest_vector(shape: Shape) -> TableauVector:
-    return TableauVector.basis_vector(highest_tableau(shape))

@@ -130,8 +130,8 @@ Index = tuple[int, ...]  # a bitmask per slot, slot 1 first
 # inner map is empty.  Inner maps are shared between vectors and kernels and
 # never changed in place: a kernel hands an inner map on unchanged or adds
 # up, through `ring.add_into`, only into maps it made itself, dropping a key
-# whose map cancels to empty.  `split_kernel` and `howe._act_divided` hand on
-# each unshifted map; `_act_divided` adds a second move at one key into a
+# whose map cancels to empty.  `split_kernel` and `howe.act_divided` hand on
+# each unshifted map; `act_divided` adds a second move at one key into a
 # copy, since the first may have been handed on.  `SparseVector.add_term`
 # copies on write.
 Terms = dict[tuple, dict[int, int]]

@@ -8,10 +8,10 @@ text is formatted only when the check fails.
 
 Every sweep works on the kernels' one vector form, the `tensor.Terms` map: a
 web's matrix is `webs.web_matrix`, {domain index: image map}, the tableau
-action `howe._act_divided`, a pairing `bases._form`, and each linear
+action `howe.act_divided`, a pairing `bases.pairing`, and each linear
 combination `_combine`.  A map does not name its space, so a check on webs
 also compares their codomains.  A symmetry check compares a Gram or Cartan
-entry with `_form` of its two maps in reversed order.
+entry with the form of its two maps summed another way, `_reversed_forms`.
 
 The two cross-checks between routes compute each shared object once:
 
@@ -35,8 +35,8 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .bases import GradedMatrix, _form, dual_block, gram_matrix, lt_block, lt_web
-from .howe import _act_divided, tableau_to_index, weight_of_type
+from .bases import GradedMatrix, dual_block, gram_matrix, lt_block, lt_web, pairing
+from .howe import act_divided, tableau_to_index, weight_of_type
 from .ring import ONE, LaurentPoly, add_into, bar, qbinom, qnum
 from .tableaux import Shape, enumerate_tableaux, highest_tableau, tableau_type
 from .tensor import Boundary, Factor, TensorVector, Terms, basis_indices, weight_boundary
@@ -44,7 +44,6 @@ from .webalg import bounded_weights, cartan_matrix, frobenius_check
 from .webs import (
     AnnihilatedError,
     Web,
-    _dense,
     cap,
     cup,
     d_norm,
@@ -275,7 +274,7 @@ def check_evaluators(cases: int = 100, seed: int = 2024, N_max: int = 3, m_max: 
         for idx in basis_indices(web.domain):
             x = TensorVector.basis_vector(web.domain, idx)
             rep.check(
-                evaluate_dense(web, x) == evaluate_statesum(web, x),
+                evaluate_dense(web, x.coords) == evaluate_statesum(web, x).coords,
                 "evaluators disagree on case {} at {}", case, x,
             )
     return rep
@@ -299,12 +298,12 @@ def check_howe(pairs=((2, 1), (2, 2), (3, 1), (3, 2)), a_max: int = 2) -> Report
         for k, group in by_type.items():
             for i, sign, a in rungs:
                 try:  # one ladder per (type, rung)
-                    walk = ladder_from_word(N, k, [(sign, i, a)]).walk
+                    web = ladder_from_word(N, k, [(sign, i, a)])
                 except AnnihilatedError:
-                    walk = None
+                    web = None
                 for t, cols, key in group:
-                    by_tabs = _act_divided(sign, i, a, {cols: {0: 1}})
-                    if walk is None:
+                    by_tabs = act_divided(sign, i, a, {cols: {0: 1}})
+                    if web is None:
                         rep.check(
                             not by_tabs,
                             "annihilated ladder but nonzero action at {}, sign={}, i={}, a={}",
@@ -313,7 +312,7 @@ def check_howe(pairs=((2, 1), (2, 2), (3, 1), (3, 2)), a_max: int = 2) -> Report
                         continue
                     by_web = {
                         by_index.get(idx, idx): c
-                        for idx, c in _dense(walk, {key: {0: 1}}).items()
+                        for idx, c in evaluate_dense(web, {key: {0: 1}}).items()
                     }
                     rep.check(
                         by_web == by_tabs,
@@ -369,12 +368,20 @@ def web_gram_mismatch(gram: GradedMatrix) -> str | None:
 
 
 def _reversed_forms(maps: list[Terms]) -> list[list[LaurentPoly]]:
-    """`_form(maps[j], maps[i])` at (i, j) and (j, i) for i <= j: `gram_matrix` in reversed order."""
+    """The form of maps[i] and maps[j] at (i, j) and (j, i), i <= j, summed over the longer
+    map (maps[j] on a tie), where `gram_matrix` pairs over the shorter (maps[i] on a tie)."""
     n = len(maps)
     out: list[list] = [[None] * n for _ in maps]
     for i, x in enumerate(maps):
         for j in range(i, n):
-            out[i][j] = out[j][i] = _form(maps[j], x)
+            long, short = (x, maps[j]) if len(x) > len(maps[j]) else (maps[j], x)
+            acc: dict[int, int] = {}
+            for k, cl in long.items():
+                cs = short.get(k)
+                if cs is not None:
+                    for e, a in cl.items():
+                        add_into(acc, cs, e, a)
+            out[i][j] = out[j][i] = LaurentPoly({-e: a for e, a in acc.items()})
     return out
 
 
@@ -431,8 +438,8 @@ def check_shapovalov(cases: int = 50, seed: int = 7, pairs=((2, 1), (2, 2), (3, 
         u = u_block[rng.choice(list(u_block))].terms
         w = w_block[rng.choice(list(w_block))].terms
         lam = weight_of_type(k)
-        lhs = _form(_act_divided(-1, i, 1, u), w)
-        rhs = _form(u, _act_divided(+1, i, 1, w)).shift(1 + lam[i - 1])
+        lhs = pairing(act_divided(-1, i, 1, u), w)
+        rhs = pairing(u, act_divided(+1, i, 1, w)).shift(1 + lam[i - 1])
         rep.check(
             lhs == rhs,
             "adjointness fails at N={}, l={}, k={}, i={}: {} vs {}", N, l, k, i, lhs, rhs,
@@ -451,7 +458,7 @@ def check_commutator(cases: int = 50, seed: int = 11, pairs=((2, 1), (2, 2), (3,
         top = {highest_tableau(shape).sort_key(): {0: 1}}
         for i in range(1, shape.m):
             rep.check(
-                not _act_divided(+1, i, 1, top),
+                not act_divided(+1, i, 1, top),
                 "raising does not kill the highest vector at N={}, l={}, i={}", N, l, i,
             )
     rng = random.Random(seed)
@@ -465,8 +472,8 @@ def check_commutator(cases: int = 50, seed: int = 11, pairs=((2, 1), (2, 2), (3,
              for t in rng.sample(tableaux, min(len(tableaux), 3))}
         i = rng.randint(1, shape.m - 1)
         lam = weight_of_type(k)
-        raise_lower = _act_divided(+1, i, 1, _act_divided(-1, i, 1, x))
-        lower_raise = _act_divided(-1, i, 1, _act_divided(+1, i, 1, x))
+        raise_lower = act_divided(+1, i, 1, act_divided(-1, i, 1, x))
+        lower_raise = act_divided(-1, i, 1, act_divided(+1, i, 1, x))
         rep.check(
             not _combine([(ONE, raise_lower), (-ONE, lower_raise), (-qnum(lam[i - 1]), x)]),
             "commutator is not [{}] at N={}, l={}, k={}, i={}", lam[i - 1], N, l, k, i,
@@ -489,7 +496,7 @@ def check_serre(pairs=((2, 2), (3, 1))) -> Report:
                     x = {t.sort_key(): {0: 1}}
 
                     def e(idx, terms, s=sign):
-                        return _act_divided(s, idx, 1, terms)
+                        return act_divided(s, idx, 1, terms)
 
                     rep.check(
                         not _combine([(ONE, e(i, e(i, e(j, x)))), (ONE, e(j, e(i, e(i, x)))),

@@ -6,16 +6,16 @@ from rungs between adjacent uprights; they realize the generators of the
 quantum special linear algebra acting across skew Howe duality, with color-0
 uprights kept as explicit factors so slots stay stable.
 
-Two independent evaluators are provided: `evaluate_dense` composes the
-tensor module's slice kernels slice by slice on the input vector's map,
-while `evaluate_statesum` walks the slices depth first through the
-edge-labelings (states) of the web, labelled by frozensets, and adds one
-signed monomial per state, from local rules that share no code with the
-dense kernels.  They must agree on everything; the test suite enforces
-this.  Each slice kind is dispatched from one table, `_SLICE_KINDS`.  A
-`Web` steps its slices through each kind's `step` once, when it is made, and
-keeps the boundary below each slice (`walk`) and its codomain: an ill-formed
-web cannot be built, and every reader runs on the stored walk.
+Two independent evaluators, which the tests hold to agree on everything:
+`evaluate_dense` runs the tensor module's slice kernels, bottom slice first,
+on a kernel map of the web's domain (`eval` checks its vector's space);
+`evaluate_statesum` walks the slices depth first through the edge-labelings
+(states) of the web, labelled by frozensets, and adds one signed monomial per
+state, from local rules that share no code with the dense kernels.  Slice
+kinds are dispatched from one table, `_SLICE_KINDS`.  A `Web` steps its
+slices through each kind's `step` once, when it is made, and keeps the
+boundary below each slice (`walk`) and its codomain: an ill-formed web
+cannot be built, and every reader runs on the stored walk.
 
 Closed webs on the highest-weight boundary (color-N strands plus color-0
 padding) span a one-dimensional space; `ev_closed` reads off the unique
@@ -309,23 +309,16 @@ def ladder_from_word(
 # -- dense evaluation -------------------------------------------------
 
 
-def _dense(walk: tuple, terms: Terms) -> Terms:
-    """Run a walk's kernels on one kernel map, bottom slice first."""
-    for kind, space, s in walk:
+def evaluate_dense(web: Web, terms: Terms) -> Terms:
+    """The image on `web.codomain` of a kernel map of `web.domain`, bottom slice first."""
+    for kind, space, s in web.walk:
         terms = kind.act(space, s, terms)
     return terms
 
 
-def evaluate_dense(web: Web, x: TensorVector) -> TensorVector:
-    """Compose the elementary intertwiners slice by slice, on the vector's map."""
-    if x.space != web.domain:
-        raise ShapeMismatchError("vector does not live in the web's domain")
-    return TensorVector(web.codomain, _dense(web.walk, x.coords))
-
-
 def web_matrix(web: Web) -> dict[Index, Terms]:
     """Column map: domain basis index -> the kernel map of its image on `web.codomain`."""
-    return {idx: _dense(web.walk, {idx: {0: 1}}) for idx in basis_indices(web.domain)}
+    return {idx: evaluate_dense(web, {idx: {0: 1}}) for idx in basis_indices(web.domain)}
 
 
 # -- state-sum evaluation ---------------------------------------------
@@ -388,7 +381,7 @@ def ev_closed(web: Web) -> LaurentPoly:
     if web.codomain != web.domain:
         raise ShapeMismatchError("closed evaluation needs equal domain and codomain")
     key = _closed_key(web.domain)
-    return LaurentPoly(_dense(web.walk, {key: {0: 1}}).get(key, {}))
+    return LaurentPoly(evaluate_dense(web, {key: {0: 1}}).get(key, {}))
 
 
 def web_form(u: Web, w: Web) -> LaurentPoly:
@@ -424,7 +417,7 @@ def _forms(us: list[Web], ws: list[Web]) -> list[list[LaurentPoly]]:
         raise ShapeMismatchError("the web form is defined on plain boundaries")
     l = sum(1 for f in domain.factors if f.color == domain.N)
     d = d_norm(domain.N, l, tuple(f.color for f in cod.factors))
-    images = [_dense(w.walk, {key: {0: 1}}) for w in ws]
-    mirrors = [reflect(u).walk for u in us]
-    return [[LaurentPoly({e + d: x for e, x in _dense(r, image).get(key, {}).items()})
+    images = [evaluate_dense(w, {key: {0: 1}}) for w in ws]
+    mirrors = [reflect(u) for u in us]
+    return [[LaurentPoly({e + d: x for e, x in evaluate_dense(r, image).get(key, {}).items()})
              for image in images] for r in mirrors]

@@ -1,9 +1,9 @@
 """Constructions the tests build webs and vectors with; the program never needs them."""
 
-from qwebs.bases import _form, dual_block, lt_block
+from qwebs.bases import dual_block, lt_block, pairing
 from qwebs.howe import TableauVector, tableau_to_index
 from qwebs.ring import LaurentPoly, add_into
-from qwebs.tableaux import Shape, Tableau, tableau_type
+from qwebs.tableaux import Shape, Tableau, highest_tableau, tableau_type
 from qwebs.tensor import Boundary, Index, ShapeMismatchError, TensorVector, Terms, _mask, weight_boundary
 from qwebs.webs import Web
 
@@ -54,7 +54,12 @@ def reference_gram(N: int, l: int, ktype: tuple[int, ...], basis: str) -> tuple:
     the reference for the matrix that pairs each unordered pair once."""
     block = lt_block(N, l, ktype) if basis == "lt" else dual_block(N, l, ktype)
     maps = [e.terms for e in block.values()]
-    return tuple(tuple(_form(x, y) for y in maps) for x in maps)
+    return tuple(tuple(pairing(x, y) for y in maps) for x in maps)
+
+
+def highest_vector(shape: Shape) -> TableauVector:
+    """The basis vector of the highest tableau of the shape."""
+    return TableauVector.basis_vector(highest_tableau(shape))
 
 
 def compose(first: Web, then: Web) -> Web:

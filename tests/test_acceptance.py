@@ -7,7 +7,7 @@ the suite.
 
 import time
 
-from qwebs.bases import dual_canonical
+from qwebs.bases import dual_block
 from qwebs.ring import LaurentPoly
 from qwebs.tableaux import Shape, Tableau
 from qwebs.verify import (
@@ -38,12 +38,12 @@ def test_criterion_1_known_vector_reproduction():
     t0 = time.time()
     ok = True
     # two strands of color 1: coefficients 1, v^-1
-    d1 = dual_canonical(Tableau(Shape(2, 1), ((1, 2),)))
+    d1 = dual_block(2, 1, (1, 1))[Tableau(Shape(2, 1), ((1, 2),))]
     got1 = {t.rows[0]: c for t, c in polys(d1.expansion).items()}
     ok &= got1 == {(1, 2): LaurentPoly.one(), (2, 1): LaurentPoly.monomial(-1)}
     ok &= d1.beta == ()
     # strands of colors 2 and 1 at N=3: coefficients 1, v^-1, v^-2
-    d2 = dual_canonical(Tableau(Shape(3, 1), ((1, 1, 2),)))
+    d2 = dual_block(3, 1, (2, 1, 0))[Tableau(Shape(3, 1), ((1, 1, 2),))]
     got2 = {t.rows[0]: c for t, c in polys(d2.expansion).items()}
     ok &= got2 == {
         (1, 1, 2): LaurentPoly.one(),

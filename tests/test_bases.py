@@ -3,16 +3,15 @@ import pytest
 from qwebs import bases
 from qwebs.bases import (
     InvariantViolationError,
-    check_negative_exponent,
     dual_block,
-    dual_canonical,
     gram_matrix,
     lt_block,
     lt_vector,
     lt_web,
     pairing,
 )
-from qwebs.howe import TableauVector, act_word, highest_vector
+from qwebs.cli import main
+from qwebs.howe import act_divided
 from qwebs.ring import LaurentPoly, bar
 from qwebs.tableaux import (
     NotSemistandardError,
@@ -27,7 +26,7 @@ from qwebs.tensor import Boundary, Factor, TensorVector, _subset, apply_merge, a
 from qwebs.webalg import bounded_weights
 from qwebs.webs import d_norm, evaluate_dense, validate
 
-from helpers import combine, idx, polys, reference_gram, tensor_product, to_tensor
+from helpers import combine, highest_vector, idx, polys, reference_gram, tensor_product, to_tensor
 
 fs = frozenset
 one = LaurentPoly.one()
@@ -39,7 +38,7 @@ def mono(e):
 
 def test_lt_vector_highest():
     top = highest_tableau(Shape(2, 2))
-    elem = lt_vector(top)
+    elem = lt_vector(top.shape, [top])[top]
     assert elem.word == ()
     assert polys(elem.expansion) == {top: one}
 
@@ -47,7 +46,7 @@ def test_lt_vector_highest():
 def test_lt_vector_two_strands():
     s21 = Shape(2, 1)
     t = Tableau(s21, ((1, 2),))
-    elem = lt_vector(t)
+    elem = lt_vector(s21, [t])[t]
     assert elem.word == ((1, 1),)
     assert polys(elem.expansion) == {
         t: one,
@@ -58,7 +57,7 @@ def test_lt_vector_two_strands():
 def test_lt_vector_three_strands():
     s31 = Shape(3, 1)
     t = Tableau(s31, ((1, 2, 3),))
-    elem = lt_vector(t)
+    elem = lt_vector(s31, [t])[t]
     assert elem.word == ((1, 1), (2, 1), (1, 1))
     assert elem.expansion.coeff(t.sort_key()).is_one()
     # all six column-strict rearrangements appear with nonnegative coefficients
@@ -71,7 +70,7 @@ def test_lt_vector_three_strands():
 
 def test_lt_vector_rejects_non_semistandard():
     with pytest.raises(NotSemistandardError):
-        lt_vector(Tableau(Shape(2, 1), ((2, 1),)))
+        lt_vector(Shape(2, 1), [Tableau(Shape(2, 1), ((2, 1),))])
 
 
 def block_types(N, l, every=1):
@@ -82,13 +81,16 @@ def block_types(N, l, every=1):
 
 @pytest.mark.parametrize("N,l,every", [(2, 4, 1), (3, 2, 1), (3, 3, 150), (4, 2, 150)])
 def test_lt_block_tree_walk_matches_whole_word_replay(N, l, every):
-    top = highest_vector(Shape(N, l))
+    top = {highest_tableau(Shape(N, l)).sort_key(): {0: 1}}
     for k in block_types(N, l, every):
         block = lt_block.__wrapped__(N, l, k)  # a fresh walk, not a cached block
         for t, elem in block.items():
             word = peel_word(t)
             assert elem.tableau is t and elem.word == tuple(word)
-            assert elem.expansion == act_word(-1, reversed(word), top), (k, str(t))
+            terms = top
+            for i, r in reversed(word):
+                terms = act_divided(-1, i, r, terms)
+            assert elem.terms == terms, (k, str(t))
 
 
 @pytest.mark.parametrize("N,l", [(2, 4), (3, 2)])
@@ -125,40 +127,52 @@ def test_blocks_build_no_tableau_for_their_terms(monkeypatch, N, l):
 def test_walker_checks_every_vector_it_builds(monkeypatch, inject, message):
     import qwebs.bases
 
-    real = qwebs.bases._act_divided
+    real = qwebs.bases.act_divided
 
     def corrupted(sign, i, r, terms):
         out = real(sign, i, r, terms)
         inject(out)
         return out
 
-    monkeypatch.setattr(qwebs.bases, "_act_divided", corrupted)
+    monkeypatch.setattr(qwebs.bases, "act_divided", corrupted)
     with pytest.raises(InvariantViolationError, match=message):
-        lt_vector(Tableau(Shape(2, 1), ((1, 2),)))
+        lt_vector(Shape(2, 1), [Tableau(Shape(2, 1), ((1, 2),))])
 
 
-def test_check_negative_exponent():
-    s21 = Shape(2, 1)
-    t = Tableau(s21, ((1, 2),))
-    assert check_negative_exponent(TableauVector.basis_vector(t), t).passed
-    bad = TableauVector.basis_vector(t)
-    bad.add_term(Tableau(s21, ((2, 1),)).sort_key(), mono(1))
-    rep = check_negative_exponent(bad, t)
-    assert not rep.passed
-    assert len(rep.violations) == 1
+def test_dual_canonical_names_the_tableaux_that_break_the_negative_exponent_property(
+        monkeypatch, capsys):
+    # with every correction dropped, the first element that needs one keeps
+    # the coefficient at the first tableau it would have corrected
+    k = (0, 0, 1, 2, 1, 2)
+    t, elem = next((t, e) for t, e in dual_block(3, 2, k).items() if e.beta)
+    s = elem.beta[0][0]
+    c = lt_block(3, 2, k)[t].terms[s.sort_key()]
+    assert max(c) >= 0
+    monkeypatch.setattr(bases, "symmetrize_correction", lambda _: LaurentPoly.zero())
+    dual_block.cache_clear()
+    with pytest.raises(InvariantViolationError) as exc:
+        dual_block(3, 2, k)
+    message = str(exc.value)
+    assert message.startswith(f"negative exponent property fails for {t}: ((")
+    assert f"({s!r}, {LaurentPoly(c)!r})" in message
+    assert main(["dual-canonical", "--N", "3", "--l", "2", "--type", "0,0,1,2,1,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invariant violation: {message}\n"
+    assert dual_block.cache_info().currsize == 0
 
 
 def test_dual_canonical_small_elements():
     # two strands of color one
     s21 = Shape(2, 1)
     t = Tableau(s21, ((1, 2),))
-    d = dual_canonical(t)
+    d = dual_block(2, 1, tableau_type(t))[t]
     assert d.beta == ()
     assert polys(d.expansion) == {t: one, Tableau(s21, ((2, 1),)): mono(-1)}
     # one strand of color one and one of color two
     s31 = Shape(3, 1)
     t2 = Tableau(s31, ((1, 1, 2),))
-    d2 = dual_canonical(t2)
+    d2 = dual_block(3, 1, tableau_type(t2))[t2]
     assert d2.beta == ()
     assert {tt.rows[0]: c for tt, c in polys(d2.expansion).items()} == {
         (1, 1, 2): one,
@@ -167,7 +181,7 @@ def test_dual_canonical_small_elements():
     }
     # trivial at the top
     top = highest_tableau(s21)
-    dt = dual_canonical(top)
+    dt = dual_block(2, 1, tableau_type(top))[top]
     assert polys(dt.expansion) == {top: one} and dt.beta == ()
 
 
@@ -179,8 +193,9 @@ def test_dual_canonical_nontrivial_correction():
     corrected = [t for t, e in blk.items() if e.beta]
     assert corrected, "expected a nontrivial correction in this block"
     for t, elem in blk.items():
-        rep = check_negative_exponent(elem.expansion, t)
-        assert rep.passed
+        key = t.sort_key()
+        assert elem.terms[key] == {0: 1}
+        assert all(max(c) < 0 for tau, c in elem.terms.items() if tau != key)
         for s, g in elem.beta:
             assert bar(g) == g
             assert s.sort_key() > t.sort_key()
@@ -194,8 +209,10 @@ def test_dual_canonical_deterministic():
     shape = Shape(3, 2)
     k = (0, 0, 1, 2, 1, 2)
     t = [t for t in enumerate_tableaux(shape, k, semistandard_only=True)][-1]
-    a = dual_canonical(t)
-    b = dual_canonical(t)
+    a = dual_block(3, 2, k)[t]
+    dual_block.cache_clear()
+    b = dual_block(3, 2, k)[t]
+    assert a is not b
     assert a.expansion == b.expansion and a.beta == b.beta
 
 
@@ -214,7 +231,7 @@ def test_almost_orthogonality_block():
     labels = list(duals)
     for s in labels:
         for t in labels:
-            val = pairing(duals[s].expansion, duals[t].expansion)
+            val = pairing(duals[s].terms, duals[t].terms)
             target = val - one if s == t else val
             assert target.is_zero() or target.valuation() >= 1
 
@@ -241,8 +258,8 @@ GRAM_BLOCKS = [*((3, 2, k) for k in bounded_weights(3, 6)), *((2, 4, k) for k in
 def test_gram_matrix_pairs_each_unordered_pair_once(monkeypatch, basis):
     # every entry equals the ordered-pair reference, from n(n+1)/2 pairings
     calls = []
-    form = bases._form
-    monkeypatch.setattr(bases, "_form", lambda x, y: calls.append(1) or form(x, y))
+    form = bases.pairing
+    monkeypatch.setattr(bases, "pairing", lambda x, y: calls.append(1) or form(x, y))
     for N, l, k in GRAM_BLOCKS:
         calls.clear()
         g = gram_matrix(N, l, k, basis=basis)
@@ -285,8 +302,8 @@ def test_lt_web_matches_expansion():
         t = Tableau(Shape(N, l), rows)
         web = lt_web(t)
         validate(web)
-        image = evaluate_dense(web, to_tensor(highest_vector(Shape(N, l))))
-        assert image == to_tensor(lt_vector(t).expansion)
+        image = evaluate_dense(web, to_tensor(highest_vector(Shape(N, l))).coords)
+        assert image == to_tensor(lt_vector(t.shape, [t])[t].expansion).coords
 
 
 # -- known dual canonical families across duality tags ------------------

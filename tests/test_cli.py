@@ -10,7 +10,7 @@ import pytest
 from qwebs import bases, verify
 from qwebs.bases import dual_block, lt_block
 from qwebs.cli import COMMANDS, VERIFY_SWEEPS, basis_entries, build_parser, command_parser, main, parse_args
-from qwebs.howe import _act_divided
+from qwebs.howe import act_divided
 from qwebs.tableaux import Shape
 from qwebs.tensor import MAX_N, Boundary, Factor
 from qwebs.verify import Report
@@ -696,6 +696,8 @@ INPUT_CHECKS = {
     "tableau-column-not-increasing": ("act --sign=- --i 1 --vector {tv}",
                                       {"tv": _tableau_vector([1, 2], [1, 3])},
                                       "columns must strictly increase"),
+    "act-negative-multiplicity": ("act --sign=- --i 1 --r=-1 --vector {tv}", {"tv": _tableau_vector([1, 2])},
+                                  "multiplicity must be nonnegative"),
     "factor-color-over-N": ("ev --web {w}", {"w": _web([{"color": 3, "dual": False}])},
                             "factor color 3 outside 0..2"),
     "merge-colors-over-N": ("ev --web {w}",
@@ -754,11 +756,11 @@ def test_table_format(capsys, tmp_path, command):
 def test_broken_leading_term_exits_3_with_no_output(capsys, monkeypatch):
     # the walk's kernel loses the leading term of each map it makes
     def drop_leading(*args):
-        terms = dict(_act_divided(*args))
+        terms = dict(act_divided(*args))
         terms.pop(min(terms, default=None), None)
         return terms
 
-    monkeypatch.setattr(bases, "_act_divided", drop_leading)
+    monkeypatch.setattr(bases, "act_divided", drop_leading)
     lt_block.cache_clear()
     assert main(["lt-basis", "--N", "2", "--l", "2", "--type", "1,1,1,1"]) == 3
     captured = capsys.readouterr()

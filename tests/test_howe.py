@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwebs.bases import _lt_walk, dual_block, lt_block
+from qwebs.bases import dual_block, lt_block, lt_vector
 from qwebs.howe import (
     TableauVector,
-    _act_divided,
     act_E,
     act_divided,
-    act_word,
-    highest_vector,
+    check_generator,
     tableau_to_index,
     terms_texts,
     weight_of_type,
@@ -22,7 +20,7 @@ from qwebs.ring import LaurentPoly, exact_divide, qfactorial, qint, qnum
 from qwebs.tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, tableau_type
 from qwebs.webs import evaluate_dense, ladder_from_word
 
-from helpers import combine, idx, index_to_tableau, polys, terms_json, to_tensor
+from helpers import combine, highest_vector, idx, index_to_tableau, polys, terms_json, to_tensor
 
 one = LaurentPoly.one()
 
@@ -75,8 +73,8 @@ def test_commutator_is_weight_scalar(N, l):
 def test_divided_power_examples():
     s22 = Shape(2, 2)
     top = highest_vector(s22)
-    assert act_divided(-1, 1, 0, top) == top
-    assert act_divided(-1, 1, 1, top) == act_E(-1, 1, top)
+    assert act_divided(-1, 1, 0, top.coords) == top.coords
+    assert act_divided(-1, 1, 1, top.coords) == act_E(-1, 1, top).coords
     # index 1 cannot lower the top (every column already contains a 2);
     # index 2 lowers both 2s, and the square carries the full [2] factor
     assert not act_E(-1, 1, top).coords
@@ -85,7 +83,7 @@ def test_divided_power_examples():
     (t2, c2), = polys(raw).items()
     assert t2 == Tableau(s22, ((1, 1), (3, 3)))
     assert c2 == qint(2)
-    assert polys(act_divided(-1, 2, 2, top)) == {t2: one}
+    assert polys(TableauVector(s22, act_divided(-1, 2, 2, top.coords))) == {t2: one}
 
 
 def test_divided_power_integrality():
@@ -96,7 +94,7 @@ def test_divided_power_integrality():
             x = TableauVector.basis_vector(t)
             for i in range(1, shape.m):
                 for sign in (+1, -1):
-                    assert act_divided(sign, i, 2, x) == reference_act_divided(sign, i, 2, x)
+                    assert act_divided(sign, i, 2, x.coords) == reference_act_divided(sign, i, 2, x).coords
 
 
 def test_action_matches_ladders_small():
@@ -110,9 +108,9 @@ def test_action_matches_ladders_small():
                 web = ladder_from_word(2, k, [(sign, i, a)])
             except Exception:
                 continue
-            image = evaluate_dense(web, to_tensor(x))
-            by_web = {index_to_tableau(shape, key): c for key, c in polys(image).items()}
-            assert by_web == polys(act_divided(sign, i, a, x))
+            image = evaluate_dense(web, to_tensor(x).coords)
+            by_web = {index_to_tableau(shape, key): LaurentPoly(c) for key, c in image.items()}
+            assert by_web == polys(TableauVector(shape, act_divided(sign, i, a, x.coords)))
 
 
 def test_tensor_dictionary_roundtrip():
@@ -202,7 +200,8 @@ def test_kernel_matches_grid_swap_oracle(x):
         for i in range(1, x.space.m):
             assert act_E(sign, i, x) == reference_act_E(sign, i, x), (sign, i)
             for r in range(4):
-                assert act_divided(sign, i, r, x) == reference_act_divided(sign, i, r, x), (sign, i, r)
+                assert act_divided(sign, i, r, x.coords) == reference_act_divided(sign, i, r, x).coords, (
+                    sign, i, r)
 
 
 @settings(deadline=None)
@@ -212,7 +211,7 @@ def test_one_pass_divided_power_is_the_divided_r_fold_action(x, data):
     sign = data.draw(st.sampled_from((-1, +1)))
     i = data.draw(st.integers(1, x.space.m - 1))
     r = data.draw(st.integers(0, x.space.N + 1))
-    assert act_divided(sign, i, r, x) == reference_act_divided(sign, i, r, x), (sign, i, r)
+    assert act_divided(sign, i, r, x.coords) == reference_act_divided(sign, i, r, x).coords, (sign, i, r)
 
 
 @settings(max_examples=50, deadline=None)
@@ -221,10 +220,11 @@ def test_word_matches_step_by_step(x, data):
     m = x.space.m
     sign = data.draw(st.sampled_from((-1, +1)))
     word = data.draw(st.lists(st.tuples(st.integers(1, m - 1), st.integers(0, 3)), max_size=4))
-    y = x
+    y, terms = x, x.coords
     for i, r in word:
         y = reference_act_divided(sign, i, r, y)
-    assert act_word(sign, word, x) == y
+        terms = act_divided(sign, i, r, terms)
+    assert terms == y.coords
 
 
 def _meeting_moves(shape, sign, i, r):
@@ -252,13 +252,13 @@ def test_kernel_hands_on_unshifted_maps_and_changes_no_input(N, l, r):
             for b in ({5: 1}, {e - s2: -x for e, x in a.items()}):  # the second cancels a at K
                 for terms in ({k1: a, k2: b}, {k2: b, k1: a}):
                     before = copy.deepcopy(terms)
-                    out = _act_divided(sign, i, r, terms)
+                    out = act_divided(sign, i, r, terms)
                     assert out == reference_act_divided(sign, i, r, TableauVector(shape, terms)).coords
                     assert terms == before and (K in out) == (b == {5: 1})
                     cases += 1
     assert cases
     c = {0: 1}  # moving the right column of 1/1 has shift 0, and meets no other move
-    assert _act_divided(-1, 1, 1, {((1,), (1,)): c})[((1,), (2,))] is c
+    assert act_divided(-1, 1, 1, {((1,), (1,)): c})[((1,), (2,))] is c
 
 
 def test_dual_block_leaves_the_cached_lt_maps_as_computed():
@@ -267,29 +267,36 @@ def test_dual_block_leaves_the_cached_lt_maps_as_computed():
     dual_block.cache_clear()
     block = lt_block(4, 2, k)
     assert any(e.beta for e in dual_block(4, 2, k).values())
-    fresh = _lt_walk(Shape(4, 2), list(block))
+    fresh = lt_vector(Shape(4, 2), list(block))
     assert {t: e.terms for t, e in lt_block(4, 2, k).items()} == {t: e.terms for t, e in fresh.items()}
 
 
 @pytest.mark.parametrize("r", [0, 1, 3])
 def test_generator_index_is_checked_for_every_r(r):
-    top = highest_vector(Shape(2, 2))
+    # the kernel checks nothing; `act_E` and the `act` command check here
+    shape = Shape(2, 2)
+    top = highest_vector(shape)
+    check_generator(shape, -1, 3, r)
     for i in (0, 4, 99):
-        with pytest.raises(ValueError):
-            act_divided(-1, i, r, top)
-    with pytest.raises(ValueError):
-        act_divided(-1, 1, -1, top)
+        with pytest.raises(ValueError, match=f"generator index {i} outside 1..3"):
+            check_generator(shape, -1, i, r)
+        with pytest.raises(ValueError, match=f"generator index {i} outside 1..3"):
+            act_E(-1, i, top)
+    with pytest.raises(ValueError, match="multiplicity must be nonnegative"):
+        check_generator(shape, -1, 1, -1)
     for sign in (0, 2, -2):
-        with pytest.raises(ValueError):
-            act_divided(sign, 1, r, top)
+        with pytest.raises(ValueError, match="sign must be -1 or \\+1"):
+            check_generator(shape, sign, 1, r)
+        with pytest.raises(ValueError, match="sign must be -1 or \\+1"):
+            act_E(sign, 1, top)
 
 
 def test_terms_texts_write_the_json_of_terms_json():
     shape = Shape(2, 2)
-    x = act_word(-1, [(2, 1), (1, 1), (3, 1)], highest_vector(shape))
+    x = act_divided(-1, 3, 1, act_divided(-1, 1, 1, act_divided(-1, 2, 1, highest_vector(shape).coords)))
     y = act_divided(-1, 2, 1, x)
     # shares its keys with x and y; one coefficient has two exponents
-    mixed = {**x.coords, min(y.coords): {-2: 3, 1: -1}}
+    mixed = {**x, min(y): {-2: 3, 1: -1}}
     # two-digit entries (m = 10 and 12), one row (l = 1), coefficients past
     # 64 bits, negative exponents, and empty maps
     wide, row = Shape(5, 2), Shape(12, 1)
@@ -299,7 +306,7 @@ def test_terms_texts_write_the_json_of_terms_json():
     p = Tableau(row, (tuple(range(1, 13)),)).sort_key()
     q = Tableau(row, ((12, 11, 10, 9, 1, 1, 2, 2, 3, 4, 5, 12),)).sort_key()
     cases = [
-        (shape, [x.coords, {}, y.coords, mixed]),
+        (shape, [x, {}, y, mixed]),
         (wide, [{a: {-3: 2**64 + 1, 5: -(2**70)}, b: {0: 1}}, {c: {-1: -(2**64)}, a: {2: 7}}, {}]),
         (row, [{p: {-2: 1, -1: 2}, q: {-5: -3}}, {q: {0: 2**80}}]),
         (wide, [{}]),

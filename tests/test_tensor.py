@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qwebs.bases import dual_block, lt_block
-from qwebs.howe import TableauVector, _act_divided, act_word, highest_vector
+from qwebs.howe import TableauVector, act_divided, act_E
 from qwebs.ring import LaurentPoly, qbinom
 from qwebs.tensor import (
     Boundary,
@@ -31,7 +31,7 @@ from qwebs.tensor import (
 from qwebs.tableaux import Shape
 from qwebs.webs import Web, evaluate_dense, evaluate_statesum, merge, split, tag, web_matrix
 
-from helpers import combine, idx, polys, tensor_product, terms_json
+from helpers import combine, highest_vector, idx, polys, tensor_product, terms_json
 
 fs = frozenset
 one = LaurentPoly.one()
@@ -237,7 +237,7 @@ def test_no_kernel_changes_a_map_it_is_given():
     runs = [
         (lambda x: merge_kernel(2, x, 1), merge_in, {(3, 1): {4: 2, 5: 1}}),
         (lambda x: cap_kernel(x, 1), cap_in, {(1,): {2: 3}}),
-        (lambda x: _act_divided(-1, 1, 1, x), howe_in, {((2,), (2,), (3,)): {3: 3}}),
+        (lambda x: act_divided(-1, 1, 1, x), howe_in, {((2,), (2,), (3,)): {3: 3}}),
         (lambda x: split_kernel(2, x, 1, 1), split_in, None),
         (lambda x: merge_kernel(2, split_kernel(2, x, 1, 1), 1), split_in,
          {(3, 1): {-1: 1, 3: -1}, (3, 2): {2: 2, 0: 2}}),  # [2](1 - v^2) = v^-1 - v^3
@@ -271,23 +271,25 @@ def test_every_vector_holds_int_maps_and_shares_none_it_may_change():
     parts = apply_split(x, 1, 2, 1)
     cupped = apply_cup(parts, 1, 1)
     tensors = [parts, apply_merge(parts, 1, 2, 1), apply_tag(parts, 2, "right"), cupped,
-               apply_cap(cupped, 1, 1), evaluate_dense(web, x), evaluate_statesum(web, x),
+               apply_cap(cupped, 1, 1), TensorVector(web.codomain, evaluate_dense(web, x.coords)),
+               evaluate_statesum(web, x),
                *(TensorVector(web.codomain, image) for image in web_matrix(web).values()),
                TensorVector.from_json(parts.to_json())]
     top = highest_vector(Shape(2, 2))
     k = (0, 0, 1, 2, 1, 2)
-    tableaux = [act_word(-1, [(2, 1), (1, 1)], top), act_word(-1, [], top),
+    tableaux = [TableauVector(top.space, act_divided(-1, 1, 1, act_divided(-1, 2, 1, top.coords))),
+                act_E(-1, 2, top),
                 *(e.expansion for e in lt_block(3, 2, k).values()),
                 *(e.expansion for e in dual_block(3, 2, k).values())]
     tableaux.append(TableauVector.from_json(terms_json(top.space, tableaux[0].coords)))
     for v in tensors + tableaux:
         assert v.coords and all(_is_int_map(c) for c in v.coords.values()), v
-    assert polys(evaluate_dense(web, x)) == polys(combine((qbinom(3, 1), x)))
+    assert evaluate_dense(web, x.coords) == combine((qbinom(3, 1), x)).coords
 
     # a vector's outer map is its own, and add_term copies an inner map before it
     # changes it: vectors built on a block's maps leave the cached block as it was
-    empty_word = act_word(-1, [], top)
-    assert empty_word.coords == top.coords and empty_word.coords is not top.coords
+    copied = TableauVector(top.space, top.coords)
+    assert copied.coords == top.coords and copied.coords is not top.coords
     blocks = {t: copy.deepcopy(e.terms) for t, e in lt_block(3, 2, k).items()}
     for t, e in lt_block(3, 2, k).items():
         y = e.expansion

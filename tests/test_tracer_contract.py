@@ -1,13 +1,17 @@
 """The benchmark's tracer wraps and counts qwebs names: each must exist and be restored.
 
 The tracer's own tests are not part of this suite, so these pin what it
-reads of qwebs: the spanned and counted names, and a sized `coords` on the
-results whose terms it counts.
+reads of qwebs: the spanned and counted names, a sized `coords` on the
+results whose terms it counts, and that the names it spans are the ones the
+commands do their work through.
 """
 
 import importlib
+import json
 import os
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
@@ -18,9 +22,10 @@ from perfbench.run import module_caches  # noqa: E402
 
 import qwebs.cli  # noqa: E402,F401  (the tracer patches qwebs.cli.json)
 from qwebs import bases, howe  # noqa: E402
-from qwebs.howe import highest_vector  # noqa: E402
 from qwebs.tableaux import Shape  # noqa: E402
 from qwebs.tensor import Boundary, Factor, TensorVector, basis_indices  # noqa: E402
+
+from helpers import highest_vector  # noqa: E402
 
 
 def _qwebs_modules() -> dict:
@@ -90,3 +95,39 @@ def test_kernel_move_table_is_cleared_before_each_op():
         bases.lt_block.cache_clear()
         howe._column_moves.cache_clear()
         assert {t: e.terms for t, e in bases.lt_block(*key).items()} == maps
+
+
+# One op of each benchmark workload, with the counters that must read its work.
+TRACED_OPS = {
+    "cartan --N 2 --k 1,1,1,1,1,1": ("bases.lt_vector_calls", "howe.act_divided_calls"),
+    "dual-canonical --N 3 --l 2 --type 0,0,1,2,1,2": (
+        "bases.lt_vector_calls", "howe.act_divided_calls", "bases.corrections"),
+    "verify --evaluators --cases 3": ("webs.evaluate_dense_calls", "webs.slices_evaluated"),
+}
+
+
+def _run_cold(capsys, argv: list[str], t=None) -> tuple[int, str]:
+    """`qwebs.cli.main(argv)` from cleared caches, as the benchmark runs an op."""
+    for cache in module_caches().values():
+        cache.cache_clear()
+    if t is not None:
+        t.install()
+    try:
+        code = sys.modules["qwebs.cli"].main(argv)
+    finally:
+        if t is not None:
+            t.uninstall()
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("op", TRACED_OPS)
+def test_traced_names_see_the_work_and_leave_the_output_as_it_was(capsys, op):
+    untraced = _run_cold(capsys, op.split())
+    assert untraced[0] == 0
+    t = tracer.Tracer()
+    assert _run_cold(capsys, op.split(), t) == untraced
+    for key in TRACED_OPS[op]:
+        assert t.counts[key] > 0, key
+    if op.startswith("cartan"):  # one pairing per unordered pair of labels
+        n = len(json.loads(untraced[1])["cartan"]["labels"])
+        assert t.counts["bases.pairing_calls"] == n * (n + 1) // 2 == 15

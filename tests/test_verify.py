@@ -1,6 +1,6 @@
 """Failures in the verify sweeps are still found and reported with their text."""
 
-from qwebs import verify
+from qwebs import bases, verify
 from qwebs.bases import GradedMatrix, gram_matrix
 from qwebs.cli import main
 from qwebs.ring import LaurentPoly
@@ -30,12 +30,12 @@ def test_report_formats_the_failure_text_only_on_failure():
 
 def _patch_kernel(monkeypatch, wrong):
     """Make the tableau route return `wrong(sign, i, a, terms, out)` in place of its map."""
-    real = verify._act_divided
+    real = verify.act_divided
 
     def act_divided(sign, i, a, terms):
         return wrong(sign, i, a, terms, real(sign, i, a, terms))
 
-    monkeypatch.setattr(verify, "_act_divided", act_divided)
+    monkeypatch.setattr(verify, "act_divided", act_divided)
 
 
 def _wrong_once(monkeypatch, case, wrong):
@@ -105,9 +105,9 @@ def test_howe_reports_a_web_image_off_the_tableaux_as_a_failed_check(monkeypatch
     # disagreement of the routes, not bad input
     pairs = ((2, 1),)
     clean = check_howe(pairs)
-    real = verify._dense
-    monkeypatch.setattr(verify, "_dense", lambda walk, terms: {
-        (key[0], key[0]) + key[2:]: c for key, c in real(walk, terms).items()})
+    real = verify.evaluate_dense
+    monkeypatch.setattr(verify, "evaluate_dense", lambda web, terms: {
+        (key[0], key[0]) + key[2:]: c for key, c in real(web, terms).items()})
     rep = check_howe(pairs)
     assert rep.cases == clean.cases and rep.failures
     assert all(f.startswith("routes disagree at ") for f in rep.failures)
@@ -206,6 +206,28 @@ def test_form_sweep_reports_a_mirrored_wrong_gram_entry(monkeypatch):
         "Gram symmetry fails at N=2, l=2, k=(1, 1, 1, 1), (13/24,12/34)",
         "Gram symmetry fails at N=2, l=2, k=(1, 1, 1, 1), (12/34,13/24)",
     ]
+
+
+
+def test_cartan_sweep_sums_the_reversed_forms_apart_from_pairing(monkeypatch):
+    # a pairing that leaves out the least key the two maps share is wrong the
+    # same way in either order, so only a sum of its own can see it
+    clean = verify.check_cartan(2, 4)
+    assert clean.passed
+    real = bases.pairing
+
+    def dropping(x, y):
+        common = x.keys() & y.keys()
+        if not common:
+            return real(x, y)
+        least = min(common)
+        return real({k: c for k, c in x.items() if k != least}, y)
+
+    for module in (bases, verify):
+        monkeypatch.setattr(module, "pairing", dropping)
+    rep = verify.check_cartan(2, 4)
+    assert rep.cases == clean.cases
+    assert any(f.startswith("Cartan symmetry fails") for f in rep.failures)
 
 
 def test_relation_sweep_fails_on_shifted_binomials(monkeypatch):
