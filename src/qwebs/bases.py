@@ -18,7 +18,7 @@ Each element holds its vector as the kernel's map, {column tuple:
 {exponent: int}}, the form every `TableauVector` holds; the corrections and
 the Gram pairings add up on these maps through `ring.add_into`, and an
 element's `expansion` is the vector of its map.  `pairing` is the one form
-on such maps.
+on such maps, the barred `tensor.dot`.
 
 The dual canonical element b^T is computed from the A-basis by triangular
 elimination: scanning semistandard S below T in descending order, any
@@ -41,7 +41,7 @@ from functools import cache
 from .howe import TableauVector, act_divided
 from .ring import LaurentPoly, add_into, bar, symmetrize_correction
 from .tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, peel_word
-from .tensor import Terms
+from .tensor import Terms, dot
 from .webs import Web, ladder_from_word
 
 
@@ -192,15 +192,7 @@ def pairing(x: Terms, y: Terms) -> LaurentPoly:
     the shorter map, with bar taken once, at the end; valid for vectors
     fixed by the bar involution (all basis vectors here are).
     """
-    if len(y) < len(x):
-        x, y = y, x
-    acc: dict[int, int] = {}
-    for k, cx in x.items():
-        cy = y.get(k)
-        if cy is not None:
-            for e, a in cx.items():
-                add_into(acc, cy, e, a)
-    return LaurentPoly({-e: a for e, a in acc.items()})
+    return LaurentPoly({-e: a for e, a in dot(x, y).items()})
 
 
 def lt_web(t: Tableau) -> Web:

@@ -31,11 +31,14 @@ attaches v^len(T,S) with S the left input; this choice is pinned down by the
 known expansions of the small invariant vectors (see tests).
 
 The kernels (`merge_kernel`, `split_kernel`, `tag_kernel`, `cup_kernel`,
-`cap_kernel`) act on a vector's map.  len on masks is read from one table per
-N, filled by bit operations when a pair is first read, and the (S - T, T,
-exponent) list of each split from one table per (N, a), keyed by S.  `webs`
-runs a whole slice list on one map, and `apply_merge` and its siblings run
-one slice on a `TensorVector`.  `ell` on sets and `_subsets` serve the
+`cap_kernel`) act on a vector's map.  len on masks is read from one table
+per N, filled by bit operations when a pair is first read, and the (S - T,
+T, exponent) list of each split from one table per (N, a, degree), keyed by
+S.  A degree shift of merge and split and a barred tag give the co-kernels
+that `webs` walks for the web form, and `dot` sums the products of two
+maps' coefficients over their common keys.  `webs` runs a whole slice list
+on one map, and `apply_merge` and its siblings run one slice on a
+`TensorVector`.  `ell` on sets and `_subsets` serve the
 state-sum reference in `webs` and share no code with the kernels.
 """
 
@@ -85,9 +88,7 @@ class Boundary:
         if not 2 <= self.N <= MAX_N:
             bound = ">= 2" if self.N < 2 else f"<= {MAX_N}"
             raise ValueError(f"invalid N={self.N}: a boundary needs N {bound}")
-        for f in self.factors:
-            if not 0 <= f.color <= self.N:
-                raise ValueError(f"factor color {f.color} outside 0..{self.N}")
+        _check_colors(self.N, self.factors)
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -98,9 +99,17 @@ class Boundary:
         return self.factors[pos - 1]
 
     def replace(self, pos: int, count: int, new: tuple[Factor, ...]) -> "Boundary":
-        """Splice `new` over `count` factors starting at slot `pos`."""
+        """Splice `new` over `count` factors starting at slot `pos`.
+
+        Only `new` is checked: the factors kept were checked when this
+        boundary was made.
+        """
+        _check_colors(self.N, new)
         fs = self.factors
-        return Boundary(self.N, fs[: pos - 1] + new + fs[pos - 1 + count :])
+        out = object.__new__(Boundary)
+        object.__setattr__(out, "N", self.N)
+        object.__setattr__(out, "factors", fs[: pos - 1] + new + fs[pos - 1 + count :])
+        return out
 
     def to_json(self) -> list[dict]:
         return [f.to_json() for f in self.factors]
@@ -108,6 +117,12 @@ class Boundary:
     @classmethod
     def from_json(cls, N: int, data: list[dict]) -> "Boundary":
         return cls(N, tuple(Factor.from_json(d) for d in data))
+
+
+def _check_colors(N: int, factors: tuple[Factor, ...]) -> None:
+    for f in factors:
+        if not 0 <= f.color <= N:
+            raise ValueError(f"factor color {f.color} outside 0..{N}")
 
 
 _factor = cache(Factor)  # one shared `Factor` per (color, dual)
@@ -277,19 +292,19 @@ def merged_space(space: Boundary, a: int, b: int, pos: int) -> Boundary:
     _expect(space, pos + 1, a, False)
     if a + b > space.N:
         raise ShapeMismatchError(f"merge color {a}+{b} exceeds N={space.N}")
-    return space.replace(pos, 2, (Factor(a + b),))
+    return space.replace(pos, 2, (_factor(a + b),))
 
 
 def split_space(space: Boundary, a: int, b: int, pos: int) -> Boundary:
     _expect(space, pos, a + b, False)  # so a + b is a color of 0..N
     if a < 0 or b < 0:
         raise ShapeMismatchError(f"split colors ({a},{b}) invalid for N={space.N}")
-    return space.replace(pos, 1, (Factor(b), Factor(a)))
+    return space.replace(pos, 1, (_factor(b), _factor(a)))
 
 
 def tag_space(space: Boundary, pos: int) -> Boundary:
     f = space.factor(pos)
-    return space.replace(pos, 1, (Factor(space.N - f.color, not f.dual),))
+    return space.replace(pos, 1, (_factor(space.N - f.color, not f.dual),))
 
 
 def cup_space(space: Boundary, a: int, pos: int) -> Boundary:
@@ -297,7 +312,7 @@ def cup_space(space: Boundary, a: int, pos: int) -> Boundary:
         raise ShapeMismatchError(f"cup position {pos} outside 1..{len(space.factors)+1}")
     if not 0 <= a <= space.N:
         raise ShapeMismatchError(f"cup color {a} outside 0..{space.N}")
-    return space.replace(pos, 0, (Factor(a, dual=True), Factor(a)))
+    return space.replace(pos, 0, (_factor(a, True), _factor(a)))
 
 
 def cap_space(space: Boundary, a: int, pos: int) -> Boundary:
@@ -341,14 +356,14 @@ def _ell_table(N: int) -> _Table:
 
 
 @cache
-def _split_table(N: int, a: int) -> _Table:
-    """At a mask S: (S - T, T, -ell(T, S - T)) for each a-subset T of S."""
+def _split_table(N: int, a: int, degree: int) -> _Table:
+    """At a mask S: (S - T, T, degree - ell(T, S - T)) for each a-subset T of S."""
     tab = _ell_table(N)
-    return _Table(lambda S: tuple((S ^ T, T, -tab[T << N | S ^ T]) for T in _submasks(S, a)))
+    return _Table(lambda S: tuple((S ^ T, T, degree - tab[T << N | S ^ T]) for T in _submasks(S, a)))
 
 
-def merge_kernel(N: int, terms: Terms, pos: int) -> Terms:
-    """x_S (x) x_T -> v^len(T,S) x_{S u T}, S at slot pos+1 and T at slot pos."""
+def merge_kernel(N: int, terms: Terms, pos: int, degree: int = 0) -> Terms:
+    """x_S (x) x_T -> v^(len(T,S) + degree) x_{S u T}, S at slot pos+1 and T at slot pos."""
     tab = _ell_table(N)
     lo = pos - 1
     out: Terms = {}
@@ -356,7 +371,7 @@ def merge_kernel(N: int, terms: Terms, pos: int) -> Terms:
         T, S = key[lo], key[pos]
         if S & T:
             continue
-        shift = tab[T << N | S]
+        shift = tab[T << N | S] + degree
         key = key[:lo] + (S | T,) + key[pos + 1 :]
         acc = out.get(key)
         if acc is None:
@@ -368,14 +383,14 @@ def merge_kernel(N: int, terms: Terms, pos: int) -> Terms:
     return out
 
 
-def split_kernel(N: int, terms: Terms, a: int, pos: int) -> Terms:
-    """x_S -> sum_T v^-len(T, S-T) x_T (x) x_{S-T}, |T| = a at slot pos+1.
+def split_kernel(N: int, terms: Terms, a: int, pos: int, degree: int = 0) -> Terms:
+    """x_S -> sum_T v^(degree - len(T, S-T)) x_T (x) x_{S-T}, |T| = a at slot pos+1.
 
     Distinct inputs give distinct outputs, so nothing is added up.
     """
     lo = pos - 1
     out: Terms = {}
-    parts = _split_table(N, a)
+    parts = _split_table(N, a, degree)
     for key, c in terms.items():
         head, tail = key[:lo], key[pos:]
         for rest, T, shift in parts[key[lo]]:
@@ -383,10 +398,11 @@ def split_kernel(N: int, terms: Terms, a: int, pos: int) -> Terms:
     return out
 
 
-def tag_kernel(N: int, terms: Terms, pos: int, dual: bool, side: str) -> Terms:
+def tag_kernel(N: int, terms: Terms, pos: int, dual: bool, side: str, barred: bool = False) -> Terms:
     """x_S -> v^len(S^c, S) xhat_{S^c} on a plain factor, its inverse on a dual one.
 
-    The right flavor multiplies by (-1)^(a(N-a)).  A bijection on keys.
+    The right flavor multiplies by (-1)^(a(N-a)), and `barred` negates the
+    exponent of each monomial the tag multiplies by.  A bijection on keys.
     """
     tab = _ell_table(N)
     full = (1 << N) - 1
@@ -396,6 +412,8 @@ def tag_kernel(N: int, terms: Terms, pos: int, dual: bool, side: str) -> Terms:
         S = key[lo]
         comp = full ^ S
         shift = -tab[S << N | comp] if dual else tab[comp << N | S]
+        if barred:
+            shift = -shift
         sign = -1 if side == "right" and S.bit_count() * comp.bit_count() % 2 else 1
         out[key[:lo] + (comp,) + key[pos:]] = {e + shift: sign * x for e, x in c.items()}
     return out
@@ -423,6 +441,19 @@ def cap_kernel(terms: Terms, pos: int) -> Terms:
                 if not acc:
                     del out[key]
     return out
+
+
+def dot(x: Terms, y: Terms, shift: int = 0) -> dict[int, int]:
+    """v^shift * sum_tau x[tau] * y[tau] over the common keys, summed over the shorter map."""
+    if len(y) < len(x):
+        x, y = y, x
+    acc: dict[int, int] = {}
+    for k, cx in x.items():
+        cy = y.get(k)
+        if cy is not None:
+            for e, a in cx.items():
+                add_into(acc, cy, e + shift, a)
+    return acc
 
 
 # One slice on a TensorVector: the boundary check, then the kernel.

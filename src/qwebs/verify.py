@@ -25,8 +25,9 @@ The two cross-checks between routes compute each shared object once:
   tuple, so its check fails.  There is still one check per (tableau, sign,
   i, a).
 - `web_gram_mismatch` gets the web route's Gram matrix from `web_gram`: each
-  LT ladder web is built, mirrored and pushed forward once per block, and
-  each entry applies one mirrored web to one stored image.
+  LT ladder web is built once per block and walked once for its image and
+  once for its co-image, and each entry is one dot product of a co-image
+  with an image.
 """
 
 from __future__ import annotations
@@ -272,10 +273,10 @@ def check_evaluators(cases: int = 100, seed: int = 2024, N_max: int = 3, m_max: 
         m = rng.randint(2, m_max)
         web = random_ladder(rng, N, m, rungs=rng.randint(1, 4))
         for idx in basis_indices(web.domain):
-            x = TensorVector.basis_vector(web.domain, idx)
+            x = {idx: {0: 1}}
             rep.check(
-                evaluate_dense(web, x.coords) == evaluate_statesum(web, x).coords,
-                "evaluators disagree on case {} at {}", case, x,
+                evaluate_dense(web, x) == evaluate_statesum(web, x),
+                "evaluators disagree on case {} at {}", case, TensorVector(web.domain, x),
             )
     return rep
 

@@ -11,17 +11,22 @@ Two independent evaluators, which the tests hold to agree on everything:
 on a kernel map of the web's domain (`eval` checks its vector's space);
 `evaluate_statesum` walks the slices depth first through the edge-labelings
 (states) of the web, labelled by frozensets, and adds one signed monomial per
-state, from local rules that share no code with the dense kernels.  Slice
-kinds are dispatched from one table, `_SLICE_KINDS`.  A `Web` steps its
-slices through each kind's `step` once, when it is made, and keeps the
-boundary below each slice (`walk`) and its codomain: an ill-formed web
-cannot be built, and every reader runs on the stored walk.
+state, from local rules that share no code with the dense kernels.  Both
+take and return kernel maps.  Slice kinds are dispatched from one table,
+`_SLICE_KINDS`.  A `Web` steps its slices through each kind's `step` once,
+when it is made, and keeps the boundary below each slice (`walk`) and its
+codomain: an ill-formed web cannot be built, and every reader runs on the
+stored walk.
 
 Closed webs on the highest-weight boundary (color-N strands plus color-0
 padding) span a one-dimensional space; `ev_closed` reads off the unique
-coefficient and `web_form` builds the sesquilinear form
-v^d(k) * ev(reflect(u) o w) from it; `web_gram` gives the forms of all pairs
-of a list of webs from one forward pass per web.
+coefficient.  `web_form` is the sesquilinear form v^d(k) * ev(reflect(u) o w),
+where reflect(u) is u upside down with each slice mirrored.  No mirrored web
+is built: the covector <closed| o reflect(u) is u's co-image, the run of u's
+own walk through each slice's co-kernel, the transpose of the mirrored
+slice's kernel.  Each form is then one sparse dot product of u's co-image
+with w's image, and `web_gram` gives the forms of all pairs of a list of
+webs from one walk and one co-walk per web.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .tensor import (
     Boundary,
     Index,
     ShapeMismatchError,
-    TensorVector,
     Terms,
     _mask,
     _subset,
@@ -45,6 +49,7 @@ from .tensor import (
     cap_space,
     cup_kernel,
     cup_space,
+    dot,
     ell,
     merge_kernel,
     merged_space,
@@ -79,9 +84,6 @@ class Slice:
     def __post_init__(self):
         if self.kind == "tag" and self.side == "":  # a tag with no side is a left tag
             object.__setattr__(self, "side", "left")
-
-    def mirror(self) -> "Slice":
-        return _kind(self.kind).mirror(self)
 
     def to_json(self) -> dict:
         d = {"kind": self.kind, "pos": self.pos}
@@ -194,39 +196,55 @@ def _tag_states(space: Boundary, s: Slice, idx: Labels) -> list:
 
 
 class _SliceKind(NamedTuple):
-    """How one slice kind serializes, reflects, changes the boundary, acts and labels states."""
+    """How one slice kind serializes, changes the boundary, acts, co-acts and labels states.
+
+    The co-kernel `co` is the transpose of the kernel of the mirrored slice
+    (the slice upside down: a merge's mirror is the split of the same
+    colors, a cup's the cap, a tag's the tag of the other side on the
+    boundary above it).  Like `act`, it maps the space below the slice to the
+    space above it.  Merge and split co-act as their own kernels shifted by
+    v^-ab and v^ab, cup, cap and id as their own kernels, and a tag as the
+    other side's tag with its monomials barred.
+    """
 
     fields: tuple[str, ...]  # serialized after kind and pos
-    mirror: Callable[[Slice], Slice]
     step: Callable[[Boundary, Slice], Boundary]  # codomain, or ShapeMismatchError
     act: Callable[[Boundary, Slice, Terms], Terms]  # the kernel, given the boundary below
+    co: Callable[[Boundary, Slice, Terms], Terms]  # the co-kernel, given the boundary below
     states: Callable[[Boundary, Slice, Labels], list]  # [(labels above, exponent, sign)]
 
 
+def _cup_act(space: Boundary, s: Slice, t: Terms) -> Terms:
+    return cup_kernel(space.N, t, s.a, s.pos)
+
+
+def _cap_act(space: Boundary, s: Slice, t: Terms) -> Terms:
+    return cap_kernel(t, s.pos)
+
+
+def _id_act(space: Boundary, s: Slice, t: Terms) -> Terms:
+    return t
+
+
 _SLICE_KINDS = {
-    "merge": _SliceKind(("a", "b"), lambda s: Slice("split", s.pos, s.a, s.b),
-                        lambda space, s: merged_space(space, s.a, s.b, s.pos),
-                        lambda space, s, t: merge_kernel(space.N, t, s.pos), _merge_states),
-    "split": _SliceKind(("a", "b"), lambda s: Slice("merge", s.pos, s.a, s.b),
-                        lambda space, s: split_space(space, s.a, s.b, s.pos),
-                        lambda space, s, t: split_kernel(space.N, t, s.a, s.pos), _split_states),
-    "cup": _SliceKind(("a",), lambda s: Slice("cap", s.pos, s.a),
-                      lambda space, s: cup_space(space, s.a, s.pos),
-                      lambda space, s, t: cup_kernel(space.N, t, s.a, s.pos),
+    "merge": _SliceKind(("a", "b"), lambda space, s: merged_space(space, s.a, s.b, s.pos),
+                        lambda space, s, t: merge_kernel(space.N, t, s.pos),
+                        lambda space, s, t: merge_kernel(space.N, t, s.pos, -s.a * s.b), _merge_states),
+    "split": _SliceKind(("a", "b"), lambda space, s: split_space(space, s.a, s.b, s.pos),
+                        lambda space, s, t: split_kernel(space.N, t, s.a, s.pos),
+                        lambda space, s, t: split_kernel(space.N, t, s.a, s.pos, s.a * s.b), _split_states),
+    "cup": _SliceKind(("a",), lambda space, s: cup_space(space, s.a, s.pos), _cup_act, _cup_act,
                       lambda space, s, idx: [(idx[: s.pos - 1] + (S, S) + idx[s.pos - 1 :], 0, 1)
                                              for S in _subsets(space.N, s.a)]),
-    "cap": _SliceKind(("a",), lambda s: Slice("cup", s.pos, s.a),
-                      lambda space, s: cap_space(space, s.a, s.pos),
-                      lambda space, s, t: cap_kernel(t, s.pos),
+    "cap": _SliceKind(("a",), lambda space, s: cap_space(space, s.a, s.pos), _cap_act, _cap_act,
                       lambda space, s, idx: [(idx[: s.pos - 1] + idx[s.pos + 1 :], 0, 1)]
                       if idx[s.pos - 1] == idx[s.pos] else []),
-    "tag": _SliceKind(("a", "side"),
-                      lambda s: Slice("tag", s.pos, s.a, side="right" if s.side == "left" else "left"),
-                      _tag_space,
+    "tag": _SliceKind(("a", "side"), _tag_space,
                       lambda space, s, t: tag_kernel(space.N, t, s.pos, space.factor(s.pos).dual, s.side),
+                      lambda space, s, t: tag_kernel(space.N, t, s.pos, space.factor(s.pos).dual,
+                                                     "right" if s.side == "left" else "left", barred=True),
                       _tag_states),
-    "id": _SliceKind((), lambda s: s, _id_space, lambda space, s, t: t,
-                     lambda space, s, idx: [(idx, 0, 1)]),
+    "id": _SliceKind((), _id_space, _id_act, _id_act, lambda space, s, idx: [(idx, 0, 1)]),
 }
 
 
@@ -248,11 +266,6 @@ def _step(i: int, space: Boundary, s: Slice) -> Boundary:
 def validate(web: Web) -> Boundary:
     """The codomain boundary; every slice was checked when the web was made."""
     return web.codomain
-
-
-def reflect(web: Web) -> Web:
-    """Reflection across the horizontal axis: slices reversed and mirrored."""
-    return Web(web.codomain, tuple(s.mirror() for s in reversed(web.slices)))
 
 
 # -- ladders ----------------------------------------------------------
@@ -316,6 +329,18 @@ def evaluate_dense(web: Web, terms: Terms) -> Terms:
     return terms
 
 
+def _co_image(web: Web, terms: Terms) -> Terms:
+    """The covector <terms| o reflect(web) as a kernel map on `web.codomain`.
+
+    reflect(web) applies the mirrored slices top first, so the transpose of
+    its matrix is the product of the mirrored slices' transposes, bottom
+    slice first: the co-kernels, run along the web's own walk.
+    """
+    for kind, space, s in web.walk:
+        terms = kind.co(space, s, terms)
+    return terms
+
+
 def web_matrix(web: Web) -> dict[Index, Terms]:
     """Column map: domain basis index -> the kernel map of its image on `web.codomain`."""
     return {idx: evaluate_dense(web, {idx: {0: 1}}) for idx in basis_indices(web.domain)}
@@ -324,22 +349,21 @@ def web_matrix(web: Web) -> dict[Index, Terms]:
 # -- state-sum evaluation ---------------------------------------------
 
 
-def evaluate_statesum(web: Web, x: TensorVector) -> TensorVector:
-    """Sum one signed monomial per state; agrees with evaluate_dense.
+def evaluate_statesum(web: Web, terms: Terms) -> Terms:
+    """The image of a kernel map of `web.domain`, one signed monomial per state.
 
-    A state labels every edge of the web.  The walk fixes the labels slice by
-    slice, depth first, carrying the labels of the current boundary, the
-    exponent and the sign; it never merges states at an intermediate
-    boundary, so each complete state adds its own monomial.  The local rules
-    are each kind's `states`, which share no code with the dense kernels.
-    The masks of each input term become frozensets once, and the sums by
-    final labels become masks once, at the end.
+    It agrees with `evaluate_dense`.  A state labels every edge of the web.
+    The walk fixes the labels slice by slice, depth first, carrying the
+    labels of the current boundary, the exponent and the sign; it never
+    merges states at an intermediate boundary, so each complete state adds
+    its own monomial.  The local rules are each kind's `states`, which share
+    no code with the dense kernels.  The masks of each input term become
+    frozensets once, and the sums by final labels become masks once, at the
+    end.
     """
-    if x.space != web.domain:
-        raise ShapeMismatchError("vector does not live in the web's domain")
     rules = [(kind.states, space, s) for kind, space, s in web.walk]
     out: dict[Labels, dict[int, int]] = {}
-    for idx, coeff in x.coords.items():
+    for idx, coeff in terms.items():
         stack = [(0, tuple(map(_subset, idx)), 0, 1)]
         while stack:
             i, labels, exp, sign = stack.pop()
@@ -349,7 +373,7 @@ def evaluate_statesum(web: Web, x: TensorVector) -> TensorVector:
             states, space, s = rules[i]
             for above, e, sg in states(space, s, labels):
                 stack.append((i + 1, above, exp + e, sign * sg))
-    return TensorVector(web.codomain, {tuple(map(_mask, labels)): c for labels, c in out.items() if c})
+    return {tuple(map(_mask, labels)): c for labels, c in out.items() if c}
 
 
 # -- closed evaluation and the web form -------------------------------
@@ -397,12 +421,13 @@ def web_gram(webs: list[Web]) -> list[list[LaurentPoly]]:
 def _forms(us: list[Web], ws: list[Web]) -> list[list[LaurentPoly]]:
     """The web forms of each u in `us` (rows) with each w in `ws` (columns).
 
-    Dense evaluation composes slice by slice, so ev(reflect(u) o w) is
-    reflect(u) applied to the image of the closed basis vector under w.
-    Each u is mirrored once and each w pushed forward once; only the
-    row-by-column mirror passes remain.  The images and mirror passes stay
-    kernel maps, and each entry becomes one `LaurentPoly`.  All webs must
-    share one domain, the highest-weight boundary, and one plain codomain.
+    ev(reflect(u) o w) is the coefficient at the closed key of reflect(u)
+    applied to w's image of the closed basis vector: the pairing of that
+    image with the co-image of the closed key under u.  Each w is walked
+    once for its image and each u once for its co-image, and each entry is
+    one sparse dot product of the two kernel maps, `tensor.dot`, shifted by
+    v^d.  All webs must share one domain, the highest-weight boundary, and
+    one plain codomain.
     """
     webs = us + ws
     if not webs:
@@ -417,7 +442,7 @@ def _forms(us: list[Web], ws: list[Web]) -> list[list[LaurentPoly]]:
         raise ShapeMismatchError("the web form is defined on plain boundaries")
     l = sum(1 for f in domain.factors if f.color == domain.N)
     d = d_norm(domain.N, l, tuple(f.color for f in cod.factors))
-    images = [evaluate_dense(w, {key: {0: 1}}) for w in ws]
-    mirrors = [reflect(u) for u in us]
-    return [[LaurentPoly({e + d: x for e, x in evaluate_dense(r, image).get(key, {}).items()})
-             for image in images] for r in mirrors]
+    closed = {key: {0: 1}}
+    images = [evaluate_dense(w, closed) for w in ws]
+    return [[LaurentPoly(dot(co, image, d)) for image in images]
+            for co in (_co_image(u, closed) for u in us)]

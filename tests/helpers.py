@@ -5,7 +5,7 @@ from qwebs.howe import TableauVector, tableau_to_index
 from qwebs.ring import LaurentPoly, add_into
 from qwebs.tableaux import Shape, Tableau, highest_tableau, tableau_type
 from qwebs.tensor import Boundary, Index, ShapeMismatchError, TensorVector, Terms, _mask, weight_boundary
-from qwebs.webs import Web
+from qwebs.webs import Slice, Web, d_norm, ev_closed
 
 
 def idx(*subsets) -> Index:
@@ -67,6 +67,30 @@ def compose(first: Web, then: Web) -> Web:
     if first.codomain != then.domain:
         raise ShapeMismatchError("codomain of the first web does not match")
     return Web(first.domain, first.slices + then.slices)
+
+
+_MIRRORS = {
+    "merge": lambda s: Slice("split", s.pos, s.a, s.b),
+    "split": lambda s: Slice("merge", s.pos, s.a, s.b),
+    "cup": lambda s: Slice("cap", s.pos, s.a),
+    "cap": lambda s: Slice("cup", s.pos, s.a),
+    "tag": lambda s: Slice("tag", s.pos, s.a, side="right" if s.side == "left" else "left"),
+    "id": lambda s: s,
+}
+
+
+def reflect(web: Web) -> Web:
+    """Reflection across the horizontal axis: slices reversed, each mirrored (turned upside down)."""
+    return Web(web.codomain, tuple(_MIRRORS[s.kind](s) for s in reversed(web.slices)))
+
+
+def mirror_pass_form(u: Web, w: Web) -> LaurentPoly:
+    """v^d(k) * ev(reflect(u) o w), with reflect(u) run on w's image: the reference for
+    `webs.web_form`, which pairs u's co-image with w's image and builds no mirrored web."""
+    closed = compose(w, reflect(u))
+    N, cod = closed.domain.N, w.codomain
+    l = sum(1 for f in closed.domain.factors if f.color == N)
+    return ev_closed(closed).shift(d_norm(N, l, tuple(f.color for f in cod.factors)))
 
 
 def index_to_tableau(shape: Shape, idx: Index) -> Tableau:

@@ -15,9 +15,9 @@ from qwebs.tableaux import Shape
 from qwebs.tensor import MAX_N, Boundary, Factor
 from qwebs.verify import Report
 from qwebs.webalg import bounded_weights
-from qwebs.webs import Web, cup, ladder_from_word, merge, reflect, split, tag
+from qwebs.webs import Web, cup, ladder_from_word, merge, split, tag
 
-from helpers import compose, terms_json
+from helpers import compose, reflect, terms_json
 
 
 def run(capsys, *argv):

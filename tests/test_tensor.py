@@ -29,7 +29,18 @@ from qwebs.tensor import (
     weight_boundary,
 )
 from qwebs.tableaux import Shape
-from qwebs.webs import Web, evaluate_dense, evaluate_statesum, merge, split, tag, web_matrix
+from qwebs.webs import (
+    IllFormedWebError,
+    Web,
+    cup,
+    evaluate_dense,
+    evaluate_statesum,
+    ladder_from_word,
+    merge,
+    split,
+    tag,
+    web_matrix,
+)
 
 from helpers import combine, highest_vector, idx, polys, tensor_product, terms_json
 
@@ -109,6 +120,36 @@ def test_weight_boundaries_share_one_factor_per_color():
     a, b = weight_boundary(3, (1, 2, 0)), weight_boundary(4, (0, 2, 2, 1))
     assert a.factors == (Factor(1), Factor(2), Factor(0))
     assert a.factors[0] is b.factors[3] and a.factors[1] is b.factors[1] is b.factors[2]
+
+
+def test_a_step_checks_the_factors_it_splices_in():
+    space = Boundary(3, (Factor(2), Factor(1)))
+    for bad in (Factor(4), Factor(-1, True)):
+        with pytest.raises(ValueError, match=f"factor color {bad.color} outside 0..3"):
+            space.replace(1, 1, (bad,))
+    with pytest.raises(IllFormedWebError, match="cup color 4"):
+        Web(space, (cup(4, 1),))
+    assert space.replace(2, 1, (Factor(3),)).factors == (Factor(2), Factor(3))
+
+
+def test_boundaries_from_json_check_every_factor():
+    for at in range(3):
+        data = [{"color": 1, "dual": False}] * 3
+        data[at] = {"color": 4, "dual": at == 1}
+        with pytest.raises(ValueError, match="factor color 4 outside 0..3"):
+            Boundary.from_json(3, data)
+
+
+def test_boundaries_reached_by_steps_equal_and_hash_like_checked_ones():
+    lad = ladder_from_word(3, (3, 3, 0, 0), [(-1, 2, 2), (-1, 1, 1), (-1, 3, 1)])
+    web = Web(lad.domain, lad.slices + (cup(2, 1), tag(1, 1), tag(2, 3, "right"), merge(1, 2, 4)))
+    spaces = [space for _, space, _ in web.walk] + [web.codomain]
+    assert any(f.dual for f in web.codomain.factors)
+    for space in spaces:
+        checked = Boundary(space.N, tuple(Factor(f.color, f.dual) for f in space.factors))
+        assert space == checked and hash(space) == hash(checked)
+        assert {checked: 1}[space] == 1
+        assert Boundary.from_json(space.N, space.to_json()) == space
 
 
 def test_tag_examples():
@@ -272,7 +313,7 @@ def test_every_vector_holds_int_maps_and_shares_none_it_may_change():
     cupped = apply_cup(parts, 1, 1)
     tensors = [parts, apply_merge(parts, 1, 2, 1), apply_tag(parts, 2, "right"), cupped,
                apply_cap(cupped, 1, 1), TensorVector(web.codomain, evaluate_dense(web, x.coords)),
-               evaluate_statesum(web, x),
+               TensorVector(web.codomain, evaluate_statesum(web, x.coords)),
                *(TensorVector(web.codomain, image) for image in web_matrix(web).values()),
                TensorVector.from_json(parts.to_json())]
     top = highest_vector(Shape(2, 2))

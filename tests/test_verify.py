@@ -8,7 +8,6 @@ from qwebs.tableaux import Shape, Tableau, highest_tableau
 from qwebs.verify import Report, check_howe, web_gram_mismatch
 from qwebs.webs import AnnihilatedError, rung
 
-from helpers import combine
 
 
 class Unprintable:
@@ -160,7 +159,8 @@ def test_evaluator_sweep_case_count_is_unchanged():
 
 def test_evaluator_disagreement_names_the_input_vector(monkeypatch):
     real = verify.evaluate_statesum
-    monkeypatch.setattr(verify, "evaluate_statesum", lambda web, x: combine((LaurentPoly({1: 1}), real(web, x))))
+    monkeypatch.setattr(verify, "evaluate_statesum", lambda web, x: {
+        key: {e + 1: a for e, a in c.items()} for key, c in real(web, x).items()})
     rep = verify.check_evaluators(1, 3, 3, 6)
     assert rep.failures
     assert all(f.startswith("evaluators disagree on case 0 at TensorVector[(1) ((") for f in rep.failures)
