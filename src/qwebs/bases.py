@@ -16,9 +16,8 @@ each distinct column of the block once for what `Tableau` validation checks.
 
 Each element holds its vector as the kernel's map, {column tuple:
 {exponent: int}}, the form every `TableauVector` holds; the corrections and
-the Gram pairings add up on these maps through `ring.add_into`, and an
-element's `expansion` is the vector of its map.  `pairing` is the one form
-on such maps, the barred `tensor.dot`.
+the Gram pairings add up on these maps through `ring.add_into`.  `pairing`
+is the one form on such maps, the barred `tensor.dot`.
 
 The dual canonical element b^T is computed from the A-basis by triangular
 elimination: scanning semistandard S below T in descending order, any
@@ -38,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .howe import TableauVector, act_divided
+from .howe import act_divided
 from .ring import LaurentPoly, add_into, bar, symmetrize_correction
 from .tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, peel_word
 from .tensor import Terms, dot
@@ -55,11 +54,6 @@ class _BlockElement:
 
     tableau: Tableau
     terms: Terms
-
-    @property
-    def expansion(self) -> TableauVector:
-        """The vector of the element's map."""
-        return TableauVector(self.tableau.shape, self.terms)
 
 
 @dataclass(frozen=True)
@@ -210,9 +204,6 @@ class GradedMatrix:
 
     labels: tuple[Tableau, ...]
     entries: tuple[tuple[LaurentPoly, ...], ...]
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i][j]
 
     def to_json(self) -> dict:
         return {

@@ -40,6 +40,7 @@ from .tensor import ShapeMismatchError, TensorVector
 from .webalg import bounded_weights, cartan_matrix, frobenius_check
 from .webs import (
     Web,
+    check_work,
     evaluate_dense,
     ladder_from_word,
     web_form,
@@ -140,12 +141,14 @@ def cmd_eval(args) -> int:
     vec = _read(TensorVector, args.vector)
     if vec.space != web.domain:
         raise ShapeMismatchError("vector does not live in the web's domain")
+    check_work(web, len(vec.coords))
     _emit(TensorVector(web.codomain, evaluate_dense(web, vec.coords)).to_json(), args.format, None)
     return 0
 
 
 def cmd_ev(args) -> int:
     web = _read(Web, args.web)
+    check_work(web, 1)
     _emit(ev_closed(web).to_json(), args.format, _poly_str)
     return 0
 
@@ -153,6 +156,8 @@ def cmd_ev(args) -> int:
 def cmd_form(args) -> int:
     u = _read(Web, args.u)
     w = _read(Web, args.w)
+    check_work(u, 1)
+    check_work(w, 1)
     _emit(web_form(u, w).to_json(), args.format, _poly_str)
     return 0
 

@@ -203,7 +203,7 @@ def weight_of_type(k: tuple[int, ...]) -> tuple[int, ...]:
 def tableau_to_index(t: Tableau) -> Index:
     """The tensor basis index of a tableau: slot i holds the mask of the columns containing i."""
     idx = [0] * t.shape.m
-    for j, col in enumerate(t.columns()):
+    for j, col in enumerate(t.sort_key()):
         for i in col:
             idx[i - 1] |= 1 << j
     return tuple(idx)

@@ -33,31 +33,10 @@ class LaurentPoly:
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         self._c: dict[int, int] = {e: a for e, a in coeffs.items() if a} if coeffs else {}
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        """coeff * v**exp"""
-        return cls({exp: coeff})
-
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._c
-
-    def is_one(self) -> bool:
-        return self._c == {0: 1}
-
-    def coeff(self, exp: int) -> int:
-        return self._c.get(exp, 0)
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(exponent, coefficient) pairs in ascending exponent order."""
@@ -69,10 +48,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no valuation")
         return min(self._c)
 
-    def only_negative_exponents(self) -> bool:
-        """True iff the polynomial lies in v^-1 * Z[v^-1] (zero counts)."""
-        return all(e < 0 for e in self._c)
-
     def nonnegative_coeffs(self) -> bool:
         return all(a > 0 for a in self._c.values())
 
@@ -83,14 +58,10 @@ class LaurentPoly:
             return NotImplemented
         c = dict(self._c)
         add_into(c, other._c)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        return _taken(c)
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: -a for e, a in self._c.items()}
-        return out
+        return _taken({e: -a for e, a in self._c.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -101,25 +72,19 @@ class LaurentPoly:
         if isinstance(other, int):
             if not other:
                 return LaurentPoly()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._c = {e: a * other for e, a in self._c.items()}
-            return out
+            return _taken({e: a * other for e, a in self._c.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         c: dict[int, int] = {}
         for e, a in self._c.items():
             add_into(c, other._c, e, a)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        return _taken(c)
 
     __rmul__ = __mul__
 
     def shift(self, exp: int) -> "LaurentPoly":
         """Multiply by v**exp."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e + exp: a for e, a in self._c.items()}
-        return out
+        return _taken({e + exp: a for e, a in self._c.items()})
 
     # -- comparison / hashing ----------------------------------------
 
@@ -189,14 +154,19 @@ def exact_int(value, what: str) -> int:
     return value
 
 
-ONE = LaurentPoly.one()
+def _taken(c: dict[int, int]) -> LaurentPoly:
+    """The polynomial of a map with no zero coefficient; the map is taken over, not copied."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p._c = c
+    return p
+
+
+ONE = LaurentPoly({0: 1})
 
 
 def bar(p: LaurentPoly) -> LaurentPoly:
     """The bar involution v -> v^-1 (negates every exponent)."""
-    out = LaurentPoly.__new__(LaurentPoly)
-    out._c = {-e: a for e, a in p._c.items()}
-    return out
+    return _taken({-e: a for e, a in p._c.items()})
 
 
 def qint(n: int) -> LaurentPoly:
@@ -214,7 +184,7 @@ def qnum(z: int) -> LaurentPoly:
 @cache
 def qfactorial(n: int) -> LaurentPoly:
     """[n]! = [1][2]...[n]; cached, since polynomials are immutable."""
-    r = LaurentPoly.one()
+    r = ONE
     for j in range(1, n + 1):
         r = r * qint(j)
     return r
@@ -229,8 +199,8 @@ def qbinom(n: int, k: int) -> LaurentPoly:
     (-1)^k [k-n-1 choose k] appears.
     """
     if k < 0:
-        return LaurentPoly.zero()
-    num = LaurentPoly.one()
+        return LaurentPoly()
+    num = ONE
     for j in range(1, k + 1):
         num = num * qnum(n - k + j)
         if num.is_zero():
@@ -257,7 +227,7 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
-        return LaurentPoly.zero()
+        return LaurentPoly()
     # Shift both operands to honest polynomials with nonzero constant term,
     # long-divide from the top, and shift back.
     shift = p.valuation() - q.valuation()

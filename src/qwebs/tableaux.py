@@ -77,17 +77,14 @@ class Tableau:
         """The tableau with these columns, left to right, each read top to bottom."""
         return cls(shape, tuple(zip(*columns)))
 
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*self.rows))
-
     def is_semistandard(self) -> bool:
         return all(
             row[j] <= row[j + 1] for row in self.rows for j in range(self.shape.N - 1)
         )
 
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
-        """Ascending in this key == descending in the tableau order."""
-        return self.columns()
+        """The columns, left to right; ascending in this key == descending in the tableau order."""
+        return tuple(zip(*self.rows))
 
     def to_json(self) -> dict:
         return {"N": self.shape.N, "l": self.shape.l, "rows": [list(r) for r in self.rows]}

@@ -14,7 +14,7 @@ Every vector, here and in `howe`, is one sparse map {key: {exponent: int}}
 (`Terms`): no coefficient is zero and no inner map is empty.  `SparseVector`
 holds such a map for one space, and the kernels act on it directly; linear
 combinations are made on the maps, through `ring.add_into`, not on vectors.
-`LaurentPoly` is the scalar type: `coeff` returns one.
+`LaurentPoly` is the scalar type: `LaurentPoly(x.coords[key])` is one.
 
 The elementary intertwiners implemented here, with their local coefficients:
 
@@ -212,9 +212,6 @@ class SparseVector:
             self.coords[key] = acc
         else:
             self.coords.pop(key, None)
-
-    def coeff(self, key) -> LaurentPoly:
-        return LaurentPoly(self.coords.get(key))
 
     def __eq__(self, other) -> bool:
         return (

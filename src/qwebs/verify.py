@@ -333,9 +333,9 @@ def check_dual_blocks(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Report:
             gram = gram_matrix(N, l, k, basis="dual")  # dual_block re-checks the invariants
             for i, s in enumerate(gram.labels):
                 for j, t in enumerate(gram.labels):
-                    value = gram.entry(i, j)
+                    value = gram.entries[i][j]
                     # diagonal entries in 1 + vN[v], off-diagonal ones in vN[v]
-                    target = value - LaurentPoly.one() if i == j else value
+                    target = value - ONE if i == j else value
                     rep.check(
                         target.is_zero()
                         or (target.valuation() >= 1 and target.nonnegative_coeffs()),
@@ -360,10 +360,10 @@ def web_gram_mismatch(gram: GradedMatrix) -> str | None:
     by_web = web_gram([lt_web(t) for t in gram.labels])
     for i, s in enumerate(gram.labels):
         for j, t in enumerate(gram.labels):
-            if by_web[i][j] != gram.entry(i, j):
+            if by_web[i][j] != gram.entries[i][j]:
                 return (
                     f"web and tensor Gram entries disagree at ({s}, {t}): "
-                    f"{by_web[i][j]} vs {gram.entry(i, j)}"
+                    f"{by_web[i][j]} vs {gram.entries[i][j]}"
                 )
     return None
 
@@ -399,17 +399,17 @@ def check_form_consistency(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Re
             labels = gram.labels
             reversed_forms = _reversed_forms([block[s].terms for s in labels])
             for idx_s, s in enumerate(labels):
-                diag = LaurentPoly.zero()
+                diag = LaurentPoly()
                 for c in block[s].terms.values():
                     c = LaurentPoly(c)
                     diag = diag + c * c
                 rep.check(
-                    gram.entry(idx_s, idx_s) == bar(diag),
+                    gram.entries[idx_s][idx_s] == bar(diag),
                     "diagonal bilinear identity fails at N={}, l={}, k={}, {}", N, l, k, s,
                 )
                 for idx_t, t in enumerate(labels):
                     rep.check(
-                        gram.entry(idx_s, idx_t) == reversed_forms[idx_s][idx_t],
+                        gram.entries[idx_s][idx_t] == reversed_forms[idx_s][idx_t],
                         "Gram symmetry fails at N={}, l={}, k={}, ({},{})", N, l, k, s, t,
                     )
     return rep
@@ -534,7 +534,7 @@ def check_cartan(N_max: int = 3, m_max: int = 6) -> Report:
             reversed_forms = _reversed_forms([block[t].terms for t in cartan.labels])
             for i in range(n):
                 for j in range(n):
-                    c = cartan.entry(i, j)
+                    c = cartan.entries[i][j]
                     rep.check(
                         c.nonnegative_coeffs() or c.is_zero(),
                         "negative Cartan coefficient at N={}, k={}, ({},{}): {}", N, k, i, j, c,
@@ -544,7 +544,7 @@ def check_cartan(N_max: int = 3, m_max: int = 6) -> Report:
                         "Cartan symmetry fails at N={}, k={}, ({},{})", N, k, i, j,
                     )
                     rep.check(
-                        bar(c) == cartan.entry(j, i).shift(-g),
+                        bar(c) == cartan.entries[j][i].shift(-g),
                         "graded duality fails at N={}, k={}, ({},{}): {}", N, k, i, j, c,
                     )
             rep.check(frob.passed, "Frobenius check fails at N={}, k={}", N, k)

@@ -58,7 +58,7 @@ def frobenius_check(N: int, k: tuple[int, ...], cartan: GradedMatrix) -> Frobeni
     `cartan` is the block's Cartan matrix, `cartan_matrix(N, k)`, which the
     caller already holds.
     """
-    total = LaurentPoly.zero()
+    total = LaurentPoly()
     for row in cartan.entries:
         for p in row:
             total = total + p

@@ -16,7 +16,8 @@ take and return kernel maps.  Slice kinds are dispatched from one table,
 `_SLICE_KINDS`.  A `Web` steps its slices through each kind's `step` once,
 when it is made, and keeps the boundary below each slice (`walk`) and its
 codomain: an ill-formed web cannot be built, and every reader runs on the
-stored walk.
+stored walk.  `check_work` bounds, along the walk, the terms an image can
+reach; the command line refuses a web over `MAX_TERMS`.
 
 Closed webs on the highest-weight boundary (color-N strands plus color-0
 padding) span a one-dimensional space; `ev_closed` reads off the unique
@@ -32,6 +33,7 @@ webs from one walk and one co-walk per web.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -327,6 +329,38 @@ def evaluate_dense(web: Web, terms: Terms) -> Terms:
     for kind, space, s in web.walk:
         terms = kind.act(space, s, terms)
     return terms
+
+
+# A web request whose image may hold more terms than this at some boundary is
+# refused at the command line.  The bound of every LT ladder web of (3, 2),
+# (2, 4) and the all-ones blocks of (3, 3) and (4, 2) is at most 19,683; the
+# C(4096, 2) terms of a width-2 rung on a color-4096 strand are refused.
+MAX_TERMS = 1_000_000
+
+
+def check_work(web: Web, start: int) -> int:
+    """The largest number of terms an image of a `start`-term map may hold at a
+    boundary of the walk; a bound over MAX_TERMS is refused at once.
+
+    A split of colors (a, b) makes each term C(a+b, a) terms and a cup of
+    color a makes it C(N, a); no other slice adds a term, in `act` or in
+    `co`.  After a split or a cup the bound is capped by the dimension of
+    the boundary above it, the product of C(N, c) over its colors.
+    """
+    bound = peak = start
+    aboves = [space for _, space, _ in web.walk[1:]] + [web.codomain]
+    for i, ((_, space, s), above) in enumerate(zip(web.walk, aboves)):
+        if s.kind == "split":
+            bound *= math.comb(s.a + s.b, s.a)
+        elif s.kind == "cup":
+            bound *= math.comb(space.N, s.a)
+        else:
+            continue
+        bound = min(bound, math.prod(math.comb(space.N, f.color) for f in above.factors))
+        if bound > MAX_TERMS:
+            raise ValueError(f"slice {i}: the web's image may hold more terms than the limit of {MAX_TERMS}")
+        peak = max(peak, bound)
+    return peak
 
 
 def _co_image(web: Web, terms: Terms) -> Terms:

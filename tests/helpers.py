@@ -62,6 +62,11 @@ def highest_vector(shape: Shape) -> TableauVector:
     return TableauVector.basis_vector(highest_tableau(shape))
 
 
+def expansion(elem) -> TableauVector:
+    """The vector of a basis element's map (an `lt_block` or `dual_block` value)."""
+    return TableauVector(elem.tableau.shape, elem.terms)
+
+
 def compose(first: Web, then: Web) -> Web:
     """Stack `then` on top of `first`."""
     if first.codomain != then.domain:

@@ -186,6 +186,42 @@ def test_oversized_tableaux_request_exits_2_at_once(capsys):
         assert time.perf_counter() - start < 1.0
 
 
+def _ladder_4096(capsys, tmp_path, word: str) -> str:
+    """The path of `qwebs ladder --N 4096 --k 4096,0 --word=<word>`'s web."""
+    code, out = run(capsys, "ladder", "--N", "4096", "--k", "4096,0", f"--word={word}")
+    assert code == 0
+    path = tmp_path / f"ladder{word}.json"
+    path.write_text(out)
+    return str(path)
+
+
+def test_web_requests_over_the_term_bound_exit_2_at_once(capsys, tmp_path):
+    # a width-2 rung splits the color-4096 strand into C(4096, 2) = 8,386,560 terms
+    wide, loop = _ladder_4096(capsys, tmp_path, "-1^2"), _ladder_4096(capsys, tmp_path, "-1^2,+1^2")
+    closed = _write(tmp_path, "closed.json", {
+        "N": 4096, "space": [{"color": 4096, "dual": False}, {"color": 0, "dual": False}],
+        "terms": [{"subsets": [list(range(4096, 0, -1)), []], "coeff": [[0, 1]]}]})
+    for argv in (f"form --u {wide} --w {wide}", f"ev --web {loop}", f"eval --web {wide} --vector {closed}"):
+        start = time.perf_counter()
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and captured.out == "", argv
+        assert "error: slice 0: the web's image may hold more terms than the limit of 1000000" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_web_requests_within_the_term_bound_are_answered(capsys, tmp_path):
+    narrow = _ladder_4096(capsys, tmp_path, "-1^1")  # 4,096 terms
+    code, out = run(capsys, "form", "--u", narrow, "--w", narrow)
+    assert code == 0 and len(json.loads(out)) == 4096
+    # the README example
+    code, out = run(capsys, "ladder", "--N", "2", "--k", "2,0", "--word=-1^1")
+    web = tmp_path / "web.json"
+    web.write_text(out)
+    assert run(capsys, "form", "--u", str(web), "--w", str(web), "--format", "table") == (0, "v^2 + 1\n")
+
+
 def test_semistandard_tableaux_are_held_to_their_own_count(capsys):
     # (8, 1) has C(15, 8) = 6,435 semistandard tableaux but 8^8 column-strict
     # ones, which the basis expansions would cover

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 import pytest
 
 from qwebs.ring import (
+    ONE,
     LaurentPoly,
     NonDivisibleError,
     add_into,
@@ -47,7 +48,7 @@ def test_add_into_matches_a_counter_sum(acc, c, shift, factor):
 
 def test_qint_small():
     assert qint(0).is_zero()
-    assert qint(1).is_one()
+    assert qint(1) == ONE
     assert qint(2) == poly({1: 1, -1: 1})
     assert qint(3) == poly({2: 1, 0: 1, -2: 1})
 
@@ -62,7 +63,7 @@ def test_qint_matches_polynomial_division():
 
 def test_qbinom_trivial_and_small():
     for n in range(5):
-        assert qbinom(n, 0).is_one()
+        assert qbinom(n, 0) == ONE
     assert qbinom(2, 1) == qint(2)
     assert qbinom(4, 2) == poly({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
     assert qbinom(3, 5).is_zero()
@@ -86,7 +87,7 @@ def test_qbinom_negative_top():
 
 
 def test_bar_examples():
-    assert bar(LaurentPoly.zero()).is_zero()
+    assert bar(LaurentPoly()).is_zero()
     assert bar(poly({1: 1, 0: 2})) == poly({-1: 1, 0: 2})
     assert bar(qbinom(4, 2)) == qbinom(4, 2)
 
@@ -122,17 +123,17 @@ def test_symmetrize_examples():
 def test_symmetrize_properties(p):
     g = symmetrize_correction(p)
     assert bar(g) == g
-    assert (p - g).only_negative_exponents()
+    assert all(e < 0 for e, _ in (p - g).items())
 
 
 def test_exact_divide_examples():
     two = qint(2)
-    assert exact_divide(two, two).is_one()
+    assert exact_divide(two, two) == ONE
     assert exact_divide(qint(3) * two, two) == qint(3)
     with pytest.raises(NonDivisibleError):
         exact_divide(poly({1: 1, 0: 1}), poly({1: 1, 0: -1}))
     with pytest.raises(ZeroDivisionError):
-        exact_divide(poly({0: 1}), LaurentPoly.zero())
+        exact_divide(poly({0: 1}), LaurentPoly())
 
 
 @given(laurent, laurent)
@@ -150,7 +151,7 @@ def test_qnum_signs():
 def test_json_roundtrip():
     p = poly({3: 2, -1: -5})
     assert LaurentPoly.from_json(p.to_json()) == p
-    assert LaurentPoly.zero().to_json() == []
+    assert LaurentPoly().to_json() == []
     assert p.to_json() == [[-1, -5], [3, 2]]
 
 

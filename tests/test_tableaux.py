@@ -187,7 +187,7 @@ def test_type_examples():
 
 # The nu and mu correspondences in set form: nu^i, the set of columns that
 # contain i, is slot i of the tensor index (`howe.tableau_to_index`); mu^j,
-# the set of entries of column j, is column j of `Tableau.columns`.
+# the set of entries of column j, is column j of `Tableau.sort_key`.
 
 
 def test_nu_mu_on_reference_tableau():
@@ -195,16 +195,16 @@ def test_nu_mu_on_reference_tableau():
     nu = tableau_to_index(big)
     assert nu[:7] == idx({1, 2}, {1, 3}, {2}, {1, 3}, {2}, {1, 2, 3}, {3})
     assert all(not s for s in nu[7:])
-    assert big.columns() == ((1, 2, 4, 6), (1, 3, 5, 6), (2, 4, 6, 7))
+    assert big.sort_key() == ((1, 2, 4, 6), (1, 3, 5, 6), (2, 4, 6, 7))
 
 
 def test_nu_mu_of_highest_and_small():
     top = highest_tableau(Shape(2, 2))
     assert index_to_tableau(Shape(2, 2), idx({1, 2}, {1, 2}, (), ())) == top
-    assert top.columns() == ((1, 2), (1, 2))
+    assert top.sort_key() == ((1, 2), (1, 2))
     t = Tableau(Shape(2, 1), ((1, 2),))
     assert index_to_tableau(Shape(2, 1), idx({1}, {2})) == t
-    assert t.columns() == ((1,), (2,))
+    assert t.sort_key() == ((1,), (2,))
     with pytest.raises(ValueError, match="indicator vectors do not fill the shape"):
         index_to_tableau(Shape(2, 1), idx({1, 2}, {1}))
 
@@ -214,7 +214,7 @@ def test_nu_mu_roundtrip(N, l):
     shape = Shape(N, l)
     seen_nu, seen_mu = set(), set()
     for t in enumerate_tableaux(shape):
-        nu, mu = tableau_to_index(t), t.columns()
+        nu, mu = tableau_to_index(t), t.sort_key()
         assert index_to_tableau(shape, nu) == t
         assert Tableau.from_columns(shape, mu) == t
         seen_nu.add(nu)

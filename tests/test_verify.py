@@ -3,7 +3,7 @@
 from qwebs import bases, verify
 from qwebs.bases import GradedMatrix, gram_matrix
 from qwebs.cli import main
-from qwebs.ring import LaurentPoly
+from qwebs.ring import ONE, LaurentPoly
 from qwebs.tableaux import Shape, Tableau, highest_tableau
 from qwebs.verify import Report, check_howe, web_gram_mismatch
 from qwebs.webs import AnnihilatedError, rung
@@ -143,7 +143,7 @@ def test_web_gram_mismatch_names_the_corrupted_entry():
     gram = gram_matrix(3, 2, (0, 1, 1, 1, 1, 2))
     assert web_gram_mismatch(gram) is None
     rows = [list(r) for r in gram.entries]
-    rows[1][2] = rows[1][2] + LaurentPoly.one()
+    rows[1][2] = rows[1][2] + ONE
     corrupted = GradedMatrix(gram.labels, tuple(tuple(r) for r in rows))
     assert web_gram_mismatch(corrupted) == (
         "web and tensor Gram entries disagree at (235/466, 234/566): "
@@ -180,7 +180,7 @@ def test_cartan_sweep_reports_a_mirrored_wrong_entry(monkeypatch):
     assert clean.passed
     real = verify.cartan_matrix
     k0 = (1, 1, 1, 1)
-    assert real(2, k0).entry(0, 1) == LaurentPoly({3: 1, 1: 1})
+    assert real(2, k0).entries[0][1] == LaurentPoly({3: 1, 1: 1})
     wrong = _mirrored_wrong(real(2, k0), 0, 1, LaurentPoly({3: 2, 1: 2}))
     monkeypatch.setattr(verify, "cartan_matrix", lambda N, k: wrong if (N, k) == (2, k0) else real(N, k))
     rep = verify.check_cartan(2, 4)

@@ -4,15 +4,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qwebs.ring import LaurentPoly, bar, qbinom
+from qwebs.ring import ONE, LaurentPoly, bar, qbinom
 from qwebs.tensor import Boundary, Factor, ShapeMismatchError, TensorVector, basis_indices
 import qwebs.webs as qwebs_webs
+from qwebs.bases import lt_block, lt_web
+from qwebs.webalg import bounded_weights
 from qwebs.webs import (
+    MAX_TERMS,
     AnnihilatedError,
     IllFormedWebError,
     Slice,
     Web,
     cap,
+    check_work,
     cup,
     d_norm,
     ev_closed,
@@ -249,7 +253,7 @@ def test_reflect():
 
 def test_ev_closed():
     m2 = weight_boundary(2, (2, 0))
-    assert ev_closed(Web(m2)).is_one()
+    assert ev_closed(Web(m2)) == ONE
     lad = ladder_from_word(2, (2, 0), [(-1, 1, 1)])
     assert ev_closed(compose(lad, reflect(lad))) == qbinom(2, 1)
     with pytest.raises(ShapeMismatchError):
@@ -279,7 +283,7 @@ def test_d_norm():
 
 def test_web_form_examples():
     w_top = Web(weight_boundary(2, (2, 0)))
-    assert web_form(w_top, w_top).is_one()
+    assert web_form(w_top, w_top) == ONE
     lad = ladder_from_word(2, (2, 0), [(-1, 1, 1)])
     assert web_form(lad, lad) == LaurentPoly({2: 1, 0: 1})
     with pytest.raises(ShapeMismatchError):
@@ -526,3 +530,53 @@ def test_web_from_json_refuses_an_ill_formed_web_at_its_slice():
         with pytest.raises(IllFormedWebError) as exc:
             Web.from_json({"N": 3, "domain": dom, "slices": slices})
         assert exc.value.slice_index == at
+
+
+def _peak_terms(web: Web, terms: dict, column: str) -> int:
+    """The most terms the map holds at any boundary of the walk, through `act` or `co`."""
+    peak = len(terms)
+    for kind, space, s in web.walk:
+        terms = getattr(kind, column)(space, s, terms)
+        peak = max(peak, len(terms))
+    return peak
+
+
+@settings(deadline=None)
+@given(composable_webs())
+def test_work_bound_holds_every_image_and_co_image(web):
+    full = {i: {0: 1} for i in basis_indices(web.domain)}
+    for terms in [full] + [{i: c} for i, c in full.items()]:
+        bound = check_work(web, len(terms))
+        assert _peak_terms(web, terms, "act") <= bound
+        assert _peak_terms(web, terms, "co") <= bound
+
+
+def test_work_bound_passes_every_lt_ladder_web_of_the_sweeps():
+    # no real traffic is refused: every LT ladder web of (3,2) and (2,4), and
+    # of the all-ones blocks of (3,3) and (4,2), with room to spare
+    count = 0
+    for N, l, types in ((3, 2, None), (2, 4, None), (3, 3, [(1,) * 9]), (4, 2, [(1,) * 8])):
+        for k in types or bounded_weights(N, N * l):
+            for t in lt_block(N, l, k):
+                w = lt_web(t)
+                closed = {qwebs_webs._closed_key(w.domain): {0: 1}}
+                bound = check_work(w, 1)
+                assert _peak_terms(w, closed, "act") <= bound <= MAX_TERMS // 50, t
+                count += 1
+    assert count == 2_310
+
+
+def test_work_bound_refuses_a_web_past_the_limit_at_its_slice():
+    assert check_work(ladder_from_word(4096, (4096, 0), [(-1, 1, 1)]), 1) == 4096
+    for word in ([(-1, 1, 2)], [(-1, 1, 2), (1, 1, 2)]):
+        with pytest.raises(ValueError, match=f"slice 0: .* than the limit of {MAX_TERMS}"):
+            check_work(ladder_from_word(4096, (4096, 0), word), 1)
+    # a cup of color a makes C(N, a) terms of each one
+    cupped = Web(Boundary(4096, (Factor(0),)), (cup(2, 1),))
+    with pytest.raises(ValueError, match="slice 0"):
+        check_work(cupped, 1)
+    # the bound is capped by the dimension of the boundary above, C(4, 2)^2
+    # after each split, where 20 splits would make 6^20 terms of one
+    assert check_work(ladder_from_word(4, (4, 0), [(-1, 1, 2), (1, 1, 2)] * 10), 1) == 36
+    # and a slice that adds no term leaves it as it is
+    assert check_work(ladder_from_word(4, (2, 2), [(1, 1, 0)]), 10**7) == 10**7
