@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .ring import LaurentPoly, add_into, exact_int
@@ -336,6 +337,7 @@ def evaluate_dense(web: Web, terms: Terms) -> Terms:
 # (2, 4) and the all-ones blocks of (3, 3) and (4, 2) is at most 19,683; the
 # C(4096, 2) terms of a width-2 rung on a color-4096 strand are refused.
 MAX_TERMS = 1_000_000
+_comb = cache(math.comb)  # each C(N, c) made once: C(4096, 2048) has 4,090 bits
 
 
 def check_work(web: Web, start: int) -> int:
@@ -345,18 +347,21 @@ def check_work(web: Web, start: int) -> int:
     A split of colors (a, b) makes each term C(a+b, a) terms and a cup of
     color a makes it C(N, a); no other slice adds a term, in `act` or in
     `co`.  After a split or a cup the bound is capped by the dimension of
-    the boundary above it, the product of C(N, c) over its colors.
+    the boundary above it, the product of C(N, c) over its colors, built
+    only until it reaches the bound.
     """
     bound = peak = start
     aboves = [space for _, space, _ in web.walk[1:]] + [web.codomain]
     for i, ((_, space, s), above) in enumerate(zip(web.walk, aboves)):
-        if s.kind == "split":
-            bound *= math.comb(s.a + s.b, s.a)
-        elif s.kind == "cup":
-            bound *= math.comb(space.N, s.a)
-        else:
+        if s.kind not in ("split", "cup"):
             continue
-        bound = min(bound, math.prod(math.comb(space.N, f.color) for f in above.factors))
+        bound *= _comb(s.a + s.b, s.a) if s.kind == "split" else _comb(space.N, s.a)
+        dim = 1
+        for f in above.factors:
+            if dim >= bound:
+                break
+            dim *= _comb(space.N, f.color)
+        bound = min(bound, dim)
         if bound > MAX_TERMS:
             raise ValueError(f"slice {i}: the web's image may hold more terms than the limit of {MAX_TERMS}")
         peak = max(peak, bound)

@@ -1,11 +1,12 @@
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwebs.ring import ONE, LaurentPoly, bar, qbinom
-from qwebs.tensor import Boundary, Factor, ShapeMismatchError, TensorVector, basis_indices
+from qwebs.tensor import Boundary, Factor, ShapeMismatchError, TensorVector, basis_indices, cup_kernel, tag_kernel
 import qwebs.webs as qwebs_webs
 from qwebs.bases import lt_block, lt_web
 from qwebs.webalg import bounded_weights
@@ -370,7 +371,19 @@ def test_co_walk_is_the_transpose_of_the_reflected_web(web):
         mirrored = reflect(web)
     except IllFormedWebError:  # a cap of the other layout mirrors to a cup of the usual one
         assume(False)
+    # which at color N/2 fits, and lays the slices above it on other factors
+    # than the web's own: then `mirrored` is no reflection of the web
+    assume(mirrored.codomain == web.domain)
     assert _co_matrix(web) == _transpose(web_matrix(mirrored))
+
+
+def test_co_walk_past_a_cap_of_the_other_layout_is_the_transpose():
+    # a left tag on slot 2 of (1, 1), then a cap of the plain-below-dual
+    # layout; the reflection is that layout's cup, then the right tag on the
+    # dual factor of slot 2, which no mirrored `Web` can lay
+    web = Web(Boundary(2, (Factor(1), Factor(1))), (tag(1, 2), cap(1, 1)))
+    reflection = tag_kernel(2, cup_kernel(2, {(): {0: 1}}, 1, 1), 2, True, "right")
+    assert _co_matrix(web) == _transpose({(): reflection})
 
 
 def _random_ladders(rng: random.Random, N: int, k: tuple[int, ...], count: int) -> list[Web]:
@@ -580,3 +593,19 @@ def test_work_bound_refuses_a_web_past_the_limit_at_its_slice():
     assert check_work(ladder_from_word(4, (4, 0), [(-1, 1, 2), (1, 1, 2)] * 10), 1) == 36
     # and a slice that adds no term leaves it as it is
     assert check_work(ladder_from_word(4, (2, 2), [(1, 1, 0)]), 10**7) == 10**7
+
+
+def test_work_bound_is_quick_on_a_wide_boundary_of_slices_that_add_no_term():
+    # cups of color 0 and splits (2048, 0) multiply the bound by 1; the cap by
+    # the boundary above stops at its first color-2048 factor, 4,090 bits,
+    # instead of multiplying all 1,000 of them at each slice
+    wide = Boundary(4096, (Factor(2048),) * 1000)
+    for slices in (
+        [cup(0, 1)] * 1000,  # in front of the wide factors
+        [cup(0, 1001 + 2 * i) for i in range(1000)],  # behind them
+        [split(2048, 0, 1000 + i) for i in range(1000)],
+    ):
+        web = Web(wide, tuple(slices))
+        start = time.perf_counter()
+        assert check_work(web, 2) == 2
+        assert time.perf_counter() - start < 1.0
