@@ -7,17 +7,19 @@ nonnegative-coefficient Laurent polynomials below the leading term.
 
 Every prefix of a reversed peel word is itself a reversed peel word, so
 A^T = F_i^(r) A^peel(T) and the words of a block form a prefix tree.
-`lt_block` walks that tree once, depth first, in the howe kernel's column
-maps: it keeps at most the maps of one root-to-leaf path, so each distinct
-prefix runs its divided power once.  `lt_vector` is that walk, over any list
-of semistandard labels of one shape.  Every vector is checked for its
-leading 1, triangularity and nonnegative coefficients as it is built, and
-each distinct column of the block once for what `Tableau` validation checks.
+`lt_block` walks that tree once, depth first, in the howe kernel's maps:
+it keeps at most the maps of one root-to-leaf path, so each distinct prefix
+runs its divided power once.  `lt_vector` is that walk, over any list of
+semistandard labels of one shape.  Every vector is checked for its leading
+1, triangularity (no key above its label's key, in the int order that is
+the tableau order), nonnegative coefficients and keys of N*l bits within N
+fields as it is built.
 
-Each element holds its vector as the kernel's map, {column tuple:
-{exponent: int}}, the form every `TableauVector` holds; the corrections and
-the Gram pairings add up on these maps through `ring.add_into`.  `pairing`
-is the one form on such maps, the barred `tensor.dot`.
+Each element holds its vector as the kernel's map, {packed tableau key:
+{exponent: int}} (`howe.tableau_key`), the form every `TableauVector`
+holds; the corrections and the Gram pairings add up on these maps through
+`ring.add_into`.  `pairing` is the one form on such maps, the barred
+`tensor.dot`.
 
 The dual canonical element b^T is computed from the A-basis by triangular
 elimination: scanning semistandard S below T in descending order, any
@@ -37,9 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .howe import act_divided
+from .howe import act_divided, check_key_bits, key_columns, tableau_key
 from .ring import LaurentPoly, add_into, bar, symmetrize_correction
-from .tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, peel_word
+from .tableaux import Shape, Tableau, check_request, enumerate_tableaux, highest_tableau, peel_word
 from .tensor import Terms, dot
 from .webs import Web, ladder_from_word
 
@@ -50,7 +52,7 @@ class InvariantViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class _BlockElement:
-    """A vector of a block, held as the howe kernel's column map."""
+    """A vector of a block, held as the howe kernel's map."""
 
     tableau: Tableau
     terms: Terms
@@ -68,8 +70,13 @@ class DualCanonicalElement(_BlockElement):
 
 @cache
 def lt_block(N: int, l: int, ktype: tuple[int, ...]) -> dict[Tableau, LTBasisElement]:
-    """All LT vectors of one type, keyed by tableau (descending iteration order)."""
+    """All LT vectors of one type, keyed by tableau (descending iteration order).
+
+    The vectors range over the column-strict tableaux of the type, whose
+    bound `check_key_bits` holds them to before any work.
+    """
     shape = Shape(N, l)
+    check_key_bits(shape, check_request(shape, ktype))
     return lt_vector(shape, enumerate_tableaux(shape, ktype, semistandard_only=True))
 
 
@@ -81,48 +88,49 @@ def lt_vector(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisEleme
     is the kernel map after the first d divided powers of the current word,
     kept only as deep as the next word shares it; only the pairs past the
     prefix shared with the previous word are applied.  Each vector keeps its
-    map; what `Tableau` validation would check of a term is checked once per
-    distinct column of the block.
+    map.  A move flips one set and one clear bit, adjacent in one field, so
+    the columns of the keys the kernel makes stay strictly increasing with
+    entries in 1..m; each term's key is checked for N*l bits set, none past
+    its N fields.
     """
-    N = shape.N
-    checked: set[tuple[int, ...]] = set()  # columns that passed `_check_column`
+    width, count = shape.N * shape.m, shape.N * shape.l
     walk = sorted((tuple(peel_word(t))[::-1], n) for n, t in enumerate(labels))
     shared = [0] + [_common_prefix(a, b) for (a, _), (b, _) in zip(walk, walk[1:])] + [0]
-    path = [{highest_tableau(shape).sort_key(): {0: 1}}]
+    path = [{tableau_key(highest_tableau(shape)): {0: 1}}]
     out: list = [None] * len(labels)
     for j, (rword, n) in enumerate(walk):
         terms = path[-1]  # path holds depths 0..shared[j]
         for d in range(shared[j], len(rword)):
-            terms = act_divided(-1, *rword[d], terms)
+            terms = act_divided(shape, -1, *rword[d], terms)
             if d < shared[j + 1]:
                 path.append(terms)
         del path[shared[j + 1] + 1 :]
         t = labels[n]
-        key = t.sort_key()
+        key = tableau_key(t)
         if terms.get(key) != {0: 1}:
             lead = LaurentPoly(terms.get(key, {}))
             raise InvariantViolationError(f"leading coefficient at {t} is {lead}")
         for k, c in terms.items():
-            if len(k) != N:
-                raise InvariantViolationError(f"term {k} of the vector of {t} has {len(k)} columns")
-            if not checked.issuperset(k):
-                for col in k:
-                    _check_column(shape, col)
-                checked.update(k)
-            if k < key:
-                tau = Tableau.from_columns(shape, k)
+            if k >> width or k.bit_count() != count:
+                raise InvariantViolationError(_key_error(shape, k, t))
+            if k > key:
+                tau = Tableau.from_columns(shape, key_columns(shape, k))
                 raise InvariantViolationError(f"non-triangular term {tau} in the vector of {t}")
             if min(c.values()) < 0:
-                tau = Tableau.from_columns(shape, k)
+                tau = Tableau.from_columns(shape, key_columns(shape, k))
                 raise InvariantViolationError(f"negative coefficient {LaurentPoly(c)} at {tau}")
         out[n] = LTBasisElement(t, terms, rword[::-1])
     return dict(zip(labels, out))
 
 
-def _check_column(shape: Shape, col: tuple[int, ...]) -> None:
-    """A column of the shape: l entries in 1..m, strictly increasing."""
-    if len(col) != shape.l or not all(x < y for x, y in zip((0, *col), (*col, shape.m + 1))):
-        raise InvariantViolationError(f"{col} is not a column of shape ({shape.N}, {shape.l})")
+def _key_error(shape: Shape, key: int, t: Tableau) -> str:
+    """What is wrong with a term's key in the vector of t: bits past its N fields,
+    or a column of other than l entries."""
+    N, l = shape.N, shape.l
+    if key >> N * shape.m:
+        return f"term {key:#x} of the vector of {t} has more than {N} columns"
+    col = next(c for c in key_columns(shape, key) if len(c) != l)
+    return f"{col} is not a column of shape ({N}, {l})"
 
 
 def _common_prefix(a: tuple, b: tuple) -> int:
@@ -136,7 +144,7 @@ def _common_prefix(a: tuple, b: tuple) -> int:
 
 
 def dual_canonical(block: dict, labels: list[Tableau], keys: list, n: int) -> DualCanonicalElement:
-    """b^T for T = labels[n], corrected on the block's column maps (keys[n] is T's key)."""
+    """b^T for T = labels[n], corrected on the block's maps (keys[n] is T's key)."""
     t, key = labels[n], keys[n]
     coords = dict(block[t].terms)  # its inner maps are replaced, never changed
     beta: list[tuple[Tableau, LaurentPoly]] = []
@@ -159,7 +167,8 @@ def dual_canonical(block: dict, labels: list[Tableau], keys: list, n: int) -> Du
     if coords.get(key) != {0: 1}:  # the leading coefficient must be 1
         bad[key] = coords.get(key, {})
     if bad:
-        found = tuple((Tableau.from_columns(t.shape, k), LaurentPoly(bad[k])) for k in sorted(bad))
+        found = tuple((Tableau.from_columns(t.shape, key_columns(t.shape, k)), LaurentPoly(bad[k]))
+                      for k in sorted(bad, reverse=True))
         raise InvariantViolationError(f"negative exponent property fails for {t}: {found}")
     for s, g in beta:
         if bar(g) != g:
@@ -172,7 +181,7 @@ def dual_block(N: int, l: int, ktype: tuple[int, ...]) -> dict[Tableau, DualCano
     """All dual canonical elements of one type, labelled as `lt_block` labels them."""
     block = lt_block(N, l, ktype)
     labels = list(block)
-    keys = [t.sort_key() for t in labels]
+    keys = [tableau_key(t) for t in labels]
     return {t: dual_canonical(block, labels, keys, n) for n, t in enumerate(labels)}
 
 
@@ -189,12 +198,11 @@ def pairing(x: Terms, y: Terms) -> LaurentPoly:
     return LaurentPoly({-e: a for e, a in dot(x, y).items()})
 
 
-def lt_web(t: Tableau) -> Web:
-    """The ladder web of the LT vector: the peel word glued bottom-up."""
-    shape = t.shape
-    m = shape.m
-    k_start = (shape.N,) * shape.l + (0,) * (m - shape.l)
-    word = [(-1, i, r) for i, r in reversed(peel_word(t))]
+def lt_web(elem: LTBasisElement) -> Web:
+    """The ladder web of an LT vector: its peel word glued bottom-up."""
+    shape = elem.tableau.shape
+    k_start = (shape.N,) * shape.l + (0,) * (shape.m - shape.l)
+    word = [(-1, i, r) for i, r in reversed(elem.word)]
     return ladder_from_word(shape.N, k_start, word)
 
 
@@ -215,7 +223,7 @@ class GradedMatrix:
 def gram_matrix(N: int, l: int, ktype: tuple[int, ...], basis: str = "lt") -> GradedMatrix:
     """Gram matrix of a basis of one type block, from the tensor expansions.
 
-    Each entry is `pairing` of two basis vectors, taken on their column maps,
+    Each entry is `pairing` of two basis vectors, taken on their maps,
     once per unordered pair: the form is symmetric, so (j, i) holds the same
     immutable `LaurentPoly` as (i, j).  For the LT basis the same entries are
     the web forms of the ladder webs (`lt_web`); `qwebs verify --form` checks

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -33,7 +34,7 @@ from .bases import (
     gram_matrix,
     lt_block,
 )
-from .howe import TableauVector, act_divided, check_generator, terms_texts
+from .howe import TableauVector, act_divided, check_generator, check_key_bits, terms_texts
 from .ring import NonDivisibleError
 from .tableaux import Shape, check_request, enumerate_tableaux
 from .tensor import ShapeMismatchError, TensorVector
@@ -166,7 +167,9 @@ def cmd_act(args) -> int:
     vec = _read(TableauVector, args.vector)
     sign = 1 if args.sign == "+" else -1
     check_generator(vec.space, sign, args.i, args.r)
-    out = act_divided(sign, args.i, args.r, vec.coords)
+    # each key moves at most C(N, r) ways
+    check_key_bits(vec.space, len(vec.coords) * math.comb(vec.space.N, args.r))
+    out = act_divided(vec.space, sign, args.i, args.r, vec.coords)
     print(terms_texts(vec.space, [out])[0])  # JSON in both formats
     return 0
 

@@ -16,19 +16,30 @@ with all of S moved, with coefficient v^(sum of their one-step exponents +
 r(r-1)/2).  Summing the r! move orders of the r-fold action gives [r]!
 times that one monomial, so no division is needed.
 
-A `TableauVector` is keyed by column tuples (`Tableau.sort_key()`), with the
-`tensor.Terms` int maps as coefficients.  One kernel, `act_divided`, acts on
-such a map: a move replaces column tuples, and its power of v sums the
-per-column differences (i in d) - (i+1 in d); moves that meet at one tuple
-add up through `ring.add_into`.  Each column's difference and moved column
-come from the move table of (sign, i), `_column_moves`, a cache of one
-`tensor._Table` per generator.  The kernel checks none of its arguments:
-`act_E`, the one step on a `TableauVector`, and the `act` command refuse a
-generator outside the shape.  The kernel is also the step of the peel-tree
-walk in `bases`, whose blocks are maps of the same form.  `terms_texts` is
-the one writer of the JSON of such maps (`act`, `lt-basis` and
-`dual-canonical` print through it), joining each key's rows from a table of
-row texts made per call, and `TableauVector.from_json` reads it back.
+A tableau map is keyed by one int per tableau, its packed key
+(`tableau_key`): column j is an m-bit field, the leftmost column the most
+significant, and the entry e of a column is the field's bit m - e.  Read
+left to right, the key's N*m binary digits name the entries 1..m of each
+column in turn.  Of two columns of l entries, the one with the smaller entry
+at the first place they differ holds the least entry of their symmetric
+difference, the higher bit, so the int order is the tableau order: a larger
+key is a larger tableau, and ascending `Tableau.sort_key` is descending key.
+`key_columns` decodes a key.  A `TableauVector` holds such a map, with the
+`tensor.Terms` int maps as coefficients.
+
+One kernel, `act_divided`, acts on such a map, on all N columns of a key at
+once: one shift and one mask with the lowest bit of every field
+(`_column_ones`) mark the columns that hold i, another those that hold i+1,
+a move flips the two adjacent bits of i and i+1 in the moved columns, and an
+exponent is a popcount; moves that meet at one key add up through
+`ring.add_into`.  The kernel checks none of its arguments: `act_E`, the one
+step on a `TableauVector`, and the `act` command refuse a generator outside
+the shape.  The kernel is also the step of the peel-tree walk in `bases`,
+whose blocks are maps of the same form.  `terms_texts` is the one writer of
+the JSON of such maps (`act`, `lt-basis` and `dual-canonical` print through
+it), decoding each distinct key once, and `TableauVector.from_json` reads it
+back.  A key is N*m bits, so `check_key_bits` refuses, before any work, maps
+whose keys could hold more than MAX_KEY_BITS bits.
 
 Tableaux and tensor basis indices correspond through one injection,
 `tableau_to_index`: slot i of the index of a tableau holds the mask of the
@@ -46,33 +57,66 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 
-from .ring import LaurentPoly, ONE, add_into, exact_int
+from .ring import LaurentPoly, add_into, exact_int
 from .tableaux import Shape, Tableau
 from .tensor import Index, SparseVector, Terms, _Table
 
 
+def tableau_key(t: Tableau) -> int:
+    """The packed key of a tableau: its binary text has a 1 at j*m + e - 1 when column j holds e."""
+    N, m = t.shape.N, t.shape.m
+    bits = bytearray(b"0") * (N * m)
+    for row in t.rows:
+        for j, e in enumerate(row):
+            bits[j * m + e - 1] = 49  # "1"
+    return int(bits, 2)
+
+
+def key_columns(shape: Shape, key: int) -> list[tuple[int, ...]]:
+    """The columns of a packed key, left to right, each read top to bottom."""
+    m, n = shape.m, shape.N * shape.m
+    bits = bin(key)[2:].zfill(n)
+    return [_column(bits[p : p + m]) for p in range(0, n, m)]
+
+
+@cache
+def _column(digits: str) -> tuple[int, ...]:
+    """The column whose field has these m binary digits: e is in it when digit e is 1."""
+    return tuple(e for e, d in enumerate(digits, 1) if d == "1")
+
+
+# Maps of tableau keys are refused when their keys could hold more than this
+# many bits, 128 MB: the 1,024 tableaux of shape (1024, 1) and type
+# 1023,1,0,... hold exactly 2^30 bits; that type at N = 2048 or 4096 would
+# hold 2^33 or 2^36.
+MAX_KEY_BITS = 2**30
+
+
+def check_key_bits(shape: Shape, count: int) -> None:
+    """Refuse maps of up to `count` keys of the shape, N*m bits each, over MAX_KEY_BITS."""
+    if count * shape.N * shape.m > MAX_KEY_BITS:
+        raise ValueError(f"{count} tableau keys of shape ({shape.N}, {shape.l}), "
+                         f"{shape.N * shape.m} bits each, exceed the limit of {MAX_KEY_BITS} bits")
+
+
 class TableauVector(SparseVector):
-    """A sparse vector of one shape (its space), keyed by the column tuples of tableaux."""
+    """A sparse vector of one shape (its space), keyed by the packed keys of tableaux."""
 
     __slots__ = ()
 
-    @classmethod
-    def basis_vector(cls, t: Tableau, coeff: LaurentPoly = ONE) -> "TableauVector":
-        x = cls(t.shape)
-        x.add_term(t.sort_key(), coeff)
-        return x
-
     def __repr__(self) -> str:
-        terms = " + ".join(f"({LaurentPoly(c)})*{Tableau.from_columns(self.space, k)}"
-                           for k, c in sorted(self.coords.items(), key=lambda kc: kc[0]))
+        shape = self.space
+        terms = " + ".join(f"({LaurentPoly(c)})*{Tableau.from_columns(shape, key_columns(shape, k))}"
+                           for k, c in sorted(self.coords.items(), reverse=True))
         return f"TableauVector[{terms or '0'}]"
 
     @classmethod
     def from_json(cls, data: dict) -> "TableauVector":
         shape = Shape(exact_int(data["N"], "N"), exact_int(data["l"], "l"))
+        check_key_bits(shape, len(data["terms"]))
         x, seen = cls(shape), set()
         for term in data["terms"]:
-            key = Tableau.from_json({"N": shape.N, "l": shape.l, "rows": term["rows"]}).sort_key()
+            key = tableau_key(Tableau.from_json({"N": shape.N, "l": shape.l, "rows": term["rows"]}))
             if key in seen:
                 raise ValueError(f"tableau {term['rows']} appears twice")
             seen.add(key)
@@ -84,21 +128,22 @@ class TableauVector(SparseVector):
 
 
 def terms_texts(shape: Shape, maps: list[Terms]) -> list[str]:
-    """The JSON text of each map keyed by column tuples, from one key table.
+    """The JSON text of each map keyed by packed keys, from one key table.
 
     Each text is `{"N": N, "l": l, "terms": [...]}` with one
     `{"coeff": [[exponent, coefficient], ...], "rows": [[...], ...]}` per key,
     as `json.dumps(..., sort_keys=True)` writes it: terms in ascending column
-    tuple (descending tableau) order, exponents ascending.  The table is made
-    once per distinct column tuple of the maps: the tuple's rank among them
-    all, which orders the terms of each map, and the `"rows"` text that ends
-    each of its terms, joined from a table of row texts (`str` of an int list
-    is its JSON).
+    tuple (descending key) order, exponents ascending.  The table is made
+    once per distinct key of the maps: the key's rank among them all, which
+    orders the terms of each map, and the `"rows"` text that ends each of its
+    terms, from the key's decoded columns and a table of row texts (`str` of
+    an int list is its JSON).
     """
-    keys = sorted({k for terms in maps for k in terms})
+    keys = sorted({k for terms in maps for k in terms}, reverse=True)
     rank = {k: n for n, k in enumerate(keys)}
     row_text = _Table(lambda row: str(list(row)))
-    rows = [', "rows": [' + ", ".join([row_text[r] for r in zip(*k)]) + "]}" for k in keys]
+    rows = [', "rows": [' + ", ".join([row_text[r] for r in zip(*key_columns(shape, k))]) + "]}"
+            for k in keys]
     head = f'{{"N": {shape.N}, "l": {shape.l}, "terms": ['
     out = []
     for terms in maps:
@@ -116,63 +161,69 @@ def terms_texts(shape: Shape, maps: list[Terms]) -> list[str]:
 
 
 @cache
-def _column_moves(sign: int, i: int) -> _Table:
-    """At a column d: (i in d) - (i+1 in d), and d with its source entry moved
-    to the target when a step of (sign, i) can move it, else None."""
-    src, dst = (i, i + 1) if sign < 0 else (i + 1, i)
-
-    def fill(d: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
-        dj = (i in d) - (i + 1 in d)
-        return dj, tuple(dst if e == src else e for e in d) if dj == -sign else None
-
-    return _Table(fill)
+def _column_ones(N: int, m: int) -> int:
+    """The key of N fields of m bits with the lowest bit of every field set."""
+    return ((1 << N * m) - 1) // ((1 << m) - 1)
 
 
-def act_divided(sign: int, i: int, r: int, terms: Terms) -> Terms:
-    """The divided power (i, r) on a column map, in one pass over r-subsets of columns.
+def act_divided(shape: Shape, sign: int, i: int, r: int, terms: Terms) -> Terms:
+    """The divided power (i, r) on a map of packed keys of `shape`, on all columns at once.
 
-    A column d is movable when it holds the source value and not the target,
-    i.e. when (i in d) - (i+1 in d) is -sign; the moved entry keeps the column
-    increasing, since source and target are adjacent.  Both are read from the
-    move table of (sign, i).  Its one-step shift w sums the diffs of the
-    columns right of it (lowering, negated) or left of it (raising).  Moving
-    the columns of an r-subset S one at a time, each step adds 2 for every
-    column of S already moved on its counted side; the r! orders sum to
-    v^(r(r-1)/2) [r]!, so the divided power gives S the exponent
+    With lo = m - i - 1, the bit of i + 1 in each field (i sits one bit
+    higher), A = key >> lo + 1 & ones marks the columns that hold i and
+    B = key >> lo & ones those that hold i + 1.  The columns a step can move
+    are A & ~B when lowering and B & ~A when raising; moving the column of
+    bit b flips its bits of i and i + 1, so the move is key ^ (b * 3 << lo),
+    and the entry moved stays between its neighbours.  A one-step exponent
+    counts the columns right of b (lower bits) when lowering, B minus A below
+    b, and left of it when raising, A minus B above b, which is
+    pop(A) - pop(B) + 1 less (A minus B below b), as b is in B and not in A.
+    Moving the columns of an r-subset S one at a time, each step adds 2 for
+    every column of S already moved on its counted side; the r! orders sum
+    to v^(r(r-1)/2) [r]!, so the divided power gives S the exponent
     sum(w) + r(r-1)/2.
+
+    The moves depend on the key only through its bits of i and i + 1,
+    key >> lo & 3 * ones, so they are worked out once per call for each
+    such pattern: (the bits a move flips, its exponent) for each r-subset,
+    and for r = 1 each movable column in turn.
     """
-    moves = _column_moves(sign, i)
+    m = shape.m
+    ones = _column_ones(shape.N, m)
+    both = 3 * ones
+    lo = m - i - 1
     base = r * (r - 1) // 2
+    moves: dict[int, list] = {}  # pattern -> [(bits flipped, exponent), ...]
     out: Terms = {}
-    for cols, c in terms.items():
-        movable = []  # (position, diffs left of it, moved column)
-        left = 0
-        for j, d in enumerate(cols):
-            dj, moved = moves[d]
-            if moved is not None:
-                movable.append((j, left, moved))
-            left += dj
-        if len(movable) < r:
-            continue
-        # lowering counts the columns right of j: (diffs left of j) + 1 - total
-        start = base + r * (1 - left) if sign < 0 else base
-        for subset in combinations(movable, r):
-            key = list(cols)
-            shift = start
-            for j, w, moved in subset:
-                key[j] = moved
-                shift += w
-            key = tuple(key)
-            acc = out.get(key)
+    for key, c in terms.items():
+        pattern = key >> lo & both
+        flips = moves.get(pattern)
+        if flips is None:
+            A, B = pattern >> 1 & ones, pattern & ones
+            if sign < 0:
+                movable, top = A & ~B, 0
+            else:
+                movable, top = B & ~A, A.bit_count() - B.bit_count() + 1
+            flips = []
+            while movable:
+                b = movable & -movable
+                movable ^= b
+                flips.append((b * 3 << lo, top + (B & b - 1).bit_count() - (A & b - 1).bit_count()))
+            if r != 1:
+                flips = [(sum(x for x, _ in s), base + sum(w for _, w in s)) for s in combinations(flips, r)]
+            moves[pattern] = flips
+        for x, shift in flips:
+            moved = key ^ x
+            acc = out.get(moved)
             if acc is None:  # an unshifted map is handed on, not copied
-                out[key] = {e + shift: a for e, a in c.items()} if shift else c
+                out[moved] = {e + shift: a for e, a in c.items()} if shift else c
             else:  # acc may be an input's map: add into a copy
                 acc = dict(acc)
                 add_into(acc, c, shift)
                 if acc:
-                    out[key] = acc
+                    out[moved] = acc
                 else:
-                    del out[key]
+                    del out[moved]
     return out
 
 
@@ -189,7 +240,7 @@ def check_generator(shape: Shape, sign: int, i: int, r: int = 1) -> None:
 def act_E(sign: int, i: int, x: TableauVector) -> TableauVector:
     """Apply the generator of index i (sign -1 lowers, +1 raises)."""
     check_generator(x.space, sign, i)
-    return TableauVector(x.space, act_divided(sign, i, 1, x.coords))
+    return TableauVector(x.space, act_divided(x.space, sign, i, 1, x.coords))
 
 
 def weight_of_type(k: tuple[int, ...]) -> tuple[int, ...]:
@@ -203,8 +254,7 @@ def weight_of_type(k: tuple[int, ...]) -> tuple[int, ...]:
 def tableau_to_index(t: Tableau) -> Index:
     """The tensor basis index of a tableau: slot i holds the mask of the columns containing i."""
     idx = [0] * t.shape.m
-    for j, col in enumerate(t.sort_key()):
-        for i in col:
-            idx[i - 1] |= 1 << j
+    for row in t.rows:
+        for j, e in enumerate(row):
+            idx[e - 1] |= 1 << j
     return tuple(idx)
-

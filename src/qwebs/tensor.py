@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
-from .ring import ONE, LaurentPoly, add_into, exact_int
+from .ring import LaurentPoly, add_into, exact_int
 
 
 class ShapeMismatchError(ValueError):
@@ -141,15 +141,15 @@ def weight_boundary(N: int, k: tuple[int, ...]) -> Boundary:
 Index = tuple[int, ...]  # a bitmask per slot, slot 1 first
 
 # A vector: {key: {exponent: int}}, keyed by an `Index` on a tensor boundary
-# or by a column tuple on a tableau shape.  No coefficient is zero and no
-# inner map is empty.  Inner maps are shared between vectors and kernels and
-# never changed in place: a kernel hands an inner map on unchanged or adds
-# up, through `ring.add_into`, only into maps it made itself, dropping a key
-# whose map cancels to empty.  `split_kernel` and `howe.act_divided` hand on
+# or by a packed tableau key (an int, `howe.tableau_key`) on a tableau shape.
+# No coefficient is zero and no inner map is empty.  Inner maps are shared
+# between vectors and kernels and never changed in place: a kernel hands an
+# inner map on unchanged or adds up, through `ring.add_into`, only into maps
+# it made itself, dropping a key whose map cancels to empty.  `split_kernel` and `howe.act_divided` hand on
 # each unshifted map; `act_divided` adds a second move at one key into a
 # copy, since the first may have been handed on.  `SparseVector.add_term`
 # copies on write.
-Terms = dict[tuple, dict[int, int]]
+Terms = dict[Index | int, dict[int, int]]
 
 
 def ell(S, T) -> int:
@@ -234,13 +234,6 @@ class TensorVector(SparseVector):
     """A sparse vector on a tensor boundary, keyed by index tuples."""
 
     __slots__ = ()
-
-    @classmethod
-    def basis_vector(cls, space: Boundary, idx: Index, coeff: LaurentPoly = ONE) -> "TensorVector":
-        _check_index(space, idx)
-        x = cls(space)
-        x.add_term(idx, coeff)
-        return x
 
     def _sorted(self) -> list:
         """(members of each slot, coefficient) per term, in printed order."""

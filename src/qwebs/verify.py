@@ -18,16 +18,17 @@ The two cross-checks between routes compute each shared object once:
 - `check_howe` groups the tableaux of each shape by type.  A rung (sign, i, a)
   gives one ladder per type, so each ladder is built once per group, not
   once per tableau; an annihilated one raises once per group.  Both routes
-  run in kernel form: the tableau action on {column tuple: {0: 1}}, and the
+  run in kernel form: the tableau action on {packed key: {0: 1}}, and the
   ladder's slice kernels on the tableau's tensor index.  The web image is
-  read back to column tuples through `tableau_to_index`, inverted once per
-  shape; an index no tableau has stays a mask tuple, equal to no column
-  tuple, so its check fails.  There is still one check per (tableau, sign,
-  i, a).
+  read back to packed keys through `tableau_to_index`, inverted once per
+  shape; an index no tableau has stays a mask tuple, equal to no key, so
+  its check fails.  There is still one check per (tableau, sign, i, a).
 - `web_gram_mismatch` gets the web route's Gram matrix from `web_gram`: each
-  LT ladder web is built once per block and walked once for its image and
-  once for its co-image, and each entry is one dot product of a co-image
-  with an image.
+  LT ladder web is built once per block, from the word its element stores,
+  and walked once for its image and once for its co-image, and each entry is
+  one dot product of a co-image with an image.
+- The relations sweep reads each distinct web's matrix once: the same
+  ladder, digon or identity recurs across its checks.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .bases import GradedMatrix, dual_block, gram_matrix, lt_block, lt_web, pairing
-from .howe import act_divided, tableau_to_index, weight_of_type
+from .bases import GradedMatrix, LTBasisElement, dual_block, gram_matrix, lt_block, lt_web, pairing
+from .howe import act_divided, tableau_key, tableau_to_index, weight_of_type
 from .ring import ONE, LaurentPoly, add_into, bar, qbinom, qnum
-from .tableaux import Shape, enumerate_tableaux, highest_tableau, tableau_type
-from .tensor import Boundary, Factor, TensorVector, Terms, basis_indices, weight_boundary
+from .tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, tableau_type
+from .tensor import Boundary, Factor, TensorVector, Terms, _Table, basis_indices, weight_boundary
 from .webalg import bounded_weights, cartan_matrix, frobenius_check
 from .webs import (
     AnnihilatedError,
@@ -102,15 +103,17 @@ def _combine(parts) -> Terms:
     return out
 
 
-def _vanishes(parts, codomain: Boundary) -> bool:
-    """Whether each web of `parts` ends on `codomain` and the sum of c * web over
-    its (c, web) is the zero map.  The webs share a domain; a web's matrix is read
-    as one map keyed by (domain index, image index), and `Web(space)` is the identity."""
-    def matrix(web: Web) -> Terms:
-        return {(idx, key): c for idx, image in web_matrix(web).items() for key, c in image.items()}
+def _matrix(web: Web) -> Terms:
+    """A web's matrix as one map keyed by (domain index, image index)."""
+    return {(idx, key): c for idx, image in web_matrix(web).items() for key, c in image.items()}
 
+
+def _vanishes(parts, codomain: Boundary, matrices: _Table) -> bool:
+    """Whether each web of `parts` ends on `codomain` and the sum of c * web over
+    its (c, web) is the zero map.  The webs share a domain; each web's `_matrix`
+    is read from `matrices`, and `Web(space)` is the identity."""
     return all(web.codomain == codomain for _, web in parts) and not _combine(
-        [(c, matrix(web)) for c, web in parts])
+        [(c, matrices[web]) for c, web in parts])
 
 
 def _ladder(N: int, k_start: tuple[int, ...], word) -> Web | None:
@@ -126,22 +129,23 @@ def _ladder(N: int, k_start: tuple[int, ...], word) -> Web | None:
 
 def check_relations(N_max: int = 4) -> Report:
     rep = Report(f"diagram relations (N <= {N_max})")
+    matrices = _Table(_matrix)  # one per distinct web of the sweep
     for N in range(2, N_max + 1):
-        _check_tag_relations(rep, N)
-        _check_digons(rep, N)
-        _check_associativity(rep, N)
-        _check_squares(rep, N)
+        _check_tag_relations(rep, N, matrices)
+        _check_digons(rep, N, matrices)
+        _check_associativity(rep, N, matrices)
+        _check_squares(rep, N, matrices)
     return rep
 
 
-def _check_tag_relations(rep: Report, N: int) -> None:
+def _check_tag_relations(rep: Report, N: int, matrices: _Table) -> None:
     for a in range(N + 1):
         space = Boundary(N, (Factor(a),))
         left = Web(space, (tag(a, 1, "left"),))
         right = Web(space, (tag(a, 1, "right"),))
         sign = LaurentPoly({0: -1 if (a * (N - a)) % 2 else 1})
         rep.check(
-            _vanishes([(ONE, left), (-sign, right)], left.codomain),
+            _vanishes([(ONE, left), (-sign, right)], left.codomain, matrices),
             "tag flavors differ beyond the sign at N={}, a={}", N, a,
         )
         # a tag followed by a tag of the same flavor undoes itself; the second
@@ -149,18 +153,18 @@ def _check_tag_relations(rep: Report, N: int) -> None:
         for side in ("left", "right"):
             again = Web(space, (tag(a, 1, side), tag(a, 1, side)))
             rep.check(
-                _vanishes([(ONE, again), (-ONE, Web(space))], space),
+                _vanishes([(ONE, again), (-ONE, Web(space))], space, matrices),
                 "double {} tag is not the identity at N={}, a={}", side, N, a,
             )
 
 
-def _check_digons(rep: Report, N: int) -> None:
+def _check_digons(rep: Report, N: int, matrices: _Table) -> None:
     for a in range(N + 1):
         for b in range(N + 1 - a):
             space = Boundary(N, (Factor(a + b),))
             digon = Web(space, (split(a, b, 1), merge(a, b, 1)))
             rep.check(
-                _vanishes([(ONE, digon), (-qbinom(a + b, a), Web(space))], space),
+                _vanishes([(ONE, digon), (-qbinom(a + b, a), Web(space))], space, matrices),
                 "parallel digon fails at N={}, a={}, b={}", N, a, b,
             )
             # opposite orientation: a bubble of color b on an a-strand
@@ -177,12 +181,12 @@ def _check_digons(rep: Report, N: int) -> None:
                 ),
             )
             rep.check(
-                _vanishes([(ONE, bubble), (-qbinom(N - a, b), Web(strand))], strand),
+                _vanishes([(ONE, bubble), (-qbinom(N - a, b), Web(strand))], strand, matrices),
                 "opposite digon fails at N={}, a={}, b={}", N, a, b,
             )
 
 
-def _check_associativity(rep: Report, N: int) -> None:
+def _check_associativity(rep: Report, N: int, matrices: _Table) -> None:
     for a in range(N + 1):
         for b in range(N + 1 - a):
             for c in range(N + 1 - a - b):
@@ -191,19 +195,19 @@ def _check_associativity(rep: Report, N: int) -> None:
                 lhs = Web(space, (merge(a, b, 2), merge(a + b, c, 1)))
                 rhs = Web(space, (merge(b, c, 1), merge(a, b + c, 1)))
                 rep.check(
-                    _vanishes([(ONE, lhs), (-ONE, rhs)], lhs.codomain),
+                    _vanishes([(ONE, lhs), (-ONE, rhs)], lhs.codomain, matrices),
                     "merge associativity fails at N={}, ({},{},{})", N, a, b, c,
                 )
                 whole = Boundary(N, (Factor(a + b + c),))
                 lhs = Web(whole, (split(a + b, c, 1), split(a, b, 2)))
                 rhs = Web(whole, (split(a, b + c, 1), split(b, c, 1)))
                 rep.check(
-                    _vanishes([(ONE, lhs), (-ONE, rhs)], lhs.codomain),
+                    _vanishes([(ONE, lhs), (-ONE, rhs)], lhs.codomain, matrices),
                     "split coassociativity fails at N={}, ({},{},{})", N, a, b, c,
                 )
 
 
-def _check_squares(rep: Report, N: int) -> None:
+def _check_squares(rep: Report, N: int, matrices: _Table) -> None:
     for a in range(N + 1):
         for b in range(N + 1):
             k0 = (b, a)  # strand a on the left (upright 2), b on the right
@@ -216,7 +220,7 @@ def _check_squares(rep: Report, N: int) -> None:
                         if two is None or one is None:
                             continue
                         rep.check(
-                            _vanishes([(ONE, two), (-qbinom(s + t, t), one)], two.codomain),
+                            _vanishes([(ONE, two), (-qbinom(s + t, t), one)], two.codomain, matrices),
                             "parallel square fails at N={}, a={}, b={}, s={}, t={}, sign={}",
                             N, a, b, s, t, sign,
                         )
@@ -234,7 +238,7 @@ def _check_squares(rep: Report, N: int) -> None:
                         if term is not None:
                             parts.append((-qbinom(a - b + t - s, r), term))
                     rep.check(
-                        _vanishes(parts, weight_boundary(N, end)),
+                        _vanishes(parts, weight_boundary(N, end), matrices),
                         "opposite square fails at N={}, a={}, b={}, s={}, t={}", N, a, b, s, t,
                     )
 
@@ -290,11 +294,11 @@ def check_howe(pairs=((2, 1), (2, 2), (3, 1), (3, 2)), a_max: int = 2) -> Report
         shape = Shape(N, l)
         m = shape.m
         by_type: dict = {}
-        by_index = {}  # tensor index -> column tuple, inverting tableau_to_index
+        by_index = {}  # tensor index -> packed key, inverting tableau_to_index
         for t in enumerate_tableaux(shape):
-            key = tableau_to_index(t)
-            by_index[key] = cols = t.sort_key()
-            by_type.setdefault(tableau_type(t), []).append((t, cols, key))
+            idx = tableau_to_index(t)
+            by_index[idx] = key = tableau_key(t)
+            by_type.setdefault(tableau_type(t), []).append((t, key, idx))
         rungs = list(product(range(1, m), (+1, -1), range(1, a_max + 1)))
         for k, group in by_type.items():
             for i, sign, a in rungs:
@@ -302,8 +306,8 @@ def check_howe(pairs=((2, 1), (2, 2), (3, 1), (3, 2)), a_max: int = 2) -> Report
                     web = ladder_from_word(N, k, [(sign, i, a)])
                 except AnnihilatedError:
                     web = None
-                for t, cols, key in group:
-                    by_tabs = act_divided(sign, i, a, {cols: {0: 1}})
+                for t, key, idx in group:
+                    by_tabs = act_divided(shape, sign, i, a, {key: {0: 1}})
                     if web is None:
                         rep.check(
                             not by_tabs,
@@ -312,8 +316,8 @@ def check_howe(pairs=((2, 1), (2, 2), (3, 1), (3, 2)), a_max: int = 2) -> Report
                         )
                         continue
                     by_web = {
-                        by_index.get(idx, idx): c
-                        for idx, c in evaluate_dense(web, {key: {0: 1}}).items()
+                        by_index.get(image, image): c
+                        for image, c in evaluate_dense(web, {idx: {0: 1}}).items()
                     }
                     rep.check(
                         by_web == by_tabs,
@@ -351,13 +355,13 @@ def check_dual_blocks(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Report:
     return rep
 
 
-def web_gram_mismatch(gram: GradedMatrix) -> str | None:
-    """Recompute an LT Gram matrix by the web form of the ladder webs.
+def web_gram_mismatch(gram: GradedMatrix, block: dict[Tableau, LTBasisElement]) -> str | None:
+    """Recompute an LT Gram matrix by the web form of the ladder webs of its `lt_block`.
 
     Returns the first entry where the web route disagrees with `gram`, or
     None when every entry agrees.
     """
-    by_web = web_gram([lt_web(t) for t in gram.labels])
+    by_web = web_gram([lt_web(block[t]) for t in gram.labels])
     for i, s in enumerate(gram.labels):
         for j, t in enumerate(gram.labels):
             if by_web[i][j] != gram.entries[i][j]:
@@ -394,7 +398,7 @@ def check_form_consistency(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Re
         for k in bounded_weights(N, m):
             block = lt_block(N, l, k)
             gram = gram_matrix(N, l, k, basis="lt")
-            mismatch = web_gram_mismatch(gram)
+            mismatch = web_gram_mismatch(gram, block)
             rep.check(mismatch is None, mismatch or "")
             labels = gram.labels
             reversed_forms = _reversed_forms([block[s].terms for s in labels])
@@ -439,8 +443,9 @@ def check_shapovalov(cases: int = 50, seed: int = 7, pairs=((2, 1), (2, 2), (3, 
         u = u_block[rng.choice(list(u_block))].terms
         w = w_block[rng.choice(list(w_block))].terms
         lam = weight_of_type(k)
-        lhs = pairing(act_divided(-1, i, 1, u), w)
-        rhs = pairing(u, act_divided(+1, i, 1, w)).shift(1 + lam[i - 1])
+        shape = Shape(N, l)
+        lhs = pairing(act_divided(shape, -1, i, 1, u), w)
+        rhs = pairing(u, act_divided(shape, +1, i, 1, w)).shift(1 + lam[i - 1])
         rep.check(
             lhs == rhs,
             "adjointness fails at N={}, l={}, k={}, i={}: {} vs {}", N, l, k, i, lhs, rhs,
@@ -456,10 +461,10 @@ def check_commutator(cases: int = 50, seed: int = 11, pairs=((2, 1), (2, 2), (3,
     rep = Report("highest weight annihilation and commutator")
     for N, l in pairs:
         shape = Shape(N, l)
-        top = {highest_tableau(shape).sort_key(): {0: 1}}
+        top = {tableau_key(highest_tableau(shape)): {0: 1}}
         for i in range(1, shape.m):
             rep.check(
-                not act_divided(+1, i, 1, top),
+                not act_divided(shape, +1, i, 1, top),
                 "raising does not kill the highest vector at N={}, l={}, i={}", N, l, i,
             )
     rng = random.Random(seed)
@@ -469,12 +474,12 @@ def check_commutator(cases: int = 50, seed: int = 11, pairs=((2, 1), (2, 2), (3,
         shape = Shape(N, l)
         k = rng.choice(bounded_weights(N, shape.m))
         tableaux = enumerate_tableaux(shape, k)
-        x = {t.sort_key(): {rng.randint(-2, 2): rng.randint(1, 3)}
+        x = {tableau_key(t): {rng.randint(-2, 2): rng.randint(1, 3)}
              for t in rng.sample(tableaux, min(len(tableaux), 3))}
         i = rng.randint(1, shape.m - 1)
         lam = weight_of_type(k)
-        raise_lower = act_divided(+1, i, 1, act_divided(-1, i, 1, x))
-        lower_raise = act_divided(-1, i, 1, act_divided(+1, i, 1, x))
+        raise_lower = act_divided(shape, +1, i, 1, act_divided(shape, -1, i, 1, x))
+        lower_raise = act_divided(shape, -1, i, 1, act_divided(shape, +1, i, 1, x))
         rep.check(
             not _combine([(ONE, raise_lower), (-ONE, lower_raise), (-qnum(lam[i - 1]), x)]),
             "commutator is not [{}] at N={}, l={}, k={}, i={}", lam[i - 1], N, l, k, i,
@@ -494,10 +499,10 @@ def check_serre(pairs=((2, 2), (3, 1))) -> Report:
                 if max(i, j) > shape.m - 1:
                     continue
                 for t in enumerate_tableaux(shape):
-                    x = {t.sort_key(): {0: 1}}
+                    x = {tableau_key(t): {0: 1}}
 
                     def e(idx, terms, s=sign):
-                        return act_divided(s, idx, 1, terms)
+                        return act_divided(shape, s, idx, 1, terms)
 
                     rep.check(
                         not _combine([(ONE, e(i, e(i, e(j, x)))), (ONE, e(j, e(i, e(i, x)))),

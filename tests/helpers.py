@@ -1,10 +1,11 @@
 """Constructions the tests build webs and vectors with; the program never needs them."""
 
 from qwebs.bases import dual_block, lt_block, pairing
-from qwebs.howe import TableauVector, tableau_to_index
-from qwebs.ring import LaurentPoly, add_into
+from qwebs.howe import TableauVector, key_columns, tableau_key, tableau_to_index
+from qwebs.ring import ONE, LaurentPoly, add_into
 from qwebs.tableaux import Shape, Tableau, highest_tableau, tableau_type
-from qwebs.tensor import Boundary, Index, ShapeMismatchError, TensorVector, Terms, _mask, weight_boundary
+from qwebs.tensor import (Boundary, Index, ShapeMismatchError, TensorVector, Terms, _check_index, _mask,
+                          weight_boundary)
 from qwebs.webs import Slice, Web, d_norm, ev_closed
 
 
@@ -13,10 +14,30 @@ def idx(*subsets) -> Index:
     return tuple(_mask(frozenset(s)) for s in subsets)
 
 
+def key_tableau(shape: Shape, key: int) -> Tableau:
+    """The tableau of a packed key."""
+    return Tableau.from_columns(shape, key_columns(shape, key))
+
+
+def tableau_vector(t: Tableau, coeff: LaurentPoly = ONE) -> TableauVector:
+    """coeff times the basis vector of a tableau."""
+    x = TableauVector(t.shape)
+    x.add_term(tableau_key(t), coeff)
+    return x
+
+
+def basis_vector(space: Boundary, idx: Index, coeff: LaurentPoly = ONE) -> TensorVector:
+    """coeff times the basis vector of a tensor index, checked against the space."""
+    _check_index(space, idx)
+    x = TensorVector(space)
+    x.add_term(idx, coeff)
+    return x
+
+
 def polys(x) -> dict:
     """The coordinates of a vector as `LaurentPoly`s, a tableau vector's keyed by `Tableau`."""
     if isinstance(x, TableauVector):
-        return {Tableau.from_columns(x.space, k): LaurentPoly(c) for k, c in x.coords.items()}
+        return {key_tableau(x.space, k): LaurentPoly(c) for k, c in x.coords.items()}
     return {k: LaurentPoly(c) for k, c in x.coords.items()}
 
 
@@ -43,9 +64,10 @@ def combine(*parts):
 
 
 def terms_json(shape: Shape, terms: Terms) -> dict:
-    """The JSON of a map keyed by column tuples, as dicts: the reference for `howe.terms_texts`."""
+    """The JSON of a map keyed by packed keys, as dicts: the reference for `howe.terms_texts`."""
+    tableaux = sorted((key_tableau(shape, k).sort_key(), k) for k in terms)
     return {"N": shape.N, "l": shape.l, "terms": [
-        {"rows": list(zip(*cols)), "coeff": sorted(terms[cols].items())} for cols in sorted(terms)
+        {"rows": list(zip(*cols)), "coeff": sorted(terms[k].items())} for cols, k in tableaux
     ]}
 
 
@@ -59,7 +81,7 @@ def reference_gram(N: int, l: int, ktype: tuple[int, ...], basis: str) -> tuple:
 
 def highest_vector(shape: Shape) -> TableauVector:
     """The basis vector of the highest tableau of the shape."""
-    return TableauVector.basis_vector(highest_tableau(shape))
+    return tableau_vector(highest_tableau(shape))
 
 
 def expansion(elem) -> TableauVector:
@@ -121,7 +143,7 @@ def tensor_product(x: TensorVector, y: TensorVector) -> TensorVector:
 
 def to_tensor(x: TableauVector) -> TensorVector:
     """Read a single-type tableau vector in tensor coordinates."""
-    tableaux = {Tableau.from_columns(x.space, k): c for k, c in x.coords.items()}
+    tableaux = {key_tableau(x.space, k): c for k, c in x.coords.items()}
     types = {tableau_type(t) for t in tableaux}
     if len(types) != 1:
         raise ValueError("tensor coordinates need a vector of a single type")

@@ -186,6 +186,35 @@ def test_oversized_tableaux_request_exits_2_at_once(capsys):
         assert time.perf_counter() - start < 1.0
 
 
+def _one_two(N: int) -> str:
+    """The type N-1,1,0,...,0 of shape (N, 1): N tableaux, one 2 among N-1 ones."""
+    return ",".join([str(N - 1), "1"] + ["0"] * (N - 2))
+
+
+def test_tableau_maps_over_the_key_bit_limit_exit_2_at_once(capsys, tmp_path):
+    # a key is N*m bits: the 4,096 tableaux of (4096, 1) of type 4095,1,0,...
+    # would be keys of 2 MB each, and one lowering of a (4096, 1) tableau
+    # may move any of its 4,096 columns
+    vector = _write(tmp_path, "wide.json", {"N": 4096, "l": 1, "terms": [
+        {"rows": [[1] * 4096], "coeff": [[0, 1]]}]})
+    wide = _one_two(4096)
+    for argv in (f"lt-basis --N 4096 --l 1 --type {wide}", f"dual-canonical --N 4096 --l 1 --type {wide}",
+                 f"gram --N 4096 --l 1 --type {wide}", f"cartan --N 4096 --k {wide}",
+                 f"act --sign - --i 1 --vector {vector}"):
+        start = time.perf_counter()
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1.0, argv[:20]
+        assert code == 2 and captured.out == "", argv[:20]
+        assert "bits each, exceed the limit of 1073741824 bits" in captured.err
+
+
+def test_tableau_maps_at_the_key_bit_limit_are_answered(capsys):
+    # the 1,024 tableaux of (1024, 1) of type 1023,1,0,... hold 2^30 bits of keys
+    code, out = run(capsys, "gram", "--N", "1024", "--l", "1", "--type", _one_two(1024))
+    assert code == 0 and json.loads(out)["entries"] == [[[[2 * k, 1] for k in range(1024)]]]
+
+
 def _ladder_4096(capsys, tmp_path, word: str) -> str:
     """The path of `qwebs ladder --N 4096 --k 4096,0 --word=<word>`'s web."""
     code, out = run(capsys, "ladder", "--N", "4096", "--k", "4096,0", f"--word={word}")
@@ -793,7 +822,7 @@ def test_broken_leading_term_exits_3_with_no_output(capsys, monkeypatch):
     # the walk's kernel loses the leading term of each map it makes
     def drop_leading(*args):
         terms = dict(act_divided(*args))
-        terms.pop(min(terms, default=None), None)
+        terms.pop(max(terms, default=None), None)
         return terms
 
     monkeypatch.setattr(bases, "act_divided", drop_leading)

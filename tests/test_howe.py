@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from qwebs.howe import (
     act_E,
     act_divided,
     check_generator,
+    tableau_key,
     tableau_to_index,
     terms_texts,
     weight_of_type,
@@ -20,7 +22,8 @@ from qwebs.ring import ONE, LaurentPoly, exact_divide, qfactorial, qint, qnum
 from qwebs.tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, tableau_type
 from qwebs.webs import evaluate_dense, ladder_from_word
 
-from helpers import combine, highest_vector, idx, index_to_tableau, polys, terms_json, to_tensor
+from helpers import (combine, highest_vector, idx, index_to_tableau, key_tableau, polys, tableau_vector, terms_json,
+                     to_tensor)
 
 
 
@@ -63,7 +66,7 @@ def test_commutator_is_weight_scalar(N, l):
     shape = Shape(N, l)
     for t in enumerate_tableaux(shape):
         lam = weight_of_type(tableau_type(t))
-        x = TableauVector.basis_vector(t)
+        x = tableau_vector(t)
         for i in range(1, shape.m):
             comm = combine((ONE, act_E(+1, i, act_E(-1, i, x))), (-ONE, act_E(-1, i, act_E(+1, i, x))))
             assert comm == combine((qnum(lam[i - 1]), x)), (t, i)
@@ -72,8 +75,8 @@ def test_commutator_is_weight_scalar(N, l):
 def test_divided_power_examples():
     s22 = Shape(2, 2)
     top = highest_vector(s22)
-    assert act_divided(-1, 1, 0, top.coords) == top.coords
-    assert act_divided(-1, 1, 1, top.coords) == act_E(-1, 1, top).coords
+    assert act_divided(s22, -1, 1, 0, top.coords) == top.coords
+    assert act_divided(s22, -1, 1, 1, top.coords) == act_E(-1, 1, top).coords
     # index 1 cannot lower the top (every column already contains a 2);
     # index 2 lowers both 2s, and the square carries the full [2] factor
     assert not act_E(-1, 1, top).coords
@@ -82,7 +85,7 @@ def test_divided_power_examples():
     (t2, c2), = polys(raw).items()
     assert t2 == Tableau(s22, ((1, 1), (3, 3)))
     assert c2 == qint(2)
-    assert polys(TableauVector(s22, act_divided(-1, 2, 2, top.coords))) == {t2: ONE}
+    assert polys(TableauVector(s22, act_divided(s22, -1, 2, 2, top.coords))) == {t2: ONE}
 
 
 def test_divided_power_integrality():
@@ -90,10 +93,11 @@ def test_divided_power_integrality():
     for N, l in ((2, 2), (3, 1)):
         shape = Shape(N, l)
         for t in enumerate_tableaux(shape):
-            x = TableauVector.basis_vector(t)
+            x = tableau_vector(t)
             for i in range(1, shape.m):
                 for sign in (+1, -1):
-                    assert act_divided(sign, i, 2, x.coords) == reference_act_divided(sign, i, 2, x).coords
+                    want = reference_act_divided(sign, i, 2, x).coords
+                    assert act_divided(shape, sign, i, 2, x.coords) == want
 
 
 def test_action_matches_ladders_small():
@@ -101,7 +105,7 @@ def test_action_matches_ladders_small():
     shape = Shape(2, 2)
     for t in enumerate_tableaux(shape):
         k = tableau_type(t)
-        x = TableauVector.basis_vector(t)
+        x = tableau_vector(t)
         for sign, i, a in ((-1, 1, 1), (+1, 2, 1), (-1, 3, 2)):
             try:
                 web = ladder_from_word(2, k, [(sign, i, a)])
@@ -109,13 +113,13 @@ def test_action_matches_ladders_small():
                 continue
             image = evaluate_dense(web, to_tensor(x).coords)
             by_web = {index_to_tableau(shape, key): LaurentPoly(c) for key, c in image.items()}
-            assert by_web == polys(TableauVector(shape, act_divided(sign, i, a, x.coords)))
+            assert by_web == polys(TableauVector(shape, act_divided(shape, sign, i, a, x.coords)))
 
 
 def test_tensor_dictionary_roundtrip():
     shape = Shape(3, 2)
     for t in enumerate_tableaux(shape)[:20]:
-        x = TableauVector.basis_vector(t, LaurentPoly({1: 2}))
+        x = tableau_vector(t, LaurentPoly({1: 2}))
         (key, c), = polys(to_tensor(x)).items()
         assert (index_to_tableau(shape, key), c) == (t, LaurentPoly({1: 2}))
 
@@ -135,8 +139,8 @@ def test_weight_of_type_matches():
 def test_json_roundtrip():
     s21 = Shape(2, 1)
     x = TableauVector(s21)
-    x.add_term(Tableau(s21, ((1, 2),)).sort_key(), ONE)
-    x.add_term(Tableau(s21, ((2, 1),)).sort_key(), LaurentPoly({-1: 1}))
+    x.add_term(tableau_key(Tableau(s21, ((1, 2),))), ONE)
+    x.add_term(tableau_key(Tableau(s21, ((2, 1),))), LaurentPoly({-1: 1}))
     assert TableauVector.from_json(terms_json(s21, x.coords)) == x
 
 
@@ -149,7 +153,7 @@ def reference_act_E(sign, i, x):
     out = TableauVector(shape)
     src, dst = (i, i + 1) if sign < 0 else (i + 1, i)
     for t, c in polys(x).items():
-        columns = [set(col) for col in t.sort_key()]
+        columns = [set(col) for col in zip(*t.rows)]
         for ci in range(shape.N):
             col = columns[ci]
             if src not in col or dst in col:
@@ -162,7 +166,7 @@ def reference_act_E(sign, i, x):
             cols = range(ci + 1, shape.N) if sign < 0 else range(ci)
             ni = sum(1 for cj in cols if i in columns[cj])
             nip = sum(1 for cj in cols if i + 1 in columns[cj])
-            out.add_term(t2.sort_key(), c.shift(sign * (ni - nip)))
+            out.add_term(tableau_key(t2), c.shift(sign * (ni - nip)))
     return out
 
 
@@ -188,7 +192,7 @@ def tableau_vectors(draw):
     for _ in range(draw(st.integers(1, 6))):
         cols = draw(st.lists(st.sampled_from(columns), min_size=N, max_size=N))
         coeff = draw(st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), min_size=1, max_size=3))
-        x.add_term(Tableau.from_columns(shape, cols).sort_key(), LaurentPoly(coeff))
+        x.add_term(tableau_key(Tableau.from_columns(shape, cols)), LaurentPoly(coeff))
     return x
 
 
@@ -199,7 +203,7 @@ def test_kernel_matches_grid_swap_oracle(x):
         for i in range(1, x.space.m):
             assert act_E(sign, i, x) == reference_act_E(sign, i, x), (sign, i)
             for r in range(4):
-                assert act_divided(sign, i, r, x.coords) == reference_act_divided(sign, i, r, x).coords, (
+                assert act_divided(x.space, sign, i, r, x.coords) == reference_act_divided(sign, i, r, x).coords, (
                     sign, i, r)
 
 
@@ -210,7 +214,7 @@ def test_one_pass_divided_power_is_the_divided_r_fold_action(x, data):
     sign = data.draw(st.sampled_from((-1, +1)))
     i = data.draw(st.integers(1, x.space.m - 1))
     r = data.draw(st.integers(0, x.space.N + 1))
-    assert act_divided(sign, i, r, x.coords) == reference_act_divided(sign, i, r, x).coords, (sign, i, r)
+    assert act_divided(x.space, sign, i, r, x.coords) == reference_act_divided(sign, i, r, x).coords, (sign, i, r)
 
 
 @settings(max_examples=50, deadline=None)
@@ -222,8 +226,49 @@ def test_word_matches_step_by_step(x, data):
     y, terms = x, x.coords
     for i, r in word:
         y = reference_act_divided(sign, i, r, y)
-        terms = act_divided(sign, i, r, terms)
+        terms = act_divided(x.space, sign, i, r, terms)
     assert terms == y.coords
+
+
+SEEDED_SHAPES = [(2, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]
+
+
+def _random_map(rng, shape):
+    """A map on up to 6 column-strict tableaux, any types, with signed coefficients."""
+    columns = list(itertools.combinations(range(1, shape.m + 1), shape.l))
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        t = Tableau.from_columns(shape, [rng.choice(columns) for _ in range(shape.N)])
+        exponents = rng.sample(range(-3, 4), rng.randint(1, 3))
+        terms[tableau_key(t)] = {e: rng.choice((-3, -1, 1, 2)) for e in exponents}
+    return terms
+
+
+@pytest.mark.parametrize("N,l", SEEDED_SHAPES)
+def test_kernel_matches_the_reference_on_seeded_maps(N, l):
+    # every generator of both signs and every r = 1..N, on 5 seeded maps each
+    shape = Shape(N, l)
+    rng = random.Random(N * 10 + l)
+    cases = 0
+    for sign, i, r in itertools.product((-1, 1), range(1, shape.m), range(1, N + 1)):
+        for _ in range(5):
+            x = TableauVector(shape, _random_map(rng, shape))
+            assert act_divided(shape, sign, i, r, x.coords) == reference_act_divided(sign, i, r, x).coords, (
+                sign, i, r, x)
+            cases += 1
+    assert cases == 5 * 2 * (shape.m - 1) * N
+
+
+@pytest.mark.parametrize("N,l", [(3, 2), (2, 4)])
+def test_packed_keys_round_trip_and_order_tableaux(N, l):
+    # enumerate_tableaux lists every column-strict tableau in strictly descending
+    # order, ascending in sort_key: their keys must strictly descend
+    shape = Shape(N, l)
+    tableaux = enumerate_tableaux(shape)
+    keys = [tableau_key(t) for t in tableaux]
+    assert [key_tableau(shape, k) for k in keys] == tableaux
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    assert all(k >> (N * shape.m) == 0 for k in keys)
 
 
 def _meeting_moves(shape, sign, i, r):
@@ -231,10 +276,10 @@ def _meeting_moves(shape, sign, i, r):
     column tuples reach, one of them with shift 0, from the reference action."""
     reached = {}
     for t in enumerate_tableaux(shape):
-        out = reference_act_divided(sign, i, r, TableauVector.basis_vector(t))
+        out = reference_act_divided(sign, i, r, tableau_vector(t))
         for K, c in out.coords.items():
             [(shift, _)] = c.items()  # one subset moves a tuple to K
-            reached.setdefault(K, []).append((t.sort_key(), shift))
+            reached.setdefault(K, []).append((tableau_key(t), shift))
     return [(K, sorted(src, key=lambda ks: ks[1] != 0)) for K, src in reached.items()
             if len(src) > 1 and any(shift == 0 for _, shift in src)]
 
@@ -251,13 +296,15 @@ def test_kernel_hands_on_unshifted_maps_and_changes_no_input(N, l, r):
             for b in ({5: 1}, {e - s2: -x for e, x in a.items()}):  # the second cancels a at K
                 for terms in ({k1: a, k2: b}, {k2: b, k1: a}):
                     before = copy.deepcopy(terms)
-                    out = act_divided(sign, i, r, terms)
+                    out = act_divided(shape, sign, i, r, terms)
                     assert out == reference_act_divided(sign, i, r, TableauVector(shape, terms)).coords
                     assert terms == before and (K in out) == (b == {5: 1})
                     cases += 1
     assert cases
     c = {0: 1}  # moving the right column of 1/1 has shift 0, and meets no other move
-    assert act_divided(-1, 1, 1, {((1,), (1,)): c})[((1,), (2,))] is c
+    s21 = Shape(2, 1)
+    [one_one, one_two] = (tableau_key(Tableau(s21, (row,))) for row in ((1, 1), (1, 2)))
+    assert act_divided(s21, -1, 1, 1, {one_one: c})[one_two] is c
 
 
 def test_dual_block_leaves_the_cached_lt_maps_as_computed():
@@ -292,18 +339,20 @@ def test_generator_index_is_checked_for_every_r(r):
 
 def test_terms_texts_write_the_json_of_terms_json():
     shape = Shape(2, 2)
-    x = act_divided(-1, 3, 1, act_divided(-1, 1, 1, act_divided(-1, 2, 1, highest_vector(shape).coords)))
-    y = act_divided(-1, 2, 1, x)
+    x = highest_vector(shape).coords
+    for i in (2, 1, 3):
+        x = act_divided(shape, -1, i, 1, x)
+    y = act_divided(shape, -1, 2, 1, x)
     # shares its keys with x and y; one coefficient has two exponents
-    mixed = {**x, min(y): {-2: 3, 1: -1}}
+    mixed = {**x, max(y): {-2: 3, 1: -1}}
     # two-digit entries (m = 10 and 12), one row (l = 1), coefficients past
     # 64 bits, negative exponents, and empty maps
     wide, row = Shape(5, 2), Shape(12, 1)
-    a = Tableau(wide, ((1, 2, 3, 5, 7), (10, 9, 4, 6, 8))).sort_key()
-    b = highest_tableau(wide).sort_key()
-    c = Tableau(wide, ((1, 1, 2, 3, 9), (10, 10, 4, 6, 10))).sort_key()
-    p = Tableau(row, (tuple(range(1, 13)),)).sort_key()
-    q = Tableau(row, ((12, 11, 10, 9, 1, 1, 2, 2, 3, 4, 5, 12),)).sort_key()
+    a = tableau_key(Tableau(wide, ((1, 2, 3, 5, 7), (10, 9, 4, 6, 8))))
+    b = tableau_key(highest_tableau(wide))
+    c = tableau_key(Tableau(wide, ((1, 1, 2, 3, 9), (10, 10, 4, 6, 10))))
+    p = tableau_key(Tableau(row, (tuple(range(1, 13)),)))
+    q = tableau_key(Tableau(row, ((12, 11, 10, 9, 1, 1, 2, 2, 3, 4, 5, 12),)))
     cases = [
         (shape, [x, {}, y, mixed]),
         (wide, [{a: {-3: 2**64 + 1, 5: -(2**70)}, b: {0: 1}}, {c: {-1: -(2**64)}, a: {2: 7}}, {}]),

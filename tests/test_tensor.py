@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qwebs.bases import dual_block, lt_block
-from qwebs.howe import TableauVector, act_divided, act_E
+from qwebs.howe import TableauVector, act_divided, act_E, tableau_key
 from qwebs.ring import ONE, LaurentPoly, qbinom
 from qwebs.tensor import (
     Boundary,
@@ -28,7 +28,7 @@ from qwebs.tensor import (
     tag_kernel,
     weight_boundary,
 )
-from qwebs.tableaux import Shape
+from qwebs.tableaux import Shape, Tableau
 from qwebs.webs import (
     IllFormedWebError,
     Web,
@@ -42,7 +42,7 @@ from qwebs.webs import (
     web_matrix,
 )
 
-from helpers import combine, expansion, highest_vector, idx, polys, tensor_product, terms_json
+from helpers import basis_vector, combine, expansion, highest_vector, idx, polys, tensor_product, terms_json
 
 fs = frozenset
 
@@ -78,35 +78,35 @@ def test_kernel_ell_table_equals_ell_on_every_pair(N):
 def test_merge_examples():
     space = Boundary(2, (Factor(1), Factor(1)))
     # left slot 2 = {2}, right slot 1 = {1}
-    x = TensorVector.basis_vector(space, idx({1}, {2}))
+    x = basis_vector(space, idx({1}, {2}))
     assert polys(apply_merge(x, 1, 1, 1)) == {idx({1, 2}): mono(1)}
-    x = TensorVector.basis_vector(space, idx({1}, {1}))
+    x = basis_vector(space, idx({1}, {1}))
     assert not apply_merge(x, 1, 1, 1).coords
-    x = TensorVector.basis_vector(space, idx({2}, {1}))
+    x = basis_vector(space, idx({2}, {1}))
     assert polys(apply_merge(x, 1, 1, 1)) == {idx({1, 2}): ONE}
 
 
 def test_split_examples():
     w2 = Boundary(2, (Factor(2),))
-    z = apply_split(TensorVector.basis_vector(w2, idx({1, 2})), 1, 1, 1)
+    z = apply_split(basis_vector(w2, idx({1, 2})), 1, 1, 1)
     assert polys(z) == {
         idx({1}, {2}): ONE,
         idx({2}, {1}): mono(-1),
     }
     w3 = Boundary(3, (Factor(3),))
-    z = apply_split(TensorVector.basis_vector(w3, idx({1, 2, 3})), 1, 2, 1)
+    z = apply_split(basis_vector(w3, idx({1, 2, 3})), 1, 2, 1)
     assert polys(z) == {
         idx({1, 2}, {3}): ONE,
         idx({1, 3}, {2}): mono(-1),
         idx({2, 3}, {1}): mono(-2),
     }
-    z = apply_split(TensorVector.basis_vector(w2, idx({1, 2})), 2, 0, 1)
+    z = apply_split(basis_vector(w2, idx({1, 2})), 2, 0, 1)
     assert polys(z) == {idx((), {1, 2}): ONE}
 
 
 def test_shape_mismatch():
     space = Boundary(2, (Factor(1), Factor(1)))
-    x = TensorVector.basis_vector(space, idx({1}, {2}))
+    x = basis_vector(space, idx({1}, {2}))
     with pytest.raises(ShapeMismatchError):
         apply_merge(x, 2, 1, 1)
     with pytest.raises(ShapeMismatchError):
@@ -153,15 +153,15 @@ def test_boundaries_reached_by_steps_equal_and_hash_like_checked_ones():
 
 def test_tag_examples():
     v1 = Boundary(2, (Factor(1),))
-    t = apply_tag(TensorVector.basis_vector(v1, idx({1})), 1)
+    t = apply_tag(basis_vector(v1, idx({1})), 1)
     assert t.space.factors == (Factor(1, dual=True),)
     assert polys(t) == {idx({2}): ONE}
-    t = apply_tag(TensorVector.basis_vector(v1, idx({2})), 1)
+    t = apply_tag(basis_vector(v1, idx({2})), 1)
     assert polys(t) == {idx({1}): mono(1)}
     vN = Boundary(3, (Factor(3),))
     full = fs({1, 2, 3})
     for side in ("left", "right"):
-        t = apply_tag(TensorVector.basis_vector(vN, idx(full)), 1, side=side)
+        t = apply_tag(basis_vector(vN, idx(full)), 1, side=side)
         assert polys(t) == {idx(()): ONE}  # (-1)^(N*0) = 1
 
 
@@ -171,7 +171,7 @@ def test_tag_invertibility_and_sign(N):
         space = Boundary(N, (Factor(a),))
         sign = -1 if (a * (N - a)) % 2 else 1
         for idx in basis_indices(space):
-            x = TensorVector.basis_vector(space, idx)
+            x = basis_vector(space, idx)
             left = apply_tag(x, 1, "left")
             right = apply_tag(x, 1, "right")
             assert left == combine((LaurentPoly({0: sign}), right))
@@ -187,45 +187,45 @@ def test_digon_identity(N):
             space = Boundary(N, (Factor(a + b),))
             expected = qbinom(a + b, a)
             for idx in basis_indices(space):
-                x = TensorVector.basis_vector(space, idx)
+                x = basis_vector(space, idx)
                 assert apply_merge(apply_split(x, a, b, 1), a, b, 1) == combine((expected, x))
 
 
 def test_cup_cap_examples():
     v1 = Boundary(2, (Factor(1),))
-    x = TensorVector.basis_vector(v1, idx({1}))
+    x = basis_vector(v1, idx({1}))
     # zig-zag: cup to the left, cap underneath
     assert apply_cap(apply_cup(x, 1, 2), 1, 1) == x
     # the other zig-zag, on a dual strand
     v1d = Boundary(2, (Factor(1, True),))
-    f = TensorVector.basis_vector(v1d, idx({2}))
+    f = basis_vector(v1d, idx({2}))
     assert apply_cap(apply_cup(f, 1, 1), 1, 2) == f
     # direct closure counts subsets
     for N, a in ((2, 1), (3, 2), (4, 2)):
         scalar = Boundary(N, ())
-        unit = TensorVector.basis_vector(scalar, ())
+        unit = basis_vector(scalar, ())
         closed = apply_cap(apply_cup(unit, a, 1), a, 1)
         from math import comb
 
         assert polys(closed) == {(): LaurentPoly({0: comb(N, a)})}
     # delta mismatch
     pair = Boundary(2, (Factor(1), Factor(1, True)))
-    bad = TensorVector.basis_vector(pair, idx({2}, {1}))
+    bad = basis_vector(pair, idx({2}, {1}))
     assert not apply_cap(bad, 1, 1).coords
 
 
 def test_operations_are_linear():
     space = Boundary(2, (Factor(2),))
-    x = TensorVector.basis_vector(space, idx({1, 2}), LaurentPoly({2: 3, -1: 1}))
+    x = basis_vector(space, idx({1, 2}), LaurentPoly({2: 3, -1: 1}))
     split_then = apply_split(x, 1, 1, 1)
-    base = apply_split(TensorVector.basis_vector(space, idx({1, 2})), 1, 1, 1)
+    base = apply_split(basis_vector(space, idx({1, 2})), 1, 1, 1)
     assert split_then == combine((LaurentPoly({2: 3, -1: 1}), base))
 
 
 def test_tensor_product_slots():
     a = Boundary(2, (Factor(1),))
-    x = TensorVector.basis_vector(a, idx({1}), mono(1))
-    y = TensorVector.basis_vector(a, idx({2}), mono(2))
+    x = basis_vector(a, idx({1}), mono(1))
+    y = basis_vector(a, idx({2}), mono(2))
     xy = tensor_product(x, y)  # x to the left, y keeps slot 1
     assert xy.space.factors == (Factor(1), Factor(1))
     assert polys(xy) == {idx({2}, {1}): mono(3)}
@@ -269,15 +269,15 @@ def test_no_kernel_changes_a_map_it_is_given():
     # key that comes first in each collision is the one moved with shift 0.
     merge_in = {(2, 1, 1): {1: -1, 5: 1}, (1, 2, 1): {0: 1, 3: 2}, (2, 1, 2): {1: -1}, (1, 2, 2): {0: 1}}
     cap_in = {(1, 1, 1): {0: 1, 2: 3}, (2, 2, 1): {0: -1}, (1, 1, 2): {4: 1}, (2, 2, 2): {4: -1}}
-    howe_in = {
-        ((2,), (1,), (3,)): {1: -1}, ((1,), (2,), (3,)): {0: 1, 2: 3},
-        ((2,), (1,), (4,)): {1: -1}, ((1,), (2,), (4,)): {0: 1},
-    }
+    s41 = Shape(4, 1)
+    [k21, k12, k2x, k1x, k22] = (tableau_key(Tableau(s41, (row,))) for row in (
+        (2, 1, 3, 3), (1, 2, 3, 3), (2, 1, 4, 4), (1, 2, 4, 4), (2, 2, 3, 3)))
+    howe_in = {k21: {1: -1}, k12: {0: 1, 2: 3}, k2x: {1: -1}, k1x: {0: 1}}
     split_in = {(3, 1): {0: 1, 2: -1}, (3, 2): {1: 2}}
     runs = [
         (lambda x: merge_kernel(2, x, 1), merge_in, {(3, 1): {4: 2, 5: 1}}),
         (lambda x: cap_kernel(x, 1), cap_in, {(1,): {2: 3}}),
-        (lambda x: act_divided(-1, 1, 1, x), howe_in, {((2,), (2,), (3,)): {3: 3}}),
+        (lambda x: act_divided(s41, -1, 1, 1, x), howe_in, {k22: {3: 3}}),
         (lambda x: split_kernel(2, x, 1, 1), split_in, None),
         (lambda x: merge_kernel(2, split_kernel(2, x, 1, 1), 1), split_in,
          {(3, 1): {-1: 1, 3: -1}, (3, 2): {2: 2, 0: 2}}),  # [2](1 - v^2) = v^-1 - v^3
@@ -306,7 +306,7 @@ def _is_int_map(c) -> bool:
 
 def test_every_vector_holds_int_maps_and_shares_none_it_may_change():
     space = Boundary(3, (Factor(3),))
-    x = TensorVector.basis_vector(space, idx({1, 2, 3}), LaurentPoly({1: 2, -1: -1}))
+    x = basis_vector(space, idx({1, 2, 3}), LaurentPoly({1: 2, -1: -1}))
     web = Web(space, (split(1, 2, 1), tag(1, 2), tag(1, 2), merge(1, 2, 1)))
     parts = apply_split(x, 1, 2, 1)
     cupped = apply_cup(parts, 1, 1)
@@ -317,7 +317,8 @@ def test_every_vector_holds_int_maps_and_shares_none_it_may_change():
                TensorVector.from_json(parts.to_json())]
     top = highest_vector(Shape(2, 2))
     k = (0, 0, 1, 2, 1, 2)
-    tableaux = [TableauVector(top.space, act_divided(-1, 1, 1, act_divided(-1, 2, 1, top.coords))),
+    s22 = top.space
+    tableaux = [TableauVector(s22, act_divided(s22, -1, 1, 1, act_divided(s22, -1, 2, 1, top.coords))),
                 act_E(-1, 2, top),
                 *(expansion(e) for e in lt_block(3, 2, k).values()),
                 *(expansion(e) for e in dual_block(3, 2, k).values())]
@@ -335,5 +336,5 @@ def test_every_vector_holds_int_maps_and_shares_none_it_may_change():
         y = expansion(e)
         for key in list(y.coords):
             y.add_term(key, {0: 1, 7: 1})
-        y.add_term(t.sort_key(), {0: -1})
+        y.add_term(tableau_key(t), {0: -1})
     assert {t: e.terms for t, e in lt_block(3, 2, k).items()} == blocks

@@ -23,9 +23,9 @@ from perfbench.run import module_caches  # noqa: E402
 import qwebs.cli  # noqa: E402,F401  (the tracer patches qwebs.cli.json)
 from qwebs import bases, howe  # noqa: E402
 from qwebs.tableaux import Shape  # noqa: E402
-from qwebs.tensor import Boundary, Factor, TensorVector, basis_indices  # noqa: E402
+from qwebs.tensor import Boundary, Factor, basis_indices  # noqa: E402
 
-from helpers import highest_vector  # noqa: E402
+from helpers import basis_vector, highest_vector  # noqa: E402
 
 
 def _qwebs_modules() -> dict:
@@ -68,7 +68,7 @@ def test_install_wraps_and_uninstall_restores_every_attribute():
 def test_counted_results_expose_sized_coords():
     tensor, howe = sys.modules["qwebs.tensor"], sys.modules["qwebs.howe"]
     space = Boundary(3, (Factor(3),))
-    x = TensorVector.basis_vector(space, basis_indices(space)[0])
+    x = basis_vector(space, basis_indices(space)[0])
     t = tracer.Tracer()
     t.install()
     try:  # each call looks the wrapped name up in its module, as qwebs callers do
@@ -85,15 +85,15 @@ def test_counted_results_expose_sized_coords():
 
 def test_kernel_move_table_is_cleared_before_each_op():
     # perfbench clears every functools cache of a qwebs module before each
-    # op, so each op starts with an empty move table
-    assert module_caches().get("qwebs.howe._column_moves") is howe._column_moves
+    # op, so each op starts with an empty cache of the kernel's column masks
+    assert module_caches().get("qwebs.howe._column_ones") is howe._column_ones
     labels = [(3, 2, (2, 1, 1, 1, 1, 0)), (2, 3, (1, 1, 1, 1, 1, 1))]
     warm = [{t: e.terms for t, e in bases.lt_block(*key).items()} for key in labels]
     assert all(warm)
-    assert howe._column_moves.cache_info().currsize
+    assert howe._column_ones.cache_info().currsize
     for key, maps in zip(labels, warm):
         bases.lt_block.cache_clear()
-        howe._column_moves.cache_clear()
+        howe._column_ones.cache_clear()
         assert {t: e.terms for t, e in bases.lt_block(*key).items()} == maps
 
 

@@ -1,8 +1,9 @@
 """Failures in the verify sweeps are still found and reported with their text."""
 
 from qwebs import bases, verify
-from qwebs.bases import GradedMatrix, gram_matrix
+from qwebs.bases import GradedMatrix, gram_matrix, lt_block
 from qwebs.cli import main
+from qwebs.howe import key_columns, tableau_key
 from qwebs.ring import ONE, LaurentPoly
 from qwebs.tableaux import Shape, Tableau, highest_tableau
 from qwebs.verify import Report, check_howe, web_gram_mismatch
@@ -31,8 +32,8 @@ def _patch_kernel(monkeypatch, wrong):
     """Make the tableau route return `wrong(sign, i, a, terms, out)` in place of its map."""
     real = verify.act_divided
 
-    def act_divided(sign, i, a, terms):
-        return wrong(sign, i, a, terms, real(sign, i, a, terms))
+    def act_divided(shape, sign, i, a, terms):
+        return wrong(sign, i, a, terms, real(shape, sign, i, a, terms))
 
     monkeypatch.setattr(verify, "act_divided", act_divided)
 
@@ -42,7 +43,7 @@ def _wrong_once(monkeypatch, case, wrong):
     t, *rung = case
 
     def maybe_wrong(sign, i, a, terms, out):
-        return wrong(terms, out) if list(terms) == [t.sort_key()] and [sign, i, a] == rung else out
+        return wrong(terms, out) if list(terms) == [tableau_key(t)] and [sign, i, a] == rung else out
 
     _patch_kernel(monkeypatch, maybe_wrong)
 
@@ -84,8 +85,8 @@ def test_howe_catches_a_nonzero_map_for_every_annihilated_ladder(monkeypatch):
     clean = check_howe(pairs)
 
     def annihilated(sign, i, a, terms):
-        (cols,) = terms  # one tableau: its entries i and i+1 are the rung's weight entries
-        left, right = (sum(col.count(x) for col in cols) for x in (i, i + 1))
+        (key,) = terms  # one tableau: its entries i and i+1 are the rung's weight entries
+        left, right = (sum(col.count(x) for col in key_columns(Shape(2, 2), key)) for x in (i, i + 1))
         try:
             rung(2, left, right, sign, a)
         except AnnihilatedError:
@@ -141,11 +142,12 @@ def test_dual_sweep_reports_a_negative_gram_coefficient(monkeypatch):
 
 def test_web_gram_mismatch_names_the_corrupted_entry():
     gram = gram_matrix(3, 2, (0, 1, 1, 1, 1, 2))
-    assert web_gram_mismatch(gram) is None
+    block = lt_block(3, 2, (0, 1, 1, 1, 1, 2))
+    assert web_gram_mismatch(gram, block) is None
     rows = [list(r) for r in gram.entries]
     rows[1][2] = rows[1][2] + ONE
     corrupted = GradedMatrix(gram.labels, tuple(tuple(r) for r in rows))
-    assert web_gram_mismatch(corrupted) == (
+    assert web_gram_mismatch(corrupted, block) == (
         "web and tensor Gram entries disagree at (235/466, 234/566): "
         "v^9 + 3v^7 + 4v^5 + 3v^3 + v vs v^9 + 3v^7 + 4v^5 + 3v^3 + v + 1"
     )

@@ -93,7 +93,7 @@ def test_web_and_tensor_gram_routes_agree(N, k):
     # blocks beyond the shapes that `verify --form` sweeps
     c = cartan_matrix(N, k)
     assert len(c.labels) >= 2
-    assert web_gram_mismatch(c) is None
+    assert web_gram_mismatch(c, lt_block(N, len(k) // N, k)) is None
 
 
 @pytest.mark.parametrize(
@@ -103,7 +103,7 @@ def test_web_and_tensor_gram_routes_agree(N, k):
 def test_web_gram_is_web_form_entry_by_entry(N, l, k, n):
     # the shared-pass matrix that `verify --form` uses against the pairwise
     # web form that `qwebs form` prints
-    webs = [lt_web(t) for t in lt_block(N, l, k)]
+    webs = [lt_web(elem) for elem in lt_block(N, l, k).values()]
     assert len(webs) == n
     gram = web_gram(webs)
     assert [len(row) for row in gram] == [n] * n
