@@ -12,8 +12,8 @@ it keeps at most the maps of one root-to-leaf path, so each distinct prefix
 runs its divided power once.  `lt_vector` is that walk, over any list of
 semistandard labels of one shape.  Every vector is checked for its leading
 1, triangularity (no key above its label's key, in the int order that is
-the tableau order), nonnegative coefficients and keys of N*l bits within N
-fields as it is built.
+the tableau order), nonnegative coefficients and keys of N fields of l bits
+each as it is built.
 
 Each element holds its vector as the kernel's map, {packed tableau key:
 {exponent: int}} (`howe.tableau_key`), the form every `TableauVector`
@@ -73,11 +73,13 @@ def lt_block(N: int, l: int, ktype: tuple[int, ...]) -> dict[Tableau, LTBasisEle
     """All LT vectors of one type, keyed by tableau (descending iteration order).
 
     The vectors range over the column-strict tableaux of the type, whose
-    bound `check_key_bits` holds them to before any work.
+    bound `check_key_bits` holds them to before any work; the labels are
+    enumerated under the same bound.
     """
     shape = Shape(N, l)
-    check_key_bits(shape, check_request(shape, ktype))
-    return lt_vector(shape, enumerate_tableaux(shape, ktype, semistandard_only=True))
+    bound = check_request(shape, ktype)
+    check_key_bits(shape, bound)
+    return lt_vector(shape, enumerate_tableaux(shape, ktype, semistandard_only=True, bound=bound))
 
 
 def lt_vector(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisElement]:
@@ -90,10 +92,10 @@ def lt_vector(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisEleme
     prefix shared with the previous word are applied.  Each vector keeps its
     map.  A move flips one set and one clear bit, adjacent in one field, so
     the columns of the keys the kernel makes stay strictly increasing with
-    entries in 1..m; each term's key is checked for N*l bits set, none past
-    its N fields.
+    entries in 1..m; each distinct key of the walk is checked once for no
+    bits past its N fields and l bits in every field.
     """
-    width, count = shape.N * shape.m, shape.N * shape.l
+    checked: set[int] = set()
     walk = sorted((tuple(peel_word(t))[::-1], n) for n, t in enumerate(labels))
     shared = [0] + [_common_prefix(a, b) for (a, _), (b, _) in zip(walk, walk[1:])] + [0]
     path = [{tableau_key(highest_tableau(shape)): {0: 1}}]
@@ -111,8 +113,9 @@ def lt_vector(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisEleme
             lead = LaurentPoly(terms.get(key, {}))
             raise InvariantViolationError(f"leading coefficient at {t} is {lead}")
         for k, c in terms.items():
-            if k >> width or k.bit_count() != count:
-                raise InvariantViolationError(_key_error(shape, k, t))
+            if k not in checked:
+                _check_key(shape, k, t)
+                checked.add(k)
             if k > key:
                 tau = Tableau.from_columns(shape, key_columns(shape, k))
                 raise InvariantViolationError(f"non-triangular term {tau} in the vector of {t}")
@@ -123,14 +126,17 @@ def lt_vector(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisEleme
     return dict(zip(labels, out))
 
 
-def _key_error(shape: Shape, key: int, t: Tableau) -> str:
-    """What is wrong with a term's key in the vector of t: bits past its N fields,
-    or a column of other than l entries."""
-    N, l = shape.N, shape.l
-    if key >> N * shape.m:
-        return f"term {key:#x} of the vector of {t} has more than {N} columns"
-    col = next(c for c in key_columns(shape, key) if len(c) != l)
-    return f"{col} is not a column of shape ({N}, {l})"
+def _check_key(shape: Shape, key: int, t: Tableau) -> None:
+    """Refuse a term's key in the vector of t with bits past its N fields, or
+    a field of other than l bits, a column of other than l entries."""
+    N, l, m = shape.N, shape.l, shape.m
+    if key >> N * m:
+        raise InvariantViolationError(f"term {key:#x} of the vector of {t} has more than {N} columns")
+    field = (1 << m) - 1
+    if any((key >> p & field).bit_count() != l for p in range(0, N * m, m)):
+        col = next(c for c in key_columns(shape, key) if len(c) != l)
+        raise InvariantViolationError(f"term {key:#x} of the vector of {t}: "
+                                      f"{col} is not a column of shape ({N}, {l})")
 
 
 def _common_prefix(a: tuple, b: tuple) -> int:

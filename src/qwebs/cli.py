@@ -167,7 +167,8 @@ def cmd_act(args) -> int:
     vec = _read(TableauVector, args.vector)
     sign = 1 if args.sign == "+" else -1
     check_generator(vec.space, sign, args.i, args.r)
-    # each key moves at most C(N, r) ways
+    # each key moves at most C(N, r) ways; reading the vector held N*m to
+    # MAX_KEY_WIDTH, so N <= 1024 and the binomial is small even with no terms
     check_key_bits(vec.space, len(vec.coords) * math.comb(vec.space.N, args.r))
     out = act_divided(vec.space, sign, args.i, args.r, vec.coords)
     print(terms_texts(vec.space, [out])[0])  # JSON in both formats

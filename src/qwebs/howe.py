@@ -38,8 +38,9 @@ the shape.  The kernel is also the step of the peel-tree walk in `bases`,
 whose blocks are maps of the same form.  `terms_texts` is the one writer of
 the JSON of such maps (`act`, `lt-basis` and `dual-canonical` print through
 it), decoding each distinct key once, and `TableauVector.from_json` reads it
-back.  A key is N*m bits, so `check_key_bits` refuses, before any work, maps
-whose keys could hold more than MAX_KEY_BITS bits.
+back.  A key is N*m bits, so `check_key_bits` refuses, before any work,
+keys of more than MAX_KEY_WIDTH bits and maps whose keys could hold more
+than MAX_KEY_BITS bits.
 
 Tableaux and tensor basis indices correspond through one injection,
 `tableau_to_index`: slot i of the index of a tableau holds the mask of the
@@ -85,18 +86,25 @@ def _column(digits: str) -> tuple[int, ...]:
     return tuple(e for e, d in enumerate(digits, 1) if d == "1")
 
 
-# Maps of tableau keys are refused when their keys could hold more than this
-# many bits, 128 MB: the 1,024 tableaux of shape (1024, 1) and type
-# 1023,1,0,... hold exactly 2^30 bits; that type at N = 2048 or 4096 would
-# hold 2^33 or 2^36.
+# A key of more than MAX_KEY_WIDTH bits is refused, whatever the map holds:
+# (1024, 1), at N*m = 2^20 bits, is the widest shape a map may have.  A map
+# whose keys could hold more than MAX_KEY_BITS bits, 128 MB, is refused too:
+# the 1,024 tableaux of shape (1024, 1) and type 1023,1,0,... hold exactly
+# 2^30 bits; that type at N = 2048 or 4096 would hold 2^33 or 2^36.
+MAX_KEY_WIDTH = 2**20
 MAX_KEY_BITS = 2**30
 
 
 def check_key_bits(shape: Shape, count: int) -> None:
-    """Refuse maps of up to `count` keys of the shape, N*m bits each, over MAX_KEY_BITS."""
-    if count * shape.N * shape.m > MAX_KEY_BITS:
+    """Refuse keys of the shape, N*m bits each, over MAX_KEY_WIDTH, or maps of up to
+    `count` of them over MAX_KEY_BITS."""
+    width = shape.N * shape.m
+    if count * width > MAX_KEY_BITS:
         raise ValueError(f"{count} tableau keys of shape ({shape.N}, {shape.l}), "
-                         f"{shape.N * shape.m} bits each, exceed the limit of {MAX_KEY_BITS} bits")
+                         f"{width} bits each, exceed the limit of {MAX_KEY_BITS} bits")
+    if width > MAX_KEY_WIDTH:
+        raise ValueError(f"a tableau key of shape ({shape.N}, {shape.l}) is {width} bits, "
+                         f"over the limit of {MAX_KEY_WIDTH} bits")
 
 
 class TableauVector(SparseVector):
@@ -188,6 +196,8 @@ def act_divided(shape: Shape, sign: int, i: int, r: int, terms: Terms) -> Terms:
     such pattern: (the bits a move flips, its exponent) for each r-subset,
     and for r = 1 each movable column in turn.
     """
+    if not terms:
+        return {}
     m = shape.m
     ones = _column_ones(shape.N, m)
     both = 3 * ones

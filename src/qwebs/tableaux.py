@@ -185,8 +185,12 @@ def enumerate_tableaux(
     shape: Shape,
     type: tuple[int, ...] | None = None,
     semistandard_only: bool = False,
+    bound: int | None = None,
 ) -> list[Tableau]:
     """All tableaux of the shape (and type, if given), strictly descending.
+
+    `bound` is the request's `check_request` bound when the caller has
+    already made it (with a type it does not depend on `semistandard_only`).
 
     The entries x = 1..m are placed in turn, each at the foot of columns
     that still have room, so columns strictly increase.  With a type,
@@ -198,7 +202,9 @@ def enumerate_tableaux(
     an explicit stack, so long columns or many entries cannot exhaust the
     interpreter's recursion limit.
     """
-    if not check_request(shape, type, semistandard_only):
+    if bound is None:
+        bound = check_request(shape, type, semistandard_only)
+    if not bound:
         return []  # e.g. a type with an entry above N, which the search meets only there
     N, l, m = shape.N, shape.l, shape.m
     cols: list[list[int]] = [[] for _ in range(N)]

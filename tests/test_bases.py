@@ -115,6 +115,7 @@ def test_blocks_build_no_tableau_for_their_terms(monkeypatch, N, l):
         (lambda out: out.pop(max(out)), "leading coefficient at 12 is 0"),
         (lambda out: out.update({0b0100: {0: 1}}), r"\(\) is not a column of shape \(2, 1\)"),
         (lambda out: out.update({0b0111: {0: 1}}), r"\(1, 2\) is not a column of shape"),
+        (lambda out: out.update({0b0011: {0: 1}}), r"term 0x3 of the vector of 12: \(\) is not a column"),
         (lambda out: out.update({0b10110: {0: 1}}), r"term 0x16 of the vector of 12 has more than 2 columns"),
     ],
 )

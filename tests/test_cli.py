@@ -193,20 +193,41 @@ def _one_two(N: int) -> str:
 
 def test_tableau_maps_over_the_key_bit_limit_exit_2_at_once(capsys, tmp_path):
     # a key is N*m bits: the 4,096 tableaux of (4096, 1) of type 4095,1,0,...
-    # would be keys of 2 MB each, and one lowering of a (4096, 1) tableau
-    # may move any of its 4,096 columns
-    vector = _write(tmp_path, "wide.json", {"N": 4096, "l": 1, "terms": [
-        {"rows": [[1] * 4096], "coeff": [[0, 1]]}]})
+    # would be keys of 2 MB each, and one lowering of a (1024, 1) tableau by
+    # two may move any 2 of its 1,024 columns, C(1024, 2) keys of 128 KB
+    vector = _write(tmp_path, "wide.json", {"N": 1024, "l": 1, "terms": [
+        {"rows": [[1] * 1024], "coeff": [[0, 1]]}]})
     wide = _one_two(4096)
     for argv in (f"lt-basis --N 4096 --l 1 --type {wide}", f"dual-canonical --N 4096 --l 1 --type {wide}",
                  f"gram --N 4096 --l 1 --type {wide}", f"cartan --N 4096 --k {wide}",
-                 f"act --sign - --i 1 --vector {vector}"):
+                 f"act --sign - --i 1 --r 2 --vector {vector}"):
         start = time.perf_counter()
         code = main(argv.split())
         captured = capsys.readouterr()
         assert time.perf_counter() - start < 1.0, argv[:20]
         assert code == 2 and captured.out == "", argv[:20]
         assert "bits each, exceed the limit of 1073741824 bits" in captured.err
+
+
+def test_tableau_keys_over_the_key_width_limit_exit_2_at_once(capsys, tmp_path):
+    # a key of (2^20, 1) would be 2^40 bits, even in an empty vector, and one
+    # of (32768, 1) or (4096, 1) is 2^30 or 2^24 bits, whatever r the action
+    # asks for
+    wide = _write(tmp_path, "wide.json", {"N": 4096, "l": 1, "terms": [
+        {"rows": [[1] * 4096], "coeff": [[0, 1]]}]})
+    empty = _write(tmp_path, "empty.json", {"N": 2**20, "l": 1, "terms": []})
+    one = _write(tmp_path, "one.json", {"N": 32768, "l": 1, "terms": [
+        {"rows": [list(range(1, 32769))], "coeff": [[0, 1]]}]})
+    for argv, width in ((f"act --sign - --i 1 --vector {empty}", 2**40),
+                        (f"act --sign - --i 1 --r 0 --vector {one}", 2**30),
+                        (f"act --sign + --i 1 --r 40000 --vector {one}", 2**30),
+                        (f"act --sign - --i 1 --vector {wide}", 2**24)):
+        start = time.perf_counter()
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and captured.out == "", argv
+        assert f"is {width} bits, over the limit of 1048576 bits" in captured.err, argv
 
 
 def test_tableau_maps_at_the_key_bit_limit_are_answered(capsys):
