@@ -16,8 +16,9 @@ the tableau order), nonnegative coefficients and keys of N fields of l bits
 each as it is built.
 
 Each element holds its vector as the kernel's map, {packed tableau key:
-{exponent: int}} (`howe.tableau_key`), the form every `TableauVector`
-holds; the corrections and the Gram pairings add up on these maps through
+{exponent: int}} (`howe.tableau_key`), the one vector form, which
+`howe.terms_texts` writes and `howe.read_tableau_vector` reads; the
+corrections and the Gram pairings add up on these maps through
 `ring.add_into`.  `pairing` is the one form on such maps, the barred
 `tensor.dot`.
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .howe import act_divided, check_key_bits, key_columns, tableau_key
+from .howe import _column_ones, act_divided, check_key_bits, key_columns, tableau_key
 from .ring import LaurentPoly, add_into, bar, symmetrize_correction
 from .tableaux import Shape, Tableau, check_request, enumerate_tableaux, highest_tableau, peel_word
 from .tensor import Terms, dot
@@ -128,15 +129,31 @@ def lt_vector(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisEleme
 
 def _check_key(shape: Shape, key: int, t: Tableau) -> None:
     """Refuse a term's key in the vector of t with bits past its N fields, or
-    a field of other than l bits, a column of other than l entries."""
+    a field of other than l bits, a column of other than l entries.
+
+    All fields are counted at once, in l rounds on the whole key: with
+    `high` the top bit of each field and `low` the bits below it, a field of
+    x is empty where ((x & low) + low | x) has no top bit; if none is,
+    x & x - ones clears the lowest bit of every field, with no borrow.  The
+    key passes if no round finds an empty field and x is then 0.
+    """
     N, l, m = shape.N, shape.l, shape.m
     if key >> N * m:
         raise InvariantViolationError(f"term {key:#x} of the vector of {t} has more than {N} columns")
-    field = (1 << m) - 1
-    if any((key >> p & field).bit_count() != l for p in range(0, N * m, m)):
-        col = next(c for c in key_columns(shape, key) if len(c) != l)
-        raise InvariantViolationError(f"term {key:#x} of the vector of {t}: "
-                                      f"{col} is not a column of shape ({N}, {l})")
+    ones = _column_ones(N, m)
+    high = ones << m - 1
+    low = high - ones
+    x = key
+    for _ in range(l):
+        if ((x & low) + low | x) & high != high:
+            break
+        x &= x - ones
+    else:
+        if not x:
+            return
+    col = next(c for c in key_columns(shape, key) if len(c) != l)
+    raise InvariantViolationError(f"term {key:#x} of the vector of {t}: "
+                                  f"{col} is not a column of shape ({N}, {l})")
 
 
 def _common_prefix(a: tuple, b: tuple) -> int:

@@ -5,10 +5,13 @@ command line and seed (keys sorted, rows in the descending tableau order),
 so runs can be diffed against golden files.
 
 Every JSON input is read through `_read`, so a malformed file of any kind is
-an input error.  Every command is declared once, in `COMMANDS`, and `main`
-builds the parser of the command it runs and no other.  The `verify`
-sweeps are declared once, in `VERIFY_SWEEPS`: it names the flags, their
-order and the call each flag makes.
+an input error.  A vector is a map at the edge: `eval` reads it with
+`tensor.read_tensor_vector` and writes its image with
+`tensor.tensor_vector_json`, and `act` reads it with
+`howe.read_tableau_vector`.  Every command is declared once, in `COMMANDS`,
+and `main` builds the parser of the command it runs and no other.  The
+`verify` sweeps are declared once, in `VERIFY_SWEEPS`: it names the flags,
+their order and the call each flag makes.
 
 `lt-basis` and `dual-canonical` write their JSON list one block at a time,
 each as soon as it is made, and a whole-shape sweep (no --type) keeps no
@@ -34,10 +37,10 @@ from .bases import (
     gram_matrix,
     lt_block,
 )
-from .howe import TableauVector, act_divided, check_generator, check_key_bits, terms_texts
+from .howe import act_divided, check_generator, check_key_bits, read_tableau_vector, terms_texts
 from .ring import NonDivisibleError
 from .tableaux import Shape, check_request, enumerate_tableaux
-from .tensor import ShapeMismatchError, TensorVector
+from .tensor import ShapeMismatchError, read_tensor_vector, tensor_vector_json
 from .webalg import bounded_weights, cartan_matrix, frobenius_check
 from .webs import (
     Web,
@@ -60,13 +63,13 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _read(cls, path: str):
-    """`cls.from_json` of the JSON at `path`; a missing or mistyped field is an input error."""
+def _read(read, path: str, what: str):
+    """`read` of the JSON at `path`, a `what`; a missing or mistyped field is an input error."""
     data = _load_json(path)
     try:
-        return cls.from_json(data)
+        return read(data)
     except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed {cls.__name__} JSON: {type(exc).__name__}: {exc}") from exc
+        raise ValueError(f"malformed {what} JSON: {type(exc).__name__}: {exc}") from exc
 
 
 def _emit(payload, fmt: str, as_table) -> None:
@@ -138,25 +141,25 @@ def cmd_ladder(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    web = _read(Web, args.web)
-    vec = _read(TensorVector, args.vector)
-    if vec.space != web.domain:
+    web = _read(Web.from_json, args.web, "web")
+    space, terms = _read(read_tensor_vector, args.vector, "tensor vector")
+    if space != web.domain:
         raise ShapeMismatchError("vector does not live in the web's domain")
-    check_work(web, len(vec.coords))
-    _emit(TensorVector(web.codomain, evaluate_dense(web, vec.coords)).to_json(), args.format, None)
+    check_work(web, len(terms))
+    _emit(tensor_vector_json(web.codomain, evaluate_dense(web, terms)), args.format, None)
     return 0
 
 
 def cmd_ev(args) -> int:
-    web = _read(Web, args.web)
+    web = _read(Web.from_json, args.web, "web")
     check_work(web, 1)
     _emit(ev_closed(web).to_json(), args.format, _poly_str)
     return 0
 
 
 def cmd_form(args) -> int:
-    u = _read(Web, args.u)
-    w = _read(Web, args.w)
+    u = _read(Web.from_json, args.u, "web")
+    w = _read(Web.from_json, args.w, "web")
     check_work(u, 1)
     check_work(w, 1)
     _emit(web_form(u, w).to_json(), args.format, _poly_str)
@@ -164,14 +167,14 @@ def cmd_form(args) -> int:
 
 
 def cmd_act(args) -> int:
-    vec = _read(TableauVector, args.vector)
+    shape, terms = _read(read_tableau_vector, args.vector, "tableau vector")
     sign = 1 if args.sign == "+" else -1
-    check_generator(vec.space, sign, args.i, args.r)
+    check_generator(shape, sign, args.i, args.r)
     # each key moves at most C(N, r) ways; reading the vector held N*m to
     # MAX_KEY_WIDTH, so N <= 1024 and the binomial is small even with no terms
-    check_key_bits(vec.space, len(vec.coords) * math.comb(vec.space.N, args.r))
-    out = act_divided(vec.space, sign, args.i, args.r, vec.coords)
-    print(terms_texts(vec.space, [out])[0])  # JSON in both formats
+    check_key_bits(shape, len(terms) * math.comb(shape.N, args.r))
+    out = act_divided(shape, sign, args.i, args.r, terms)
+    print(terms_texts(shape, [out])[0])  # JSON in both formats
     return 0
 
 

@@ -24,8 +24,8 @@ column in turn.  Of two columns of l entries, the one with the smaller entry
 at the first place they differ holds the least entry of their symmetric
 difference, the higher bit, so the int order is the tableau order: a larger
 key is a larger tableau, and ascending `Tableau.sort_key` is descending key.
-`key_columns` decodes a key.  A `TableauVector` holds such a map, with the
-`tensor.Terms` int maps as coefficients.
+`key_columns` decodes a key.  Such a map is a `tensor.Terms` map, with int
+maps as coefficients.
 
 One kernel, `act_divided`, acts on such a map, on all N columns of a key at
 once: one shift and one mask with the lowest bit of every field
@@ -33,14 +33,15 @@ once: one shift and one mask with the lowest bit of every field
 a move flips the two adjacent bits of i and i+1 in the moved columns, and an
 exponent is a popcount; moves that meet at one key add up through
 `ring.add_into`.  The kernel checks none of its arguments: `act_E`, the one
-step on a `TableauVector`, and the `act` command refuse a generator outside
-the shape.  The kernel is also the step of the peel-tree walk in `bases`,
-whose blocks are maps of the same form.  `terms_texts` is the one writer of
-the JSON of such maps (`act`, `lt-basis` and `dual-canonical` print through
-it), decoding each distinct key once, and `TableauVector.from_json` reads it
-back.  A key is N*m bits, so `check_key_bits` refuses, before any work,
-keys of more than MAX_KEY_WIDTH bits and maps whose keys could hold more
-than MAX_KEY_BITS bits.
+step on a `tensor.Vector` that the benchmark's tracer wraps, and the `act`
+command refuse a generator outside the shape.  The kernel is also the step
+of the peel-tree walk in `bases`, whose blocks are maps of the same form.
+Such maps meet JSON only at the command-line edge: `terms_texts` is the one
+writer (`act`, `lt-basis` and `dual-canonical` print through it), decoding
+each distinct key once, and `read_tableau_vector` reads a vector's JSON back
+to (shape, map).  A key is N*m bits, so `check_key_bits` refuses, before any
+work, keys of more than MAX_KEY_WIDTH bits and maps whose keys could hold
+more than MAX_KEY_BITS bits.
 
 Tableaux and tensor basis indices correspond through one injection,
 `tableau_to_index`: slot i of the index of a tableau holds the mask of the
@@ -60,7 +61,7 @@ from itertools import combinations
 
 from .ring import LaurentPoly, add_into, exact_int
 from .tableaux import Shape, Tableau
-from .tensor import Index, SparseVector, Terms, _Table
+from .tensor import Index, Terms, Vector, _Table
 
 
 def tableau_key(t: Tableau) -> int:
@@ -107,29 +108,21 @@ def check_key_bits(shape: Shape, count: int) -> None:
                          f"over the limit of {MAX_KEY_WIDTH} bits")
 
 
-class TableauVector(SparseVector):
-    """A sparse vector of one shape (its space), keyed by the packed keys of tableaux."""
+def read_tableau_vector(data: dict) -> tuple[Shape, Terms]:
+    """The shape and map of a tableau vector's JSON, as `terms_texts` writes it.
 
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        shape = self.space
-        terms = " + ".join(f"({LaurentPoly(c)})*{Tableau.from_columns(shape, key_columns(shape, k))}"
-                           for k, c in sorted(self.coords.items(), reverse=True))
-        return f"TableauVector[{terms or '0'}]"
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TableauVector":
-        shape = Shape(exact_int(data["N"], "N"), exact_int(data["l"], "l"))
-        check_key_bits(shape, len(data["terms"]))
-        x, seen = cls(shape), set()
-        for term in data["terms"]:
-            key = tableau_key(Tableau.from_json({"N": shape.N, "l": shape.l, "rows": term["rows"]}))
-            if key in seen:
-                raise ValueError(f"tableau {term['rows']} appears twice")
-            seen.add(key)
-            x.add_term(key, LaurentPoly.from_json(term["coeff"]))
-        return x
+    The key bits of the terms are checked before any key is built; a
+    tableau may appear once, and a term whose coefficient is zero is dropped.
+    """
+    shape = Shape(exact_int(data["N"], "N"), exact_int(data["l"], "l"))
+    check_key_bits(shape, len(data["terms"]))
+    terms: Terms = {}
+    for term in data["terms"]:
+        key = tableau_key(Tableau.from_json({"N": shape.N, "l": shape.l, "rows": term["rows"]}))
+        if key in terms:
+            raise ValueError(f"tableau {term['rows']} appears twice")
+        terms[key] = dict(LaurentPoly.from_json(term["coeff"]).items())
+    return shape, {key: c for key, c in terms.items() if c}
 
 
 # -- the action kernel --------------------------------------------------
@@ -247,10 +240,10 @@ def check_generator(shape: Shape, sign: int, i: int, r: int = 1) -> None:
         raise ValueError(f"generator index {i} outside 1..{shape.m - 1}")
 
 
-def act_E(sign: int, i: int, x: TableauVector) -> TableauVector:
-    """Apply the generator of index i (sign -1 lowers, +1 raises)."""
+def act_E(sign: int, i: int, x: Vector) -> Vector:
+    """Apply the generator of index i (sign -1 lowers, +1 raises) to a vector of a shape."""
     check_generator(x.space, sign, i)
-    return TableauVector(x.space, act_divided(x.space, sign, i, 1, x.coords))
+    return Vector(x.space, act_divided(x.space, sign, i, 1, x.coords))
 
 
 def weight_of_type(k: tuple[int, ...]) -> tuple[int, ...]:

@@ -35,9 +35,6 @@ class LaurentPoly:
 
     # -- queries ------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     def items(self) -> Iterator[tuple[int, int]]:
         """(exponent, coefficient) pairs in ascending exponent order."""
         return iter(sorted(self._c.items()))
@@ -49,7 +46,7 @@ class LaurentPoly:
         return min(self._c)
 
     def nonnegative_coeffs(self) -> bool:
-        return all(a > 0 for a in self._c.values())
+        return all(a >= 0 for a in self._c.values())
 
     # -- arithmetic ---------------------------------------------------
 
@@ -203,7 +200,7 @@ def qbinom(n: int, k: int) -> LaurentPoly:
     num = ONE
     for j in range(1, k + 1):
         num = num * qnum(n - k + j)
-        if num.is_zero():
+        if not num:
             return num
     return exact_divide(num, qfactorial(k))
 
@@ -224,9 +221,9 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     exists.  Inside this package a failure always indicates an upstream
     bug: divided-power actions are integral.
     """
-    if q.is_zero():
+    if not q:
         raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
+    if not p:
         return LaurentPoly()
     # Shift both operands to honest polynomials with nonzero constant term,
     # long-divide from the top, and shift back.

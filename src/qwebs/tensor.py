@@ -11,10 +11,12 @@ factor of color c by the c-subsets indexing the dual basis.  An index is a
 tuple of bitmasks, slot 1 first, where bit j-1 of a mask stands for j.
 
 Every vector, here and in `howe`, is one sparse map {key: {exponent: int}}
-(`Terms`): no coefficient is zero and no inner map is empty.  `SparseVector`
-holds such a map for one space, and the kernels act on it directly; linear
-combinations are made on the maps, through `ring.add_into`, not on vectors.
-`LaurentPoly` is the scalar type: `LaurentPoly(x.coords[key])` is one.
+(`Terms`): no coefficient is zero and no inner map is empty.  The kernels
+act on the maps directly, and linear combinations are made on them through
+`ring.add_into`.  `LaurentPoly` is the scalar type: `LaurentPoly(terms[key])`
+is one.  A map on a boundary meets JSON only at the command-line edge:
+`read_tensor_vector` reads a vector's JSON to (boundary, map), with every
+check of its subsets and indices, and `tensor_vector_json` writes it back.
 
 The elementary intertwiners implemented here, with their local coefficients:
 
@@ -38,8 +40,9 @@ S.  A degree shift of merge and split and a barred tag give the co-kernels
 that `webs` walks for the web form, and `dot` sums the products of two
 maps' coefficients over their common keys.  `webs` runs a whole slice list
 on one map, and `apply_merge` and its siblings run one slice on a
-`TensorVector`.  `ell` on sets and `_subsets` serve the
-state-sum reference in `webs` and share no code with the kernels.
+`Vector`, the (space, map) record the benchmark's tracer reads.  `ell` on
+sets and `_subsets` serve the state-sum reference in `webs` and share no
+code with the kernels.
 """
 
 from __future__ import annotations
@@ -47,9 +50,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .ring import LaurentPoly, add_into, exact_int
+from .tableaux import Shape
 
 
 class ShapeMismatchError(ValueError):
@@ -145,11 +149,25 @@ Index = tuple[int, ...]  # a bitmask per slot, slot 1 first
 # No coefficient is zero and no inner map is empty.  Inner maps are shared
 # between vectors and kernels and never changed in place: a kernel hands an
 # inner map on unchanged or adds up, through `ring.add_into`, only into maps
-# it made itself, dropping a key whose map cancels to empty.  `split_kernel` and `howe.act_divided` hand on
-# each unshifted map; `act_divided` adds a second move at one key into a
-# copy, since the first may have been handed on.  `SparseVector.add_term`
-# copies on write.
+# it made itself, dropping a key whose map cancels to empty.  `split_kernel`
+# and `howe.act_divided` hand on each unshifted map; `act_divided` adds a
+# second move at one key into a copy, since the first may have been handed
+# on.  A map is read from and written to JSON at the command-line edge:
+# `read_tensor_vector` and `tensor_vector_json` here, `howe.read_tableau_vector`
+# and `howe.terms_texts` for tableau maps.
 Terms = dict[Index | int, dict[int, int]]
+
+
+class Vector(NamedTuple):
+    """A `Terms` map with the space its keys index, a `Boundary` or a tableau `Shape`.
+
+    Only `apply_merge` and its siblings and `howe.act_E` take and return it:
+    the benchmark's tracer wraps them by name and reads `.coords`.  It goes
+    once the tracer reads counters.
+    """
+
+    space: Boundary | Shape
+    coords: Terms
 
 
 def ell(S, T) -> int:
@@ -189,38 +207,6 @@ def _index_key(idx: Index) -> tuple:
     return tuple(tuple(sorted(_subset(S), reverse=True)) for S in idx)
 
 
-class SparseVector:
-    """A vector of one space, held as a `Terms` map in `coords`.
-
-    `space` names what the keys index, and vectors are equal only within one
-    space.  Subclasses fix the keys and how they are built, printed and
-    serialized.
-    """
-
-    __slots__ = ("space", "coords")
-
-    def __init__(self, space, coords: Terms | None = None):
-        """The vector of a `Terms` map; the outer map is copied, the inner maps are shared."""
-        self.space = space
-        self.coords: Terms = dict(coords) if coords else {}
-
-    def add_term(self, key, c, shift: int = 0, factor: int = 1) -> None:
-        """Add factor * v^shift * c at key; c is an int map or a `LaurentPoly`."""
-        acc = dict(self.coords.get(key, ()))
-        add_into(acc, c, shift, factor)
-        if acc:
-            self.coords[key] = acc
-        else:
-            self.coords.pop(key, None)
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.space == other.space
-            and self.coords == other.coords
-        )
-
-
 def _check_index(space: Boundary, idx: Index) -> None:
     """Each mask of idx must be a color-sized subset of 1..N."""
     if len(idx) != len(space.factors):
@@ -230,43 +216,35 @@ def _check_index(space: Boundary, idx: Index) -> None:
             raise ShapeMismatchError(f"mask {S} is not a color-{f.color} subset of 1..{space.N}")
 
 
-class TensorVector(SparseVector):
-    """A sparse vector on a tensor boundary, keyed by index tuples."""
+def read_tensor_vector(data: dict) -> tuple[Boundary, Terms]:
+    """The boundary and map of a tensor vector's JSON, as `tensor_vector_json` writes it.
 
-    __slots__ = ()
+    Each subset is checked for repeated and out-of-range entries before it
+    becomes a mask, and each index against the boundary; an index may appear
+    once, and a term whose coefficient is zero is dropped.
+    """
+    space = Boundary.from_json(exact_int(data["N"], "N"), data["space"])
+    terms: Terms = {}
+    for term in data["terms"]:
+        masks = []
+        for s in term["subsets"]:
+            entries = [exact_int(j, "subset entry") for j in s]
+            if len(set(entries)) != len(entries) or not all(1 <= j <= space.N for j in entries):
+                raise ShapeMismatchError(f"subset {sorted(entries)} is not a subset of 1..{space.N}")
+            masks.append(_mask(frozenset(entries)))
+        idx = tuple(masks)
+        _check_index(space, idx)
+        if idx in terms:
+            raise ValueError(f"index {_index_key(idx)} appears twice")
+        terms[idx] = dict(LaurentPoly.from_json(term["coeff"]).items())
+    return space, {idx: c for idx, c in terms.items() if c}
 
-    def _sorted(self) -> list:
-        """(members of each slot, coefficient) per term, in printed order."""
-        return sorted(((_index_key(idx), c) for idx, c in self.coords.items()), key=lambda kc: kc[0])
 
-    def __repr__(self) -> str:
-        terms = ", ".join(f"({LaurentPoly(c)}) {key}" for key, c in self._sorted())
-        return f"TensorVector[{terms or '0'}]"
-
-    def to_json(self) -> dict:
-        terms = [{"subsets": [list(s) for s in key], "coeff": sorted(c.items())}
-                 for key, c in self._sorted()]
-        return {"N": self.space.N, "space": self.space.to_json(), "terms": terms}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TensorVector":
-        """Each subset is checked for repeated and out-of-range entries before it becomes a mask."""
-        space = Boundary.from_json(exact_int(data["N"], "N"), data["space"])
-        x, seen = cls(space), set()
-        for term in data["terms"]:
-            masks = []
-            for s in term["subsets"]:
-                entries = [exact_int(j, "subset entry") for j in s]
-                if len(set(entries)) != len(entries) or not all(1 <= j <= space.N for j in entries):
-                    raise ShapeMismatchError(f"subset {sorted(entries)} is not a subset of 1..{space.N}")
-                masks.append(_mask(frozenset(entries)))
-            idx = tuple(masks)
-            _check_index(space, idx)
-            if idx in seen:
-                raise ValueError(f"index {_index_key(idx)} appears twice")
-            seen.add(idx)
-            x.add_term(idx, LaurentPoly.from_json(term["coeff"]))
-        return x
+def tensor_vector_json(space: Boundary, terms: Terms) -> dict:
+    """The JSON of a map on a boundary: terms in ascending `_index_key` order, exponents ascending."""
+    ordered = sorted(((_index_key(idx), c) for idx, c in terms.items()), key=lambda kc: kc[0])
+    return {"N": space.N, "space": space.to_json(),
+            "terms": [{"subsets": [list(s) for s in key], "coeff": sorted(c.items())} for key, c in ordered]}
 
 
 def _expect(space: Boundary, pos: int, color: int, dual: bool) -> None:
@@ -446,36 +424,36 @@ def dot(x: Terms, y: Terms, shift: int = 0) -> dict[int, int]:
     return acc
 
 
-# One slice on a TensorVector: the boundary check, then the kernel.
+# One slice on a `Vector`: the boundary check, then the kernel.
 
 
-def apply_merge(x: TensorVector, a: int, b: int, pos: int) -> TensorVector:
+def apply_merge(x: Vector, a: int, b: int, pos: int) -> Vector:
     """Wedge the factors at slots pos+1 (color a, left) and pos (color b)."""
     space = merged_space(x.space, a, b, pos)
-    return TensorVector(space, merge_kernel(x.space.N, x.coords, pos))
+    return Vector(space, merge_kernel(x.space.N, x.coords, pos))
 
 
-def apply_split(x: TensorVector, a: int, b: int, pos: int) -> TensorVector:
+def apply_split(x: Vector, a: int, b: int, pos: int) -> Vector:
     """Split the color-(a+b) factor at pos into a (slot pos+1) and b (slot pos)."""
     space = split_space(x.space, a, b, pos)
-    return TensorVector(space, split_kernel(x.space.N, x.coords, a, pos))
+    return Vector(space, split_kernel(x.space.N, x.coords, a, pos))
 
 
-def apply_tag(x: TensorVector, pos: int, side: str = "left") -> TensorVector:
+def apply_tag(x: Vector, pos: int, side: str = "left") -> Vector:
     """Flip the factor at pos across the duality of exterior powers."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown tag side {side!r}")
     space = tag_space(x.space, pos)
-    return TensorVector(space, tag_kernel(x.space.N, x.coords, pos, x.space.factor(pos).dual, side))
+    return Vector(space, tag_kernel(x.space.N, x.coords, pos, x.space.factor(pos).dual, side))
 
 
-def apply_cup(x: TensorVector, a: int, pos: int) -> TensorVector:
+def apply_cup(x: Vector, a: int, pos: int) -> Vector:
     """Insert sum_S x_S (x) xhat_S at the position (plain at slot pos+1)."""
     space = cup_space(x.space, a, pos)
-    return TensorVector(space, cup_kernel(x.space.N, x.coords, a, pos))
+    return Vector(space, cup_kernel(x.space.N, x.coords, a, pos))
 
 
-def apply_cap(x: TensorVector, a: int, pos: int) -> TensorVector:
+def apply_cap(x: Vector, a: int, pos: int) -> Vector:
     """Contract the color-a pair at slots pos, pos+1 by delta of indices.
 
     The intertwiner pairing has the dual factor at the left slot; the
@@ -483,4 +461,4 @@ def apply_cap(x: TensorVector, a: int, pos: int) -> TensorVector:
     naive closure, whose round trip on a cup counts the a-subsets).
     """
     space = cap_space(x.space, a, pos)
-    return TensorVector(space, cap_kernel(x.coords, pos))
+    return Vector(space, cap_kernel(x.coords, pos))

@@ -1,11 +1,10 @@
 """Constructions the tests build webs and vectors with; the program never needs them."""
 
 from qwebs.bases import dual_block, lt_block, pairing
-from qwebs.howe import TableauVector, key_columns, tableau_key, tableau_to_index
+from qwebs.howe import key_columns, tableau_key, tableau_to_index
 from qwebs.ring import ONE, LaurentPoly, add_into
 from qwebs.tableaux import Shape, Tableau, highest_tableau, tableau_type
-from qwebs.tensor import (Boundary, Index, ShapeMismatchError, TensorVector, Terms, _check_index, _mask,
-                          weight_boundary)
+from qwebs.tensor import Boundary, Index, ShapeMismatchError, Terms, Vector, _check_index, _mask, weight_boundary
 from qwebs.webs import Slice, Web, d_norm, ev_closed
 
 
@@ -19,40 +18,41 @@ def key_tableau(shape: Shape, key: int) -> Tableau:
     return Tableau.from_columns(shape, key_columns(shape, key))
 
 
-def tableau_vector(t: Tableau, coeff: LaurentPoly = ONE) -> TableauVector:
+def vector(space, coeffs: dict) -> Vector:
+    """The vector of a map from keys to `LaurentPoly` coefficients; a zero coefficient is dropped."""
+    return Vector(space, {k: dict(c.items()) for k, c in coeffs.items() if c})
+
+
+def tableau_vector(t: Tableau, coeff: LaurentPoly = ONE) -> Vector:
     """coeff times the basis vector of a tableau."""
-    x = TableauVector(t.shape)
-    x.add_term(tableau_key(t), coeff)
-    return x
+    return vector(t.shape, {tableau_key(t): coeff})
 
 
-def basis_vector(space: Boundary, idx: Index, coeff: LaurentPoly = ONE) -> TensorVector:
+def basis_vector(space: Boundary, idx: Index, coeff: LaurentPoly = ONE) -> Vector:
     """coeff times the basis vector of a tensor index, checked against the space."""
     _check_index(space, idx)
-    x = TensorVector(space)
-    x.add_term(idx, coeff)
-    return x
+    return vector(space, {idx: coeff})
 
 
-def polys(x) -> dict:
+def polys(x: Vector) -> dict:
     """The coordinates of a vector as `LaurentPoly`s, a tableau vector's keyed by `Tableau`."""
-    if isinstance(x, TableauVector):
+    if isinstance(x.space, Shape):
         return {key_tableau(x.space, k): LaurentPoly(c) for k, c in x.coords.items()}
     return {k: LaurentPoly(c) for k, c in x.coords.items()}
 
 
-def combine(*parts):
+def combine(*parts) -> Vector:
     """The sum of c * x over the (c, x) parts, c a `LaurentPoly` and x a vector.
 
-    The vectors must share one type and space, and the sum is one more of
-    them.  It is made on their maps through `ring.add_into`: the program
-    makes linear combinations on kernel maps only, so the tests compare
-    vectors through this one function.
+    The vectors must share one space, and the sum is one more of them.  It
+    is made on their maps through `ring.add_into`: the program makes linear
+    combinations on kernel maps only, so the tests compare vectors through
+    this one function.
     """
     (_, first), *_ = parts
     out: Terms = {}
     for c, x in parts:
-        if type(x) is not type(first) or x.space != first.space:
+        if x.space != first.space:
             raise ShapeMismatchError("cannot combine vectors of different spaces")
         for key, a in x.coords.items():
             acc = out.setdefault(key, {})
@@ -60,7 +60,7 @@ def combine(*parts):
                 add_into(acc, a, e, b)
             if not acc:
                 del out[key]
-    return type(first)(first.space, out)
+    return Vector(first.space, out)
 
 
 def terms_json(shape: Shape, terms: Terms) -> dict:
@@ -79,14 +79,14 @@ def reference_gram(N: int, l: int, ktype: tuple[int, ...], basis: str) -> tuple:
     return tuple(tuple(pairing(x, y) for y in maps) for x in maps)
 
 
-def highest_vector(shape: Shape) -> TableauVector:
+def highest_vector(shape: Shape) -> Vector:
     """The basis vector of the highest tableau of the shape."""
     return tableau_vector(highest_tableau(shape))
 
 
-def expansion(elem) -> TableauVector:
+def expansion(elem) -> Vector:
     """The vector of a basis element's map (an `lt_block` or `dual_block` value)."""
-    return TableauVector(elem.tableau.shape, elem.terms)
+    return Vector(elem.tableau.shape, elem.terms)
 
 
 def compose(first: Web, then: Web) -> Web:
@@ -128,27 +128,20 @@ def index_to_tableau(shape: Shape, idx: Index) -> Tableau:
     return Tableau.from_columns(shape, cols)
 
 
-def tensor_product(x: TensorVector, y: TensorVector) -> TensorVector:
+def tensor_product(x: Vector, y: Vector) -> Vector:
     """Concatenate boundaries, x to the left of y (y keeps the low slots)."""
     if x.space.N != y.space.N:
         raise ShapeMismatchError("tensor factors over different N")
     space = Boundary(x.space.N, y.space.factors + x.space.factors)
-    out = TensorVector(space)
-    for ix, cx in x.coords.items():
-        for iy, cy in y.coords.items():
-            for e, a in cy.items():
-                out.add_term(iy + ix, cx, e, a)
-    return out
+    return vector(space, {iy + ix: LaurentPoly(cx) * LaurentPoly(cy)
+                          for ix, cx in x.coords.items() for iy, cy in y.coords.items()})
 
 
-def to_tensor(x: TableauVector) -> TensorVector:
+def to_tensor(x: Vector) -> Vector:
     """Read a single-type tableau vector in tensor coordinates."""
-    tableaux = {key_tableau(x.space, k): c for k, c in x.coords.items()}
+    tableaux = polys(x)
     types = {tableau_type(t) for t in tableaux}
     if len(types) != 1:
         raise ValueError("tensor coordinates need a vector of a single type")
     space = weight_boundary(x.space.N, next(iter(types)))
-    out = TensorVector(space)
-    for t, c in tableaux.items():
-        out.add_term(tableau_to_index(t), c)
-    return out
+    return vector(space, {tableau_to_index(t): c for t, c in tableaux.items()})

@@ -116,6 +116,9 @@ def test_blocks_build_no_tableau_for_their_terms(monkeypatch, N, l):
         (lambda out: out.update({0b0100: {0: 1}}), r"\(\) is not a column of shape \(2, 1\)"),
         (lambda out: out.update({0b0111: {0: 1}}), r"\(1, 2\) is not a column of shape"),
         (lambda out: out.update({0b0011: {0: 1}}), r"term 0x3 of the vector of 12: \(\) is not a column"),
+        # one bit short: clearing the lowest bit of every field at once borrows
+        # across the empty field, so the key reads as done unless that is seen
+        (lambda out: out.update({0b1000: {0: 1}}), r"term 0x8 of the vector of 12: \(\) is not a column"),
         (lambda out: out.update({0b10110: {0: 1}}), r"term 0x16 of the vector of 12 has more than 2 columns"),
     ],
 )
@@ -228,7 +231,7 @@ def test_almost_orthogonality_block():
         for t in labels:
             val = pairing(duals[s].terms, duals[t].terms)
             target = val - ONE if s == t else val
-            assert target.is_zero() or target.valuation() >= 1
+            assert not target or target.valuation() >= 1
 
 
 def test_gram_matrix_examples():
@@ -242,7 +245,7 @@ def test_gram_matrix_examples():
         for j in range(2):
             assert g.entries[i][j] == g.entries[j][i]
             assert bar(g.entries[i][j]) == g.entries[j][i].shift(-2 * d)
-            assert g.entries[i][j].is_zero() or g.entries[i][j].nonnegative_coeffs()
+            assert g.entries[i][j].nonnegative_coeffs()
 
 
 GRAM_BLOCKS = [*((3, 2, k) for k in bounded_weights(3, 6)), *((2, 4, k) for k in bounded_weights(2, 8)),
@@ -324,7 +327,7 @@ def transported(vec):
             else:
                 key.append(s)
         out[tuple(key)] = out.get(tuple(key), LaurentPoly()) + coeff
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return {k: v for k, v in out.items() if v}
 
 
 def assert_top_and_negexp(vec, top):

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwebs.bases import dual_block, lt_block, lt_vector
+from qwebs.cli import main
 from qwebs.howe import (
-    TableauVector,
     act_E,
     act_divided,
     check_generator,
+    read_tableau_vector,
     tableau_key,
     tableau_to_index,
     terms_texts,
@@ -20,10 +21,11 @@ from qwebs.howe import (
 )
 from qwebs.ring import ONE, LaurentPoly, exact_divide, qfactorial, qint, qnum
 from qwebs.tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, tableau_type
+from qwebs.tensor import Vector
 from qwebs.webs import evaluate_dense, ladder_from_word
 
 from helpers import (combine, highest_vector, idx, index_to_tableau, key_tableau, polys, tableau_vector, terms_json,
-                     to_tensor)
+                     to_tensor, vector)
 
 
 
@@ -85,7 +87,7 @@ def test_divided_power_examples():
     (t2, c2), = polys(raw).items()
     assert t2 == Tableau(s22, ((1, 1), (3, 3)))
     assert c2 == qint(2)
-    assert polys(TableauVector(s22, act_divided(s22, -1, 2, 2, top.coords))) == {t2: ONE}
+    assert polys(Vector(s22, act_divided(s22, -1, 2, 2, top.coords))) == {t2: ONE}
 
 
 def test_divided_power_integrality():
@@ -113,7 +115,7 @@ def test_action_matches_ladders_small():
                 continue
             image = evaluate_dense(web, to_tensor(x).coords)
             by_web = {index_to_tableau(shape, key): LaurentPoly(c) for key, c in image.items()}
-            assert by_web == polys(TableauVector(shape, act_divided(shape, sign, i, a, x.coords)))
+            assert by_web == polys(Vector(shape, act_divided(shape, sign, i, a, x.coords)))
 
 
 def test_tensor_dictionary_roundtrip():
@@ -136,12 +138,23 @@ def test_weight_of_type_matches():
     assert weight_of_type((3, 1, 0, 2)) == (2, 1, -2)
 
 
-def test_json_roundtrip():
+def test_json_roundtrip(capsys, tmp_path):
     s21 = Shape(2, 1)
-    x = TableauVector(s21)
-    x.add_term(tableau_key(Tableau(s21, ((1, 2),))), ONE)
-    x.add_term(tableau_key(Tableau(s21, ((2, 1),))), LaurentPoly({-1: 1}))
-    assert TableauVector.from_json(terms_json(s21, x.coords)) == x
+    one_two, two_one = (tableau_key(Tableau(s21, (row,))) for row in ((1, 2), (2, 1)))
+    x = vector(s21, {one_two: ONE, two_one: LaurentPoly({-1: 1})})
+    data = terms_json(s21, x.coords)
+    # a term whose coefficient is zero is read as no term
+    zero = {**data, "terms": data["terms"] + [{"rows": [[1, 1]], "coeff": []}]}
+    # the output of `act`, read back, is the action on the vector it read
+    s22 = Shape(2, 2)
+    y = vector(s22, {tableau_key(t): LaurentPoly({n: n + 1, -1: -1})
+                     for n, t in enumerate(enumerate_tableaux(s22)[:12])})
+    (tmp_path / "y.json").write_text(json.dumps(terms_json(s22, y.coords)))
+    assert main(["act", "--sign", "-", "--i", "2", "--vector", str(tmp_path / "y.json")]) == 0
+    image = (s22, act_divided(s22, -1, 2, 1, y.coords))
+    assert len(image[1]) > 1
+    for payload, want in ((data, x), (zero, x), (json.loads(capsys.readouterr().out), image)):
+        assert read_tableau_vector(payload) == want
 
 
 # -- the column-map kernel against the per-term grid swap ----------------
@@ -150,7 +163,7 @@ def test_json_roundtrip():
 def reference_act_E(sign, i, x):
     """Independent oracle: move one entry in a copy of the row grid per term."""
     shape = x.space
-    out = TableauVector(shape)
+    out = {}
     src, dst = (i, i + 1) if sign < 0 else (i + 1, i)
     for t, c in polys(x).items():
         columns = [set(col) for col in zip(*t.rows)]
@@ -166,16 +179,17 @@ def reference_act_E(sign, i, x):
             cols = range(ci + 1, shape.N) if sign < 0 else range(ci)
             ni = sum(1 for cj in cols if i in columns[cj])
             nip = sum(1 for cj in cols if i + 1 in columns[cj])
-            out.add_term(tableau_key(t2), c.shift(sign * (ni - nip)))
-    return out
+            key = tableau_key(t2)
+            out[key] = out.get(key, LaurentPoly()) + c.shift(sign * (ni - nip))
+    return vector(shape, out)
 
 
 def reference_act_divided(sign, i, r, x):
     for _ in range(r):
         x = reference_act_E(sign, i, x)
     if r >= 2:
-        x = TableauVector(x.space, {k: dict(exact_divide(LaurentPoly(c), qfactorial(r)).items())
-                                    for k, c in x.coords.items()})
+        x = Vector(x.space, {k: dict(exact_divide(LaurentPoly(c), qfactorial(r)).items())
+                             for k, c in x.coords.items()})
     return x
 
 
@@ -188,12 +202,13 @@ def tableau_vectors(draw):
     N, l = draw(st.sampled_from(KERNEL_SHAPES))
     shape = Shape(N, l)
     columns = list(itertools.combinations(range(1, shape.m + 1), l))
-    x = TableauVector(shape)
+    terms = {}
     for _ in range(draw(st.integers(1, 6))):
         cols = draw(st.lists(st.sampled_from(columns), min_size=N, max_size=N))
         coeff = draw(st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), min_size=1, max_size=3))
-        x.add_term(tableau_key(Tableau.from_columns(shape, cols)), LaurentPoly(coeff))
-    return x
+        key = tableau_key(Tableau.from_columns(shape, cols))
+        terms[key] = terms.get(key, LaurentPoly()) + LaurentPoly(coeff)
+    return vector(shape, terms)
 
 
 @settings(deadline=None)
@@ -252,7 +267,7 @@ def test_kernel_matches_the_reference_on_seeded_maps(N, l):
     cases = 0
     for sign, i, r in itertools.product((-1, 1), range(1, shape.m), range(1, N + 1)):
         for _ in range(5):
-            x = TableauVector(shape, _random_map(rng, shape))
+            x = Vector(shape, _random_map(rng, shape))
             assert act_divided(shape, sign, i, r, x.coords) == reference_act_divided(sign, i, r, x).coords, (
                 sign, i, r, x)
             cases += 1
@@ -297,7 +312,7 @@ def test_kernel_hands_on_unshifted_maps_and_changes_no_input(N, l, r):
                 for terms in ({k1: a, k2: b}, {k2: b, k1: a}):
                     before = copy.deepcopy(terms)
                     out = act_divided(shape, sign, i, r, terms)
-                    assert out == reference_act_divided(sign, i, r, TableauVector(shape, terms)).coords
+                    assert out == reference_act_divided(sign, i, r, Vector(shape, terms)).coords
                     assert terms == before and (K in out) == (b == {5: 1})
                     cases += 1
     assert cases

@@ -1,16 +1,18 @@
 import copy
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qwebs.bases import dual_block, lt_block
-from qwebs.howe import TableauVector, act_divided, act_E, tableau_key
+from qwebs.cli import main
+from qwebs.howe import act_divided, act_E, read_tableau_vector, tableau_key
 from qwebs.ring import ONE, LaurentPoly, qbinom
 from qwebs.tensor import (
     Boundary,
     Factor,
     ShapeMismatchError,
-    TensorVector,
+    Vector,
     _ell_table,
     _mask,
     _subset,
@@ -24,8 +26,10 @@ from qwebs.tensor import (
     cup_kernel,
     ell,
     merge_kernel,
+    read_tensor_vector,
     split_kernel,
     tag_kernel,
+    tensor_vector_json,
     weight_boundary,
 )
 from qwebs.tableaux import Shape, Tableau
@@ -42,7 +46,8 @@ from qwebs.webs import (
     web_matrix,
 )
 
-from helpers import basis_vector, combine, expansion, highest_vector, idx, polys, tensor_product, terms_json
+from helpers import (basis_vector, combine, expansion, highest_vector, idx, polys, tensor_product, terms_json,
+                     vector)
 
 fs = frozenset
 
@@ -231,14 +236,24 @@ def test_tensor_product_slots():
     assert polys(xy) == {idx({2}, {1}): mono(3)}
 
 
-def test_json_roundtrip():
+def test_json_roundtrip(capsys, tmp_path):
     space = Boundary(3, (Factor(2), Factor(1, True)))
-    x = TensorVector(space)
-    x.add_term(idx({1, 3}, {2}), LaurentPoly({-1: 2}))
-    x.add_term(idx({2, 3}, {1}), ONE)
-    assert TensorVector.from_json(x.to_json()) == x
-    data = x.to_json()
+    x = vector(space, {idx({1, 3}, {2}): LaurentPoly({-1: 2}), idx({2, 3}, {1}): ONE})
+    data = tensor_vector_json(*x)
     assert data["terms"][0]["subsets"][0] == [3, 1]  # descending inside subsets
+    # a term whose coefficient is zero is read as no term
+    zero = {**data, "terms": data["terms"] + [{"subsets": [[2, 1], [3]], "coeff": []}]}
+    # the output of `eval`, read back, is the web's image of the vector it read
+    web = ladder_from_word(3, (2, 1, 0), [(-1, 1, 1), (-1, 2, 1)])
+    y = vector(web.domain, {key: LaurentPoly({n: n + 1, -1: -1}) for n, key in enumerate(basis_indices(web.domain))})
+    (tmp_path / "web.json").write_text(json.dumps(web.to_json()))
+    (tmp_path / "y.json").write_text(json.dumps(tensor_vector_json(*y)))
+    assert main(["eval", "--web", str(tmp_path / "web.json"), "--vector", str(tmp_path / "y.json")]) == 0
+    image = (web.codomain, evaluate_dense(web, y.coords))
+    assert len(image[1]) > 1
+    for payload, want in ((data, x), (zero, x), (tensor_vector_json(*y), y),
+                          (json.loads(capsys.readouterr().out), image)):
+        assert read_tensor_vector(payload) == want
 
 
 @pytest.mark.parametrize(
@@ -259,7 +274,7 @@ def test_from_json_rejects_malformed_subsets(subsets):
         "terms": [{"subsets": subsets, "coeff": [[0, 1]]}],
     }
     with pytest.raises(ShapeMismatchError):
-        TensorVector.from_json(data)
+        read_tensor_vector(data)
 
 
 def test_no_kernel_changes_a_map_it_is_given():
@@ -311,30 +326,18 @@ def test_every_vector_holds_int_maps_and_shares_none_it_may_change():
     parts = apply_split(x, 1, 2, 1)
     cupped = apply_cup(parts, 1, 1)
     tensors = [parts, apply_merge(parts, 1, 2, 1), apply_tag(parts, 2, "right"), cupped,
-               apply_cap(cupped, 1, 1), TensorVector(web.codomain, evaluate_dense(web, x.coords)),
-               TensorVector(web.codomain, evaluate_statesum(web, x.coords)),
-               *(TensorVector(web.codomain, image) for image in web_matrix(web).values()),
-               TensorVector.from_json(parts.to_json())]
+               apply_cap(cupped, 1, 1), Vector(web.codomain, evaluate_dense(web, x.coords)),
+               Vector(web.codomain, evaluate_statesum(web, x.coords)),
+               *(Vector(web.codomain, image) for image in web_matrix(web).values()),
+               Vector(*read_tensor_vector(tensor_vector_json(*parts)))]
     top = highest_vector(Shape(2, 2))
     k = (0, 0, 1, 2, 1, 2)
     s22 = top.space
-    tableaux = [TableauVector(s22, act_divided(s22, -1, 1, 1, act_divided(s22, -1, 2, 1, top.coords))),
+    tableaux = [Vector(s22, act_divided(s22, -1, 1, 1, act_divided(s22, -1, 2, 1, top.coords))),
                 act_E(-1, 2, top),
                 *(expansion(e) for e in lt_block(3, 2, k).values()),
                 *(expansion(e) for e in dual_block(3, 2, k).values())]
-    tableaux.append(TableauVector.from_json(terms_json(top.space, tableaux[0].coords)))
+    tableaux.append(Vector(*read_tableau_vector(terms_json(top.space, tableaux[0].coords))))
     for v in tensors + tableaux:
         assert v.coords and all(_is_int_map(c) for c in v.coords.values()), v
     assert evaluate_dense(web, x.coords) == combine((qbinom(3, 1), x)).coords
-
-    # a vector's outer map is its own, and add_term copies an inner map before it
-    # changes it: vectors built on a block's maps leave the cached block as it was
-    copied = TableauVector(top.space, top.coords)
-    assert copied.coords == top.coords and copied.coords is not top.coords
-    blocks = {t: copy.deepcopy(e.terms) for t, e in lt_block(3, 2, k).items()}
-    for t, e in lt_block(3, 2, k).items():
-        y = expansion(e)
-        for key in list(y.coords):
-            y.add_term(key, {0: 1, 7: 1})
-        y.add_term(tableau_key(t), {0: -1})
-    assert {t: e.terms for t, e in lt_block(3, 2, k).items()} == blocks

@@ -165,7 +165,8 @@ def test_evaluator_disagreement_names_the_input_vector(monkeypatch):
         key: {e + 1: a for e, a in c.items()} for key, c in real(web, x).items()})
     rep = verify.check_evaluators(1, 3, 3, 6)
     assert rep.failures
-    assert all(f.startswith("evaluators disagree on case 0 at TensorVector[(1) ((") for f in rep.failures)
+    assert all(f.startswith("evaluators disagree on case 0 at index ((") for f in rep.failures)
+    assert rep.failures[0] == "evaluators disagree on case 0 at index ((1,), (2, 1), (1,), (2, 1), (2, 1), ())"
 
 
 def _mirrored_wrong(matrix: GradedMatrix, i: int, j: int, wrong: LaurentPoly) -> GradedMatrix:
