@@ -38,7 +38,7 @@ from .bases import (
     lt_block,
 )
 from .howe import act_divided, check_generator, check_key_bits, read_tableau_vector, terms_texts
-from .ring import NonDivisibleError
+from .ring import LaurentPoly, NonDivisibleError
 from .tableaux import Shape, check_request, enumerate_tableaux
 from .tensor import ShapeMismatchError, read_tensor_vector, tensor_vector_json
 from .webalg import bounded_weights, cartan_matrix, frobenius_check
@@ -108,8 +108,6 @@ def _tableaux_table(payload) -> str:
 
 
 def _poly_str(data) -> str:
-    from .ring import LaurentPoly
-
     return str(LaurentPoly.from_json(data))
 
 

@@ -35,14 +35,13 @@ known expansions of the small invariant vectors (see tests).
 The kernels (`merge_kernel`, `split_kernel`, `tag_kernel`, `cup_kernel`,
 `cap_kernel`) act on a vector's map.  len on masks is read from one table
 per N, filled by bit operations when a pair is first read, and the (S - T,
-T, exponent) list of each split from one table per (N, a, degree), keyed by
-S.  A degree shift of merge and split and a barred tag give the co-kernels
-that `webs` walks for the web form, and `dot` sums the products of two
-maps' coefficients over their common keys.  `webs` runs a whole slice list
-on one map, and `apply_merge` and its siblings run one slice on a
-`Vector`, the (space, map) record the benchmark's tracer reads.  `ell` on
-sets and `_subsets` serve the state-sum reference in `webs` and share no
-code with the kernels.
+T, exponent) list of each split from one table per (N, a), keyed by S.  A
+barred tag is the one co-kernel of `webs` that is no multiple of a kernel,
+and `dot` sums the products of two maps' coefficients over their common
+keys.  `webs` runs a whole slice list on one map, and `apply_merge` and its
+siblings run one slice on a `Vector`, the (space, map) record the
+benchmark's tracer reads.  `ell` on sets and `_subsets` serve the state-sum
+reference in `webs` and share no code with the kernels.
 """
 
 from __future__ import annotations
@@ -330,14 +329,14 @@ def _ell_table(N: int) -> _Table:
 
 
 @cache
-def _split_table(N: int, a: int, degree: int) -> _Table:
-    """At a mask S: (S - T, T, degree - ell(T, S - T)) for each a-subset T of S."""
+def _split_table(N: int, a: int) -> _Table:
+    """At a mask S: (S - T, T, -ell(T, S - T)) for each a-subset T of S."""
     tab = _ell_table(N)
-    return _Table(lambda S: tuple((S ^ T, T, degree - tab[T << N | S ^ T]) for T in _submasks(S, a)))
+    return _Table(lambda S: tuple((S ^ T, T, -tab[T << N | S ^ T]) for T in _submasks(S, a)))
 
 
-def merge_kernel(N: int, terms: Terms, pos: int, degree: int = 0) -> Terms:
-    """x_S (x) x_T -> v^(len(T,S) + degree) x_{S u T}, S at slot pos+1 and T at slot pos."""
+def merge_kernel(N: int, terms: Terms, pos: int) -> Terms:
+    """x_S (x) x_T -> v^len(T,S) x_{S u T}, S at slot pos+1 and T at slot pos."""
     tab = _ell_table(N)
     lo = pos - 1
     out: Terms = {}
@@ -345,7 +344,7 @@ def merge_kernel(N: int, terms: Terms, pos: int, degree: int = 0) -> Terms:
         T, S = key[lo], key[pos]
         if S & T:
             continue
-        shift = tab[T << N | S] + degree
+        shift = tab[T << N | S]
         key = key[:lo] + (S | T,) + key[pos + 1 :]
         acc = out.get(key)
         if acc is None:
@@ -357,14 +356,14 @@ def merge_kernel(N: int, terms: Terms, pos: int, degree: int = 0) -> Terms:
     return out
 
 
-def split_kernel(N: int, terms: Terms, a: int, pos: int, degree: int = 0) -> Terms:
-    """x_S -> sum_T v^(degree - len(T, S-T)) x_T (x) x_{S-T}, |T| = a at slot pos+1.
+def split_kernel(N: int, terms: Terms, a: int, pos: int) -> Terms:
+    """x_S -> sum_T v^-len(T, S-T) x_T (x) x_{S-T}, |T| = a at slot pos+1.
 
     Distinct inputs give distinct outputs, so nothing is added up.
     """
     lo = pos - 1
     out: Terms = {}
-    parts = _split_table(N, a, degree)
+    parts = _split_table(N, a)
     for key, c in terms.items():
         head, tail = key[:lo], key[pos:]
         for rest, T, shift in parts[key[lo]]:

@@ -46,7 +46,6 @@ def gorenstein_parameter(N: int, k: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class FrobeniusReport:
-    k: tuple[int, ...]
     passed: bool
     total_dimension: LaurentPoly
     gorenstein: int
@@ -64,7 +63,7 @@ def frobenius_check(N: int, k: tuple[int, ...], cartan: GradedMatrix) -> Frobeni
             total = total + p
     g = gorenstein_parameter(N, k)
     passed = bar(total) == total.shift(-g)
-    return FrobeniusReport(tuple(k), passed, total, g)
+    return FrobeniusReport(passed, total, g)
 
 
 def bounded_weights(N: int, m: int) -> list[tuple[int, ...]]:

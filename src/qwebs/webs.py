@@ -28,12 +28,13 @@ coefficient.  `web_form` is the sesquilinear form v^d(k) * ev(reflect(u) o w),
 where reflect(u) is u upside down with each slice mirrored.  No mirrored web
 is built: the covector <closed| o reflect(u) is u's co-image, the run of u's
 own walk through each slice's co-kernel, the transpose of the mirrored
-slice's kernel.  Each form is then one sparse dot product of u's co-image
-with w's image, and `web_gram` gives the forms of all pairs of a list of
-webs from one walk per web.  The co-image of a web with no tag is its image
-times a power of v, as every co-kernel but a tag's is its own kernel shifted
-by a constant degree; only a web with a tag is walked a second time, through
-its co-kernels.
+slice's kernel.  Every co-kernel but a tag's is its slice's own kernel times
+a power of v (`_co_degree`), and a tag's is the other side's tag barred; so
+the co-walk runs each slice's kernel, or that tag, and the power goes into
+the form.  Each form is one sparse dot product of u's co-image with w's
+image, and `web_gram` gives the forms of all pairs of a list of webs from
+one walk per web: the co-walk of a web with no tag is its walk, and only a
+web with a tag is walked a second time.
 """
 
 from __future__ import annotations
@@ -218,62 +219,44 @@ def _tag_states(space: Boundary, s: Slice, idx: Labels) -> list:
 
 
 class _SliceKind(NamedTuple):
-    """How one slice kind serializes, changes the boundary, acts, co-acts and labels states.
+    """How one slice kind serializes, changes the boundary, acts and labels states.
 
-    The co-kernel `co` is the transpose of the kernel of the mirrored slice
-    (the slice upside down: a merge's mirror is the split of the same
-    colors, a cup's the cap, a tag's the tag of the other side on the
-    boundary above it).  Like `act`, it maps the space below the slice to the
-    space above it.  Merge and split co-act as their own kernels shifted by
-    v^-ab and v^ab, cup, cap and id as their own kernels (`_co_degree`), and
-    a tag as the other side's tag with its monomials barred.
+    The co-kernel of a slice, the transpose of the kernel of the mirrored
+    slice, is its own kernel times v^`_co_degree` for every kind but a tag,
+    whose co-kernel is the other side's tag with its monomials barred
+    (`_co_step`).
     """
 
     fields: tuple[str, ...]  # serialized after kind and pos
     step: Callable[[Boundary, Slice], Boundary]  # codomain, or ShapeMismatchError
     act: Callable[[Boundary, Slice, Terms], Terms]  # the kernel, given the boundary below
-    co: Callable[[Boundary, Slice, Terms], Terms]  # the co-kernel, given the boundary below
     states: Callable[[Boundary, Slice, Labels], list]  # [(labels above, exponent, sign)]
 
 
 def _co_degree(s: Slice) -> int:
     """The degree of the co-kernel of a merge, split, cup, cap or id over its kernel:
     -ab for a merge, ab for a split, 0 for the rest.  A tag's co-kernel is no
-    multiple of its kernel."""
+    multiple of its kernel; its degree is 0 and `_co_step` bars it."""
     return ((s.kind == "split") - (s.kind == "merge")) * s.a * s.b
-
-
-def _cup_act(space: Boundary, s: Slice, t: Terms) -> Terms:
-    return cup_kernel(space.N, t, s.a, s.pos)
-
-
-def _cap_act(space: Boundary, s: Slice, t: Terms) -> Terms:
-    return cap_kernel(t, s.pos)
-
-
-def _id_act(space: Boundary, s: Slice, t: Terms) -> Terms:
-    return t
 
 
 _SLICE_KINDS = {
     "merge": _SliceKind(("a", "b"), lambda space, s: merged_space(space, s.a, s.b, s.pos),
-                        lambda space, s, t: merge_kernel(space.N, t, s.pos),
-                        lambda space, s, t: merge_kernel(space.N, t, s.pos, _co_degree(s)), _merge_states),
+                        lambda space, s, t: merge_kernel(space.N, t, s.pos), _merge_states),
     "split": _SliceKind(("a", "b"), lambda space, s: split_space(space, s.a, s.b, s.pos),
-                        lambda space, s, t: split_kernel(space.N, t, s.a, s.pos),
-                        lambda space, s, t: split_kernel(space.N, t, s.a, s.pos, _co_degree(s)), _split_states),
-    "cup": _SliceKind(("a",), lambda space, s: cup_space(space, s.a, s.pos), _cup_act, _cup_act,
+                        lambda space, s, t: split_kernel(space.N, t, s.a, s.pos), _split_states),
+    "cup": _SliceKind(("a",), lambda space, s: cup_space(space, s.a, s.pos),
+                      lambda space, s, t: cup_kernel(space.N, t, s.a, s.pos),
                       lambda space, s, idx: [(idx[: s.pos - 1] + (S, S) + idx[s.pos - 1 :], 0, 1)
                                              for S in _subsets(space.N, s.a)]),
-    "cap": _SliceKind(("a",), lambda space, s: cap_space(space, s.a, s.pos), _cap_act, _cap_act,
+    "cap": _SliceKind(("a",), lambda space, s: cap_space(space, s.a, s.pos),
+                      lambda space, s, t: cap_kernel(t, s.pos),
                       lambda space, s, idx: [(idx[: s.pos - 1] + idx[s.pos + 1 :], 0, 1)]
                       if idx[s.pos - 1] == idx[s.pos] else []),
     "tag": _SliceKind(("a", "side"), _tag_space,
                       lambda space, s, t: tag_kernel(space.N, t, s.pos, space.factor(s.pos).dual, s.side),
-                      lambda space, s, t: tag_kernel(space.N, t, s.pos, space.factor(s.pos).dual,
-                                                     "right" if s.side == "left" else "left", barred=True),
                       _tag_states),
-    "id": _SliceKind((), _id_space, _id_act, _id_act, lambda space, s, idx: [(idx, 0, 1)]),
+    "id": _SliceKind((), _id_space, lambda space, s, t: t, lambda space, s, idx: [(idx, 0, 1)]),
 }
 
 
@@ -371,10 +354,10 @@ def check_work(web: Web, start: int) -> int:
     boundary of the walk; a bound over MAX_TERMS is refused at once.
 
     A split of colors (a, b) makes each term C(a+b, a) terms and a cup of
-    color a makes it C(N, a); no other slice adds a term, in `act` or in
-    `co`.  After a split or a cup the bound is capped by the dimension of
-    the boundary above it, the product of C(N, c) over its colors, built
-    only until it reaches the bound.
+    color a makes it C(N, a); no other slice adds a term, in its kernel or
+    in its co-kernel.  After a split or a cup the bound is capped by the
+    dimension of the boundary above it, the product of C(N, c) over its
+    colors, built only until it reaches the bound.
     """
     bound = peak = start
     aboves = [space for _, space, _ in web.walk[1:]] + [web.codomain]
@@ -394,15 +377,27 @@ def check_work(web: Web, start: int) -> int:
     return peak
 
 
-def _co_image(web: Web, terms: Terms) -> Terms:
-    """The covector <terms| o reflect(web) as a kernel map on `web.codomain`.
+def _co_step(kind: _SliceKind, space: Boundary, s: Slice, terms: Terms) -> Terms:
+    """The co-kernel of slice s, on the boundary `space` below it, times v^-`_co_degree(s)`:
+    the slice's own kernel, or for a tag the other side's tag with its monomials barred."""
+    if s.kind != "tag":
+        return kind.act(space, s, terms)
+    return tag_kernel(space.N, terms, s.pos, space.factor(s.pos).dual,
+                      "right" if s.side == "left" else "left", barred=True)
+
+
+def _co_walk(web: Web, terms: Terms) -> Terms:
+    """The covector <terms| o reflect(web) times v^-(sum of `_co_degree` over the
+    web's slices), as a kernel map on `web.codomain`.
 
     reflect(web) applies the mirrored slices top first, so the transpose of
     its matrix is the product of the mirrored slices' transposes, bottom
-    slice first: the co-kernels, run along the web's own walk.
+    slice first: the co-kernels, run along the web's own walk.  Each is a
+    power of v times `_co_step`, and the powers, constants, commute with
+    every kernel.  On a web with no tag the co-walk is the walk itself.
     """
     for kind, space, s in web.walk:
-        terms = kind.co(space, s, terms)
+        terms = _co_step(kind, space, s, terms)
     return terms
 
 
@@ -503,12 +498,12 @@ def _forms(us: list[Web], ws: list[Web]) -> list[list[LaurentPoly]]:
     applied to w's image of the closed basis vector: the pairing of that
     image with the co-image of the closed key under u.  Each entry is one
     sparse dot product of the two kernel maps, `tensor.dot`, shifted by v^d.
-    Each distinct w is walked once for its image.  A u with no tag slice has
-    its image times v^(sum of `_co_degree` over its slices) as co-image, as
-    each of its co-kernels is its kernel shifted by a constant: the image is
-    read from the same table, and the shift goes into the dot.  A u with a
-    tag is walked once through the co-kernels.  All webs must share one
-    domain, the highest-weight boundary, and one plain codomain.
+    The co-image of u is its co-walk times v^(sum of `_co_degree` over its
+    slices), so every row takes that shift into the dot.  Each distinct web
+    is walked once for its image, and the co-walk of a u with no tag is that
+    image, read from the same table; a u with a tag is co-walked once.  All
+    webs must share one domain, the highest-weight boundary, and one plain
+    codomain.
     """
     webs = us + ws
     if not webs:
@@ -526,6 +521,6 @@ def _forms(us: list[Web], ws: list[Web]) -> list[list[LaurentPoly]]:
     closed = {key: {0: 1}}
     images = _Table(lambda w: evaluate_dense(w, closed))
     columns = [images[w] for w in ws]
-    rows = [(_co_image(u, closed), d) if any(s.kind == "tag" for s in u.slices)
-            else (images[u], d + sum(map(_co_degree, u.slices))) for u in us]
+    rows = [(_co_walk(u, closed) if any(s.kind == "tag" for s in u.slices) else images[u],
+             d + sum(map(_co_degree, u.slices))) for u in us]
     return [[LaurentPoly(dot(co, image, shift)) for image in columns] for co, shift in rows]
