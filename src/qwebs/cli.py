@@ -79,14 +79,26 @@ def _emit(payload, fmt: str, as_table) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
+# A number on the command line is ASCII decimal digits with an optional "-":
+# `int` would also take other scripts' digits, "_", "+" and spaces around it.
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def decimal(text: str) -> int:
+    """The int an option's text spells in ASCII decimal (the `type` of every numeric option)."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"expected a decimal integer, got {text!r}")
+    return int(text)
+
+
 def _parse_vec(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(decimal(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}")
 
 
-_WORD_RE = re.compile(r"^([+-])(\d+)\^(\d+)$")
+_WORD_RE = re.compile(r"([+-])([0-9]+)\^([0-9]+)")
 
 
 def _parse_word(text: str) -> list[tuple[int, int, int]]:
@@ -95,7 +107,7 @@ def _parse_word(text: str) -> list[tuple[int, int, int]]:
     if not text:
         return word
     for token in text.split(","):
-        m = _WORD_RE.match(token.strip())
+        m = _WORD_RE.fullmatch(token)
         if not m:
             raise ValueError(f"bad rung token {token!r}, expected e.g. -1^2")
         sign = 1 if m.group(1) == "+" else -1
@@ -287,9 +299,9 @@ def cmd_verify(args) -> int:
 
 # The options several commands share, each an (option, add_argument keywords) pair.
 _FORMAT = ("--format", {"choices": ("json", "table"), "default": "json"})
-_N = ("--N", {"type": int, "required": True})
+_N = ("--N", {"type": decimal, "required": True})
 _SHAPE = [_FORMAT, ("--N", {**_N[1], "help": "strand color bound (>= 2)"}),
-          ("--l", {"type": int, "required": True, "help": "row count of the shape"})]
+          ("--l", {"type": decimal, "required": True, "help": "row count of the shape"})]
 _REQUIRED, _FLAG = {"required": True}, {"action": "store_true"}
 
 # Every command, in `qwebs --help` order: name -> (help, handler, extra
@@ -311,7 +323,7 @@ COMMANDS = {
         _FORMAT, ("--u", _REQUIRED), ("--w", _REQUIRED)]),
     "act": ("apply a divided power to a tableau vector", cmd_act, {}, [
         _FORMAT, ("--sign", {**_REQUIRED, "choices": ("+", "-")}),
-        ("--i", {**_REQUIRED, "type": int}), ("--r", {"type": int, "default": 1}),
+        ("--i", {**_REQUIRED, "type": decimal}), ("--r", {"type": decimal, "default": 1}),
         ("--vector", {**_REQUIRED, "help": "tableau vector JSON path"})]),
     "lt-basis": ("intermediate basis vectors with peel words", cmd_basis, {"dual": False}, [
         *_SHAPE, ("--type", {"help": "restrict to one type block"})]),
@@ -324,8 +336,8 @@ COMMANDS = {
     "verify": ("relation and property sweeps", cmd_verify, {}, [
         ("--format", {**_FORMAT[1], "default": "table"}), ("--all", _FLAG),
         *[(f"--{flag}", _FLAG) for flag in VERIFY_SWEEPS],
-        ("--seed", {"type": int, "default": 2024}), ("--cases", {"type": int, "default": 100}),
-        ("--max-N", {"type": int, "default": 4}), ("--max-m", {"type": int, "default": 6})]),
+        ("--seed", {"type": decimal, "default": 2024}), ("--cases", {"type": decimal, "default": 100}),
+        ("--max-N", {"type": decimal, "default": 4}), ("--max-m", {"type": decimal, "default": 6})]),
 }
 
 

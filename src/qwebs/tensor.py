@@ -158,8 +158,9 @@ Index = tuple[int, ...]  # a bitmask per slot, slot 1 first
 # boundary's last (a slice acts on slots 1..len(factors) of the boundary below
 # it, and a cup inserts before the extra slot), and the bits of a packed key
 # above its N*m (`act_divided` reads and flips only bits below them).  So one
-# call can act on many inputs at once, each tagged there: `webs.web_matrix`
-# and `verify.check_howe` rely on this.
+# call can act on many inputs at once, each tagged there.  `webs.web_matrix`
+# tags a web's domain indices so; `verify.check_howe` tags every tableau of a
+# shape, its key and its index, and `verify.check_serre` its key.
 Terms = dict[Index | int, dict[int, int]]
 
 

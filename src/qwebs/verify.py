@@ -15,17 +15,21 @@ entry with the form of its two maps summed another way, `_reversed_forms`.
 
 The two cross-checks between routes compute each shared object once:
 
-- `check_howe` groups the tableaux of each shape by type.  A rung (sign, i, a)
-  gives one ladder per type, so each ladder is built once per group, not
-  once per tableau; an annihilated one raises once per group.  Both routes
-  run in kernel form, once per (type, rung) on the whole group: the tableau
-  action on the group's packed keys, the n-th tagged as key | n << N*m (the
-  kernel reads and flips only bits below N*m, so the tag rides through and
-  parts the image by tableau), and the ladder's `web_matrix` on the group's
-  tensor indices.  The web image is read back to packed keys through
-  `tableau_to_index`, inverted once per shape; an index no tableau has
-  stays a mask tuple, equal to no key, so its check fails.  There is still
-  one check per (tableau, sign, i, a).
+- `check_howe` works a shape at a time.  It enumerates the shape's tableaux
+  once and tags the n-th: its packed key as key | n << N*m (the kernel reads
+  and flips only bits below N*m, so the tag rides through and parts the image
+  by tableau) and its tensor index as idx + (n,) (no slice kernel reads a
+  trailing slot).  Each rung (sign, i, a) makes one `act_divided` call on
+  every tagged key of the shape, and one ladder per type, run by
+  `evaluate_dense` on the type's tagged indices; an annihilated ladder raises
+  once per type and rung.  The tableau image, read to tagged indices through
+  one key -> index dict, must equal the union of the web images: one map
+  comparison per rung, counted as one check per tableau.  Only on a mismatch
+  are the tableaux compared one by one, the web image read back to keys (an
+  index no tableau has stays a mask tuple, equal to no key, so its check
+  fails), and the failures are listed type by type, then by rung and
+  tableau.  `check_serre` tags the shape's keys the same way, so each of its
+  relations is one map per (shape, sign, i, j).
 - `web_gram_mismatch` gets the web route's Gram matrix from `web_gram`: each
   LT ladder web is built once per block, from the word its element stores,
   and walked once for its image, which, as the web has no tag, is also its
@@ -54,6 +58,7 @@ from .webs import (
     cap,
     cup,
     d_norm,
+    evaluate_dense,
     evaluate_statesum,
     ladder_from_word,
     merge,
@@ -291,44 +296,61 @@ def check_evaluators(cases: int = 100, seed: int = 2024, N_max: int = 3, m_max: 
 
 def check_howe(pairs=((2, 1), (2, 2), (3, 1), (3, 2)), a_max: int = 2) -> Report:
     rep = Report("ladder action matches the tableau action")
+    one = {0: 1}
     for N, l in pairs:
         shape = Shape(N, l)
-        m = shape.m
-        width = N * m  # the bits of a key; the n-th tableau of a group is tagged n << width
-        by_type: dict = {}
-        by_index = {}  # tensor index -> packed key, inverting tableau_to_index
-        for t in enumerate_tableaux(shape):
-            idx = tableau_to_index(t)
-            by_index[idx] = key = tableau_key(t)
-            by_type.setdefault(tableau_type(t), []).append((t, key, idx))
-        rungs = list(product(range(1, m), (+1, -1), range(1, a_max + 1)))
-        one = {0: 1}
-        for k, group in by_type.items():
-            tagged = {key | n << width: one for n, (_, key, _) in enumerate(group)}
-            indices = [idx for _, _, idx in group]
-            for i, sign, a in rungs:
-                try:  # one ladder per (type, rung)
-                    web = ladder_from_word(N, k, [(sign, i, a)])
-                except AnnihilatedError:
-                    web = None
-                by_tabs: list[Terms] = [{} for _ in group]
-                for moved, c in act_divided(shape, sign, i, a, tagged).items():
-                    by_tabs[moved >> width][moved & (1 << width) - 1] = c
-                images = web_matrix(web, indices) if web is not None else {}
-                for (t, _, idx), tabs in zip(group, by_tabs):
-                    if web is None:
-                        rep.check(
-                            not tabs,
-                            "annihilated ladder but nonzero action at {}, sign={}, i={}, a={}",
-                            t, sign, i, a,
-                        )
-                        continue
-                    by_web = {by_index.get(image, image): c for image, c in images[idx].items()}
-                    rep.check(
-                        by_web == tabs,
-                        "routes disagree at {}, sign={}, i={}, a={}", t, sign, i, a,
-                    )
+        tabs = enumerate_tableaux(shape)
+        width = N * shape.m  # the bits of a key; the n-th tableau of the shape is tagged n << width
+        index = {tableau_key(t): tableau_to_index(t) for t in tabs}  # packed key -> tensor index
+        tagged = {key | n << width: one for n, key in enumerate(index)}
+        by_type: dict = {}  # type -> the tagged indices of its tableaux, idx + (n,)
+        for n, (t, idx) in enumerate(zip(tabs, index.values())):
+            by_type.setdefault(tableau_type(t), {})[idx + (n,)] = one
+        failures = [[] for _ in by_type]  # per type, in (rung, tableau) order
+        for step in product(range(1, shape.m), (+1, -1), range(1, a_max + 1)):
+            _howe_rung(shape, step, tabs, index, tagged, by_type, failures)
+            rep.cases += len(tabs)
+        rep.failures += [text for texts in failures for text in texts]
     return rep
+
+
+def _howe_rung(shape: Shape, step, tabs, index, tagged, by_type, failures) -> None:
+    """Compare both routes of the rung step = (i, sign, a) on every tableau of the
+    shape at once; only on a mismatch are the tableaux checked one by one, each
+    failure going to its type's list in `failures`.
+
+    The tableau image is read to tagged indices in place, with no copy: equal
+    sizes and each term found in the web images is equality, as `index` is
+    one-to-one and a key no tableau has reads as (n,), shorter than any index.
+    """
+    i, sign, a = step
+    width = shape.N * shape.m
+    low = (1 << width) - 1
+    out = act_divided(shape, sign, i, a, tagged)
+    ladders: dict = {}
+    by_web: Terms = {}
+    for k, indices in by_type.items():
+        ladders[k] = web = _ladder(shape.N, k, [(sign, i, a)])
+        if web is not None:
+            by_web.update(evaluate_dense(web, indices))
+    if len(by_web) == len(out) and all(
+            by_web.get(index.get(key & low, ()) + (key >> width,)) == c for key, c in out.items()):
+        return
+    tab_parts: dict = {}  # tag -> the tableau image of its tableau, untagged
+    for key, c in out.items():
+        tab_parts.setdefault(key >> width, {})[key & low] = c
+    key_of = {idx: key for key, idx in index.items()}
+    web_parts: dict = {}  # tag -> the web image of its tableau, read back to keys where it can be
+    for image, c in by_web.items():
+        web_parts.setdefault(image[-1], {})[key_of.get(image[:-1], image[:-1])] = c
+    for (k, indices), texts in zip(by_type.items(), failures):
+        for n in (idx[-1] for idx in indices):
+            tab = tab_parts.get(n, {})
+            if ladders[k] is None:
+                if tab:
+                    texts.append(f"annihilated ladder but nonzero action at {tabs[n]}, sign={sign}, i={i}, a={a}")
+            elif web_parts.get(n, {}) != tab:
+                texts.append(f"routes disagree at {tabs[n]}, sign={sign}, i={i}, a={a}")
 
 
 # -- dual canonical properties -------------------------------------------
@@ -495,24 +517,32 @@ def check_commutator(cases: int = 50, seed: int = 11, pairs=((2, 1), (2, 2), (3,
 
 
 def check_serre(pairs=((2, 2), (3, 1))) -> Report:
-    """Degree-2 relation with middle coefficient +(v + v^-1), found empirically."""
+    """Degree-2 relation with middle coefficient +(v + v^-1), found empirically.
+
+    One map carries every tableau of the shape, the n-th tagged key | n << N*m,
+    so each (shape, sign, i, j) runs the relation's nine kernel calls once; the
+    relation holds at a tableau when no key of the sum carries its tag.
+    """
     rep = Report("degree-2 relation spot checks")
     two = LaurentPoly({1: 1, -1: 1})
     for N, l in pairs:
         shape = Shape(N, l)
+        tabs = enumerate_tableaux(shape)
+        width = N * shape.m
+        x = {tableau_key(t) | n << width: {0: 1} for n, t in enumerate(tabs)}
         for sign in (+1, -1):
             for i, j in ((1, 2), (2, 1)):
                 if max(i, j) > shape.m - 1:
                     continue
-                for t in enumerate_tableaux(shape):
-                    x = {tableau_key(t): {0: 1}}
 
-                    def e(idx, terms, s=sign):
-                        return act_divided(shape, s, idx, 1, terms)
+                def e(idx, terms, s=sign):
+                    return act_divided(shape, s, idx, 1, terms)
 
+                failed = {key >> width for key in _combine([
+                    (ONE, e(i, e(i, e(j, x)))), (ONE, e(j, e(i, e(i, x)))), (-two, e(i, e(j, e(i, x))))])}
+                for n, t in enumerate(tabs):
                     rep.check(
-                        not _combine([(ONE, e(i, e(i, e(j, x)))), (ONE, e(j, e(i, e(i, x)))),
-                                      (-two, e(i, e(j, e(i, x))))]),
+                        n not in failed,
                         "degree-2 relation fails at N={}, l={}, sign={}, i={}, j={}, {}",
                         N, l, sign, i, j, t,
                     )

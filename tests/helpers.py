@@ -1,11 +1,14 @@
 """Constructions the tests build webs and vectors with; the program never needs them."""
 
+from itertools import product
+
+from qwebs import verify, webs
 from qwebs.bases import dual_block, lt_block, pairing
 from qwebs.howe import key_columns, tableau_key, tableau_to_index
 from qwebs.ring import ONE, LaurentPoly, add_into
-from qwebs.tableaux import Shape, Tableau, highest_tableau, tableau_type
+from qwebs.tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, tableau_type
 from qwebs.tensor import Boundary, Index, ShapeMismatchError, Terms, Vector, _check_index, _mask, weight_boundary
-from qwebs.webs import Slice, Web, d_norm, ev_closed
+from qwebs.webs import AnnihilatedError, Slice, Web, d_norm, ev_closed, ladder_from_word
 
 
 def idx(*subsets) -> Index:
@@ -145,3 +148,47 @@ def to_tensor(x: Vector) -> Vector:
         raise ValueError("tensor coordinates need a vector of a single type")
     space = weight_boundary(x.space.N, next(iter(types)))
     return vector(space, {tableau_to_index(t): c for t, c in tableaux.items()})
+
+
+def reference_check_howe(pairs, a_max: int = 2) -> verify.Report:
+    """`verify.check_howe` one (type, rung) group at a time, the group's n-th
+    key tagged n, with one check per (tableau, rung): the reference for the
+    shape-wide sweep, whose failures it lists in the same order.  The kernels
+    are read as `verify.act_divided` and `webs.web_matrix` at call time, so a
+    fault patched in there reaches both."""
+    rep = verify.Report("ladder action matches the tableau action")
+    for N, l in pairs:
+        shape = Shape(N, l)
+        m = shape.m
+        width = N * m
+        by_type: dict = {}
+        by_index = {}  # tensor index -> packed key, inverting tableau_to_index
+        for t in enumerate_tableaux(shape):
+            idx = tableau_to_index(t)
+            by_index[idx] = key = tableau_key(t)
+            by_type.setdefault(tableau_type(t), []).append((t, key, idx))
+        rungs = list(product(range(1, m), (+1, -1), range(1, a_max + 1)))
+        one = {0: 1}
+        for k, group in by_type.items():
+            tagged = {key | n << width: one for n, (_, key, _) in enumerate(group)}
+            indices = [idx for _, _, idx in group]
+            for i, sign, a in rungs:
+                try:
+                    web = ladder_from_word(N, k, [(sign, i, a)])
+                except AnnihilatedError:
+                    web = None
+                by_tabs: list[Terms] = [{} for _ in group]
+                for moved, c in verify.act_divided(shape, sign, i, a, tagged).items():
+                    by_tabs[moved >> width][moved & (1 << width) - 1] = c
+                images = webs.web_matrix(web, indices) if web is not None else {}
+                for (t, _, idx), tabs in zip(group, by_tabs):
+                    if web is None:
+                        rep.check(
+                            not tabs,
+                            "annihilated ladder but nonzero action at {}, sign={}, i={}, a={}",
+                            t, sign, i, a,
+                        )
+                        continue
+                    by_web = {by_index.get(image, image): c for image, c in images[idx].items()}
+                    rep.check(by_web == tabs, "routes disagree at {}, sign={}, i={}, a={}", t, sign, i, a)
+    return rep

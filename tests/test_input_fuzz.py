@@ -3,7 +3,8 @@
 Valid requests are mutated at the boundary: the JSON files of `eval`, `ev`,
 `form` and `act` lose keys, have values swapped for other types, floats,
 bools and +-2^64, nudged by one or repeated in their lists; the numeric
-options of the shape and weight commands take the same kinds of values.
+options of the shape and weight commands take the same kinds of values, and
+numbers spelled other than in ASCII decimals.
 Each case runs `main` in process and must exit 0, or 2 with nothing on
 stdout, within CASE_SECONDS.  The cases are derandomized, so a run is the
 same every time.
@@ -28,8 +29,12 @@ CASE_SECONDS = 2.0
 BIG = 2**64
 # What a JSON value is swapped for: other types, floats, bools and +-2^64.
 ODD_VALUES = [None, True, False, 0, -1, 1.5, -0.5, BIG, -BIG, BIG + 1, "1", "", [], [1], {}, {"N": 2}]
+# Spellings of a number that `int` reads and the command line refuses, which
+# takes ASCII decimal digits with an optional "-" only: digits of another
+# script, a digit separator, a plus sign and a space.
+NOT_DECIMAL = ["\u0661", "\u0662", "\uff12", "1_0", "+1", " 1", "1 "]
 # What a numeric option's text, or one entry of a list option, is swapped for.
-ODD_TEXTS = ["0", "1", "-1", "2", str(BIG), str(-BIG), "1.5", "True", "", "x", "1e3"]
+ODD_TEXTS = ["0", "1", "-1", "2", str(BIG), str(-BIG), "1.5", "True", "", "x", "1e3", *NOT_DECIMAL]
 
 
 def _documents() -> dict:
@@ -189,3 +194,27 @@ def test_mutated_numeric_options_exit_0_or_2(data):
             entries.insert(at, entries[at])
         values[option] = ",".join(entries)
     _check(_option_argv(name, values))
+
+
+# Command lines whose only fault is a number not spelled in ASCII decimals;
+# {} is where the spelling goes.
+NOT_DECIMAL_LINES = [
+    "ladder --N 2 --k 1,1 --word=-{}^1", "ladder --N 2 --k 1,1 --word=-1^{}",
+    "cartan --N {} --k 1,1,1,1", "cartan --N 2 --k 1,{},1,1",
+    "act --sign - --i={} --vector {vector}", "act --sign - --i 1 --r={} --vector {vector}",
+    *(f"verify --evaluators --{option}={{}}" for option in ("seed", "cases", "max-N", "max-m")),
+]
+
+
+@pytest.mark.parametrize("text", NOT_DECIMAL)
+def test_numbers_not_in_ascii_decimals_exit_2(fuzz_dir, text):
+    vector = _json_argv("act", fuzz_dir, {"--vector": DOCS["tableau_vector"]})[-1]
+    argvs = [[tok.format(text, vector=vector) for tok in line.split()] for line in NOT_DECIMAL_LINES]
+    for name, (values, _) in OPTION_COMMANDS.items():
+        for option in values:
+            argvs.append(_option_argv(name, {**values, option: ",".join([text, *values[option].split(",")[1:]])}))
+    for argv in argvs:
+        code, out, err, _ = _run(argv)
+        assert (code, out) == (2, ""), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+

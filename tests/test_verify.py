@@ -1,5 +1,8 @@
 """Failures in the verify sweeps are still found and reported with their text."""
 
+import pytest
+
+from helpers import reference_check_howe
 from qwebs import bases, verify, webs
 from qwebs.bases import GradedMatrix, gram_matrix, lt_block
 from qwebs.cli import main
@@ -47,15 +50,35 @@ def _untagged(shape: Shape, terms) -> dict:
     return out
 
 
+def _tagged(shape: Shape, parts: dict) -> dict:
+    """The one map of {tag: map}, each key tagged above its N*m bits: `_untagged` undone."""
+    width = shape.N * shape.m
+    return {key | tag << width: c for tag, part in parts.items() for key, c in part.items()}
+
+
+def _patch_per_tag(monkeypatch, wrong):
+    """Make the tableau route return, for each tag of its input, `wrong(shape, sign, i, a,
+    terms, out)` in place of that tag's part of the image; terms and out are that tag's
+    parts of the input and the image, untagged."""
+    def each_tag(shape, sign, i, a, terms):
+        out = _untagged(shape, real(shape, sign, i, a, terms))
+        for n, part in _untagged(shape, terms).items():
+            out[n] = wrong(shape, sign, i, a, part, out.get(n, {}))
+        return _tagged(shape, out)
+
+    real = verify.act_divided
+    monkeypatch.setattr(verify, "act_divided", each_tag)
+
+
 def _wrong_once(monkeypatch, case, wrong) -> list:
     """Make the tableau route return `wrong(terms, out)` for one (tableau, sign, i, a).
 
-    The route acts on a whole group of tagged keys at once; only the part of
-    the call's image that carries the tableau's tag is replaced.  Returns a
-    list that gets (tag, keys in the call) for each call it changed.
+    The route acts on every tableau of the shape at once, the n-th tagged n;
+    only the part of the call's image that carries the tableau's tag is
+    replaced.  Returns a list that gets (tag, keys in the call) for each call
+    it changed.
     """
     t, *rung = case
-    width = t.shape.N * t.shape.m
     seen = []
 
     def maybe_wrong(sign, i, a, terms, out):
@@ -67,7 +90,7 @@ def _wrong_once(monkeypatch, case, wrong) -> list:
         seen.append((n, len(terms)))
         parts = _untagged(t.shape, out)
         parts[n] = wrong(by_tag[n], parts.get(n, {}))
-        return {key | tag << width: c for tag, part in parts.items() for key, c in part.items()}
+        return _tagged(t.shape, parts)
 
     _patch_kernel(monkeypatch, maybe_wrong)
     return seen
@@ -78,10 +101,11 @@ def test_howe_reports_the_one_wrong_route(monkeypatch):
     clean = check_howe(pairs)
     assert clean.passed
     shape = Shape(2, 2)
-    # the only tableau of its type, and the second of a group of six
+    # the first of the shape's 36 tableaux, alone in its type, and the
+    # eleventh, one of six of its type: each changed in the one call on all 36
     for t, position, message in (
-        (highest_tableau(shape), (0, 1), "routes disagree at 11/22, sign=-1, i=2, a=1"),
-        (Tableau(shape, ((1, 2), (3, 4))), (1, 6), "routes disagree at 12/34, sign=-1, i=2, a=1"),
+        (highest_tableau(shape), (0, 36), "routes disagree at 11/22, sign=-1, i=2, a=1"),
+        (Tableau(shape, ((1, 2), (3, 4))), (10, 36), "routes disagree at 12/34, sign=-1, i=2, a=1"),
     ):
         monkeypatch.undo()
         seen = _wrong_once(monkeypatch, (t, -1, 2, 1),
@@ -96,10 +120,10 @@ def test_howe_reports_a_nonzero_action_on_an_annihilated_ladder(monkeypatch):
     pairs = ((2, 2),)
     clean = check_howe(pairs)
     shape = Shape(2, 2)
-    # the only tableau of its type, and the second of a group of two
+    # the only tableau of its type, and the second of a type of two
     for t, position, message in (
-        (highest_tableau(shape), (0, 1), "annihilated ladder but nonzero action at 11/22, sign=1, i=1, a=1"),
-        (Tableau(shape, ((1, 1), (3, 2))), (1, 2),
+        (highest_tableau(shape), (0, 36), "annihilated ladder but nonzero action at 11/22, sign=1, i=1, a=1"),
+        (Tableau(shape, ((1, 1), (3, 2))), (6, 36),
          "annihilated ladder but nonzero action at 11/32, sign=1, i=1, a=1"),
     ):
         monkeypatch.undo()
@@ -120,24 +144,23 @@ def test_howe_catches_a_shifted_exponent_for_one_rung(monkeypatch):
     assert all(f.startswith("routes disagree at ") and ", sign=-1, i=2, a=" in f for f in rep.failures)
 
 
+def _annihilated(shape: Shape, sign: int, i: int, a: int, key: int) -> bool:
+    """Whether the rung (sign, i, a) annihilates the ladder of the tableau of `key`,
+    whose type's entries i and i+1 are the rung's weight."""
+    left, right = (sum(col.count(x) for col in key_columns(shape, key)) for x in (i, i + 1))
+    try:
+        rung(shape.N, left, right, sign, a)
+    except AnnihilatedError:
+        return True
+    return False
+
+
 def test_howe_catches_a_nonzero_map_for_every_annihilated_ladder(monkeypatch):
     pairs = ((2, 2),)
     clean = check_howe(pairs)
-
-    def annihilated(sign, i, a, terms):
-        # one call per group of tagged keys of one type; the weight entries
-        # i and i+1 of any of its tableaux are the rung's
-        shape = Shape(2, 2)
-        key = next(iter(terms)) & (1 << shape.N * shape.m) - 1
-        left, right = (sum(col.count(x) for col in key_columns(shape, key)) for x in (i, i + 1))
-        try:
-            rung(2, left, right, sign, a)
-        except AnnihilatedError:
-            return True
-        return False
-
-    _patch_kernel(monkeypatch, lambda sign, i, a, terms, out: (
-        terms if annihilated(sign, i, a, terms) else out))
+    # each tag carries one tableau: its image is its input when its ladder is annihilated
+    _patch_per_tag(monkeypatch, lambda shape, sign, i, a, terms, out: (
+        terms if _annihilated(shape, sign, i, a, *terms) else out))
     rep = check_howe(pairs)
     assert rep.cases == clean.cases and rep.failures
     assert all(f.startswith("annihilated ladder but nonzero action at ") for f in rep.failures)
@@ -148,13 +171,56 @@ def test_howe_reports_a_web_image_off_the_tableaux_as_a_failed_check(monkeypatch
     # disagreement of the routes, not bad input
     pairs = ((2, 1),)
     clean = check_howe(pairs)
-    real = webs.evaluate_dense  # which `web_matrix` runs on keys tagged in a trailing slot
-    monkeypatch.setattr(webs, "evaluate_dense", lambda web, terms: {
+    real = verify.evaluate_dense  # which `check_howe` runs on keys tagged in a trailing slot
+    monkeypatch.setattr(verify, "evaluate_dense", lambda web, terms: {
         (key[0], key[0]) + key[2:]: c for key, c in real(web, terms).items()})
     rep = check_howe(pairs)
     assert rep.cases == clean.cases and rep.failures
     assert all(f.startswith("routes disagree at ") for f in rep.failures)
     assert main(["verify", "--howe"]) == 3
+
+
+# Faults of the tableau route that break several (type, rung) pairs, each a
+# `_patch_per_tag` function of one tableau's key and image: a shifted
+# exponent, an annihilated ladder's input handed back, a dropped image, and a
+# key no tableau has.
+_HOWE_FAULTS = {
+    "shifted": lambda shape, sign, i, a, terms, out: (
+        {k: {e + 1: c for e, c in p.items()} for k, p in out.items()}
+        if min(terms) % 3 == 0 and (i == 1 or (sign, a) == (-1, 2)) else out),
+    "handed-back": lambda shape, sign, i, a, terms, out: terms if (sign, i) == (1, 2) else out,
+    "dropped": lambda shape, sign, i, a, terms, out: {} if min(terms) & 1 and a == 2 else out,
+    "no-tableau": lambda shape, sign, i, a, terms, out: (
+        {**out, 0: {0: 1}} if min(terms) % 5 == 1 and sign < 0 else out),
+}
+
+
+@pytest.mark.parametrize("fault", [*_HOWE_FAULTS, "web-off-the-tableaux"])
+def test_howe_failures_match_the_per_group_reference_in_order(monkeypatch, fault):
+    pairs = ((2, 2), (3, 1))
+    if fault == "web-off-the-tableaux":
+        real = webs.evaluate_dense
+
+        def off(web, terms):  # the webs whose first strand has color 1 send their images off
+            out = real(web, terms)
+            if web.domain.factors[0].color != 1:
+                return out
+            return {(key[0], key[0]) + key[2:]: c for key, c in out.items()}
+
+        for module in (verify, webs):  # `check_howe` and the reference's `web_matrix`
+            monkeypatch.setattr(module, "evaluate_dense", off)
+    else:
+        _patch_per_tag(monkeypatch, _HOWE_FAULTS[fault])
+    rep = check_howe(pairs)
+    reference = reference_check_howe(pairs)
+    assert rep.failures and len(rep.failures) < rep.cases
+    assert (rep.cases, rep.failures) == (reference.cases, reference.failures)
+
+
+def test_howe_makes_one_check_per_tableau_and_rung():
+    rep = check_howe()
+    assert rep.passed and rep.cases == 68164
+    assert reference_check_howe(((2, 1), (2, 2), (3, 1), (3, 2))).cases == 68164
 
 
 def test_dual_sweep_reports_a_negative_gram_coefficient(monkeypatch):
@@ -315,11 +381,36 @@ def test_shapovalov_sweep_fails_on_a_shifted_lowering_at_one_index(monkeypatch):
 
 def test_serre_sweep_fails_on_a_shifted_sum_at_one_index(monkeypatch):
     # every term of the relation applies i twice, so a shift of every map at i
-    # would cancel; this one shifts only the images of maps with several terms
+    # would cancel; this one shifts, tableau by tableau (one tag each), only the
+    # images of maps with several terms
     clean = verify.check_serre()
     assert clean.passed
-    _patch_kernel(monkeypatch, lambda sign, i, a, terms, out: (
+    _patch_per_tag(monkeypatch, lambda shape, sign, i, a, terms, out: (
         _shifted(out) if i == 1 and len(terms) > 1 else out))
     rep = verify.check_serre()
     assert rep.cases == clean.cases and rep.failures
     assert all(f.startswith("degree-2 relation fails at ") for f in rep.failures)
+
+
+def test_serre_sweep_names_the_highest_tableau_when_its_sum_is_shifted(monkeypatch):
+    # the sweep acts on every tableau of the shape at once, the n-th tagged n;
+    # the highest tableau 11/22 is the first of (2, 2), tagged 0
+    clean = verify.check_serre()
+    shape = Shape(2, 2)
+    real = verify.act_divided
+
+    def act_divided(space, sign, i, a, terms):
+        out = real(space, sign, i, a, terms)
+        if space != shape or i != 1:
+            return out
+        parts = _untagged(shape, out)
+        if len(_untagged(shape, terms).get(0, {})) > 1:
+            parts[0] = _shifted(parts.get(0, {}))
+        return _tagged(shape, parts)
+
+    monkeypatch.setattr(verify, "act_divided", act_divided)
+    rep = verify.check_serre()
+    assert rep.cases == clean.cases
+    assert rep.failures == [
+        "degree-2 relation fails at N=2, l=2, sign=-1, i=2, j=1, 11/22",
+    ]
