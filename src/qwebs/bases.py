@@ -6,14 +6,14 @@ vector.  Its expansion on column-strict tableaux is unitriangular with
 nonnegative-coefficient Laurent polynomials below the leading term.
 
 Every prefix of a reversed peel word is itself a reversed peel word, so
-A^T = F_i^(r) A^peel(T) and the words of a block form a prefix tree.
-`lt_block` walks that tree once, depth first, in the howe kernel's maps:
-it keeps at most the maps of one root-to-leaf path, so each distinct prefix
-runs its divided power once.  `lt_vector` is that walk, over any list of
-semistandard labels of one shape.  Every vector is checked for its leading
-1, triangularity (no key above its label's key, in the int order that is
-the tableau order), nonnegative coefficients and keys of N fields of l bits
-each as it is built.
+A^T = F_i^(r) A^peel(T), one divided power of the vector of peel(T).
+`lt_vector`, over any list of semistandard labels of one shape, memoizes
+the howe kernel's map of every prefix its labels' words reach, each filled
+from its parent's by one divided power, and holds that memo until it
+returns; `lt_block` calls it once per block.  Every vector is checked for
+its leading 1, triangularity (no key above its label's key, in the int
+order that is the tableau order), nonnegative coefficients and keys of N
+fields of l bits each as it is built.
 
 Each element holds its vector as the kernel's map, {packed tableau key:
 {exponent: int}} (`howe.tableau_key`), the one vector form, which
@@ -84,31 +84,30 @@ def lt_block(N: int, l: int, ktype: tuple[int, ...]) -> dict[Tableau, LTBasisEle
 
 
 def lt_vector(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisElement]:
-    """The LT vectors of `labels`, keyed in their order, from one walk of the peel tree.
+    """The LT vectors of `labels`, keyed in their order, from a memo of peel prefixes.
 
-    The reversed peel words of the labels are visited in sorted order, so
-    each word shares its longest common prefix with its neighbours.  `path[d]`
-    is the kernel map after the first d divided powers of the current word,
-    kept only as deep as the next word shares it; only the pairs past the
-    prefix shared with the previous word are applied.  Each vector keeps its
-    map.  A move flips one set and one clear bit, adjacent in one field, so
-    the columns of the keys the kernel makes stay strictly increasing with
-    entries in 1..m; each distinct key of the walk is checked once for no
-    bits past its N fields and l bits in every field.
+    The memo is a trie of the labels' reversed peel words: a node is (the
+    kernel map after the node's prefix, {next pair: child node}), the root
+    the highest tableau's map at the empty prefix.  Each label descends its
+    word from the root, and a prefix not yet in the trie is filled from its
+    parent's map by one divided power, so each distinct prefix runs once,
+    in any label order.  The trie holds every prefix map until the call
+    returns.  A move flips one set and one clear bit, adjacent in one
+    field, so the columns of the keys the kernel makes stay strictly
+    increasing with entries in 1..m; each distinct key of the call is
+    checked once for no bits past its N fields and l bits in every field.
     """
     checked: set[int] = set()
-    walk = sorted((tuple(peel_word(t))[::-1], n) for n, t in enumerate(labels))
-    shared = [0] + [_common_prefix(a, b) for (a, _), (b, _) in zip(walk, walk[1:])] + [0]
-    path = [{tableau_key(highest_tableau(shape)): {0: 1}}]
-    out: list = [None] * len(labels)
-    for j, (rword, n) in enumerate(walk):
-        terms = path[-1]  # path holds depths 0..shared[j]
-        for d in range(shared[j], len(rword)):
-            terms = act_divided(shape, -1, *rword[d], terms)
-            if d < shared[j + 1]:
-                path.append(terms)
-        del path[shared[j + 1] + 1 :]
-        t = labels[n]
+    root = ({tableau_key(highest_tableau(shape)): {0: 1}}, {})
+    out = {}
+    for t in labels:
+        word = tuple(peel_word(t))
+        terms, children = root
+        for step in reversed(word):
+            node = children.get(step)
+            if node is None:
+                node = children[step] = (act_divided(shape, -1, *step, terms), {})
+            terms, children = node
         key = tableau_key(t)
         if terms.get(key) != {0: 1}:
             lead = LaurentPoly(terms.get(key, {}))
@@ -123,8 +122,8 @@ def lt_vector(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisEleme
             if min(c.values()) < 0:
                 tau = Tableau.from_columns(shape, key_columns(shape, k))
                 raise InvariantViolationError(f"negative coefficient {LaurentPoly(c)} at {tau}")
-        out[n] = LTBasisElement(t, terms, rword[::-1])
-    return dict(zip(labels, out))
+        out[t] = LTBasisElement(t, terms, word)
+    return out
 
 
 def _check_key(shape: Shape, key: int, t: Tableau) -> None:
@@ -154,16 +153,6 @@ def _check_key(shape: Shape, key: int, t: Tableau) -> None:
     col = next(c for c in key_columns(shape, key) if len(c) != l)
     raise InvariantViolationError(f"term {key:#x} of the vector of {t}: "
                                   f"{col} is not a column of shape ({N}, {l})")
-
-
-def _common_prefix(a: tuple, b: tuple) -> int:
-    """The length of the longest common prefix of two words."""
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
 
 
 def dual_canonical(block: dict, labels: list[Tableau], keys: list, n: int) -> DualCanonicalElement:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qwebs import bases
@@ -80,11 +82,17 @@ def block_types(N, l, every=1):
 
 
 @pytest.mark.parametrize("N,l,every", [(2, 4, 1), (3, 2, 1), (3, 3, 150), (4, 2, 150)])
-def test_lt_block_tree_walk_matches_whole_word_replay(N, l, every):
+def test_lt_block_tree_walk_matches_whole_word_replay(monkeypatch, N, l, every):
     shape = Shape(N, l)
     top = {tableau_key(highest_tableau(shape)): {0: 1}}
+    calls = []
+    monkeypatch.setattr(bases, "act_divided", lambda *args: calls.append(args) or act_divided(*args))
     for k in block_types(N, l, every):
+        calls.clear()
         block = lt_block.__wrapped__(N, l, k)  # a fresh walk, not a cached block
+        # one divided power per distinct non-empty prefix of the reversed peel words
+        prefixes = {tuple(elem.word[::-1][:d]) for elem in block.values() for d in range(1, len(elem.word) + 1)}
+        assert len(calls) == len(prefixes), k
         for t, elem in block.items():
             word = peel_word(t)
             assert elem.tableau is t and elem.word == tuple(word)
@@ -92,6 +100,11 @@ def test_lt_block_tree_walk_matches_whole_word_replay(N, l, every):
             for i, r in reversed(word):
                 terms = act_divided(shape, -1, i, r, terms)
             assert elem.terms == terms, (k, str(t))
+        # the memo serves any label order: a shuffle builds the same elements
+        shuffled = list(block)
+        random.Random(sum(k)).shuffle(shuffled)
+        again = lt_vector(shape, shuffled)
+        assert list(again) == shuffled and again == block, k
 
 
 @pytest.mark.parametrize("N,l", [(2, 4), (3, 2)])
