@@ -5,15 +5,14 @@ divided-power word from the peeling procedure applied to the highest-weight
 vector.  Its expansion on column-strict tableaux is unitriangular with
 nonnegative-coefficient Laurent polynomials below the leading term.
 
-Every prefix of a reversed peel word is itself a reversed peel word, so
-A^T = F_i^(r) A^peel(T), one divided power of the vector of peel(T).
-`lt_vector`, over any list of semistandard labels of one shape, memoizes
-the howe kernel's map of every prefix its labels' words reach, each filled
-from its parent's by one divided power, and holds that memo until it
-returns; `lt_block` calls it once per block.  Every vector is checked for
-its leading 1, triangularity (no key above its label's key, in the int
-order that is the tableau order), nonnegative coefficients and keys of N
-fields of l bits each as it is built.
+One peeling step (`tableaux.peel`) takes T to its parent peel(T) and a pair
+(i, r): A^T = F_i^(r) A^peel(T) and word(T) = (i, r) + word(peel(T)).
+`lt_vector`, over any semistandard labels of one shape, memoizes by rows the
+howe kernel's map and the word of every ancestor its labels reach, for the
+length of the call; `lt_block` calls it once per block.  Every vector is
+checked for its leading 1, triangularity (no key above its label's key, in
+the int order that is the tableau order), nonnegative coefficients and keys
+of N fields of l bits each as it is built.
 
 Each element holds its vector as the kernel's map, {packed tableau key:
 {exponent: int}} (`howe.tableau_key`), the one vector form, which
@@ -42,7 +41,8 @@ from functools import cache
 
 from .howe import _column_ones, act_divided, check_key_bits, key_columns, tableau_key
 from .ring import LaurentPoly, add_into, bar, symmetrize_correction
-from .tableaux import Shape, Tableau, check_request, enumerate_tableaux, highest_tableau, peel_word
+from .tableaux import (NotSemistandardError, Shape, Tableau, check_request, enumerate_tableaux,
+                       highest_tableau, peel)
 from .tensor import Terms, dot
 from .webs import Web, ladder_from_word
 
@@ -84,30 +84,33 @@ def lt_block(N: int, l: int, ktype: tuple[int, ...]) -> dict[Tableau, LTBasisEle
 
 
 def lt_vector(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisElement]:
-    """The LT vectors of `labels`, keyed in their order, from a memo of peel prefixes.
+    """The LT vectors of `labels`, keyed in their order, from a memo keyed by rows.
 
-    The memo is a trie of the labels' reversed peel words: a node is (the
-    kernel map after the node's prefix, {next pair: child node}), the root
-    the highest tableau's map at the empty prefix.  Each label descends its
-    word from the root, and a prefix not yet in the trie is filled from its
-    parent's map by one divided power, so each distinct prefix runs once,
-    in any label order.  The trie holds every prefix map until the call
-    returns.  A move flips one set and one clear bit, adjacent in one
-    field, so the columns of the keys the kernel makes stay strictly
-    increasing with entries in 1..m; each distinct key of the call is
-    checked once for no bits past its N fields and l bits in every field.
+    The memo maps rows to (kernel map, peel word), from the highest
+    tableau's.  A label is peeled up to its first ancestor in the memo and
+    the chain filled back down, each map F_i^(r) of its parent's and each
+    word (i, r) followed by its parent's, so each distinct ancestor is
+    peeled and acted on once, in any label order.  A move flips one set and
+    one clear bit, adjacent in one field, so the kernel's keys keep strictly
+    increasing columns with entries in 1..m; each distinct key of the call
+    is checked once for no bits past its N fields and l bits in every field.
     """
     checked: set[int] = set()
-    root = ({tableau_key(highest_tableau(shape)): {0: 1}}, {})
+    top = highest_tableau(shape)
+    memo = {top.rows: ({tableau_key(top): {0: 1}}, ())}
     out = {}
     for t in labels:
-        word = tuple(peel_word(t))
-        terms, children = root
-        for step in reversed(word):
-            node = children.get(step)
-            if node is None:
-                node = children[step] = (act_divided(shape, -1, *step, terms), {})
-            terms, children = node
+        if not t.is_semistandard():
+            raise NotSemistandardError(f"not semistandard: {t}")
+        chain, rows = [], t.rows
+        while rows not in memo:
+            chain.append((rows, *peel(rows)))
+            rows = chain[-1][3]
+        terms, word = memo[rows]
+        for rows, i, r, _ in reversed(chain):
+            terms = act_divided(shape, -1, i, r, terms)
+            word = ((i, r),) + word
+            memo[rows] = terms, word
         key = tableau_key(t)
         if terms.get(key) != {0: 1}:
             lead = LaurentPoly(terms.get(key, {}))

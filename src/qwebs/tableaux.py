@@ -16,18 +16,17 @@ first position where they differ, c has the *smaller* entry; tableaux are
 ordered lexicographically on columns left to right.  Maximal is the tableau
 whose row r is constantly r.
 
-The peeling procedure walks a semistandard tableau down to the maximal one
-and records the word of lowering moves; that word drives the construction of
-the Leclerc-Toffin basis.  The search bound for the peeling index is m-1,
-not l: for l >= 2 the procedure cannot terminate otherwise (e.g. shape (2,2)
-with rows (1,1),(2,4) needs i = 3).
+The peeling procedure walks a semistandard tableau down to the maximal one,
+one `peel` step at a time, and records the word of lowering moves; that word
+drives the construction of the Leclerc-Toffin basis.  The search bound for
+the peeling index is m-1, not l: for l >= 2 the procedure cannot terminate
+otherwise (e.g. shape (2,2) with rows (1,1),(2,4) needs i = 3).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .ring import exact_int
@@ -245,41 +244,38 @@ def enumerate_tableaux(
     return out
 
 
+def peel(rows: tuple[tuple[int, ...], ...]) -> tuple[int, int, tuple[tuple[int, ...], ...]] | None:
+    """One peeling step of a semistandard tableau's rows: (i, r, the rows it
+    reaches), or None at the maximal tableau.
+
+    The r entries equal to i+1 in rows 1..min(i, l) become i, for the least
+    i (1 <= i <= m-1) with any.  Row k (1-based) starts with its run of k,
+    and exactly the entries past that run can be peeled, so i is the least
+    of them less one.  Each changed row is checked for column strictness.
+    """
+    i = min((row[n] for k, row in enumerate(rows, 1) if (n := row.count(k)) < len(row)), default=1) - 1
+    if not i:
+        return None
+    parent, hits = [], 0
+    for k, row in enumerate(rows, 1):
+        if k <= i and (n := row.count(i + 1)):
+            hits += n
+            row = tuple(i if x == i + 1 else x for x in row)
+            if parent and not all(map(operator.lt, parent[-1], row)):
+                raise NotSemistandardError("peeling broke column strictness: columns must strictly increase")
+        parent.append(row)
+    return i, hits, tuple(parent)
+
+
 def peel_word(t: Tableau) -> list[tuple[int, int]]:
-    """The lowering word of a semistandard tableau.
-
-    Repeatedly find the smallest i (1 <= i <= m-1) such that entries equal
-    to i+1 occur in rows 1..min(i, l); replace all r of them by i and record
-    (i, r).  Stops at the maximal tableau.  The word is returned
-    outermost-first: the first pair is the last move applied when raising
-    back up from the maximal tableau.
-
-    The steps run on one mutable grid, whose rows stay weakly increasing.
-    An entry x in row r (1-based) can be peeled exactly when x > r, so the
-    next i is the least such x, less one: the first entry past r in each row,
-    found by bisection.  The grid is the maximal tableau when no entry can be.
-    A step turns the run of i+1 in each row r <= i into i, which keeps the
-    row weakly increasing and each changed cell below the cell under it, so
-    column strictness is checked only against the cell above.
+    """The lowering word of a semistandard tableau, its `peel` steps down to
+    the maximal tableau, outermost-first: the first pair is the last move
+    applied when raising back up from the maximal tableau.
     """
     if not t.is_semistandard():
         raise NotSemistandardError(f"not semistandard: {t}")
-    grid = [list(r) for r in t.rows]
-    word: list[tuple[int, int]] = []
-    while True:
-        firsts = [row[n] for r, row in enumerate(grid, 1) if (n := bisect_right(row, r)) < len(row)]
-        i = min(firsts, default=1) - 1
-        if not i:
-            return word
-        hits = 0
-        for r, row in enumerate(grid[:i]):  # rows 1..min(i, l)
-            lo, hi = bisect_left(row, i + 1), bisect_right(row, i + 1)
-            if lo == hi:
-                continue
-            row[lo:hi] = [i] * (hi - lo)
-            if r and max(grid[r - 1][lo:hi]) >= i:
-                raise NotSemistandardError(
-                    "peeling broke column strictness: columns must strictly increase"
-                )
-            hits += hi - lo
-        word.append((i, hits))
+    word, rows = [], t.rows
+    while step := peel(rows):
+        i, r, rows = step
+        word.append((i, r))
+    return word

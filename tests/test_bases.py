@@ -21,6 +21,7 @@ from qwebs.tableaux import (
     Tableau,
     enumerate_tableaux,
     highest_tableau,
+    peel,
     peel_word,
     tableau_type,
 )
@@ -85,14 +86,24 @@ def block_types(N, l, every=1):
 def test_lt_block_tree_walk_matches_whole_word_replay(monkeypatch, N, l, every):
     shape = Shape(N, l)
     top = {tableau_key(highest_tableau(shape)): {0: 1}}
-    calls = []
+    calls, peeled = [], []
     monkeypatch.setattr(bases, "act_divided", lambda *args: calls.append(args) or act_divided(*args))
+    monkeypatch.setattr(bases, "peel", lambda rows: peeled.append(rows) or peel(rows))
     for k in block_types(N, l, every):
         calls.clear()
+        peeled.clear()
         block = lt_block.__wrapped__(N, l, k)  # a fresh walk, not a cached block
         # one divided power per distinct non-empty prefix of the reversed peel words
         prefixes = {tuple(elem.word[::-1][:d]) for elem in block.values() for d in range(1, len(elem.word) + 1)}
         assert len(calls) == len(prefixes), k
+        # and one peel step on each distinct ancestor below the top, the labels included
+        ancestors = set()
+        for t in block:
+            rows = t.rows
+            while step := peel(rows):
+                ancestors.add(rows)
+                rows = step[2]
+        assert sorted(peeled) == sorted(ancestors) and len(ancestors) == len(calls), k
         for t, elem in block.items():
             word = peel_word(t)
             assert elem.tableau is t and elem.word == tuple(word)

@@ -15,6 +15,7 @@ from qwebs.tableaux import (
     check_request,
     enumerate_tableaux,
     highest_tableau,
+    peel,
     peel_word,
     tableau_type,
 )
@@ -272,16 +273,19 @@ def test_peel_intermediates_increase():
         assert cur == highest_tableau(shape)
 
 
-# -- the grid peel_word against the tableau-by-tableau peeling ----------
+# -- peel and peel_word against the tableau-by-tableau peeling ----------
 
 
-def reference_peel_word(t):
-    """Independent oracle: build and validate a Tableau at every peeling step."""
+def reference_peel_steps(t):
+    """Independent oracle: build and validate a Tableau at every peeling step.
+
+    Returns the steps in order, each as (i, r, the tableau it reaches).
+    """
     if not t.is_semistandard():
         raise NotSemistandardError(f"not semistandard: {t}")
     shape = t.shape
     top = highest_tableau(shape)
-    word = []
+    steps = []
     cur = t
     while cur != top:
         for i in range(1, shape.m):
@@ -301,11 +305,15 @@ def reference_peel_word(t):
                     raise NotSemistandardError(f"peeling broke column strictness: {exc}")
                 if not cur.is_semistandard():
                     raise NotSemistandardError(f"peeling left the semistandard set at {cur}")
-                word.append((i, len(hits)))
+                steps.append((i, len(hits), cur))
                 break
         else:
             raise NotSemistandardError(f"peeling stuck at {cur}")
-    return word
+    return steps
+
+
+def reference_peel_word(t):
+    return [(i, r) for i, r, _ in reference_peel_steps(t)]
 
 
 @pytest.mark.parametrize("N,l", [(2, 4), (3, 2), (4, 2), (3, 3), (2, 5)])
@@ -315,6 +323,21 @@ def test_grid_peel_word_matches_tableau_oracle(N, l):
     every = {(3, 3): 10, (2, 5): 5}.get((N, l), 1)
     for t in enumerate_tableaux(Shape(N, l), semistandard_only=True)[::every]:
         assert peel_word(t) == reference_peel_word(t), str(t)
+
+
+@pytest.mark.parametrize("N,l", [(2, 4), (3, 2), (4, 2), (3, 3)])
+def test_peel_steps_match_tableau_oracle(N, l):
+    # each step of every tableau up to m = 8, and of a fixed tenth of (3,3),
+    # reaches the oracle's rows with its (i, r); the top has no step
+    shape = Shape(N, l)
+    top = highest_tableau(shape).rows
+    every = 10 if (N, l) == (3, 3) else 1
+    for t in enumerate_tableaux(shape, semistandard_only=True)[::every]:
+        rows = t.rows
+        for i, r, cur in reference_peel_steps(t):
+            assert peel(rows) == (i, r, cur.rows), (str(t), i, r)
+            rows = cur.rows
+    assert peel(top) is None
 
 
 def test_grid_peel_word_refuses_what_the_oracle_refuses():
