@@ -7,12 +7,16 @@ nonnegative-coefficient Laurent polynomials below the leading term.
 
 One peeling step (`tableaux.peel`) takes T to its parent peel(T) and a pair
 (i, r): A^T = F_i^(r) A^peel(T) and word(T) = (i, r) + word(peel(T)).
-`lt_vector`, over any semistandard labels of one shape, memoizes by rows the
-howe kernel's map and the word of every ancestor its labels reach, for the
-length of the call; `lt_block` calls it once per block.  Every vector is
-checked for its leading 1, triangularity (no key above its label's key, in
-the int order that is the tableau order), nonnegative coefficients and keys
-of N fields of l bits each as it is built.
+`lt_vector`, over any semistandard labels of one shape, fills and reads the
+shape's memo, `lt_memo`, which holds by rows the howe kernel's map and the
+word of every tableau reached so far; `lt_block` calls it once per block,
+so each semistandard tableau is acted on once per shape.  The memo, a
+functools cache, lives until it is cleared: `lt-basis` and
+`dual-canonical` clear it once each block is walked, and the benchmark
+before every op.  Every vector of a call is checked for its leading 1,
+triangularity (no key above its label's key, in the int order that is the
+tableau order), nonnegative coefficients and keys of N fields of l bits
+each.
 
 Each element holds its vector as the kernel's map, {packed tableau key:
 {exponent: int}} (`howe.tableau_key`), the one vector form, which
@@ -42,9 +46,8 @@ from functools import cache
 from .howe import _column_ones, act_divided, check_key_bits, key_columns, tableau_key
 from .ring import LaurentPoly, add_into, bar, symmetrize_correction
 from .tableaux import (NotSemistandardError, Shape, Tableau, check_request, enumerate_tableaux,
-                       highest_tableau, peel)
+                       highest_tableau, peel_memo)
 from .tensor import Terms, dot
-from .webs import Web, ladder_from_word
 
 
 class InvariantViolationError(RuntimeError):
@@ -83,34 +86,41 @@ def lt_block(N: int, l: int, ktype: tuple[int, ...]) -> dict[Tableau, LTBasisEle
     return lt_vector(shape, enumerate_tableaux(shape, ktype, semistandard_only=True, bound=bound))
 
 
-def lt_vector(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisElement]:
-    """The LT vectors of `labels`, keyed in their order, from a memo keyed by rows.
+@cache
+def lt_memo(shape: Shape) -> dict:
+    """The shape's memo of `lt_vector`, {rows: (kernel map, peel word)}, seeded with
+    the highest tableau's; it lives until `lt_memo.cache_clear()`."""
+    top = highest_tableau(shape)
+    return {top.rows: ({tableau_key(top): {0: 1}}, ())}
 
-    The memo maps rows to (kernel map, peel word), from the highest
-    tableau's.  A label is peeled up to its first ancestor in the memo and
-    the chain filled back down, each map F_i^(r) of its parent's and each
-    word (i, r) followed by its parent's, so each distinct ancestor is
-    peeled and acted on once, in any label order.  A move flips one set and
-    one clear bit, adjacent in one field, so the kernel's keys keep strictly
-    increasing columns with entries in 1..m; each distinct key of the call
-    is checked once for no bits past its N fields and l bits in every field.
+
+def lt_vector(shape: Shape, labels: list[Tableau]) -> dict[Tableau, LTBasisElement]:
+    """The LT vectors of `labels`, keyed in their order, from the shape's memo.
+
+    The memo, `lt_memo`, maps rows to (kernel map, peel word) and outlives
+    the call, until `lt-basis` or `dual-canonical` clears it after a
+    block's walk or the benchmark before an op.  `tableaux.peel_memo`
+    peels a label up to its first ancestor in the memo and fills the chain
+    back down, each map F_i^(r) of its parent's and each word (i, r)
+    followed by its parent's, so each tableau is peeled and acted on once
+    per shape, in any label order and across calls.  A move flips one set
+    and one clear bit, adjacent in one field, so the kernel's keys keep
+    strictly increasing columns with entries in 1..m; each distinct key of
+    the call is checked once for no bits past its N fields and l bits in
+    every field.
     """
     checked: set[int] = set()
-    top = highest_tableau(shape)
-    memo = {top.rows: ({tableau_key(top): {0: 1}}, ())}
+    memo = lt_memo(shape)
+
+    def step(parent, i, r):
+        terms, word = parent
+        return act_divided(shape, -1, i, r, terms), ((i, r),) + word
+
     out = {}
     for t in labels:
         if not t.is_semistandard():
             raise NotSemistandardError(f"not semistandard: {t}")
-        chain, rows = [], t.rows
-        while rows not in memo:
-            chain.append((rows, *peel(rows)))
-            rows = chain[-1][3]
-        terms, word = memo[rows]
-        for rows, i, r, _ in reversed(chain):
-            terms = act_divided(shape, -1, i, r, terms)
-            word = ((i, r),) + word
-            memo[rows] = terms, word
+        terms, word = peel_memo(memo, t.rows, step)
         key = tableau_key(t)
         if terms.get(key) != {0: 1}:
             lead = LaurentPoly(terms.get(key, {}))
@@ -213,14 +223,6 @@ def pairing(x: Terms, y: Terms) -> LaurentPoly:
     return LaurentPoly({-e: a for e, a in dot(x, y).items()})
 
 
-def lt_web(elem: LTBasisElement) -> Web:
-    """The ladder web of an LT vector: its peel word glued bottom-up."""
-    shape = elem.tableau.shape
-    k_start = (shape.N,) * shape.l + (0,) * (shape.m - shape.l)
-    word = [(-1, i, r) for i, r in reversed(elem.word)]
-    return ladder_from_word(shape.N, k_start, word)
-
-
 @dataclass(frozen=True)
 class GradedMatrix:
     """Square array of Laurent polynomials over descending semistandard labels."""
@@ -241,8 +243,9 @@ def gram_matrix(N: int, l: int, ktype: tuple[int, ...], basis: str = "lt") -> Gr
     Each entry is `pairing` of two basis vectors, taken on their maps,
     once per unordered pair: the form is symmetric, so (j, i) holds the same
     immutable `LaurentPoly` as (i, j).  For the LT basis the same entries are
-    the web forms of the ladder webs (`lt_web`); `qwebs verify --form` checks
-    every ordered pair of that second route against this one.
+    the web forms of the LT ladder webs; `qwebs verify --form` checks every
+    ordered pair of that second route (`verify.web_gram_mismatch`) against
+    this one.
     """
     if basis == "lt":
         block = lt_block(N, l, ktype)

@@ -14,10 +14,11 @@ and `main` builds the parser of the command it runs and no other.  The
 their order and the call each flag makes.
 
 `lt-basis` and `dual-canonical` write their JSON list one block at a time,
-each as soon as it is made, and a whole-shape sweep (no --type) keeps no
-block once it is written.  A refused request writes nothing, but an exit 3
-in the middle of a sweep can follow a partial list: the exit code is the
-status.
+each as soon as it is made.  The shape's memo of LT maps (`bases.lt_memo`)
+is cleared once each block is walked, and a whole-shape sweep (no --type)
+keeps no block once it is written.  A refused request writes nothing, but
+an exit 3 in the middle of a sweep can follow a partial list: the exit code
+is the status.
 
 Exit codes: 0 success, 2 invalid input, 3 violated internal invariant.
 """
@@ -36,6 +37,7 @@ from .bases import (
     dual_block,
     gram_matrix,
     lt_block,
+    lt_memo,
 )
 from .howe import act_divided, check_generator, check_key_bits, read_tableau_vector, terms_texts
 from .ring import LaurentPoly, NonDivisibleError
@@ -214,7 +216,10 @@ def cmd_basis(args) -> int:
         ktypes = bounded_weights(args.N, shape.m)
     opened = False
     for k in ktypes:
-        block = dual_block(args.N, args.l, k) if args.dual else lt_block(args.N, args.l, k)
+        block = lt_block(args.N, args.l, k)
+        lt_memo.cache_clear()  # the block holds the maps it needs; its walk's ancestors go
+        if args.dual:
+            block = dual_block(args.N, args.l, k)
         entries = basis_entries(shape, block, args.dual)
         if args.type is None:  # a sweep keeps no block it has written
             lt_block.cache_clear()
@@ -272,8 +277,8 @@ VERIFY_SWEEPS = {
 # below that they would make no check.  --cases has no least value: zero
 # cases make no check, which the run reports as a failure.  The relations
 # sweep takes about 7 s at N = 6 and 32 s at N = 7; --max-m 9 brings shape
-# (3, 3) into the Cartan sweep, which then runs past a minute (1.2 s at 8);
-# a case costs a few milliseconds.
+# (3, 3) into the Cartan sweep, which then takes about 13 s (0.2 s at 8, on
+# 2 cores with Python 3.11, in process); a case costs a few milliseconds.
 VERIFY_LIMITS = {"max_N": (2, 6), "max_m": (2, 8), "cases": (None, 10_000)}
 
 

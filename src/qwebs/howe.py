@@ -35,8 +35,10 @@ exponent is a popcount; moves that meet at one key add up through
 `ring.add_into`.  The kernel checks none of its arguments: `act_E`, the one
 step on a `tensor.Vector` that the benchmark's tracer wraps, and the `act`
 command refuse a generator outside the shape.  The kernel is also the step
-of `bases.lt_vector`, whose memo, keyed by rows, holds a map of this form
-for every ancestor of its labels under the peel step until the call returns.
+of `bases.lt_vector`, whose memo, one per shape and keyed by rows, holds a
+map of this form for every tableau its calls have reached under the peel
+step, until `lt-basis` or `dual-canonical` clears it after a block's walk
+or the benchmark before an op.
 Such maps meet JSON only at the command-line edge: `terms_texts` is the one
 writer (`act`, `lt-basis` and `dual-canonical` print through it), decoding
 each distinct key once, and `read_tableau_vector` reads a vector's JSON back

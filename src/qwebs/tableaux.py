@@ -267,6 +267,25 @@ def peel(rows: tuple[tuple[int, ...], ...]) -> tuple[int, int, tuple[tuple[int, 
     return i, hits, tuple(parent)
 
 
+def peel_memo(memo: dict, rows: tuple[tuple[int, ...], ...], step):
+    """memo[rows], filled in below the first ancestor of `rows` in `memo`.
+
+    `memo` is keyed by rows and holds the maximal tableau's.  `rows` is
+    peeled up to its first ancestor in the memo (itself, if there), and the
+    chain is filled back down, each value step(its parent's value, i, r),
+    so a memo peels and steps each tableau once.
+    """
+    chain = []
+    while rows not in memo:
+        i, r, parent = peel(rows)
+        chain.append((rows, i, r))
+        rows = parent
+    value = memo[rows]
+    for rows, i, r in reversed(chain):
+        value = memo[rows] = step(value, i, r)
+    return value
+
+
 def peel_word(t: Tableau) -> list[tuple[int, int]]:
     """The lowering word of a semistandard tableau, its `peel` steps down to
     the maximal tableau, outermost-first: the first pair is the last move

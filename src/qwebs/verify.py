@@ -30,10 +30,15 @@ The two cross-checks between routes compute each shared object once:
   fails), and the failures are listed type by type, then by rung and
   tableau.  `check_serre` tags the shape's keys the same way, so each of its
   relations is one map per (shape, sign, i, j).
-- `web_gram_mismatch` gets the web route's Gram matrix from `web_gram`: each
-  LT ladder web is built once per block, from the word its element stores,
-  and walked once for its image, which, as the web has no tag, is also its
-  co-image up to a power of v; each entry is one dot product of the two.
+- `web_gram_mismatch` builds the web route's Gram matrix from a memo of the
+  shape, `lt_web_images`, which `check_form_consistency` holds across the
+  shape's blocks for the length of the sweep.  A tableau's LT ladder web is
+  its parent's under the peel step with one rung on top, so its image of the
+  closed vector is its parent's image walked through that one-rung web, and
+  each tableau of the shape is walked once.  As an LT web has no tag, its
+  image is also its co-image up to a power of v, the sum of its rungs'
+  co-degrees; each entry is one dot product of two images, `webs.image_forms`,
+  the step `webs.web_gram` takes.
 - The relations sweep reads each distinct web's matrix once: the same
   ladder, digon or identity recurs across its checks.  The evaluator sweep
   reads each web's matrix in one dense walk and runs the state sum once per
@@ -44,28 +49,31 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
-from .bases import GradedMatrix, LTBasisElement, dual_block, gram_matrix, lt_block, lt_web, pairing
+from .bases import GradedMatrix, dual_block, gram_matrix, lt_block, pairing
 from .howe import act_divided, tableau_key, tableau_to_index, weight_of_type
 from .ring import ONE, LaurentPoly, add_into, bar, qbinom, qnum
-from .tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, tableau_type
+from .tableaux import Shape, enumerate_tableaux, highest_tableau, peel_memo, tableau_type
 from .tensor import Boundary, Factor, Terms, _Table, _index_key, weight_boundary
 from .webalg import bounded_weights, cartan_matrix, frobenius_check
 from .webs import (
     AnnihilatedError,
     Web,
+    _closed_key,
+    _co_degree,
     cap,
     cup,
     d_norm,
     evaluate_dense,
     evaluate_statesum,
+    image_forms,
     ladder_from_word,
     merge,
     rung,
     split,
     tag,
-    web_gram,
     web_matrix,
 )
 
@@ -382,13 +390,45 @@ def check_dual_blocks(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Report:
     return rep
 
 
-def web_gram_mismatch(gram: GradedMatrix, block: dict[Tableau, LTBasisElement]) -> str | None:
-    """Recompute an LT Gram matrix by the web form of the ladder webs of its `lt_block`.
+def lt_web_images(shape: Shape) -> dict:
+    """A new memo of the web route for `tableaux.peel_memo`, {rows: (image, co-degree sum,
+    weight)}, seeded with the closed key of the highest-weight boundary."""
+    k = (shape.N,) * shape.l + (0,) * (shape.m - shape.l)
+    return {highest_tableau(shape).rows: ({_closed_key(weight_boundary(shape.N, k)): {0: 1}}, 0, k)}
+
+
+def _web_rung(N: int, parent: tuple, i: int, r: int) -> tuple:
+    """A tableau's (image, co-degree sum, weight) from its parent's: the parent's image
+    walked through the one-rung web of the peel step (i, r)."""
+    image, shift, k = parent
+    web = ladder_from_word(N, k, [(-1, i, r)])
+    return (evaluate_dense(web, image), shift + sum(map(_co_degree, web.slices)),
+            tuple(f.color for f in web.codomain.factors))
+
+
+def web_gram_mismatch(gram: GradedMatrix, images: dict | None = None) -> str | None:
+    """Recompute an LT Gram matrix by the web form of the LT ladder webs of its labels.
+
+    A label's ladder web is its parent's with the rung of its peel step on
+    top, so its image of the closed vector is its parent's image walked
+    through that one rung; `images`, the web route's memo of the labels'
+    shape (`lt_web_images`, a new one by default), holds each image with its
+    web's co-degree sum and weight.  Each entry is `webs.image_forms` of two
+    images, the image being its own co-image up to that power of v, as an
+    LT web has no tag.
 
     Returns the first entry where the web route disagrees with `gram`, or
     None when every entry agrees.
     """
-    by_web = web_gram([lt_web(block[t]) for t in gram.labels])
+    if not gram.labels:
+        return None
+    shape = gram.labels[0].shape
+    if images is None:
+        images = lt_web_images(shape)
+    step = partial(_web_rung, shape.N)
+    rows = [peel_memo(images, t.rows, step) for t in gram.labels]
+    by_web = image_forms([(image, d_norm(shape.N, shape.l, k) + shift) for image, shift, k in rows],
+                         [image for image, _, _ in rows])
     for i, s in enumerate(gram.labels):
         for j, t in enumerate(gram.labels):
             if by_web[i][j] != gram.entries[i][j]:
@@ -422,10 +462,11 @@ def check_form_consistency(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Re
     rep = Report("web form consistency")
     for N, l in pairs:
         m = N * l
+        images = lt_web_images(Shape(N, l))  # the web route's memo, one per shape
         for k in bounded_weights(N, m):
             block = lt_block(N, l, k)
             gram = gram_matrix(N, l, k, basis="lt")
-            mismatch = web_gram_mismatch(gram, block)
+            mismatch = web_gram_mismatch(gram, images)
             rep.check(mismatch is None, mismatch or "")
             labels = gram.labels
             reversed_forms = _reversed_forms([block[s].terms for s in labels])

@@ -523,4 +523,10 @@ def _forms(us: list[Web], ws: list[Web]) -> list[list[LaurentPoly]]:
     columns = [images[w] for w in ws]
     rows = [(_co_walk(u, closed) if any(s.kind == "tag" for s in u.slices) else images[u],
              d + sum(map(_co_degree, u.slices))) for u in us]
+    return image_forms(rows, columns)
+
+
+def image_forms(rows: list[tuple[Terms, int]], columns: list[Terms]) -> list[list[LaurentPoly]]:
+    """The forms of each (co-image, shift) in `rows` with each image in `columns`:
+    one `tensor.dot` of the two kernel maps per entry, times v^shift."""
     return [[LaurentPoly(dot(co, image, shift)) for image in columns] for co, shift in rows]

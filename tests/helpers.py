@@ -1,9 +1,10 @@
 """Constructions the tests build webs and vectors with; the program never needs them."""
 
+from functools import cache
 from itertools import product
 
-from qwebs import verify, webs
-from qwebs.bases import dual_block, lt_block, pairing
+from qwebs import bases, verify, webs
+from qwebs.bases import LTBasisElement, dual_block, lt_block, pairing
 from qwebs.howe import key_columns, tableau_key, tableau_to_index
 from qwebs.ring import ONE, LaurentPoly, add_into
 from qwebs.tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, tableau_type
@@ -90,6 +91,27 @@ def highest_vector(shape: Shape) -> Vector:
 def expansion(elem) -> Vector:
     """The vector of a basis element's map (an `lt_block` or `dual_block` value)."""
     return Vector(elem.tableau.shape, elem.terms)
+
+
+def fresh_lt_block(N: int, l: int, ktype: tuple[int, ...]) -> dict:
+    """`lt_block` as a new walk: the shape memo cleared, the block cache passed by."""
+    bases.lt_memo.cache_clear()
+    return lt_block.__wrapped__(N, l, ktype)
+
+
+def fresh_lt_memo(monkeypatch) -> None:
+    """An empty shape memo for `bases.lt_vector` for one test, so that the maps a
+    corrupted kernel makes leave with the test."""
+    monkeypatch.setattr(bases, "lt_memo", cache(bases.lt_memo.__wrapped__))
+
+
+def lt_web(elem: LTBasisElement) -> Web:
+    """The ladder web of an LT vector, its stored peel word glued bottom-up: the
+    reference for the web route's images, which `verify` builds one rung at a time."""
+    shape = elem.tableau.shape
+    k_start = (shape.N,) * shape.l + (0,) * (shape.m - shape.l)
+    word = [(-1, i, r) for i, r in reversed(elem.word)]
+    return ladder_from_word(shape.N, k_start, word)
 
 
 def compose(first: Web, then: Web) -> Web:

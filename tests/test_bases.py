@@ -9,7 +9,6 @@ from qwebs.bases import (
     gram_matrix,
     lt_block,
     lt_vector,
-    lt_web,
     pairing,
 )
 from qwebs.cli import main
@@ -29,8 +28,8 @@ from qwebs.tensor import Boundary, Factor, _subset, apply_merge, apply_split, ap
 from qwebs.webalg import bounded_weights
 from qwebs.webs import d_norm, evaluate_dense, validate
 
-from helpers import (basis_vector, combine, expansion, highest_vector, idx, polys, reference_gram, tensor_product,
-                     to_tensor)
+from helpers import (basis_vector, combine, expansion, fresh_lt_block, fresh_lt_memo, highest_vector, idx, lt_web,
+                     polys, reference_gram, tensor_product, to_tensor)
 
 fs = frozenset
 
@@ -88,11 +87,11 @@ def test_lt_block_tree_walk_matches_whole_word_replay(monkeypatch, N, l, every):
     top = {tableau_key(highest_tableau(shape)): {0: 1}}
     calls, peeled = [], []
     monkeypatch.setattr(bases, "act_divided", lambda *args: calls.append(args) or act_divided(*args))
-    monkeypatch.setattr(bases, "peel", lambda rows: peeled.append(rows) or peel(rows))
+    monkeypatch.setattr("qwebs.tableaux.peel", lambda rows: peeled.append(rows) or peel(rows))
     for k in block_types(N, l, every):
         calls.clear()
         peeled.clear()
-        block = lt_block.__wrapped__(N, l, k)  # a fresh walk, not a cached block
+        block = fresh_lt_block(N, l, k)  # a fresh walk: no cached block, an empty shape memo
         # one divided power per distinct non-empty prefix of the reversed peel words
         prefixes = {tuple(elem.word[::-1][:d]) for elem in block.values() for d in range(1, len(elem.word) + 1)}
         assert len(calls) == len(prefixes), k
@@ -114,8 +113,24 @@ def test_lt_block_tree_walk_matches_whole_word_replay(monkeypatch, N, l, every):
         # the memo serves any label order: a shuffle builds the same elements
         shuffled = list(block)
         random.Random(sum(k)).shuffle(shuffled)
+        bases.lt_memo.cache_clear()
         again = lt_vector(shape, shuffled)
         assert list(again) == shuffled and again == block, k
+
+
+@pytest.mark.parametrize("N,l,below_top", [(2, 2, 19), (2, 3, 174), (3, 2, 489), (2, 4, 1_763)])
+def test_shape_memo_acts_once_per_tableau_of_the_shape(monkeypatch, N, l, below_top):
+    # every block of the shape in turn: one divided power and one peel step
+    # per semistandard tableau below the top, over all the blocks
+    shape = Shape(N, l)
+    calls, peeled = [], []
+    monkeypatch.setattr(bases, "act_divided", lambda *args: calls.append(args) or act_divided(*args))
+    monkeypatch.setattr("qwebs.tableaux.peel", lambda rows: peeled.append(rows) or peel(rows))
+    bases.lt_memo.cache_clear()
+    for k in bounded_weights(N, shape.m):
+        lt_block.__wrapped__(N, l, k)
+    below = sorted(t.rows for t in enumerate_tableaux(shape, semistandard_only=True)[1:])
+    assert sorted(peeled) == below and len(calls) == len(below) == below_top
 
 
 @pytest.mark.parametrize("N,l", [(2, 4), (3, 2)])
@@ -124,11 +139,12 @@ def test_blocks_build_no_tableau_for_their_terms(monkeypatch, N, l):
     built = []
     real = Tableau.__post_init__
     monkeypatch.setattr(Tableau, "__post_init__", lambda t: built.append(t) or real(t))
-    for k in block_types(N, l):
+    bases.lt_memo.cache_clear()
+    for n, k in enumerate(block_types(N, l)):
         labels = enumerate_tableaux(Shape(N, l), k, semistandard_only=True)
         built.clear()
         lt_block.__wrapped__(N, l, k)
-        assert len(built) == len(labels) + 1  # the enumerated labels, and the top
+        assert len(built) == len(labels) + (n == 0)  # the enumerated labels, and the top once per shape
 
 
 @pytest.mark.parametrize(
@@ -157,6 +173,7 @@ def test_walker_checks_every_vector_it_builds(monkeypatch, inject, message):
         return out
 
     monkeypatch.setattr(qwebs.bases, "act_divided", corrupted)
+    fresh_lt_memo(monkeypatch)
     with pytest.raises(InvariantViolationError, match=message):
         lt_vector(Shape(2, 1), [Tableau(Shape(2, 1), ((1, 2),))])
 

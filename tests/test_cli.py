@@ -17,7 +17,7 @@ from qwebs.verify import Report
 from qwebs.webalg import bounded_weights
 from qwebs.webs import Web, cup, ladder_from_word, merge, split, tag
 
-from helpers import compose, reflect, terms_json
+from helpers import compose, fresh_lt_memo, reflect, terms_json
 
 
 def run(capsys, *argv):
@@ -851,6 +851,7 @@ def test_broken_leading_term_exits_3_with_no_output(capsys, monkeypatch):
         return terms
 
     monkeypatch.setattr(bases, "act_divided", drop_leading)
+    fresh_lt_memo(monkeypatch)
     lt_block.cache_clear()
     assert main(["lt-basis", "--N", "2", "--l", "2", "--type", "1,1,1,1"]) == 3
     captured = capsys.readouterr()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwebs.bases import dual_block, lt_block, lt_vector
+from qwebs.bases import dual_block, lt_block, lt_memo, lt_vector
 from qwebs.cli import main
 from qwebs.howe import (
     act_E,
@@ -328,6 +328,7 @@ def test_dual_block_leaves_the_cached_lt_maps_as_computed():
     dual_block.cache_clear()
     block = lt_block(4, 2, k)
     assert any(e.beta for e in dual_block(4, 2, k).values())
+    lt_memo.cache_clear()  # else the memo hands back the block's own maps
     fresh = lt_vector(Shape(4, 2), list(block))
     assert {t: e.terms for t, e in lt_block(4, 2, k).items()} == {t: e.terms for t, e in fresh.items()}
 

@@ -93,8 +93,22 @@ def test_kernel_move_table_is_cleared_before_each_op():
     assert howe._column_ones.cache_info().currsize
     for key, maps in zip(labels, warm):
         bases.lt_block.cache_clear()
+        bases.lt_memo.cache_clear()
         howe._column_ones.cache_clear()
         assert {t: e.terms for t, e in bases.lt_block(*key).items()} == maps
+
+
+def test_shape_memo_is_cleared_before_each_op(capsys):
+    # the memo of LT maps outlives a block; the bench clears it with every
+    # other functools cache, so a `dual` or `cartan` op repeats its work
+    assert module_caches().get("qwebs.bases.lt_memo") is bases.lt_memo
+    argv = "dual-canonical --N 3 --l 2 --type 0,0,1,2,1,2".split()
+    counts = []
+    for _ in range(2):
+        t = tracer.Tracer()
+        assert _run_cold(capsys, argv, t)[0] == 0
+        counts.append(t.counts["howe.act_divided_calls"])
+    assert counts[0] == counts[1] > 0
 
 
 # One op of each benchmark workload, with the counters that must read its work.

@@ -2,15 +2,16 @@
 
 import pytest
 
-from helpers import reference_check_howe
+from helpers import lt_web, reference_check_howe
 from qwebs import bases, verify, webs
 from qwebs.bases import GradedMatrix, gram_matrix, lt_block
 from qwebs.cli import main
 from qwebs.howe import key_columns, tableau_key
 from qwebs.ring import ONE, LaurentPoly
-from qwebs.tableaux import Shape, Tableau, highest_tableau
+from qwebs.tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau
 from qwebs.verify import Report, check_howe, web_gram_mismatch
-from qwebs.webs import AnnihilatedError, rung
+from qwebs.webalg import bounded_weights
+from qwebs.webs import AnnihilatedError, rung, web_gram
 
 
 
@@ -251,14 +252,38 @@ def test_dual_sweep_reports_a_negative_gram_coefficient(monkeypatch):
 
 def test_web_gram_mismatch_names_the_corrupted_entry():
     gram = gram_matrix(3, 2, (0, 1, 1, 1, 1, 2))
-    block = lt_block(3, 2, (0, 1, 1, 1, 1, 2))
-    assert web_gram_mismatch(gram, block) is None
+    assert web_gram_mismatch(gram) is None
     rows = [list(r) for r in gram.entries]
     rows[1][2] = rows[1][2] + ONE
     corrupted = GradedMatrix(gram.labels, tuple(tuple(r) for r in rows))
-    assert web_gram_mismatch(corrupted, block) == (
+    assert web_gram_mismatch(corrupted) == (
         "web and tensor Gram entries disagree at (235/466, 234/566): "
         "v^9 + 3v^7 + 4v^5 + 3v^3 + v vs v^9 + 3v^7 + 4v^5 + 3v^3 + v + 1"
+    )
+
+
+@pytest.mark.parametrize("N,l", [(2, 3), (3, 2)])
+def test_web_route_memo_matches_the_whole_ladder_webs(N, l):
+    # one memo for the shape, each image its parent's walked through one
+    # rung, against each block's whole LT ladder webs walked from the closed vector
+    images = verify.lt_web_images(Shape(N, l))
+    for k in bounded_weights(N, N * l):
+        block = lt_block(N, l, k)
+        by_webs = web_gram([lt_web(e) for e in block.values()])
+        assert web_gram_mismatch(GradedMatrix(tuple(block), tuple(map(tuple, by_webs))), images) is None, k
+    assert len(images) == len(enumerate_tableaux(Shape(N, l), semistandard_only=True))
+
+
+def test_web_gram_mismatch_names_the_entry_a_corrupted_image_breaks():
+    gram = gram_matrix(3, 2, (0, 1, 1, 1, 1, 2))
+    images = verify.lt_web_images(Shape(3, 2))
+    assert web_gram_mismatch(gram, images) is None
+    s, t = gram.labels[:2]
+    image, shift, k = images[t.rows]
+    images[t.rows] = {key: {e + 1: a for e, a in c.items()} for key, c in image.items()}, shift, k  # v * image
+    assert web_gram_mismatch(gram, images) == (
+        f"web and tensor Gram entries disagree at ({s}, {t}): "
+        f"{gram.entries[0][1].shift(1)} vs {gram.entries[0][1]}"
     )
 
 

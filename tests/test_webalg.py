@@ -1,6 +1,6 @@
 import pytest
 
-from qwebs.bases import lt_block, lt_web
+from qwebs.bases import lt_block
 from qwebs.ring import ONE, LaurentPoly, bar
 from qwebs.webalg import (
     bounded_weights,
@@ -11,6 +11,7 @@ from qwebs.webalg import (
 from qwebs.verify import web_gram_mismatch
 from qwebs.webs import d_norm, web_form, web_gram
 
+from helpers import lt_web
 
 
 def test_cartan_trivial_block():
@@ -93,7 +94,7 @@ def test_web_and_tensor_gram_routes_agree(N, k):
     # blocks beyond the shapes that `verify --form` sweeps
     c = cartan_matrix(N, k)
     assert len(c.labels) >= 2
-    assert web_gram_mismatch(c, lt_block(N, len(k) // N, k)) is None
+    assert web_gram_mismatch(c) is None
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qwebs.ring import ONE, LaurentPoly, bar, qbinom
 from qwebs.tensor import Boundary, Factor, ShapeMismatchError, basis_indices, cup_kernel, tag_kernel
 import qwebs.webs as qwebs_webs
-from qwebs.bases import lt_block, lt_web
+from qwebs.bases import lt_block
 from qwebs.webalg import bounded_weights
 from qwebs.webs import (
     MAX_TERMS,
@@ -36,7 +36,7 @@ from qwebs.webs import (
     weight_boundary,
 )
 
-from helpers import basis_vector, combine, compose, idx, mirror_pass_form, reflect
+from helpers import basis_vector, combine, compose, idx, lt_web, mirror_pass_form, reflect
 
 
 def test_validate():
