@@ -37,8 +37,8 @@ The two cross-checks between routes compute each shared object once:
   closed vector is its parent's image walked through that one-rung web, and
   each tableau of the shape is walked once.  As an LT web has no tag, its
   image is also its co-image up to a power of v, the sum of its rungs'
-  co-degrees; each entry is one dot product of two images, `webs.image_forms`,
-  the step `webs.web_gram` takes.
+  co-degrees; each entry is one `tensor.dot` of two images, as in
+  `webs.web_form`.
 - The relations sweep reads each distinct web's matrix once: the same
   ladder, digon or identity recurs across its checks.  The evaluator sweep
   reads each web's matrix in one dense walk and runs the state sum once per
@@ -56,7 +56,7 @@ from .bases import GradedMatrix, dual_block, gram_matrix, lt_block, pairing
 from .howe import act_divided, tableau_key, tableau_to_index, weight_of_type
 from .ring import ONE, LaurentPoly, add_into, bar, qbinom, qnum
 from .tableaux import Shape, enumerate_tableaux, highest_tableau, peel_memo, tableau_type
-from .tensor import Boundary, Factor, Terms, _Table, _index_key, weight_boundary
+from .tensor import Boundary, Factor, Terms, _Table, _index_key, dot, weight_boundary
 from .webalg import bounded_weights, cartan_matrix, frobenius_check
 from .webs import (
     AnnihilatedError,
@@ -68,7 +68,6 @@ from .webs import (
     d_norm,
     evaluate_dense,
     evaluate_statesum,
-    image_forms,
     ladder_from_word,
     merge,
     rung,
@@ -413,9 +412,9 @@ def web_gram_mismatch(gram: GradedMatrix, images: dict | None = None) -> str | N
     top, so its image of the closed vector is its parent's image walked
     through that one rung; `images`, the web route's memo of the labels'
     shape (`lt_web_images`, a new one by default), holds each image with its
-    web's co-degree sum and weight.  Each entry is `webs.image_forms` of two
-    images, the image being its own co-image up to that power of v, as an
-    LT web has no tag.
+    web's co-degree sum and weight.  Each entry is one `tensor.dot` of two
+    images times v^(d + the row's co-degree sum), the image being its own
+    co-image up to that power of v, as an LT web has no tag.
 
     Returns the first entry where the web route disagrees with `gram`, or
     None when every entry agrees.
@@ -426,9 +425,9 @@ def web_gram_mismatch(gram: GradedMatrix, images: dict | None = None) -> str | N
     if images is None:
         images = lt_web_images(shape)
     step = partial(_web_rung, shape.N)
-    rows = [peel_memo(images, t.rows, step) for t in gram.labels]
-    by_web = image_forms([(image, d_norm(shape.N, shape.l, k) + shift) for image, shift, k in rows],
-                         [image for image, _, _ in rows])
+    rows = [(image, d_norm(shape.N, shape.l, k) + shift)
+            for image, shift, k in (peel_memo(images, t.rows, step) for t in gram.labels)]
+    by_web = [[LaurentPoly(dot(co, image, shift)) for image, _ in rows] for co, shift in rows]
     for i, s in enumerate(gram.labels):
         for j, t in enumerate(gram.labels):
             if by_web[i][j] != gram.entries[i][j]:

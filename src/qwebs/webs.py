@@ -31,10 +31,8 @@ own walk through each slice's co-kernel, the transpose of the mirrored
 slice's kernel.  Every co-kernel but a tag's is its slice's own kernel times
 a power of v (`_co_degree`), and a tag's is the other side's tag barred; so
 the co-walk runs each slice's kernel, or that tag, and the power goes into
-the form.  Each form is one sparse dot product of u's co-image with w's
-image, and `web_gram` gives the forms of all pairs of a list of webs from
-one walk per web: the co-walk of a web with no tag is its walk, and only a
-web with a tag is walked a second time.
+the form: one co-walk of u, one walk of w and one sparse dot product of u's
+co-image with w's image.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from .tensor import (
     Index,
     ShapeMismatchError,
     Terms,
-    _Table,
     _mask,
     _subset,
     _subsets,
@@ -482,51 +479,24 @@ def ev_closed(web: Web) -> LaurentPoly:
 
 
 def web_form(u: Web, w: Web) -> LaurentPoly:
-    """The sesquilinear web form v^d(k) * ev(reflect(u) o w)."""
-    return _forms([u], [w])[0][0]
-
-
-def web_gram(webs: list[Web]) -> list[list[LaurentPoly]]:
-    """The matrix of `web_form(u, w)` over u (rows) and w (columns) in `webs`."""
-    return _forms(webs, webs)
-
-
-def _forms(us: list[Web], ws: list[Web]) -> list[list[LaurentPoly]]:
-    """The web forms of each u in `us` (rows) with each w in `ws` (columns).
+    """The sesquilinear web form v^d(k) * ev(reflect(u) o w): one co-walk, one walk, one dot.
 
     ev(reflect(u) o w) is the coefficient at the closed key of reflect(u)
     applied to w's image of the closed basis vector: the pairing of that
-    image with the co-image of the closed key under u.  Each entry is one
-    sparse dot product of the two kernel maps, `tensor.dot`, shifted by v^d.
-    The co-image of u is its co-walk times v^(sum of `_co_degree` over its
-    slices), so every row takes that shift into the dot.  Each distinct web
-    is walked once for its image, and the co-walk of a u with no tag is that
-    image, read from the same table; a u with a tag is co-walked once.  All
-    webs must share one domain, the highest-weight boundary, and one plain
-    codomain.
+    image with the co-image of the closed key under u, which is u's co-walk
+    times v^(sum of `_co_degree` over u's slices).  The form is one sparse
+    dot product of the two kernel maps, `tensor.dot`, shifted by v^d and
+    that sum.  Both webs must share one domain, the highest-weight
+    boundary, and one plain codomain.
     """
-    webs = us + ws
-    if not webs:
-        return []
-    domain, cod = webs[0].domain, webs[0].codomain
-    if any(x.domain != domain for x in webs):
+    domain, cod = u.domain, u.codomain
+    if w.domain != domain:
         raise ShapeMismatchError("webs must share their domain")
-    if any(x.codomain != cod for x in webs):
+    if w.codomain != cod:
         raise ShapeMismatchError("webs must share their codomain")
-    key = _closed_key(domain)
+    closed = {_closed_key(domain): {0: 1}}
     if any(f.dual for f in cod.factors):
         raise ShapeMismatchError("the web form is defined on plain boundaries")
     l = sum(1 for f in domain.factors if f.color == domain.N)
     d = d_norm(domain.N, l, tuple(f.color for f in cod.factors))
-    closed = {key: {0: 1}}
-    images = _Table(lambda w: evaluate_dense(w, closed))
-    columns = [images[w] for w in ws]
-    rows = [(_co_walk(u, closed) if any(s.kind == "tag" for s in u.slices) else images[u],
-             d + sum(map(_co_degree, u.slices))) for u in us]
-    return image_forms(rows, columns)
-
-
-def image_forms(rows: list[tuple[Terms, int]], columns: list[Terms]) -> list[list[LaurentPoly]]:
-    """The forms of each (co-image, shift) in `rows` with each image in `columns`:
-    one `tensor.dot` of the two kernel maps per entry, times v^shift."""
-    return [[LaurentPoly(dot(co, image, shift)) for image in columns] for co, shift in rows]
+    return LaurentPoly(dot(_co_walk(u, closed), evaluate_dense(w, closed), d + sum(map(_co_degree, u.slices))))

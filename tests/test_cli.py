@@ -15,7 +15,7 @@ from qwebs.tableaux import Shape
 from qwebs.tensor import MAX_N, Boundary, Factor
 from qwebs.verify import Report
 from qwebs.webalg import bounded_weights
-from qwebs.webs import Web, cup, ladder_from_word, merge, split, tag
+from qwebs.webs import Web, cap, cup, ladder_from_word, merge, split, tag
 
 from helpers import compose, fresh_lt_memo, reflect, terms_json
 
@@ -382,7 +382,8 @@ def test_full_shape_bases_match_golden_digests(capsys, command):
 # Inputs of the vector commands, written here: a ladder web with a 14-term
 # vector on its domain, a web through a split, a merge, a cup and two tags
 # whose image has dual factors, a 4-term tableau vector of shape (3, 2) over
-# four types, and two closed and two open ladder webs.
+# four types, two closed and two open ladder webs, and the open ladder u with
+# a cup, a tag pair and a cap on top, which keep its plain codomain.
 def _vector_command_inputs(tmp_path) -> dict:
     ladder = ladder_from_word(3, (2, 1, 1), [(-1, 1, 1), (+1, 2, 1), (-1, 2, 2)])
     domain = Boundary(3, (Factor(2), Factor(1)))
@@ -390,6 +391,7 @@ def _vector_command_inputs(tmp_path) -> dict:
     column = ladder_from_word(3, (3, 0, 0), [(-1, 1, 1), (-1, 2, 1), (-1, 1, 1)])
     u = ladder_from_word(2, (2, 2, 0, 0), [(-1, 2, 1), (-1, 3, 1), (-1, 1, 1), (-1, 2, 1)])
     w = ladder_from_word(2, (2, 2, 0, 0), [(-1, 2, 2), (-1, 1, 1), (-1, 3, 1)])
+    tagged_u = Web(u.domain, u.slices + (cup(1, 2), tag(1, 2), tag(1, 2, "right"), cap(1, 2)))
 
     def vector(web, every):
         """Every `every`-th basis index of the web's domain, with varied coefficients."""
@@ -406,12 +408,14 @@ def _vector_command_inputs(tmp_path) -> dict:
         "tableaux": {"N": 3, "l": 2, "terms": [
             {"rows": r, "coeff": [[-n, n + 1], [n + 2, -1]]} for n, r in enumerate(rows)]},
         "closed": compose(column, reflect(column)).to_json(), "u": u.to_json(), "w": w.to_json(),
+        "tagged-u": tagged_u.to_json(),
     }
     return {name: _write(tmp_path, f"{name}.json", data) for name, data in payloads.items()}
 
 
 # sha256 of what each command line prints on those inputs ({name} is the
-# path of an input), recorded before vectors held the kernels' int maps
+# path of an input), recorded before vectors held the kernels' int maps; the
+# u == w and tagged-u forms before `web_form` co-walked every u
 VECTOR_GOLDEN_DIGESTS = {
     "eval --web {ladder} --vector {ladder-vector}":
         "1303cee6d169859a67ab722420440c8d838feb2e8273af9f3d686d59adcb1877",
@@ -431,6 +435,12 @@ VECTOR_GOLDEN_DIGESTS = {
         "bc3c178421ce95491b7166766fdc1a55a325ae9c47b92eb9ffc35c090e2521d8",
     "form --u {u} --w {w}":
         "298255f1eb2e8d8a79faceb08b87749863b33019f812849d3a2d0865eb48305c",
+    "form --u {u} --w {u}":
+        "5c1072351d65eac9c0b6dc817d8e72be1d6dffbe4a35c1da54f661da195569af",
+    "form --u {tagged-u} --w {tagged-u}":
+        "77ae977656da7e95689982f89aa565985bc13c975509ff64b03dec6248d9f926",
+    "form --u {tagged-u} --w {u}":
+        "b2d5bb50509a0b9ce8d5137d84baaeda44030d5491e590df52c7c639dcf8c42c",
 }
 
 

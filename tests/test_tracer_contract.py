@@ -24,6 +24,7 @@ import qwebs.cli  # noqa: E402,F401  (the tracer patches qwebs.cli.json)
 from qwebs import bases, howe  # noqa: E402
 from qwebs.tableaux import Shape  # noqa: E402
 from qwebs.tensor import Boundary, Factor, basis_indices  # noqa: E402
+from qwebs.webs import ladder_from_word  # noqa: E402
 
 from helpers import basis_vector, highest_vector  # noqa: E402
 
@@ -145,3 +146,21 @@ def test_traced_names_see_the_work_and_leave_the_output_as_it_was(capsys, op):
     if op.startswith("cartan"):  # one pairing per unordered pair of labels
         n = len(json.loads(untraced[1])["cartan"]["labels"])
         assert t.counts["bases.pairing_calls"] == n * (n + 1) // 2 == 15
+
+
+def test_the_web_form_span_sees_the_form_command_work(capsys, tmp_path):
+    # `web_form` is the one entry point of the form: a u != w op is one span
+    # of it around one walk of w, u being co-walked with no `evaluate_dense`
+    paths = []
+    for name, word in (("u", [(-1, 2, 1), (-1, 3, 1), (-1, 1, 1), (-1, 2, 1)]),
+                       ("w", [(-1, 2, 2), (-1, 1, 1), (-1, 3, 1)])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(ladder_from_word(2, (2, 2, 0, 0), word).to_json()))
+        paths.append(str(path))
+    argv = ["form", "--u", paths[0], "--w", paths[1]]
+    untraced = _run_cold(capsys, argv)
+    assert untraced == (0, "[[1, 1], [3, 1]]\n")
+    t = tracer.Tracer()
+    assert _run_cold(capsys, argv, t) == untraced
+    assert t.counts["webs.web_form_calls"] == 1
+    assert t.counts["webs.evaluate_dense_calls"] == 1

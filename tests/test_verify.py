@@ -11,7 +11,7 @@ from qwebs.ring import ONE, LaurentPoly
 from qwebs.tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau
 from qwebs.verify import Report, check_howe, web_gram_mismatch
 from qwebs.webalg import bounded_weights
-from qwebs.webs import AnnihilatedError, rung, web_gram
+from qwebs.webs import AnnihilatedError, rung, web_form
 
 
 
@@ -269,8 +269,9 @@ def test_web_route_memo_matches_the_whole_ladder_webs(N, l):
     images = verify.lt_web_images(Shape(N, l))
     for k in bounded_weights(N, N * l):
         block = lt_block(N, l, k)
-        by_webs = web_gram([lt_web(e) for e in block.values()])
-        assert web_gram_mismatch(GradedMatrix(tuple(block), tuple(map(tuple, by_webs))), images) is None, k
+        ws = [lt_web(e) for e in block.values()]
+        by_webs = tuple(tuple(web_form(u, w) for w in ws) for u in ws)
+        assert web_gram_mismatch(GradedMatrix(tuple(block), by_webs), images) is None, k
     assert len(images) == len(enumerate_tableaux(Shape(N, l), semistandard_only=True))
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from qwebs.bases import lt_block
+from qwebs.bases import GradedMatrix, lt_block
 from qwebs.ring import ONE, LaurentPoly, bar
 from qwebs.webalg import (
     bounded_weights,
@@ -9,7 +9,7 @@ from qwebs.webalg import (
     gorenstein_parameter,
 )
 from qwebs.verify import web_gram_mismatch
-from qwebs.webs import d_norm, web_form, web_gram
+from qwebs.webs import d_norm, web_form
 
 from helpers import lt_web
 
@@ -102,12 +102,10 @@ def test_web_and_tensor_gram_routes_agree(N, k):
     [(2, 2, (1, 1, 1, 1), 2), (3, 2, (0, 1, 1, 1, 1, 2), 3), (3, 2, (1, 1, 1, 1, 1, 1), 5)],
 )
 def test_web_gram_is_web_form_entry_by_entry(N, l, k, n):
-    # the shared-pass matrix that `verify --form` uses against the pairwise
-    # web form that `qwebs form` prints
-    webs = [lt_web(elem) for elem in lt_block(N, l, k).values()]
+    # the memo route that `verify --form` uses against the pairwise web form
+    # that `qwebs form` prints
+    block = lt_block(N, l, k)
+    webs = [lt_web(elem) for elem in block.values()]
     assert len(webs) == n
-    gram = web_gram(webs)
-    assert [len(row) for row in gram] == [n] * n
-    for i, u in enumerate(webs):
-        for j, w in enumerate(webs):
-            assert gram[i][j] == web_form(u, w)
+    by_form = tuple(tuple(web_form(u, w) for w in webs) for u in webs)
+    assert web_gram_mismatch(GradedMatrix(tuple(block), by_form)) is None

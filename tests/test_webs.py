@@ -31,7 +31,6 @@ from qwebs.webs import (
     tag,
     validate,
     web_form,
-    web_gram,
     web_matrix,
     weight_boundary,
 )
@@ -310,24 +309,35 @@ def test_web_form_examples():
         web_form(w_top, lad)
 
 
-def test_web_gram_checks_what_web_form_checks():
-    assert web_gram([]) == []
+def test_web_form_refuses_what_it_cannot_pair():
+    # web_form checks a shared domain, a shared codomain, a highest-weight
+    # domain and a plain codomain, in this order: where two faults meet, the
+    # first is named
     w_top = Web(weight_boundary(2, (2, 0)))
     lad = ladder_from_word(2, (2, 0), [(-1, 1, 1)])
-    assert web_gram([w_top]) == [[web_form(w_top, w_top)]]
-    with pytest.raises(ShapeMismatchError, match="codomain"):
-        web_gram([w_top, lad])
-    with pytest.raises(ShapeMismatchError, match="domain"):
-        web_gram([w_top, Web(weight_boundary(2, (0, 2)))])
+    with pytest.raises(ShapeMismatchError, match="share their codomain"):
+        web_form(w_top, lad)
+    with pytest.raises(ShapeMismatchError, match="share their domain"):
+        web_form(w_top, Web(weight_boundary(2, (0, 2))))  # and their codomains differ
+    open_id = Web(weight_boundary(2, (1, 1)))
+    with pytest.raises(ShapeMismatchError, match="share their codomain"):
+        web_form(open_id, ladder_from_word(2, (1, 1), [(+1, 1, 1)]))
     with pytest.raises(ShapeMismatchError, match="closed evaluation"):
-        web_gram([Web(weight_boundary(2, (1, 1)))])
+        web_form(open_id, open_id)
+    open_tagged = Web(open_id.domain, (tag(1, 1),))
+    with pytest.raises(ShapeMismatchError, match="closed evaluation"):
+        web_form(open_tagged, open_tagged)  # and its codomain is dual
+    tagged = Web(w_top.domain, (tag(2, 1),))
+    assert tagged.codomain.factors[0].dual
+    with pytest.raises(ShapeMismatchError, match="plain boundaries"):
+        web_form(tagged, tagged)
     with pytest.raises(IllFormedWebError):
-        web_gram([Web(w_top.domain, (merge(1, 1, 1),))])
+        web_form(w_top, Web(w_top.domain, (merge(1, 1, 1),)))
 
 
-def test_web_gram_and_web_form_step_no_slice(monkeypatch):
-    # the webs were stepped when they were made; the forms run on their
-    # stored walks and make no web, mirrored or other
+def test_web_form_steps_no_slice(monkeypatch):
+    # the webs were stepped when they were made; the form runs on their
+    # stored walks and makes no web, mirrored or other
     import qwebs.webs
 
     w1 = ladder_from_word(2, (2, 2, 0, 0), [(-1, 2, 1), (-1, 3, 1), (-1, 1, 1), (-1, 2, 1)])
@@ -335,9 +345,8 @@ def test_web_gram_and_web_form_step_no_slice(monkeypatch):
     seen = []
     real = qwebs.webs._step
     monkeypatch.setattr(qwebs.webs, "_step", lambda i, sp, s: seen.append((i, s)) or real(i, sp, s))
-    gram = web_gram([w1, w2])
-    assert web_form(w1, w2) == gram[0][1]
-    assert web_form(w1, w1) == gram[0][0]
+    assert web_form(w1, w2) == LaurentPoly({3: 1, 1: 1})
+    assert web_form(w1, w1) == LaurentPoly({4: 1, 2: 2, 0: 1})
     assert seen == []
 
 
@@ -408,7 +417,12 @@ def test_co_walk_of_a_web_with_no_tag_is_its_walk(web):
 
 @settings(deadline=None)
 @given(composable_webs(closed=True))
-def test_web_gram_is_the_web_form_of_each_pair_on_random_webs(web):
+def test_web_form_is_the_mirror_pass_form_on_random_webs(web):
+    try:
+        mirrored = reflect(web)
+    except IllFormedWebError:  # as in test_co_walk_is_the_transpose_of_the_reflected_web
+        assume(False)
+    assume(mirrored.codomain == web.domain)
     cod = web.codomain
     assume(all(not f.dual for f in cod.factors))
     ends = [(), (cup(1, 1), cap(1, 1))]  # each keeps the codomain
@@ -417,10 +431,11 @@ def test_web_gram_is_the_web_form_of_each_pair_on_random_webs(web):
         ends += [(tag(a, 1), tag(a, 1, "right")), (tag(a, 1, "right"), tag(a, 1, "right"))]
         if a:
             ends.append((split(1, a - 1, 1), merge(1, a - 1, 1)))
+    # each end's mirror steps the same boundaries as the end, so each web reflects as `web` does
     webs = [Web(web.domain, web.slices + e) for e in ends]
-    tag_free = [w for w in webs if all(s.kind != "tag" for s in w.slices)]
-    for ws in (tag_free, webs, webs[::-1] + webs[:1]):
-        assert web_gram(ws) == [[web_form(u, w) for w in ws] for u in ws]
+    for u in webs:
+        for w in webs:
+            assert web_form(u, w) == mirror_pass_form(u, w), (u.slices, w.slices)
 
 
 def test_co_walk_past_a_cap_of_the_other_layout_is_the_transpose():
@@ -452,10 +467,9 @@ def test_web_form_is_the_mirror_pass_form_on_random_ladders(N, k, seed):
         by_codomain.setdefault(w.codomain, []).append(w)
     assert any(len(ws) > 1 for ws in by_codomain.values())
     for ws in by_codomain.values():
-        gram = web_gram(ws)
-        for i, u in enumerate(ws):
-            for j, w in enumerate(ws):
-                assert gram[i][j] == web_form(u, w) == mirror_pass_form(u, w), (u.slices, w.slices)
+        for u in ws:
+            for w in ws:
+                assert web_form(u, w) == mirror_pass_form(u, w), (u.slices, w.slices)
 
 
 def test_web_form_is_the_mirror_pass_form_on_webs_with_tags_cups_and_caps():
@@ -474,10 +488,12 @@ def test_web_form_is_the_mirror_pass_form_on_webs_with_tags_cups_and_caps():
         ]
         webs = [Web(lad.domain, lad.slices + e) for e in extras]
         assert {w.codomain for w in webs} == {lad.codomain}
-        gram = web_gram(webs)
-        for i, u in enumerate(webs):
-            for j, w in enumerate(webs):
-                assert gram[i][j] == web_form(u, w) == mirror_pass_form(u, w), (u.slices, w.slices)
+        # one tag on the dual strand of a cup: there u's co-walk is not its walk
+        lone = [Web(lad.domain, lad.slices + (cup(1, 1), tag(N - 1, 1, side))) for side in ("left", "right")]
+        for group in (webs, lone):
+            for u in group:
+                for w in group:
+                    assert web_form(u, w) == mirror_pass_form(u, w), (u.slices, w.slices)
 
 
 def test_web_form_symmetry_and_duality():
