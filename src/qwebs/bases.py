@@ -35,7 +35,9 @@ exponent property, also at non-semistandard tableaux; the final check in
 tableau that breaks it.
 
 Everything is organized per (shape, type) block: coefficients between
-different blocks vanish, so blocks are computed and cached independently.
+different blocks vanish, so each block is computed on its own.  LT blocks
+are cached (`lt_block`); a dual block (`dual_block`) or a Gram matrix
+(`gram_matrix`) is made from the block handed in, and is not cached.
 """
 
 from __future__ import annotations
@@ -201,10 +203,8 @@ def dual_canonical(block: dict, labels: list[Tableau], keys: list, n: int) -> Du
     return DualCanonicalElement(t, coords, tuple(beta))
 
 
-@cache
-def dual_block(N: int, l: int, ktype: tuple[int, ...]) -> dict[Tableau, DualCanonicalElement]:
-    """All dual canonical elements of one type, labelled as `lt_block` labels them."""
-    block = lt_block(N, l, ktype)
+def dual_block(block: dict[Tableau, LTBasisElement]) -> dict[Tableau, DualCanonicalElement]:
+    """The dual canonical elements of an `lt_block`, labelled as it labels it; not cached."""
     labels = list(block)
     keys = [tableau_key(t) for t in labels]
     return {t: dual_canonical(block, labels, keys, n) for n, t in enumerate(labels)}
@@ -237,22 +237,16 @@ class GradedMatrix:
         }
 
 
-def gram_matrix(N: int, l: int, ktype: tuple[int, ...], basis: str = "lt") -> GradedMatrix:
-    """Gram matrix of a basis of one type block, from the tensor expansions.
+def gram_matrix(block: dict[Tableau, _BlockElement]) -> GradedMatrix:
+    """Gram matrix of a block, an `lt_block` or a `dual_block`, from its maps.
 
     Each entry is `pairing` of two basis vectors, taken on their maps,
     once per unordered pair: the form is symmetric, so (j, i) holds the same
-    immutable `LaurentPoly` as (i, j).  For the LT basis the same entries are
+    immutable `LaurentPoly` as (i, j).  For an LT block the same entries are
     the web forms of the LT ladder webs; `qwebs verify --form` checks every
     ordered pair of that second route (`verify.web_gram_mismatch`) against
     this one.
     """
-    if basis == "lt":
-        block = lt_block(N, l, ktype)
-    elif basis == "dual":
-        block = dual_block(N, l, ktype)
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
     labels = tuple(block)
     maps = [block[t].terms for t in labels]
     n = len(maps)

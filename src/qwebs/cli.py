@@ -16,9 +16,10 @@ their order and the call each flag makes.
 `lt-basis` and `dual-canonical` write their JSON list one block at a time,
 each as soon as it is made.  The shape's memo of LT maps (`bases.lt_memo`)
 is cleared once each block is walked, and a whole-shape sweep (no --type)
-keeps no block once it is written.  A refused request writes nothing, but
-an exit 3 in the middle of a sweep can follow a partial list: the exit code
-is the status.
+keeps no block once it is written.  `dual-canonical` and `gram --basis
+dual` correct the LT block they fetched, once (`bases.dual_block`).  A
+refused request writes nothing, but an exit 3 in the middle of a sweep can
+follow a partial list: the exit code is the status.
 
 Exit codes: 0 success, 2 invalid input, 3 violated internal invariant.
 """
@@ -219,11 +220,10 @@ def cmd_basis(args) -> int:
         block = lt_block(args.N, args.l, k)
         lt_memo.cache_clear()  # the block holds the maps it needs; its walk's ancestors go
         if args.dual:
-            block = dual_block(args.N, args.l, k)
+            block = dual_block(block)
         entries = basis_entries(shape, block, args.dual)
         if args.type is None:  # a sweep keeps no block it has written
             lt_block.cache_clear()
-            dual_block.cache_clear()
         if entries:
             sys.stdout.write((", " if opened else "[") + ", ".join(entries))
             opened = True
@@ -232,8 +232,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    k = _parse_vec(args.type)
-    matrix = gram_matrix(args.N, args.l, k, basis=args.basis)
+    block = lt_block(args.N, args.l, _parse_vec(args.type))
+    matrix = gram_matrix(dual_block(block) if args.basis == "dual" else block)
     _emit(matrix.to_json(), args.format, _matrix_table)
     return 0
 
@@ -274,18 +274,18 @@ VERIFY_SWEEPS = {
 
 # The (least, largest) size options `verify` accepts; a request outside is
 # refused before any sweep runs.  The sweeps start at N = 2 and m = 2, so
-# below that they would make no check.  --cases has no least value: zero
-# cases make no check, which the run reports as a failure.  The relations
+# below that they would make no check; a count of cases is at least 0, and
+# zero cases make no check, which the run reports as a failure.  The relations
 # sweep takes about 7 s at N = 6 and 32 s at N = 7; --max-m 9 brings shape
 # (3, 3) into the Cartan sweep, which then takes about 13 s (0.2 s at 8, on
 # 2 cores with Python 3.11, in process); a case costs a few milliseconds.
-VERIFY_LIMITS = {"max_N": (2, 6), "max_m": (2, 8), "cases": (None, 10_000)}
+VERIFY_LIMITS = {"max_N": (2, 6), "max_m": (2, 8), "cases": (0, 10_000)}
 
 
 def cmd_verify(args) -> int:
     for name, (least, limit) in VERIFY_LIMITS.items():
         value, flag = getattr(args, name), "--" + name.replace("_", "-")
-        if least is not None and value < least:
+        if value < least:
             raise ValueError(f"{flag} {value} is below the least value {least}")
         if value > limit:
             raise ValueError(f"{flag} {value} exceeds the limit {limit}")

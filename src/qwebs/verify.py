@@ -368,7 +368,8 @@ def check_dual_blocks(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Report:
     for N, l in pairs:
         m = N * l
         for k in bounded_weights(N, m):
-            gram = gram_matrix(N, l, k, basis="dual")  # dual_block re-checks the invariants
+            duals = dual_block(lt_block(N, l, k))  # dual_block re-checks the invariants
+            gram = gram_matrix(duals)
             for i, s in enumerate(gram.labels):
                 for j, t in enumerate(gram.labels):
                     value = gram.entries[i][j]
@@ -380,7 +381,7 @@ def check_dual_blocks(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Report:
                         "almost orthogonality fails at N={}, l={}, k={}, ({},{}): {}",
                         N, l, k, s, t, value,
                     )
-            for t, elem in dual_block(N, l, k).items():
+            for t, elem in duals.items():
                 for s, g in elem.beta:
                     rep.check(
                         bar(g) == g,
@@ -464,7 +465,7 @@ def check_form_consistency(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))) -> Re
         images = lt_web_images(Shape(N, l))  # the web route's memo, one per shape
         for k in bounded_weights(N, m):
             block = lt_block(N, l, k)
-            gram = gram_matrix(N, l, k, basis="lt")
+            gram = gram_matrix(block)
             mismatch = web_gram_mismatch(gram, images)
             rep.check(mismatch is None, mismatch or "")
             labels = gram.labels

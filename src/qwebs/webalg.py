@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bases import GradedMatrix, gram_matrix
+from .bases import GradedMatrix, gram_matrix, lt_block
 from .ring import LaurentPoly, bar
 from .tensor import weight_boundary
 from .webs import d_norm
@@ -36,7 +36,7 @@ def _shape_of_weight(N: int, k: tuple[int, ...]) -> int:
 def cartan_matrix(N: int, k: tuple[int, ...]) -> GradedMatrix:
     """Graded Cartan matrix of the block at weight k."""
     l = _shape_of_weight(N, k)
-    return gram_matrix(N, l, tuple(k), basis="lt")
+    return gram_matrix(lt_block(N, l, tuple(k)))
 
 
 def gorenstein_parameter(N: int, k: tuple[int, ...]) -> int:

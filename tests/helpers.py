@@ -4,7 +4,7 @@ from functools import cache
 from itertools import product
 
 from qwebs import bases, verify, webs
-from qwebs.bases import LTBasisElement, dual_block, lt_block, pairing
+from qwebs.bases import LTBasisElement, lt_block, pairing
 from qwebs.howe import key_columns, tableau_key, tableau_to_index
 from qwebs.ring import ONE, LaurentPoly, add_into
 from qwebs.tableaux import Shape, Tableau, enumerate_tableaux, highest_tableau, tableau_type
@@ -75,10 +75,9 @@ def terms_json(shape: Shape, terms: Terms) -> dict:
     ]}
 
 
-def reference_gram(N: int, l: int, ktype: tuple[int, ...], basis: str) -> tuple:
-    """The entries of `bases.gram_matrix`, each ordered pair paired on its own:
-    the reference for the matrix that pairs each unordered pair once."""
-    block = lt_block(N, l, ktype) if basis == "lt" else dual_block(N, l, ktype)
+def reference_gram(block: dict) -> tuple:
+    """The entries of `bases.gram_matrix` of a block, each ordered pair paired on its
+    own: the reference for the matrix that pairs each unordered pair once."""
     maps = [e.terms for e in block.values()]
     return tuple(tuple(pairing(x, y) for y in maps) for x in maps)
 

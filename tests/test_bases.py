@@ -183,14 +183,13 @@ def test_dual_canonical_names_the_tableaux_that_break_the_negative_exponent_prop
     # with every correction dropped, the first element that needs one keeps
     # the coefficient at the first tableau it would have corrected
     k = (0, 0, 1, 2, 1, 2)
-    t, elem = next((t, e) for t, e in dual_block(3, 2, k).items() if e.beta)
+    t, elem = next((t, e) for t, e in dual_block(lt_block(3, 2, k)).items() if e.beta)
     s = elem.beta[0][0]
     c = lt_block(3, 2, k)[t].terms[tableau_key(s)]
     assert max(c) >= 0
     monkeypatch.setattr(bases, "symmetrize_correction", lambda _: LaurentPoly())
-    dual_block.cache_clear()
     with pytest.raises(InvariantViolationError) as exc:
-        dual_block(3, 2, k)
+        dual_block(lt_block(3, 2, k))
     message = str(exc.value)
     assert message.startswith(f"negative exponent property fails for {t}: ((")
     assert f"({s!r}, {LaurentPoly(c)!r})" in message
@@ -198,20 +197,19 @@ def test_dual_canonical_names_the_tableaux_that_break_the_negative_exponent_prop
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"invariant violation: {message}\n"
-    assert dual_block.cache_info().currsize == 0
 
 
 def test_dual_canonical_small_elements():
     # two strands of color one
     s21 = Shape(2, 1)
     t = Tableau(s21, ((1, 2),))
-    d = dual_block(2, 1, tableau_type(t))[t]
+    d = dual_block(lt_block(2, 1, tableau_type(t)))[t]
     assert d.beta == ()
     assert polys(expansion(d)) == {t: ONE, Tableau(s21, ((2, 1),)): mono(-1)}
     # one strand of color one and one of color two
     s31 = Shape(3, 1)
     t2 = Tableau(s31, ((1, 1, 2),))
-    d2 = dual_block(3, 1, tableau_type(t2))[t2]
+    d2 = dual_block(lt_block(3, 1, tableau_type(t2)))[t2]
     assert d2.beta == ()
     assert {tt.rows[0]: c for tt, c in polys(expansion(d2)).items()} == {
         (1, 1, 2): ONE,
@@ -220,7 +218,7 @@ def test_dual_canonical_small_elements():
     }
     # trivial at the top
     top = highest_tableau(s21)
-    dt = dual_block(2, 1, tableau_type(top))[top]
+    dt = dual_block(lt_block(2, 1, tableau_type(top)))[top]
     assert polys(expansion(dt)) == {top: ONE} and dt.beta == ()
 
 
@@ -228,7 +226,8 @@ def test_dual_canonical_nontrivial_correction():
     # a block where the intermediate basis is not yet dual canonical
     shape = Shape(3, 2)
     k = (0, 0, 1, 2, 1, 2)
-    blk = dual_block(3, 2, k)
+    lt = lt_block(3, 2, k)
+    blk = dual_block(lt)
     corrected = [t for t, e in blk.items() if e.beta]
     assert corrected, "expected a nontrivial correction in this block"
     for t, elem in blk.items():
@@ -239,7 +238,6 @@ def test_dual_canonical_nontrivial_correction():
             assert bar(g) == g
             assert s.sort_key() > t.sort_key()
         # the recorded identity b = A^T + sum beta A^S holds
-        lt = lt_block(3, 2, k)
         recon = combine((ONE, expansion(lt[t])), *((g, expansion(lt[s])) for s, g in elem.beta))
         assert recon == expansion(elem)
 
@@ -248,9 +246,8 @@ def test_dual_canonical_deterministic():
     shape = Shape(3, 2)
     k = (0, 0, 1, 2, 1, 2)
     t = [t for t in enumerate_tableaux(shape, k, semistandard_only=True)][-1]
-    a = dual_block(3, 2, k)[t]
-    dual_block.cache_clear()
-    b = dual_block(3, 2, k)[t]
+    a = dual_block(lt_block(3, 2, k))[t]
+    b = dual_block(lt_block(3, 2, k))[t]
     assert a is not b
     assert expansion(a) == expansion(b) and a.beta == b.beta
 
@@ -260,13 +257,14 @@ def test_dual_block_labels_follow_lt_block(N, l):
     shape = Shape(N, l)
     types = {tableau_type(t) for t in enumerate_tableaux(shape, semistandard_only=True)}
     for k in sorted(types):
-        labels = list(lt_block(N, l, k))
-        assert list(dual_block(N, l, k)) == labels
+        block = lt_block(N, l, k)
+        labels = list(block)
+        assert list(dual_block(block)) == labels
         assert labels == enumerate_tableaux(shape, k, semistandard_only=True)
 
 
 def test_almost_orthogonality_block():
-    duals = dual_block(2, 2, (1, 1, 1, 1))
+    duals = dual_block(lt_block(2, 2, (1, 1, 1, 1)))
     labels = list(duals)
     for s in labels:
         for t in labels:
@@ -276,11 +274,11 @@ def test_almost_orthogonality_block():
 
 
 def test_gram_matrix_examples():
-    g = gram_matrix(2, 1, (2, 0))
+    g = gram_matrix(lt_block(2, 1, (2, 0)))
     assert len(g.labels) == 1 and g.entries[0][0] == ONE
-    g = gram_matrix(2, 1, (1, 1))
+    g = gram_matrix(lt_block(2, 1, (1, 1)))
     assert g.entries[0][0] == LaurentPoly({2: 1, 0: 1})
-    g = gram_matrix(2, 2, (1, 1, 1, 1))
+    g = gram_matrix(lt_block(2, 2, (1, 1, 1, 1)))
     d = d_norm(2, 2, (1, 1, 1, 1))
     for i in range(2):
         for j in range(2):
@@ -300,21 +298,22 @@ def test_gram_matrix_pairs_each_unordered_pair_once(monkeypatch, basis):
     form = bases.pairing
     monkeypatch.setattr(bases, "pairing", lambda x, y: calls.append(1) or form(x, y))
     for N, l, k in GRAM_BLOCKS:
+        block = dual_block(lt_block(N, l, k)) if basis == "dual" else lt_block(N, l, k)
         calls.clear()
-        g = gram_matrix(N, l, k, basis=basis)
+        g = gram_matrix(block)
         n = len(g.labels)
         assert len(calls) == n * (n + 1) // 2, (N, l, k)
-        assert g.entries == reference_gram(N, l, k, basis), (N, l, k)
+        assert g.entries == reference_gram(block), (N, l, k)
 
 
 def test_gram_dual_vs_transition():
     # conjugating the LT Gram by the correction matrix gives the dual Gram
     N, l, k = 3, 2, (0, 0, 1, 2, 1, 2)
     lt = lt_block(N, l, k)
-    duals = dual_block(N, l, k)
+    duals = dual_block(lt)
     labels = list(lt)
-    glt = gram_matrix(N, l, k, basis="lt")
-    gd = gram_matrix(N, l, k, basis="dual")
+    glt = gram_matrix(lt)
+    gd = gram_matrix(duals)
     coef = {
         (t, s): g for t, e in duals.items() for s, g in e.beta
     }

@@ -322,8 +322,8 @@ def test_basis_entries_match_the_dict_reference():
     blocks.append((4, 2, (1,) * 8))
     binomials = corrected = 0
     for N, l, k in blocks:
-        for dual, make in ((False, lt_block), (True, dual_block)):
-            block = make(N, l, k)
+        for dual in (False, True):
+            block = dual_block(lt_block(N, l, k)) if dual else lt_block(N, l, k)
             reference = [_basis_entry_reference(t, elem, dual) for t, elem in block.items()]
             assert basis_entries(Shape(N, l), block, dual) == reference, (N, l, k, dual)
             binomials += sum(len(c) > 1 for elem in block.values() for c in elem.terms.values())
@@ -335,7 +335,7 @@ def test_basis_entries_match_the_dict_reference():
 def test_whole_shape_sweep_keeps_no_block(capsys):
     assert main(["dual-canonical", "--N", "2", "--l", "3"]) == 0
     assert json.loads(capsys.readouterr().out)
-    assert lt_block.cache_info().currsize == 0 and dual_block.cache_info().currsize == 0
+    assert lt_block.cache_info().currsize == 0 and bases.lt_memo.cache_info().currsize == 0
 
 
 # sha256 of the JSON each command line prints: the full-shape sweeps recorded
@@ -468,10 +468,10 @@ def test_output_is_byte_stable(capsys):
 
 
 def test_verify_with_zero_checks_does_not_pass(capsys):
-    code, out = run(capsys, "verify", "--shapovalov", "--cases", "-3")
+    code, out = run(capsys, "verify", "--shapovalov", "--cases", "0")
     assert code == 3
     assert out.startswith("FAIL")
-    code, out = run(capsys, "verify", "--shapovalov", "--cases", "-3", "--format", "json")
+    code, out = run(capsys, "verify", "--shapovalov", "--cases", "0", "--format", "json")
     assert code == 3
     assert json.loads(out)[0]["passed"] is False
 
@@ -681,6 +681,16 @@ def test_verify_size_below_2_exits_2_at_once(capsys, monkeypatch):
     assert calls == []
     assert run(capsys, "verify", "--all", "--max-N", "2", "--max-m", "2")[0] == 0
     assert len(calls) == len(SWEEP_CHECKERS)
+
+
+def test_verify_negative_cases_exits_2_at_once(capsys, monkeypatch):
+    # a count of cases is at least 0; a negative one is malformed input, not a failed run
+    calls = _stub_checkers(monkeypatch)
+    code = main(["verify", "--shapovalov", "--cases", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: --cases -1 is below the least value 0" in captured.err
+    assert calls == []
 
 
 def test_verify_parser_flags_are_the_sweep_table():

@@ -325,9 +325,8 @@ def test_kernel_hands_on_unshifted_maps_and_changes_no_input(N, l, r):
 def test_dual_block_leaves_the_cached_lt_maps_as_computed():
     k = (1,) * 8
     lt_block.cache_clear()
-    dual_block.cache_clear()
     block = lt_block(4, 2, k)
-    assert any(e.beta for e in dual_block(4, 2, k).values())
+    assert any(e.beta for e in dual_block(block).values())
     lt_memo.cache_clear()  # else the memo hands back the block's own maps
     fresh = lt_vector(Shape(4, 2), list(block))
     assert {t: e.terms for t, e in lt_block(4, 2, k).items()} == {t: e.terms for t, e in fresh.items()}

@@ -164,3 +164,19 @@ def test_the_web_form_span_sees_the_form_command_work(capsys, tmp_path):
     assert _run_cold(capsys, argv, t) == untraced
     assert t.counts["webs.web_form_calls"] == 1
     assert t.counts["webs.evaluate_dense_calls"] == 1
+
+
+@pytest.mark.parametrize("argv", ["dual-canonical --N 3 --l 2 --type 0,0,1,2,1,2",
+                                  "gram --N 3 --l 2 --type 0,0,1,2,1,2 --basis dual"])
+def test_a_dual_op_fetches_its_lt_block_once(capsys, argv):
+    # the dual block is made from the LT block the command holds, so the
+    # block's cache sees one miss, no hit, and one walk of its labels
+    t = tracer.Tracer()
+    code, out = _run_cold(capsys, argv.split(), t)
+    assert code == 0
+    payload = json.loads(out)
+    labels = len(payload["labels"] if argv.startswith("gram") else payload)
+    info = bases.lt_block.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    assert t.counts["bases.lt_vector_calls"] == 1
+    assert t.counts["bases.dual_canonical_calls"] == labels > 1

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import lt_web, reference_check_howe
 from qwebs import bases, verify, webs
-from qwebs.bases import GradedMatrix, gram_matrix, lt_block
+from qwebs.bases import GradedMatrix, dual_block, gram_matrix, lt_block
 from qwebs.cli import main
 from qwebs.howe import key_columns, tableau_key
 from qwebs.ring import ONE, LaurentPoly
@@ -230,17 +230,17 @@ def test_dual_sweep_reports_a_negative_gram_coefficient(monkeypatch):
     clean = verify.check_dual_blocks(pairs)
     assert clean.passed
     shape = Shape(2, 2)
-    gram = gram_matrix(2, 2, (1, 1, 1, 1), basis="dual")
+    gram = gram_matrix(dual_block(lt_block(2, 2, (1, 1, 1, 1))))
     i = gram.labels.index(Tableau(shape, ((1, 3), (2, 4))))
     j = gram.labels.index(Tableau(shape, ((1, 2), (3, 4))))
     rows = [list(r) for r in gram.entries]
     rows[i][j] = LaurentPoly({1: 1, 2: -1})
     corrupted = GradedMatrix(gram.labels, tuple(tuple(r) for r in rows))
 
-    def corrupt(N, l, k, basis="lt"):
-        if (N, l, k, basis) == (2, 2, (1, 1, 1, 1), "dual"):
+    def corrupt(block):
+        if tuple(block) == corrupted.labels:  # the dual block of (1, 1, 1, 1)
             return corrupted
-        return gram_matrix(N, l, k, basis)
+        return gram_matrix(block)
 
     monkeypatch.setattr(verify, "gram_matrix", corrupt)
     rep = verify.check_dual_blocks(pairs)
@@ -251,7 +251,7 @@ def test_dual_sweep_reports_a_negative_gram_coefficient(monkeypatch):
 
 
 def test_web_gram_mismatch_names_the_corrupted_entry():
-    gram = gram_matrix(3, 2, (0, 1, 1, 1, 1, 2))
+    gram = gram_matrix(lt_block(3, 2, (0, 1, 1, 1, 1, 2)))
     assert web_gram_mismatch(gram) is None
     rows = [list(r) for r in gram.entries]
     rows[1][2] = rows[1][2] + ONE
@@ -276,7 +276,7 @@ def test_web_route_memo_matches_the_whole_ladder_webs(N, l):
 
 
 def test_web_gram_mismatch_names_the_entry_a_corrupted_image_breaks():
-    gram = gram_matrix(3, 2, (0, 1, 1, 1, 1, 2))
+    gram = gram_matrix(lt_block(3, 2, (0, 1, 1, 1, 1, 2)))
     images = verify.lt_web_images(Shape(3, 2))
     assert web_gram_mismatch(gram, images) is None
     s, t = gram.labels[:2]
@@ -335,9 +335,9 @@ def test_form_sweep_reports_a_mirrored_wrong_gram_entry(monkeypatch):
     assert clean.passed
     real = verify.gram_matrix
     k0 = (1, 1, 1, 1)
-    wrong = _mirrored_wrong(real(2, 2, k0), 0, 1, LaurentPoly({3: 2, 1: 2}))
-    monkeypatch.setattr(verify, "gram_matrix", lambda N, l, k, basis="lt": (
-        wrong if (N, l, k) == (2, 2, k0) else real(N, l, k, basis)))
+    wrong = _mirrored_wrong(real(lt_block(2, 2, k0)), 0, 1, LaurentPoly({3: 2, 1: 2}))
+    monkeypatch.setattr(verify, "gram_matrix", lambda block: (
+        wrong if tuple(block) == wrong.labels else real(block)))
     rep = verify.check_form_consistency(pairs)
     assert rep.cases == clean.cases
     assert [f for f in rep.failures if f.startswith("Gram symmetry")] == [
