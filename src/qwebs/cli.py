@@ -67,8 +67,12 @@ def _load_json(path: str):
 
 
 def _read(read, path: str, what: str):
-    """`read` of the JSON at `path`, a `what`; a missing or mistyped field is an input error."""
-    data = _load_json(path)
+    """`read` of the JSON at `path`, a `what`; a missing or mistyped field, or JSON
+    nested past the decoder's recursion limit, is an input error."""
+    try:
+        data = _load_json(path)
+    except RecursionError as exc:
+        raise ValueError(f"malformed {what} JSON: nested too deeply") from exc
     try:
         return read(data)
     except (KeyError, TypeError, AttributeError) as exc:

@@ -192,8 +192,9 @@ def act_divided(shape: Shape, sign: int, i: int, r: int, terms: Terms) -> Terms:
     such pattern: (the bits a move flips, its exponent) for each r-subset,
     and for r = 1 each movable column in turn.  Bits of a key above its N*m
     are neither read nor flipped, so a tag there rides through to the image.
+    No r-subset of the N columns exists for r > N, so that image is exactly {}.
     """
-    if not terms:
+    if not terms or r > shape.N:
         return {}
     m = shape.m
     ones = _column_ones(shape.N, m)

@@ -24,12 +24,12 @@ The two cross-checks between routes compute each shared object once:
   `evaluate_dense` on the type's tagged indices; an annihilated ladder raises
   once per type and rung.  The tableau image, read to tagged indices through
   one key -> index dict, must equal the union of the web images: one map
-  comparison per rung, counted as one check per tableau.  Only on a mismatch
-  are the tableaux compared one by one, the web image read back to keys (an
-  index no tableau has stays a mask tuple, equal to no key, so its check
-  fails), and the failures are listed type by type, then by rung and
-  tableau.  `check_serre` tags the shape's keys the same way, so each of its
-  relations is one map per (shape, sign, i, j).
+  comparison per rung, counted as one check per tableau.  On a mismatch the
+  failing tableaux are the tags on the keys of one difference map, that
+  reading minus the web images, in the same space, and the failures are
+  listed type by type, then by rung and tableau.  `check_serre` tags the
+  shape's keys the same way, so each of its relations is one map per (shape,
+  sign, i, j), and finds its failures as the tags of one difference map too.
 - `web_gram_mismatch` builds the web route's Gram matrix from a memo of the
   shape, `lt_web_images`, which `check_form_consistency` holds across the
   shape's blocks for the length of the sweep.  A tableau's LT ladder web is
@@ -323,12 +323,14 @@ def check_howe(pairs=((2, 1), (2, 2), (3, 1), (3, 2)), a_max: int = 2) -> Report
 
 def _howe_rung(shape: Shape, step, tabs, index, tagged, by_type, failures) -> None:
     """Compare both routes of the rung step = (i, sign, a) on every tableau of the
-    shape at once; only on a mismatch are the tableaux checked one by one, each
-    failure going to its type's list in `failures`.
+    shape at once, each failure going to its type's list in `failures`.
 
     The tableau image is read to tagged indices in place, with no copy: equal
     sizes and each term found in the web images is equality, as `index` is
     one-to-one and a key no tableau has reads as (n,), shorter than any index.
+    On a mismatch the failing tableaux are the tags on the keys of one difference
+    map: that reading, kept as `by_tab`, minus the web images.  `by_tab` is
+    assigned, not summed, so two keys read as (n,) cannot cancel.
     """
     i, sign, a = step
     width = shape.N * shape.m
@@ -343,21 +345,11 @@ def _howe_rung(shape: Shape, step, tabs, index, tagged, by_type, failures) -> No
     if len(by_web) == len(out) and all(
             by_web.get(index.get(key & low, ()) + (key >> width,)) == c for key, c in out.items()):
         return
-    tab_parts: dict = {}  # tag -> the tableau image of its tableau, untagged
-    for key, c in out.items():
-        tab_parts.setdefault(key >> width, {})[key & low] = c
-    key_of = {idx: key for key, idx in index.items()}
-    web_parts: dict = {}  # tag -> the web image of its tableau, read back to keys where it can be
-    for image, c in by_web.items():
-        web_parts.setdefault(image[-1], {})[key_of.get(image[:-1], image[:-1])] = c
+    by_tab = {index.get(key & low, ()) + (key >> width,): c for key, c in out.items()}
+    failed = {key[-1] for key in _combine([(ONE, by_tab), (-ONE, by_web)])}
     for (k, indices), texts in zip(by_type.items(), failures):
-        for n in (idx[-1] for idx in indices):
-            tab = tab_parts.get(n, {})
-            if ladders[k] is None:
-                if tab:
-                    texts.append(f"annihilated ladder but nonzero action at {tabs[n]}, sign={sign}, i={i}, a={a}")
-            elif web_parts.get(n, {}) != tab:
-                texts.append(f"routes disagree at {tabs[n]}, sign={sign}, i={i}, a={a}")
+        what = "annihilated ladder but nonzero action" if ladders[k] is None else "routes disagree"
+        texts += [f"{what} at {tabs[idx[-1]]}, sign={sign}, i={i}, a={a}" for idx in indices if idx[-1] in failed]
 
 
 # -- dual canonical properties -------------------------------------------

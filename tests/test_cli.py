@@ -610,6 +610,11 @@ def test_act_checks_the_generator_index_for_every_r(capsys, tmp_path):
     code, out = run(capsys, "act", "--sign", "-", "--i", "1", "--r", "0", "--vector", tv)
     assert code == 0
     assert json.loads(out) == {"N": 2, "l": 1, "terms": [{"rows": [[1, 2]], "coeff": [[0, 1]]}]}
+    # no r-subset of the N = 2 columns exists for r > 2, however large r is
+    for sign in ("-", "+"):
+        for r in ("3", str(10**21)):
+            assert run(capsys, "act", "--sign", sign, "--i", "1", "--r", r, "--vector", tv) == (
+                0, '{"N": 2, "l": 1, "terms": []}\n')
 
 
 # The checker each entry of VERIFY_SWEEPS calls, in table order.
@@ -783,6 +788,18 @@ def test_structurally_malformed_json_exits_2(capsys, tmp_path, command, payload)
     else:
         argv = ("act", "--sign", "-", "--i", "1", "--vector", path)
     assert run(capsys, *argv) == (2, "")
+
+
+def test_json_nested_past_the_recursion_limit_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    deep = str(path)
+    for argv in (("ev", "--web", deep), ("eval", "--web", deep, "--vector", deep),
+                 ("form", "--u", deep, "--w", deep), ("act", "--sign", "-", "--i", "1", "--vector", deep)):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.endswith("JSON: nested too deeply\n") and "Traceback" not in captured.err, argv
 
 
 _STRAND, _TOP = [{"color": 1, "dual": False}], [{"color": 2, "dual": False}]

@@ -88,6 +88,11 @@ def test_divided_power_examples():
     assert t2 == Tableau(s22, ((1, 1), (3, 3)))
     assert c2 == qint(2)
     assert polys(Vector(s22, act_divided(s22, -1, 2, 2, top.coords))) == {t2: ONE}
+    # both moves act for r <= N = 2; no r-subset of the 2 columns exists past it
+    assert act_divided(s22, +1, 2, 2, raw.coords)
+    for r in (s22.N + 1, 10**21):
+        assert act_divided(s22, -1, 2, r, top.coords) == {}
+        assert act_divided(s22, +1, 2, r, raw.coords) == {}
 
 
 def test_divided_power_integrality():

@@ -183,8 +183,11 @@ def test_howe_reports_a_web_image_off_the_tableaux_as_a_failed_check(monkeypatch
 
 # Faults of the tableau route that break several (type, rung) pairs, each a
 # `_patch_per_tag` function of one tableau's key and image: a shifted
-# exponent, an annihilated ladder's input handed back, a dropped image, and a
-# key no tableau has.
+# exponent, an annihilated ladder's input handed back, a dropped image, a key
+# no tableau has, one key of the image swapped for a key no tableau has (the
+# image keeps its size, so only the lookup sees it), and two keys no tableau
+# has with opposite coefficients (which a sum over the keys read as the same
+# index would cancel).
 _HOWE_FAULTS = {
     "shifted": lambda shape, sign, i, a, terms, out: (
         {k: {e + 1: c for e, c in p.items()} for k, p in out.items()}
@@ -193,6 +196,11 @@ _HOWE_FAULTS = {
     "dropped": lambda shape, sign, i, a, terms, out: {} if min(terms) & 1 and a == 2 else out,
     "no-tableau": lambda shape, sign, i, a, terms, out: (
         {**out, 0: {0: 1}} if min(terms) % 5 == 1 and sign < 0 else out),
+    "replaced": lambda shape, sign, i, a, terms, out: (
+        {**{k: c for k, c in out.items() if k != min(out)}, 0: out[min(out)]}
+        if out and min(terms) % 3 == 1 and a == 1 else out),
+    "collide": lambda shape, sign, i, a, terms, out: (
+        {**out, 0: {1: 2}, 1: {1: -2}} if min(terms) % 7 == 2 and i == 2 else out),
 }
 
 
